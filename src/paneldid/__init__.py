@@ -31,7 +31,6 @@ from .designs import (
     load_spec,
 )
 from .engine import (
-    ConvergenceError,
     DesignMatrix,
     RegressionFit,
     cluster_vcov,
@@ -79,7 +78,6 @@ __all__ = [
     "BaconComponent",
     "BalanceReport",
     "ComparisonKind",
-    "ConvergenceError",
     "CovariateTerm",
     "DesignKind",
     "DesignMatrix",

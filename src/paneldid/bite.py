@@ -24,6 +24,10 @@ from .periods import Period
 
 DEFAULT_EARLY_COHORT = Period(2014, 3)
 DEFAULT_LATE_COHORT = Period(2019, 1)
+DESIGN_COLUMNS = (
+    "region", "gap_first", "gap_second", "high_first",
+    "high_second", "group", "cohort", "population_weight",
+)
 
 
 @dataclass(frozen=True)
@@ -353,12 +357,7 @@ class TreatmentDesign:
         )
         try:
             writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(
-                [
-                    "region", "gap_first", "gap_second", "high_first",
-                    "high_second", "group", "cohort", "population_weight",
-                ]
-            )
+            writer.writerow(DESIGN_COLUMNS)
             for region in sorted(self.regions):
                 rt = self.regions[region]
                 writer.writerow(
@@ -382,6 +381,9 @@ class TreatmentDesign:
         stream, owned = _as_text_stream(source)
         try:
             reader = csv.DictReader(stream)
+            missing = [c for c in DESIGN_COLUMNS if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"treatment design file lacks column(s) {missing}")
             regions: dict[str, RegionTreatment] = {}
             cohorts: set[Period] = set()
             for row in reader:

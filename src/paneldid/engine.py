@@ -1,10 +1,20 @@
 """Weighted least squares with absorbed two-way fixed effects.
 
-Unit and period effects are never materialized as dummy columns. Instead the
-outcome and every regressor are demeaned by alternating weighted group
-projections (unit means, then period means, repeated to convergence), and the
-slope coefficients of the demeaned system coincide with the ones a full
-dummy-variable regression would produce. Inference is cluster-robust:
+Unit and period effects are never materialized as dummy columns. They are
+solved for exactly, for the outcome and every regressor at once: the unit
+effects are eliminated from the weighted normal equations by a Schur
+complement, and the T x T period system that remains is solved with one
+period anchored at zero in each connected component of the unit-period graph
+(Gaure 2013; Correia 2016). The residuals are the demeaned system, whose
+slope coefficients coincide with the ones a full dummy-variable regression
+would produce.
+
+One Householder QR of the weighted demeaned [X | y] then does the rest.
+Read left to right, |R_jj| is the norm of column j after projecting out the
+columns before it; a column whose pivot does not exceed PIVOT_RTOL times the
+largest pivot, or times its own weighted norm before absorption, is dropped
+as collinear. R gives the coefficients and the bread (X'WX)^(-1) =
+R^(-1) R^(-T). Inference is cluster-robust:
 
     V = c * (X'WX)^(-1) (sum_g s_g s_g') (X'WX)^(-1),
     s_g = sum_{i in g} w_i * x_i * e_i,
@@ -22,22 +32,14 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import linalg, sparse, stats
+from scipy.sparse.csgraph import connected_components
 
 from .panel import PanelDataset
 from .periods import Period
 
-DEMEAN_TOL = 1e-10
-DEMEAN_MAX_ITER = 10_000
 PIVOT_RTOL = 1e-9
-
-
-class ConvergenceError(RuntimeError):
-    """Alternating demeaning failed to reach tolerance within the iteration cap."""
-
-    def __init__(self, message: str, last_delta: float):
-        super().__init__(message)
-        self.last_delta = last_delta
+_BLOCK_ROWS = 1024  # rows per chunk: residuals and QR blocks stay in cache
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,9 @@ class DesignMatrix:
     units: tuple[str, ...]
     periods: tuple[Period, ...]
     clusters: tuple[str, ...]
+    # Connected components of the unit-period graph; set once the fixed
+    # effects have been absorbed by demean_two_way.
+    fe_components: int | None = None
 
     def __post_init__(self) -> None:
         n = len(self.y)
@@ -109,90 +114,115 @@ class DesignMatrix:
         )
 
 
-def _group_weighted_demean(
-    m: np.ndarray, w: np.ndarray, codes: np.ndarray, n_groups: int
-) -> None:
-    """Subtract weighted group means from every column of m, in place."""
-    wsum = np.bincount(codes, weights=w, minlength=n_groups)
-    means = np.empty((n_groups, m.shape[1]))
-    for j in range(m.shape[1]):
-        means[:, j] = np.bincount(codes, weights=w * m[:, j], minlength=n_groups)
-    means /= wsum[:, None]
-    m -= means[codes]
+def _row_chunks(n: int):
+    for start in range(0, n, _BLOCK_ROWS):
+        yield slice(start, min(start + _BLOCK_ROWS, n))
 
 
-def demean_two_way(
-    design: DesignMatrix,
-    *,
-    tol: float = DEMEAN_TOL,
-    max_iter: int = DEMEAN_MAX_ITER,
-) -> DesignMatrix:
-    """Sweep out weighted unit and period means from the outcome and regressors.
+class TwoWaySolver:
+    """Exact weighted least squares of columns on unit and period effects.
 
-    Alternates unit and period demeaning until no cell moves by more than
-    `tol` in one sweep. On a balanced panel with equal weights this reaches
-    the classical x - mean_i - mean_t + mean transform.
+    Unit effects are eliminated by a Schur complement of the normal
+    equations. The T x T period system left is singular once per connected
+    component of the unit-period graph, so one period per component is
+    anchored at zero; it is factorised once and serves any number of
+    columns. Units that carry no weight get nan effects.
     """
-    n_units = len(design.units)
-    n_periods = len(design.periods)
-    m = np.column_stack([design.y, design.x]) if design.x.size else design.y.reshape(-1, 1).copy()
-    m = np.ascontiguousarray(m, dtype=float)
-    w = design.weight
-    delta = math.inf
-    for _ in range(max_iter):
-        before = m.copy()
-        _group_weighted_demean(m, w, design.unit_codes, n_units)
-        _group_weighted_demean(m, w, design.period_codes, n_periods)
-        delta = float(np.max(np.abs(m - before))) if m.size else 0.0
-        if delta <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"two-way demeaning did not converge within {max_iter} sweeps "
-            f"(last max cell change {delta:.3e})",
-            last_delta=delta,
-        )
-    y = m[:, 0].copy()
-    x = m[:, 1:].copy() if design.x.size else design.x.copy()
-    return replace(design, y=y, x=x)
+
+    def __init__(
+        self,
+        weight: np.ndarray,
+        unit_codes: np.ndarray,
+        period_codes: np.ndarray,
+        n_units: int,
+        n_periods: int,
+    ) -> None:
+        n = len(weight)
+        rows = np.arange(n)
+        self._unit_codes, self._period_codes = unit_codes, period_codes
+        self._to_unit = sparse.csr_matrix((weight, (unit_codes, rows)), (n_units, n))
+        self._to_period = sparse.csr_matrix((weight, (period_codes, rows)), (n_periods, n))
+        cells = np.ravel_multi_index((unit_codes, period_codes), (n_units, n_periods))
+        self._cells = np.bincount(cells, weight, n_units * n_periods).reshape(n_units, -1)
+        unit_weight = self._cells.sum(axis=1)
+        self.period_weight = self._cells.sum(axis=0)
+        active = unit_weight > 0
+        self._inv_unit = np.where(active, 1.0, np.nan) / np.where(active, unit_weight, 1.0)
+        self._scaled = self._cells * np.nan_to_num(self._inv_unit)[:, None]
+        nodes = n_units + n_periods
+        graph = sparse.csr_matrix((weight, (unit_codes, n_units + period_codes)), (nodes, nodes))
+        _, labels = connected_components(graph, directed=False)
+        self.components = len(np.unique(labels[:n_units][active]))
+        self._free = np.ones(n_periods, dtype=bool)
+        self._free[np.unique(labels[n_units:], return_index=True)[1]] = False
+        schur = np.diag(self.period_weight) - self._cells.T @ self._scaled
+        free = np.ix_(self._free, self._free)
+        self._factor = linalg.cho_factor(schur[free])
+
+    def effects(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Unit effects (U, ...) and period effects (T, ...) fitted to m."""
+        unit_sums = self._to_unit @ m
+        rhs = self._to_period @ m - self._scaled.T @ unit_sums
+        period = np.zeros_like(rhs)
+        period[self._free] = linalg.cho_solve(self._factor, rhs[self._free])
+        inv = self._inv_unit if m.ndim == 1 else self._inv_unit[:, None]
+        return (unit_sums - self._cells @ period) * inv, period
+
+    def residuals(self, m: np.ndarray) -> np.ndarray:
+        """m minus its fitted unit and period effects, formed in row chunks."""
+        m = np.asarray(m, dtype=float)
+        unit, period = self.effects(m)
+        out = np.empty_like(m)
+        for rows in _row_chunks(len(m)):
+            np.subtract(m[rows], unit[self._unit_codes[rows]], out=out[rows])
+            out[rows] -= period[self._period_codes[rows]]
+        return out
 
 
-def _greedy_pivots(a: np.ndarray, threshold: float) -> tuple[list[int], list[float]]:
-    """Left-to-right Gram-Schmidt column selection.
+def demean_two_way(design: DesignMatrix) -> DesignMatrix:
+    """Remove exactly fitted weighted unit and period effects from every column.
 
-    Returns the kept column indices and their pivot magnitudes (the norm of
-    each column after projecting out previously kept ones). Columns whose
-    pivot does not exceed `threshold` are skipped, so of two collinear
-    columns the later one is dropped.
+    The outcome and the regressors share one factorised period system. On a
+    balanced panel with equal weights this is the classical
+    x - mean_i - mean_t + mean transform.
     """
-    n, k = a.shape
-    q = np.empty((n, 0))
-    kept: list[int] = []
-    pivots: list[float] = []
-    for j in range(k):
-        v = a[:, j].astype(float, copy=True)
-        # Project twice for numerical stability.
-        for _ in range(2):
-            if kept:
-                v -= q @ (q.T @ v)
-        pivot = float(np.linalg.norm(v))
-        if pivot <= threshold or pivot == 0.0:
-            continue
-        kept.append(j)
-        pivots.append(pivot)
-        q = np.column_stack([q, v / pivot])
-    return kept, pivots
+    solver = TwoWaySolver(
+        design.weight, design.unit_codes, design.period_codes,
+        len(design.units), len(design.periods),
+    )
+    return replace(
+        design,
+        y=solver.residuals(design.y),
+        x=solver.residuals(design.x),
+        fe_components=solver.components,
+    )
 
 
-def _select_columns(a: np.ndarray, rtol: float = PIVOT_RTOL) -> tuple[list[int], list[int]]:
-    """Split column indices into (kept, dropped) by relative pivot size."""
-    _, probe = _greedy_pivots(a, threshold=0.0)
-    largest = max(probe, default=0.0)
-    if largest == 0.0:
-        return [], list(range(a.shape[1]))
-    kept, _ = _greedy_pivots(a, threshold=rtol * largest)
-    dropped = [j for j in range(a.shape[1]) if j not in set(kept)]
-    return kept, dropped
+def _weighted_r(
+    root_w: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray | None = None,
+    keep: np.ndarray | None = None,
+) -> np.ndarray:
+    """Square R of the Householder QR of root_w * [x[:, keep] | y].
+
+    A tall-skinny QR: each block of rows is reduced to its own R, and the
+    stacked block factors are reduced once more.
+    """
+    k = x.shape[1] if keep is None else len(keep)
+    buffer = np.empty((_BLOCK_ROWS, k + (y is not None)))
+    factors = []
+    for rows in _row_chunks(len(root_w)):
+        block = buffer[: rows.stop - rows.start]
+        block[:, :k] = x[rows] if keep is None else x[rows][:, keep]
+        if y is not None:
+            block[:, k] = y[rows]
+        block *= root_w[rows, None]
+        factors.append(np.linalg.qr(block, mode="r"))
+    r = np.linalg.qr(np.vstack(factors), mode="r")
+    square = np.zeros((r.shape[1], r.shape[1]))
+    square[: len(r)] = r
+    return square
 
 
 def cluster_vcov(
@@ -200,11 +230,14 @@ def cluster_vcov(
     weight: np.ndarray,
     residuals: np.ndarray,
     cluster_codes: np.ndarray,
+    *,
+    r: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cluster-robust sandwich covariance with the small-sample factor.
 
-    `x_demeaned` must contain only retained columns. Raises if the bread
-    matrix X'WX is singular.
+    `x_demeaned` must contain only retained columns. `r` is the triangular
+    factor of sqrt(weight) * x_demeaned, so that X'WX = R'R; it is computed
+    when not given. Raises if X'WX is singular.
     """
     n, k = x_demeaned.shape
     codes = np.asarray(cluster_codes)
@@ -212,18 +245,21 @@ def cluster_vcov(
     g = len(np.unique(codes))
     if g < 2:
         raise ValueError(f"cluster-robust covariance needs at least 2 clusters, got {g}")
-    xtwx = x_demeaned.T @ (x_demeaned * weight[:, None])
+    if r is None:
+        r = _weighted_r(np.sqrt(weight), x_demeaned)
     try:
-        bread = np.linalg.inv(xtwx)
+        r_inv = linalg.solve_triangular(r, np.eye(k))
     except np.linalg.LinAlgError:
         raise ValueError(
             "X'WX is singular; drop collinear columns before computing the covariance"
         ) from None
-    scores = np.zeros((n_clusters, k))
-    np.add.at(scores, codes, x_demeaned * (weight * residuals)[:, None])
-    meat = scores.T @ scores
+    to_cluster = sparse.csr_matrix(
+        (weight * residuals, (codes, np.arange(n))), shape=(n_clusters, n)
+    )
+    # scores @ (X'WX)^-1, one row per cluster
+    half = (to_cluster @ x_demeaned) @ r_inv @ r_inv.T
     factor = (g / (g - 1)) * ((n - 1) / (n - k))
-    v = factor * bread @ meat @ bread
+    v = factor * half.T @ half
     return (v + v.T) / 2.0
 
 
@@ -238,6 +274,12 @@ class RegressionFit:
     n_obs: int
     n_clusters: int
     dropped_collinear: tuple[str, ...]
+    # Solver diagnostics: |R_jj| / max |R_jj| of each dropped column, the
+    # 2-norm condition number of the retained R, and the number of connected
+    # components of the unit-period graph.
+    pivot_ratios: Mapping[str, float]
+    condition: float
+    fe_components: int
 
     @property
     def df_inference(self) -> int:
@@ -286,16 +328,16 @@ class RegressionFit:
             "n_obs": self.n_obs,
             "n_clusters": self.n_clusters,
             "dropped": list(self.dropped_collinear),
+            "solver": {
+                "dropped_pivot_ratios": dict(self.pivot_ratios),
+                "condition": self.condition,
+                "fe_components": self.fe_components,
+            },
         }
 
 
-def wls_fit(
-    design: DesignMatrix,
-    *,
-    tol: float = DEMEAN_TOL,
-    max_iter: int = DEMEAN_MAX_ITER,
-) -> RegressionFit:
-    """Demean, drop collinear columns, and solve the weighted normal equations.
+def wls_fit(design: DesignMatrix) -> RegressionFit:
+    """Absorb the fixed effects, drop collinear columns, and solve by QR.
 
     Residuals are reported on the demeaned scale, which matches the residuals
     of the equivalent dummy-variable regression. Dropped columns are recorded
@@ -306,11 +348,17 @@ def wls_fit(
     g = len(np.unique(design.cluster_codes))
     if g < 2:
         raise ValueError(f"need at least 2 clusters for inference, got {g}")
-    dm = demean_two_way(design, tol=tol, max_iter=max_iter)
-    root_w = np.sqrt(dm.weight)
-    a = dm.x * root_w[:, None]
-    kept, dropped_ix = _select_columns(a)
-    if not kept:
+    raw_norm = np.sqrt(np.einsum("i,ij,ij->j", design.weight, design.x, design.x))
+    dm = demean_two_way(design)
+    x, y, components = dm.x, dm.y, dm.fe_components
+    del dm  # lets x go once the retained columns are copied out
+    root_w = np.sqrt(design.weight)
+    r = _weighted_r(root_w, x, y)
+    pivots = np.abs(np.diag(r))[:-1]
+    largest = pivots.max()
+    keep = (pivots > PIVOT_RTOL * largest) & (pivots > PIVOT_RTOL * raw_norm)
+    kept = np.flatnonzero(keep)
+    if not len(kept):
         raise ValueError(
             "every regressor column is collinear with the fixed effects; nothing to estimate"
         )
@@ -319,11 +367,14 @@ def wls_fit(
             f"{design.n} rows cannot support {len(kept)} retained parameters; "
             "need at least two more rows than parameters"
         )
-    b = dm.y * root_w
-    beta, *_ = np.linalg.lstsq(a[:, kept], b, rcond=None)
-    x_kept = dm.x[:, kept]
-    residuals = dm.y - x_kept @ beta
-    vcov = cluster_vcov(x_kept, dm.weight, residuals, dm.cluster_codes)
+    dropped = np.flatnonzero(~keep)
+    if len(dropped):
+        r = _weighted_r(root_w, x, y, kept)
+        x = x[:, kept]
+    k = len(kept)
+    beta = linalg.solve_triangular(r[:k, :k], r[:k, k])
+    residuals = y - x @ beta
+    vcov = cluster_vcov(x, design.weight, residuals, design.cluster_codes, r=r[:k, :k])
     columns = tuple(design.columns[j] for j in kept)
     return RegressionFit(
         columns=columns,
@@ -332,5 +383,8 @@ def wls_fit(
         residuals=residuals,
         n_obs=design.n,
         n_clusters=g,
-        dropped_collinear=tuple(design.columns[j] for j in dropped_ix),
+        dropped_collinear=tuple(design.columns[j] for j in dropped),
+        pivot_ratios={design.columns[j]: float(pivots[j] / largest) for j in dropped},
+        condition=float(np.linalg.cond(r[:k, :k])),
+        fe_components=components,
     )

@@ -492,7 +492,7 @@ def estimator_race(
                 out[name] = run(
                     data, design, bootstrap_draws, _child_seed(config.seed, rep, slot)
                 )
-            except Exception:
+            except (ValueError, np.linalg.LinAlgError):
                 out[name] = None
         return out
 

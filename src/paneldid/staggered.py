@@ -26,18 +26,12 @@ import numpy as np
 from scipy import stats
 
 from .designs import CovariateTerm, expand_covariates
-from .engine import DesignMatrix, RegressionFit, wls_fit
+from .engine import DesignMatrix, RegressionFit, TwoWaySolver, wls_fit
 from .panel import Observation, PanelDataset
 from .periods import Period
 
 NEVER = -1
 _Z95 = float(stats.norm.ppf(0.975))
-
-
-def _dense(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Re-index integer codes to 0..k-1, returning (dense_codes, old_for_new)."""
-    old, dense = np.unique(codes, return_inverse=True)
-    return dense.astype(np.intp), old
 
 
 @dataclass(frozen=True)
@@ -573,47 +567,26 @@ class ImputationResult:
         }
 
 
-def _solve_two_way_means(
-    y: np.ndarray,
-    w: np.ndarray,
-    unit_codes: np.ndarray,
-    period_codes: np.ndarray,
-    n_units: int,
-    n_periods: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact weighted solve of y ~ alpha_unit + lambda_period.
+def _untreated_effects(
+    y: np.ndarray, w: np.ndarray, sample: np.ndarray, data: PanelDataset
+) -> np.ndarray:
+    """Gaps of y from unit and period effects fitted on the sample rows only.
 
-    The period effect of the first period is anchored at zero; predictions
-    alpha + lambda are invariant to the anchor. Raises when the observation
-    pattern does not tie all units and periods together.
+    Every row gets a gap; rows of units without sample weight get nan. Raises
+    unless the sample rows tie every period and weighted unit together.
     """
-    wsum_u = np.bincount(unit_codes, weights=w, minlength=n_units)
-    wsum_t = np.bincount(period_codes, weights=w, minlength=n_periods)
-    if np.any(wsum_t <= 0):
-        raise ValueError(
-            "untreated observations do not cover every period; "
-            "the period effects are not identified"
-        )
-    wy_u = np.bincount(unit_codes, weights=w * y, minlength=n_units)
-    wy_t = np.bincount(period_codes, weights=w * y, minlength=n_periods)
-    # Units that carry no weight here get nan effects instead of poisoning
-    # the period system; callers never predict where such a unit has mass.
-    active = wsum_u > 0
-    inv_u = np.where(active, 1.0, 0.0) / np.where(active, wsum_u, 1.0)
-    a = np.zeros((n_units, n_periods))
-    np.add.at(a, (unit_codes, period_codes), w)
-    b = np.diag(wsum_t) - a.T @ (a * inv_u[:, None])
-    c = wy_t - a.T @ (wy_u * inv_u)
-    lam = np.zeros(n_periods)
-    try:
-        lam[1:] = np.linalg.solve(b[1:, 1:], c[1:])
-    except np.linalg.LinAlgError:
+    a = data.arrays
+    solver = TwoWaySolver(
+        w[sample], a.unit_codes[sample], a.period_codes[sample],
+        len(a.units), len(a.periods),
+    )
+    if solver.components > 1 or np.any(solver.period_weight <= 0):
         raise ValueError(
             "untreated observations do not connect all units and periods; "
             "the fixed effects are not identified"
-        ) from None
-    alpha = np.where(active, (wy_u - a @ lam) * inv_u, np.nan)
-    return alpha, lam
+        )
+    alpha, lam = solver.effects(y[sample])
+    return y - alpha[a.unit_codes] - lam[a.period_codes]
 
 
 def impute_att(
@@ -637,20 +610,9 @@ def impute_att(
         raise ValueError("a seed is required when bootstrap draws are requested")
     a = data.arrays
     u_count, t_count = len(a.units), len(a.periods)
+    grid = _build_grid(data, cohorts, weights)
     period_index = np.asarray([p.index for p in a.periods])
-    last = a.periods[-1]
-    start = np.asarray(
-        [
-            math.inf
-            if cohorts.get(u) is None or cohorts[u] > last
-            else float(cohorts[u].index)
-            for u in a.units
-        ]
-    )
-    missing = [u for u in a.units if u not in cohorts]
-    if missing:
-        raise ValueError(f"cohort missing for unit(s) {missing[:5]}")
-    treated_rows = period_index[a.period_codes] >= start[a.unit_codes]
+    treated_rows = period_index[a.period_codes] >= grid.start[a.unit_codes]
     if not treated_rows.any():
         raise ValueError("no treated observations; nothing to impute")
     if treated_rows.all():
@@ -678,16 +640,7 @@ def impute_att(
             "but no untreated ones; their period effects cannot be estimated"
         )
 
-    if weights is None:
-        row_weight = a.weight.copy()
-    else:
-        missing_w = [u for u in a.units if u not in weights]
-        if missing_w:
-            raise ValueError(f"unit weight missing for unit(s) {missing_w[:5]}")
-        per_unit = np.asarray([float(weights[u]) for u in a.units])
-        if np.any(per_unit <= 0):
-            raise ValueError("unit weights must be positive")
-        row_weight = per_unit[a.unit_codes]
+    row_weight = a.weight if weights is None else grid.unit_weight[a.unit_codes]
 
     gamma_resid = a.outcome.copy()
     dropped: tuple[str, ...] = ()
@@ -698,15 +651,7 @@ def impute_att(
         kept_ix = [cov_names.index(c) for c in fit.columns]
         gamma_resid = a.outcome - cov_matrix[:, kept_ix] @ fit.coef_vector()
 
-    alpha, lam = _solve_two_way_means(
-        gamma_resid[untr],
-        row_weight[untr],
-        a.unit_codes[untr],
-        a.period_codes[untr],
-        u_count,
-        t_count,
-    )
-    effect_rows = gamma_resid - alpha[a.unit_codes] - lam[a.period_codes]
+    effect_rows = _untreated_effects(gamma_resid, row_weight, untr, data)
     t_ix = np.flatnonzero(treated_rows)
     observations = data.observations
     effects = tuple(
@@ -753,20 +698,17 @@ def _fit_untreated(
     untr: np.ndarray,
 ) -> RegressionFit:
     a = data.arrays
-    unit_codes, unit_old = _dense(a.unit_codes[untr])
-    period_codes, period_old = _dense(a.period_codes[untr])
-    cluster_codes, cluster_old = _dense(a.cluster_codes[untr])
     design = DesignMatrix(
         columns=tuple(cov_names),
         x=cov_matrix[untr],
         y=a.outcome[untr],
         weight=row_weight[untr],
-        unit_codes=unit_codes,
-        period_codes=period_codes,
-        cluster_codes=cluster_codes,
-        units=tuple(a.units[i] for i in unit_old),
-        periods=tuple(a.periods[i] for i in period_old),
-        clusters=tuple(a.clusters[i] for i in cluster_old),
+        unit_codes=a.unit_codes[untr],
+        period_codes=a.period_codes[untr],
+        cluster_codes=a.cluster_codes[untr],
+        units=a.units,
+        periods=a.periods,
+        clusters=a.clusters,
     )
     return wls_fit(design)
 
@@ -825,7 +767,9 @@ def _impute_bootstrap_grid(
     m = rng.multinomial(u_count, np.full(u_count, 1.0 / u_count), size=draws).astype(float)
 
     d_t = m @ a_grid                                  # (draws, T)
-    b_all = -np.einsum("bu,uts->bts", m, p_tensor)
+    b_all = -(m @ p_tensor.reshape(u_count, t_count * t_count)).reshape(
+        draws, t_count, t_count
+    )
     b_all[:, np.arange(t_count), np.arange(t_count)] += d_t
     c_all = m @ c_unit                                # (draws, T)
     lam = np.zeros((draws, t_count))  # first period anchored at zero
@@ -868,7 +812,7 @@ def _impute_bootstrap_slow(
 ) -> float:
     """Per-draw bootstrap for the covariate-adjusted imputation estimator."""
     a = data.arrays
-    u_count, t_count = len(a.units), len(a.periods)
+    u_count = len(a.units)
     cov_names, cov_matrix = expand_covariates(data, covariates)
     rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
     m = rng.multinomial(u_count, np.full(u_count, 1.0 / u_count), size=draws).astype(float)
@@ -884,12 +828,7 @@ def _impute_bootstrap_slow(
             )
             kept_ix = [cov_names.index(c) for c in fit.columns]
             resid = a.outcome - cov_matrix[:, kept_ix] @ fit.coef_vector()
-            sel = untr & keep
-            alpha, lam = _solve_two_way_means(
-                resid[sel], wb[sel], a.unit_codes[sel], a.period_codes[sel],
-                u_count, t_count,
-            )
-            eff = resid - alpha[a.unit_codes] - lam[a.period_codes]
+            eff = _untreated_effects(resid, wb, untr & keep, data)
             wt = wb[t_ix]
             if wt.sum() <= 0 or not np.all(np.isfinite(eff[t_ix][wt > 0])):
                 continue

@@ -256,6 +256,19 @@ class TestTreatmentDesign:
         again = TreatmentDesign.read_csv(io.StringIO(sink.getvalue()))
         assert again == design
 
+    def test_missing_columns_named(self):
+        sink = io.StringIO()
+        self.build().write_csv(sink)
+        lines = sink.getvalue().splitlines()
+        header = lines[0].split(",")
+        drop = header.index("cohort")
+        text = "\n".join(
+            ",".join(v for i, v in enumerate(line.split(",")) if i != drop)
+            for line in lines
+        )
+        with pytest.raises(ValueError, match=r"column\(s\) \['cohort'\]"):
+            TreatmentDesign.read_csv(io.StringIO(text))
+
     def test_cohort_map(self):
         design = self.build()
         assert design.cohort_map() == {

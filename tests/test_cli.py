@@ -172,6 +172,26 @@ class TestEstimate:
         assert float(estimate) == fit.coefficients["treated_post"]
         assert "treated_post" in stdout and "n_obs 24" in stdout
 
+    def test_design_without_cohort_column_named(self, tmp_path, capsys,
+                                                estimate_inputs):
+        panel, design, spec = estimate_inputs
+        lines = design.read_text().splitlines()
+        drop = lines[0].split(",").index("cohort")
+        broken = tmp_path / "no_cohort.csv"
+        broken.write_text("".join(
+            ",".join(v for i, v in enumerate(line.split(",")) if i != drop) + "\n"
+            for line in lines
+        ))
+        code, _, err = run(
+            ["estimate", "--out", tmp_path / "nc", "--panel", panel,
+             "--design", broken, "--spec", spec],
+            capsys,
+        )
+        assert code == 1
+        payload = stderr_payload(err)
+        assert payload["error"] == "ValueError"
+        assert "['cohort']" in payload["message"]
+
     def test_growth_flag_pairing(self, tmp_path, capsys, estimate_inputs):
         panel, design, spec = estimate_inputs
         growth_spec = tmp_path / "growth.txt"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,6 @@ from scipy import stats
 
 from conftest import P, direct_cr1, dummy_wls_coefficients, grid_panel, make_panel
 from paneldid.engine import (
-    ConvergenceError,
     DesignMatrix,
     cluster_vcov,
     demean_two_way,
@@ -94,13 +95,6 @@ class TestDemean:
         twice = demean_two_way(once)
         np.testing.assert_allclose(twice.y, once.y, atol=1e-9)
         np.testing.assert_allclose(twice.x, once.x, atol=1e-9)
-
-    def test_nonconvergence_raises_with_delta(self):
-        rng = np.random.default_rng(5)
-        d = random_design(rng, n_units=4, n_periods=4)
-        with pytest.raises(ConvergenceError) as info:
-            demean_two_way(d, max_iter=1)
-        assert info.value.last_delta > 0
 
 
 class TestWlsFit:
@@ -235,6 +229,60 @@ class TestWlsFit:
         assert np.array_equal(a.vcov, b.vcov)
 
 
+    def test_outcome_scale_moves_coefficients_not_tstats(self):
+        rng = np.random.default_rng(71)
+        d = random_design(rng, n_units=40, n_periods=12, n_x=2, unbalanced=True)
+        fit = wls_fit(d)
+        big = wls_fit(replace(d, y=d.y * 1e8))
+        np.testing.assert_allclose(big.coef_vector(), fit.coef_vector() * 1e8, rtol=1e-9)
+        for name in fit.columns:
+            assert big.tstat(name) == pytest.approx(fit.tstat(name), rel=1e-9)
+
+    def test_disconnected_panel_matches_dummy_wls(self):
+        # units 0-3 are seen in periods 0-4 only, units 4-7 in periods 5-9 only;
+        # a few cells are dropped, never the first unit or period of a block
+        rng = np.random.default_rng(73)
+        rows = [(i, j) for i in range(8) for j in range(10)
+                if (i < 4) == (j < 5) and not (i % 4 and j % 5 and rng.random() < 0.2)]
+        unit_codes = np.array([r[0] for r in rows], dtype=np.intp)
+        period_codes = np.array([r[1] for r in rows], dtype=np.intp)
+        n = len(rows)
+        d = DesignMatrix(
+            columns=("x0", "x1"), x=rng.normal(size=(n, 2)), y=rng.normal(size=n),
+            weight=rng.uniform(0.5, 3.0, size=n),
+            unit_codes=unit_codes, period_codes=period_codes,
+            cluster_codes=unit_codes.copy(),
+            units=tuple(f"u{i}" for i in range(8)),
+            periods=tuple(P(2013, 1).shift(j) for j in range(10)),
+            clusters=tuple(f"u{i}" for i in range(8)),
+        )
+        fit = wls_fit(d)
+        assert fit.fe_components == 2
+        assert not fit.dropped_collinear
+        oracle = dummy_wls_coefficients(d.x, d.y, d.weight, d.unit_codes, d.period_codes)
+        np.testing.assert_allclose(fit.coef_vector(), oracle, atol=1e-8)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_lone_period_only_regressor_rejected(self, scale):
+        rng = np.random.default_rng(79)
+        d = random_design(rng, n_units=7, n_periods=6, n_x=1, unbalanced=True)
+        period_level = np.sin(d.period_codes + 1.0).reshape(-1, 1)
+        design = replace(d, columns=("period_level",), x=period_level, y=d.y * scale)
+        with pytest.raises(ValueError, match="every regressor column is collinear"):
+            wls_fit(design)
+
+    def test_solver_diagnostics(self):
+        rng = np.random.default_rng(83)
+        d = random_design(rng, n_x=2)
+        x = np.column_stack([d.x, d.x[:, 0] - d.x[:, 1]])
+        fit = wls_fit(replace(d, columns=("a", "b", "a_minus_b"), x=x))
+        solver = fit.to_json_dict()["solver"]
+        assert set(solver["dropped_pivot_ratios"]) == {"a_minus_b"}
+        assert solver["dropped_pivot_ratios"]["a_minus_b"] < 1e-9
+        assert 1.0 <= solver["condition"] < 1e3
+        assert solver["fe_components"] == 1
+
+
 class TestClusterVcov:
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(41)
@@ -321,7 +369,7 @@ class TestInference:
         payload = wls_fit(d).to_json_dict()
         assert set(payload) == {
             "coefficients", "se", "t", "p", "conf_low", "conf_high",
-            "n_obs", "n_clusters", "dropped",
+            "n_obs", "n_clusters", "dropped", "solver",
         }
         assert set(payload["coefficients"]) == set(d.columns)
 

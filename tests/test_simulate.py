@@ -253,6 +253,14 @@ class TestRace:
             assert row.n_failed == 2, row.estimator
             assert math.isnan(row.mean_estimate)
 
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(data, design, draws, seed):
+            raise TypeError("bug in an estimator")
+
+        monkeypatch.setitem(ESTIMATORS, "twfe", (ESTIMATORS["twfe"][0], broken))
+        with pytest.raises(TypeError, match="bug in an estimator"):
+            estimator_race(small_config(seed=32), ["twfe"], 2, bootstrap_draws=0)
+
     def test_summary_rows_recompute_from_arrays(self):
         config = small_config(seed=41)
         race = estimator_race(config, ["twfe", "imputation"], 6, bootstrap_draws=25)

@@ -438,6 +438,20 @@ class TestImpute:
         with pytest.raises(ValueError, match="2013Q3.*no untreated"):
             impute_att(data, cohorts, bootstrap_draws=0)
 
+    def test_disconnected_untreated_sample_rejected(self):
+        # a and n1 are seen in the first four quarters, b and n2 in the last
+        # four: the untreated cells form two unlinked blocks
+        cohorts = {"a": EIGHT[2], "n1": None, "b": EIGHT[6], "n2": None}
+        obs = [
+            Observation(u, p, float(j + i), 1.0)
+            for i, u in enumerate(cohorts)
+            for j, p in enumerate(EIGHT)
+            if (u in ("a", "n1")) == (j < 4)
+        ]
+        data = PanelDataset(tuple(obs))
+        with pytest.raises(ValueError, match="do not connect all units and periods"):
+            impute_att(data, cohorts, bootstrap_draws=0)
+
     def test_weight_rescaling_invariance(self):
         cohorts = {"a": P(2013, 4), "b": P(2014, 2), "n1": None, "n2": None}
         data = build(cohorts, effect=lambda g, e: 0.3, noise=0.2, seed=10)
