@@ -7,6 +7,9 @@ heterogeneity-robust alternatives (group-time effects, interaction-weighted
 event studies, imputation) plus a simulation harness to race them.
 """
 
+# Set before the submodules load: the command line imports it from here.
+__version__ = "0.1.0"
+
 from .bacon import BaconComponent, ComparisonKind, bacon_decompose, reconstruct
 from .bite import (
     RegionTreatment,
@@ -70,8 +73,6 @@ from .staggered import (
     impute_att,
     sa_event_study,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Aggregation",

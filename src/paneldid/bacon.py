@@ -28,8 +28,9 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from .panel import PanelDataset, _fmt, balance_report
+from .panel import PanelDataset, balance_report
 from .periods import Period
+from .textio import format_float, open_text
 
 
 class ComparisonKind(enum.Enum):
@@ -181,12 +182,7 @@ def write_components_csv(
     components: tuple[BaconComponent, ...],
     sink: IO[str] | str | Path,
 ) -> None:
-    stream, owned = (
-        (open(sink, "w", encoding="utf-8", newline=""), True)
-        if isinstance(sink, (str, Path))
-        else (sink, False)
-    )
-    try:
+    with open_text(sink, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(["comparison", "treated_cohort", "control_cohort", "estimate", "weight"])
         for c in components:
@@ -195,10 +191,7 @@ def write_components_csv(
                     c.kind.value,
                     str(c.treated_cohort),
                     "" if c.control_cohort is None else str(c.control_cohort),
-                    _fmt(c.estimate),
-                    _fmt(c.weight),
+                    format_float(c.estimate),
+                    format_float(c.weight),
                 ]
             )
-    finally:
-        if owned:
-            stream.close()

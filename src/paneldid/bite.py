@@ -19,8 +19,8 @@ from typing import IO, Iterable, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from .panel import _as_text_stream, _fmt, _parse_float
 from .periods import Period
+from .textio import format_float, open_text, parse_number
 
 DEFAULT_EARLY_COHORT = Period(2014, 3)
 DEFAULT_LATE_COHORT = Period(2019, 1)
@@ -66,8 +66,7 @@ class WageMicrodata:
         survey_year: int,
     ) -> WageMicrodata:
         """Read `region,hourly_wage` rows (header required)."""
-        stream, owned = _as_text_stream(source)
-        try:
+        with open_text(source) as stream:
             reader = csv.reader(stream)
             try:
                 header = [h.strip() for h in next(reader)]
@@ -85,11 +84,8 @@ class WageMicrodata:
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 region = row[region_col].strip()
-                wage = _parse_float(row[wage_col], row_number, "hourly_wage")
+                wage = parse_number(row[wage_col], row_number, "hourly_wage")
                 records.append(WageRecord(region, wage))
-        finally:
-            if owned:
-                stream.close()
         return cls(tuple(records), minimum_wage, survey_year)
 
 
@@ -115,20 +111,12 @@ class WageGapTable:
         return {r: self.gaps[r].gap for r in self.regions}
 
     def write_csv(self, sink: IO[str] | str | Path) -> None:
-        stream, owned = (
-            (open(sink, "w", encoding="utf-8", newline=""), True)
-            if isinstance(sink, (str, Path))
-            else (sink, False)
-        )
-        try:
+        with open_text(sink, "w") as stream:
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(["region", "gap", "worker_count"])
             for region in self.regions:
                 entry = self.gaps[region]
-                writer.writerow([region, _fmt(entry.gap), str(entry.worker_count)])
-        finally:
-            if owned:
-                stream.close()
+                writer.writerow([region, format_float(entry.gap), str(entry.worker_count)])
 
 
 def wage_gap(
@@ -350,12 +338,7 @@ class TreatmentDesign:
         return counts
 
     def write_csv(self, sink: IO[str] | str | Path) -> None:
-        stream, owned = (
-            (open(sink, "w", encoding="utf-8", newline=""), True)
-            if isinstance(sink, (str, Path))
-            else (sink, False)
-        )
-        try:
+        with open_text(sink, "w") as stream:
             writer = csv.writer(stream, lineterminator="\n")
             writer.writerow(DESIGN_COLUMNS)
             for region in sorted(self.regions):
@@ -363,23 +346,19 @@ class TreatmentDesign:
                 writer.writerow(
                     [
                         region,
-                        _fmt(rt.gap_first),
-                        _fmt(rt.gap_second),
+                        format_float(rt.gap_first),
+                        format_float(rt.gap_second),
                         "1" if rt.high_first else "0",
                         "1" if rt.high_second else "0",
                         rt.group.value,
                         "" if rt.cohort is None else str(rt.cohort),
-                        _fmt(rt.population_weight),
+                        format_float(rt.population_weight),
                     ]
                 )
-        finally:
-            if owned:
-                stream.close()
 
     @classmethod
     def read_csv(cls, source: IO[str] | str | Path) -> TreatmentDesign:
-        stream, owned = _as_text_stream(source)
-        try:
+        with open_text(source) as stream:
             reader = csv.DictReader(stream)
             missing = [c for c in DESIGN_COLUMNS if c not in (reader.fieldnames or ())]
             if missing:
@@ -399,9 +378,6 @@ class TreatmentDesign:
                     cohort=cohort,
                     population_weight=float(row["population_weight"]),
                 )
-        finally:
-            if owned:
-                stream.close()
         if not regions:
             raise ValueError("treatment design file has no regions")
         early = min(cohorts) if cohorts else DEFAULT_EARLY_COHORT

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from . import __version__
 from .bacon import bacon_decompose, reconstruct, write_components_csv
 from .bite import (
     WageMicrodata,
@@ -47,8 +49,6 @@ from .simulate import (
     load_dgp_config,
     null_config,
 )
-
-__version__ = "0.1.0"
 
 _PRESETS = {
     "homogeneous": homogeneous_config,
@@ -272,7 +272,7 @@ def cmd_estimate(args) -> int:
             raise ValueError(
                 "--bacon requires a staggered adoption model (kind = staggered_twfe)"
             )
-        if any(obs.weight != 1.0 for obs in data.observations):
+        if (data.arrays.weight != 1.0).any():
             warnings.warn(
                 "the decomposition ignores observation weights; the fitted "
                 "model above was weighted", stacklevel=1
@@ -331,7 +331,7 @@ def cmd_decompose(args) -> int:
             "covariate columns are ignored by the decomposition", stacklevel=1
         )
         data = data.drop_covariates()
-    if any(obs.weight != 1.0 for obs in data.observations):
+    if (data.arrays.weight != 1.0).any():
         warnings.warn(
             "observation weights are ignored by the decomposition", stacklevel=1
         )
@@ -385,24 +385,12 @@ def _resolve_config(args, seed: int) -> tuple[DgpConfig, dict]:
         raise ValueError("pass exactly one of --config FILE or --preset NAME")
     if args.config is not None:
         config = load_dgp_config(args.config)
-        config = DgpConfig(**{**_config_kwargs(config), "seed": seed})
+        config = dataclasses.replace(config, seed=seed)
         meta = {"config": args.config}
     else:
         config = _PRESETS[args.preset](seed)
         meta = {"preset": args.preset}
     return config, meta
-
-
-def _config_kwargs(config: DgpConfig) -> dict:
-    return {
-        "n_early": config.n_early, "n_late": config.n_late,
-        "n_never": config.n_never, "start": config.start,
-        "n_periods": config.n_periods, "early_cohort": config.early_cohort,
-        "late_cohort": config.late_cohort, "unit_fe_mean": config.unit_fe_mean,
-        "unit_fe_sd": config.unit_fe_sd, "trend": config.trend,
-        "effect_early": config.effect_early, "effect_late": config.effect_late,
-        "noise_sd": config.noise_sd,
-    }
 
 
 def cmd_race(args) -> int:
@@ -474,7 +462,7 @@ def cmd_simulate(args) -> int:
         [[g.value, str(n)] for g, n in sorted(counts.items(), key=lambda kv: kv[0].value)],
     ))
     print()
-    print(f"{len(data.observations)} observations over {config.n_periods} quarters; "
+    print(f"{data.n_obs} observations over {config.n_periods} quarters; "
           f"true overall effect {_num(truth.overall)}")
     print("note: outcomes are on the regression scale; estimate with --no-log")
 

@@ -17,8 +17,9 @@ import numpy as np
 
 from .bite import SwitcherGroup, TreatmentDesign
 from .engine import DesignMatrix
-from .panel import PanelDataset, _as_text_stream
+from .panel import PanelDataset
 from .periods import Period
+from .textio import read_key_values
 
 DEFAULT_CUTOFF = Period(2014, 2)
 FULL_INCREASE_YEARS = (2016, 2018, 2019, 2020, 2021)
@@ -101,27 +102,7 @@ def load_spec(source: IO[str] | str | Path) -> DidSpec:
     covariates. Lines starting with '#' are comments. `covariates` is a
     comma-separated list of terms like `east*time` or `popshare*time*east`.
     """
-    stream, owned = _as_text_stream(source)
-    try:
-        raw: dict[str, str] = {}
-        for line_number, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ValueError(f"line {line_number}: expected 'key = value', got {text!r}")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in _SPEC_KEYS:
-                raise ValueError(
-                    f"line {line_number}: unknown key {key!r}; valid keys: {', '.join(_SPEC_KEYS)}"
-                )
-            if key in raw:
-                raise ValueError(f"line {line_number}: duplicate key {key!r}")
-            raw[key] = value.strip()
-    finally:
-        if owned:
-            stream.close()
+    raw = read_key_values(source, _SPEC_KEYS)
     if "kind" not in raw:
         raise ValueError("spec file must set 'kind'")
     try:

@@ -1,30 +1,28 @@
 """Long-format panel container and delimited-text ingestion.
 
-The dataset is immutable: transformations return new instances. Observations
-are stored sorted by (unit, period) so that every downstream computation is
-independent of input row order.
+A `PanelDataset` is a set of read-only columns: unit and period codes into the
+sorted `units` and `periods`, outcome, weight, a covariate matrix, and cluster
+codes. Rows are sorted by (unit, period), so every downstream computation is
+independent of input row order. Transformations return new instances.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .periods import Period
+from .textio import IngestError, open_text, parse_number
 
 # Canonical field names. Any further mapped column is carried as a covariate.
 REQUIRED_FIELDS = ("unit", "year", "quarter", "outcome", "weight")
 CLUSTER_FIELD = "cluster"
-
-
-class IngestError(ValueError):
-    """A delimited input failed validation."""
 
 
 @dataclass(frozen=True)
@@ -78,147 +76,181 @@ class PanelArrays:
     clusters: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+def _factorize(values: Sequence[Hashable]) -> tuple[tuple, np.ndarray]:
+    """Sorted distinct values, and each value's position among them."""
+    first: dict = {}
+    codes = [first.setdefault(v, len(first)) for v in values]
+    labels = sorted(first)
+    # argsort of the first-seen positions in sorted order inverts that order.
+    return tuple(labels), np.argsort([first[v] for v in labels])[codes]
+
+
+def _first(mask: np.ndarray) -> int | None:
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _gather(labels: Sequence, codes: np.ndarray) -> list:
+    return np.asarray(labels, dtype=object)[codes].tolist()
+
+
 class PanelDataset:
-    """Immutable long-format panel with at most one observation per (unit, period)."""
+    """Immutable long-format panel with at most one observation per (unit, period).
 
-    observations: tuple[Observation, ...]
-    covariate_names: tuple[str, ...] = ()
-    cluster: Mapping[str, str] = field(default_factory=dict)
+    Built from `Observation`s, or inside the package from columns. Equality
+    compares the columns and labels.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.observations:
-            raise ValueError("a panel needs at least one observation")
-        n_cov = len(self.covariate_names)
-        if len(set(self.covariate_names)) != n_cov:
+    def __init__(
+        self,
+        observations: Iterable[Observation],
+        covariate_names: Sequence[str] = (),
+        cluster: Mapping[str, str] | None = None,
+    ) -> None:
+        observations = tuple(observations)
+        for obs in observations:
+            if len(obs.covariates) != len(covariate_names):
+                raise ValueError(
+                    f"unit {obs.unit!r} period {obs.period}: expected "
+                    f"{len(covariate_names)} covariate values, got {len(obs.covariates)}"
+                )
+        self.__dict__.update(vars(self._from_columns(
+            *_factorize([o.unit for o in observations]),
+            *_factorize([o.period for o in observations]),
+            [o.outcome for o in observations], [o.weight for o in observations],
+            [o.covariates for o in observations], covariate_names, cluster,
+        )))
+
+    @classmethod
+    def _from_columns(cls, units, unit_codes, periods, period_codes, outcome, weight,
+                      covariates=None, covariate_names=(), cluster=None) -> PanelDataset:
+        """Validate row columns and store them sorted by (unit, period).
+
+        `units` and `periods` are sorted, distinct and all used; the codes index
+        them. Units missing from `cluster` are their own cluster.
+        """
+        covariate_names = tuple(covariate_names)
+        if len(set(covariate_names)) != len(covariate_names):
             raise ValueError("covariate names must be unique")
-        seen: set[tuple[str, Period]] = set()
-        for obs in self.observations:
-            key = (obs.unit, obs.period)
-            if key in seen:
-                raise ValueError(
-                    f"duplicate observation for unit {obs.unit!r} period {obs.period}"
-                )
-            seen.add(key)
-            if len(obs.covariates) != n_cov:
-                raise ValueError(
-                    f"unit {obs.unit!r} period {obs.period}: expected {n_cov} "
-                    f"covariate values, got {len(obs.covariates)}"
-                )
-        ordered = tuple(sorted(self.observations, key=lambda o: (o.unit, o.period)))
-        object.__setattr__(self, "observations", ordered)
-        cluster = dict(self.cluster) if self.cluster else {}
-        for unit in {o.unit for o in ordered}:
-            cluster.setdefault(unit, unit)
-        object.__setattr__(self, "cluster", cluster)
+        n = len(outcome)
+        if n == 0:
+            raise ValueError("a panel needs at least one observation")
+        if not all(units):
+            raise ValueError("unit id must be a non-empty string")
+        outcome = np.asarray(outcome, dtype=float)
+        weight = np.asarray(weight, dtype=float)
+        covariates = np.asarray(
+            np.empty((n, 0)) if covariates is None else covariates, dtype=float
+        ).reshape(n, len(covariate_names))
+        for bad, message, values in (
+            (~np.isfinite(outcome), "outcome must be finite", outcome),
+            (~(weight > 0) | ~np.isfinite(weight), "weight must be positive", weight),
+            (~np.isfinite(covariates), "covariate values must be finite", covariates),
+        ):
+            if bad.any():
+                raise ValueError(f"{message}, got {float(values[bad][0])!r}")
+        key = np.asarray(unit_codes) * len(periods) + np.asarray(period_codes)
+        order = np.argsort(key, kind="stable")
+        dup = _first(np.diff(key[order]) == 0)
+        if dup is not None:
+            u, t = divmod(int(key[order[dup]]), len(periods))
+            raise ValueError(f"duplicate observation for unit {units[u]!r} period {periods[t]}")
+        cluster = {u: (cluster or {}).get(u, u) for u in units}
+        clusters, unit_cluster = _factorize(list(cluster.values()))
+        unit_codes = np.asarray(unit_codes, dtype=np.intp)[order]
+        columns = PanelArrays(
+            unit_codes=unit_codes, period_codes=np.asarray(period_codes, dtype=np.intp)[order],
+            cluster_codes=unit_cluster[unit_codes], outcome=outcome[order],
+            weight=weight[order], covariates=covariates[order], units=tuple(units),
+            periods=tuple(periods), clusters=clusters,
+        )
+        for column in vars(columns).values():
+            if isinstance(column, np.ndarray):
+                column.flags.writeable = False
+        self = cls.__new__(cls)
+        self.__dict__.update(
+            _columns=columns, _cluster=cluster, covariate_names=covariate_names,
+            units=columns.units, periods=columns.periods,
+        )
+        return self
 
-    @cached_property
-    def units(self) -> tuple[str, ...]:
-        return tuple(sorted({o.unit for o in self.observations}))
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @cached_property
-    def periods(self) -> tuple[Period, ...]:
-        return tuple(sorted({o.period for o in self.observations}))
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PanelDataset):
+            return NotImplemented
+        mine, theirs = vars(self._columns), vars(other._columns)
+        return (
+            (self.covariate_names, self._cluster) == (other.covariate_names, other._cluster)
+            and all(np.array_equal(mine[name], theirs[name]) for name in mine)
+        )
+
+    def __repr__(self) -> str:
+        return (f"PanelDataset({self.n_obs} observations, {len(self.units)} units, "
+                f"{len(self.periods)} periods, covariates {list(self.covariate_names)})")
 
     @property
     def n_obs(self) -> int:
-        return len(self.observations)
+        return len(self._columns.outcome)
+
+    @property
+    def cluster(self) -> dict[str, str]:
+        """Cluster label of every unit."""
+        return dict(self._cluster)
 
     @cached_property
     def arrays(self) -> PanelArrays:
-        units = self.units
-        periods = self.periods
-        unit_ix = {u: i for i, u in enumerate(units)}
-        period_ix = {p: i for i, p in enumerate(periods)}
-        clusters = tuple(sorted({self.cluster[u] for u in units}))
-        cluster_ix = {c: i for i, c in enumerate(clusters)}
-        n = self.n_obs
-        unit_codes = np.empty(n, dtype=np.intp)
-        period_codes = np.empty(n, dtype=np.intp)
-        cluster_codes = np.empty(n, dtype=np.intp)
-        outcome = np.empty(n)
-        weight = np.empty(n)
-        covariates = np.empty((n, len(self.covariate_names)))
-        for i, obs in enumerate(self.observations):
-            unit_codes[i] = unit_ix[obs.unit]
-            period_codes[i] = period_ix[obs.period]
-            cluster_codes[i] = cluster_ix[self.cluster[obs.unit]]
-            outcome[i] = obs.outcome
-            weight[i] = obs.weight
-            covariates[i] = obs.covariates
-        return PanelArrays(
-            unit_codes=unit_codes,
-            period_codes=period_codes,
-            cluster_codes=cluster_codes,
-            outcome=outcome,
-            weight=weight,
-            covariates=covariates,
-            units=units,
-            periods=periods,
-            clusters=clusters,
-        )
+        return self._columns
+
+    @cached_property
+    def observations(self) -> tuple[Observation, ...]:
+        """One `Observation` per row, in (unit, period) order; built on first use."""
+        a = self._columns
+        return tuple(map(
+            Observation, _gather(a.units, a.unit_codes), _gather(a.periods, a.period_codes),
+            a.outcome.tolist(), a.weight.tolist(), map(tuple, a.covariates.tolist()),
+        ))
 
     def covariate_column(self, name: str) -> np.ndarray:
         if name not in self.covariate_names:
             raise KeyError(f"unknown covariate {name!r}; have {list(self.covariate_names)}")
-        j = self.covariate_names.index(name)
-        return self.arrays.covariates[:, j].copy()
+        return self._columns.covariates[:, self.covariate_names.index(name)].copy()
 
     def region_constant(self, name: str) -> dict[str, float]:
         """Per-unit value of a covariate that must not vary within unit."""
         col = self.covariate_column(name)
-        out: dict[str, float] = {}
-        for obs, v in zip(self.observations, col):
-            prev = out.setdefault(obs.unit, float(v))
-            if prev != v:
-                raise ValueError(
-                    f"covariate {name!r} varies within unit {obs.unit!r} "
-                    f"({prev!r} vs {float(v)!r}); a per-region constant is required"
-                )
-        return out
+        codes = self._columns.unit_codes
+        first = col[np.flatnonzero(np.diff(codes, prepend=-1))]
+        i = _first(col != first[codes])
+        if i is not None:
+            raise ValueError(
+                f"covariate {name!r} varies within unit {self.units[codes[i]]!r} "
+                f"({float(first[codes[i]])!r} vs {float(col[i])!r}); "
+                "a per-region constant is required"
+            )
+        return dict(zip(self.units, first.tolist()))
+
+    def _subset(self, rows=slice(None), **replace) -> PanelDataset:
+        """The panel's `rows`, with the columns named in `replace` substituted."""
+        a = self._columns
+        units, unit_codes = np.unique(a.unit_codes[rows], return_inverse=True)
+        periods, period_codes = np.unique(a.period_codes[rows], return_inverse=True)
+        columns = {"outcome": a.outcome[rows], "covariates": a.covariates[rows],
+                   "covariate_names": self.covariate_names, **replace}
+        return self._from_columns(
+            [a.units[u] for u in units.tolist()], unit_codes,
+            [a.periods[t] for t in periods.tolist()], period_codes,
+            weight=a.weight[rows], cluster=self._cluster, **columns,
+        )
 
     def with_outcome(self, outcome: Sequence[float]) -> PanelDataset:
         if len(outcome) != self.n_obs:
             raise ValueError("replacement outcome length does not match the panel")
-        obs = tuple(
-            Observation(o.unit, o.period, float(y), o.weight, o.covariates)
-            for o, y in zip(self.observations, outcome)
-        )
-        return PanelDataset(obs, self.covariate_names, self.cluster)
+        return self._subset(outcome=outcome)
 
     def drop_covariates(self) -> PanelDataset:
-        obs = tuple(
-            Observation(o.unit, o.period, o.outcome, o.weight, ())
-            for o in self.observations
-        )
-        return PanelDataset(obs, (), self.cluster)
-
-
-def _as_text_stream(source: IO[str] | str | Path):
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
-
-
-def _parse_float(text: str, row: int, column: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise IngestError(
-            f"row {row}: column {column!r}: could not parse {text!r} as a number"
-        ) from None
-    if not math.isfinite(value):
-        raise IngestError(f"row {row}: column {column!r}: non-finite value {text!r}")
-    return value
-
-
-def _parse_int(text: str, row: int, column: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise IngestError(
-            f"row {row}: column {column!r}: could not parse {text!r} as an integer"
-        ) from None
+        return self._subset(covariates=None, covariate_names=())
 
 
 def ingest_panel(
@@ -246,30 +278,21 @@ def ingest_panel(
     Covariates are attached in header order. Any malformed cell raises
     IngestError naming the offending row and column.
     """
-    stream, owned = _as_text_stream(source)
-    try:
+    with open_text(source) as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
         except StopIteration:
             raise IngestError("empty input: expected a header row") from None
         header = [h.strip() for h in header]
-        if header and header[0].startswith("﻿"):
-            header[0] = header[0].lstrip("﻿")
+        if header and header[0].startswith("\ufeff"):
+            header[0] = header[0].lstrip("\ufeff")
         position = {name: i for i, name in enumerate(header)}
         if len(position) != len(header):
             raise IngestError("duplicate column names in header")
 
         if schema is None:
-            mapping = {f: f for f in REQUIRED_FIELDS}
-            if CLUSTER_FIELD in position:
-                mapping[CLUSTER_FIELD] = CLUSTER_FIELD
-            extra = [
-                h for h in header
-                if h not in REQUIRED_FIELDS and h != CLUSTER_FIELD
-            ]
-            for name in extra:
-                mapping[name] = name
+            mapping = {name: name for name in (*REQUIRED_FIELDS, *header)}
         else:
             mapping = dict(schema)
             for f in REQUIRED_FIELDS:
@@ -281,22 +304,22 @@ def ingest_panel(
                 raise IngestError(f"missing column {column!r} (mapped to {canonical!r})")
 
         # Covariates keep the order their columns appear in the header.
-        covariate_fields = [
-            (canonical, column)
-            for canonical, column in mapping.items()
+        covariate_fields = sorted(
+            (position[column], canonical, column) for canonical, column in mapping.items()
             if canonical not in REQUIRED_FIELDS and canonical != CLUSTER_FIELD
-        ]
-        covariate_fields.sort(key=lambda pair: position[pair[1]])
-        covariate_names = tuple(canonical for canonical, _ in covariate_fields)
-
+        )
         col = {canonical: position[column] for canonical, column in mapping.items()}
-        colname = dict(mapping)
 
-        observations: list[Observation] = []
-        seen: dict[tuple[str, Period], int] = {}
+        # Rows are parsed straight into columns. Each distinct (year, quarter)
+        # text pair is parsed once; pairs naming one period share its code.
+        units, period_codes, outcome, weight = [], [], [], []
+        covariates: list[list[float]] = [[] for _ in covariate_fields]
+        period_code: dict[tuple[str, str], int] = {}
+        code_of: dict[Period, int] = {}
+        seen: dict[tuple[str, int], int] = {}
         cluster: dict[str, str] = {}
         for row_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
             if len(row) != len(header):
                 raise IngestError(
@@ -305,37 +328,31 @@ def ingest_panel(
             unit = row[col["unit"]].strip()
             if not unit:
                 raise IngestError(f"row {row_number}: empty unit id")
-            year = _parse_int(row[col["year"]], row_number, colname["year"])
-            quarter = _parse_int(row[col["quarter"]], row_number, colname["quarter"])
-            try:
-                period = Period(year, quarter)
-            except ValueError as exc:
-                raise IngestError(f"row {row_number}: {exc}") from None
-            outcome = _parse_float(row[col["outcome"]], row_number, colname["outcome"])
-            if require_positive_outcome and outcome <= 0:
-                raise IngestError(
-                    f"row {row_number}: column {colname['outcome']!r} must be "
-                    f"positive, got {outcome!r}"
-                )
-            weight = _parse_float(row[col["weight"]], row_number, colname["weight"])
-            if weight <= 0:
-                raise IngestError(
-                    f"row {row_number}: column {colname['weight']!r} must be "
-                    f"positive, got {weight!r}"
-                )
-            values = []
-            for canonical, column in covariate_fields:
-                cell = row[position[column]].strip()
+            stamp = (row[col["year"]], row[col["quarter"]])
+            code = period_code.get(stamp)
+            if code is None:
+                year = parse_number(stamp[0], row_number, mapping["year"], kind=int)
+                quarter = parse_number(stamp[1], row_number, mapping["quarter"], kind=int)
+                try:
+                    period = Period(year, quarter)
+                except ValueError as exc:
+                    raise IngestError(f"row {row_number}: {exc}") from None
+                code = period_code[stamp] = code_of.setdefault(period, len(code_of))
+            y = parse_number(row[col["outcome"]], row_number, mapping["outcome"],
+                             positive=require_positive_outcome)
+            w = parse_number(row[col["weight"]], row_number, mapping["weight"], positive=True)
+            for values, (at, _, column) in zip(covariates, covariate_fields):
+                cell = row[at].strip()
                 if not cell:
                     raise IngestError(
                         f"row {row_number}: column {column!r}: missing covariate value"
                     )
-                values.append(_parse_float(cell, row_number, column))
-            key = (unit, period)
+                values.append(parse_number(cell, row_number, column))
+            key = (unit, code)
             if key in seen:
                 raise IngestError(
                     f"row {row_number}: duplicate observation for unit {unit!r} "
-                    f"period {period} (first seen at row {seen[key]})"
+                    f"period {list(code_of)[code]} (first seen at row {seen[key]})"
                 )
             seen[key] = row_number
             if CLUSTER_FIELD in col:
@@ -348,20 +365,18 @@ def ingest_panel(
                         f"row {row_number}: unit {unit!r} has conflicting cluster "
                         f"labels {prev!r} and {label!r}"
                     )
-            observations.append(
-                Observation(unit, period, outcome, weight, tuple(values))
-            )
-        if not observations:
-            raise IngestError("no data rows after the header")
-        return PanelDataset(tuple(observations), covariate_names, cluster)
-    finally:
-        if owned:
-            stream.close()
-
-
-def _fmt(value: float) -> str:
-    # repr round-trips doubles exactly, so serialize/ingest is lossless.
-    return repr(float(value))
+            units.append(unit)
+            period_codes.append(code)
+            outcome.append(y)
+            weight.append(w)
+    if not units:
+        raise IngestError("no data rows after the header")
+    periods, rank = _factorize(list(code_of))
+    return PanelDataset._from_columns(
+        *_factorize(units), periods, rank[period_codes], outcome, weight,
+        np.array(covariates).T if covariates else None,
+        tuple(canonical for _, canonical, _ in covariate_fields), cluster,
+    )
 
 
 def serialize_panel(
@@ -374,61 +389,44 @@ def serialize_panel(
     def name(canonical: str) -> str:
         return mapping.get(canonical, canonical)
 
-    nondefault_cluster = any(data.cluster[u] != u for u in data.units)
+    a = data.arrays
+    cluster = data.cluster
     header = [name(f) for f in REQUIRED_FIELDS]
-    if nondefault_cluster:
+    columns = [
+        _gather(a.units, a.unit_codes),
+        _gather([str(p.year) for p in a.periods], a.period_codes),
+        _gather([str(p.quarter) for p in a.periods], a.period_codes),
+        list(map(repr, a.outcome.tolist())),
+        list(map(repr, a.weight.tolist())),
+    ]
+    if any(label != u for u, label in cluster.items()):
         header.append(name(CLUSTER_FIELD))
+        columns.append(_gather([cluster[u] for u in a.units], a.unit_codes))
     header.extend(name(c) for c in data.covariate_names)
+    columns.extend(list(map(repr, column.tolist())) for column in a.covariates.T)
 
-    stream, owned = (
-        (open(sink, "w", encoding="utf-8", newline=""), True)
-        if isinstance(sink, (str, Path))
-        else (sink, False)
-    )
-    try:
+    with open_text(sink, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        for obs in data.observations:
-            row = [
-                obs.unit,
-                str(obs.period.year),
-                str(obs.period.quarter),
-                _fmt(obs.outcome),
-                _fmt(obs.weight),
-            ]
-            if nondefault_cluster:
-                row.append(data.cluster[obs.unit])
-            row.extend(_fmt(v) for v in obs.covariates)
-            writer.writerow(row)
-    finally:
-        if owned:
-            stream.close()
+        writer.writerows(zip(*columns))
 
 
 def log_outcome(data: PanelDataset) -> PanelDataset:
     """Replace outcomes with their natural logs. Outcomes must be positive."""
-    for obs in data.observations:
-        if obs.outcome <= 0:
-            raise ValueError(
-                f"cannot log non-positive outcome {obs.outcome!r} for unit "
-                f"{obs.unit!r} period {obs.period}"
-            )
-    logged = np.log([o.outcome for o in data.observations])
-    return data.with_outcome(logged)
+    a = data.arrays
+    i = _first(a.outcome <= 0)
+    if i is not None:
+        raise ValueError(
+            f"cannot log non-positive outcome {float(a.outcome[i])!r} for unit "
+            f"{a.units[a.unit_codes[i]]!r} period {a.periods[a.period_codes[i]]}"
+        )
+    return data.with_outcome(np.log(a.outcome))
 
 
 def balance_report(data: PanelDataset) -> BalanceReport:
     """List the (unit, period) cells absent from the full grid."""
-    present = {(o.unit, o.period) for o in data.observations}
-    missing = tuple(
-        (u, p)
-        for u in data.units
-        for p in data.periods
-        if (u, p) not in present
-    )
-    return BalanceReport(
-        n_units=len(data.units),
-        n_periods=len(data.periods),
-        n_observations=data.n_obs,
-        missing=missing,
-    )
+    a = data.arrays
+    present = np.zeros((len(a.units), len(a.periods)), dtype=bool)
+    present[a.unit_codes, a.period_codes] = True
+    missing = tuple((a.units[u], a.periods[t]) for u, t in np.argwhere(~present).tolist())
+    return BalanceReport(len(a.units), len(a.periods), data.n_obs, missing)

@@ -21,9 +21,10 @@ from scipy import stats
 from .bite import RegionTreatment, SwitcherGroup, TreatmentDesign
 from .designs import DesignKind, DidSpec, build_staggered_twfe
 from .engine import wls_fit
-from .panel import Observation, PanelDataset, _as_text_stream, _fmt
+from .panel import PanelDataset
 from .periods import Period
 from .staggered import cs_aggregate, cs_att, impute_att, sa_event_study
+from .textio import format_float, open_text, read_key_values
 
 _Z95 = float(stats.norm.ppf(0.975))
 
@@ -122,28 +123,7 @@ _CONFIG_KEYS = (
 
 def load_dgp_config(source: IO[str] | str | Path) -> DgpConfig:
     """Parse a flat `key = value` generator config file."""
-    stream, owned = _as_text_stream(source)
-    try:
-        raw: dict[str, str] = {}
-        for line_number, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            if "=" not in text:
-                raise ValueError(f"line {line_number}: expected 'key = value', got {text!r}")
-            key, _, value = text.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ValueError(
-                    f"line {line_number}: unknown key {key!r}; "
-                    f"valid keys: {', '.join(_CONFIG_KEYS)}"
-                )
-            if key in raw:
-                raise ValueError(f"line {line_number}: duplicate key {key!r}")
-            raw[key] = value.strip()
-    finally:
-        if owned:
-            stream.close()
+    raw = read_key_values(source, _CONFIG_KEYS)
     kwargs: dict = {}
     for key in ("n_early", "n_late", "n_never", "n_periods", "seed"):
         if key in raw:
@@ -169,12 +149,12 @@ def dump_dgp_config(config: DgpConfig) -> str:
         f"n_periods = {config.n_periods}",
         f"early_cohort = {config.early_cohort}",
         f"late_cohort = {config.late_cohort}",
-        f"unit_fe_mean = {_fmt(config.unit_fe_mean)}",
-        f"unit_fe_sd = {_fmt(config.unit_fe_sd)}",
-        f"trend = {_fmt(config.trend)}",
+        f"unit_fe_mean = {format_float(config.unit_fe_mean)}",
+        f"unit_fe_sd = {format_float(config.unit_fe_sd)}",
+        f"trend = {format_float(config.trend)}",
         f"effect_early = {config.effect_early}",
         f"effect_late = {config.effect_late}",
-        f"noise_sd = {_fmt(config.noise_sd)}",
+        f"noise_sd = {format_float(config.noise_sd)}",
     ]
     if config.seed is not None:
         lines.append(f"seed = {config.seed}")
@@ -273,21 +253,27 @@ def generate(
     cohort_of = design.cohort_map()
     alpha = rng.normal(config.unit_fe_mean, config.unit_fe_sd, size=len(units))
     noise = rng.normal(0.0, config.noise_sd, size=(len(units), len(periods)))
-    observations = []
-    for i, unit in enumerate(units):
-        cohort = cohort_of[unit]
+    period_index = np.asarray([p.index for p in periods])
+
+    def effects(cohort: Period | None) -> np.ndarray:
+        """Effect in every period for a unit adopting at `cohort`."""
+        if cohort is None:
+            return np.zeros(len(periods))
         schedule = (
-            config.effect_early
-            if cohort == config.early_cohort
-            else config.effect_late if cohort == config.late_cohort else None
+            config.effect_early if cohort == config.early_cohort else config.effect_late
         )
-        for j, period in enumerate(periods):
-            effect = 0.0
-            if cohort is not None and period >= cohort:
-                effect = schedule.at(period.index - cohort.index)
-            y = alpha[i] + config.trend * j + effect + noise[i, j]
-            observations.append(Observation(unit, period, float(y), 1.0))
-    data = PanelDataset(tuple(observations))
+        event = period_index - cohort.index
+        values = np.asarray(schedule.values, dtype=float)
+        return np.where(event >= 0, values[np.clip(event, 0, len(values) - 1)], 0.0)
+
+    by_cohort = {cohort: effects(cohort) for cohort in set(cohort_of.values())}
+    effect = np.stack([by_cohort[cohort_of[unit]] for unit in units])
+    y = alpha[:, None] + config.trend * np.arange(len(periods)) + effect + noise
+    data = PanelDataset._from_columns(
+        units, np.repeat(np.arange(len(units)), len(periods)),
+        periods, np.tile(np.arange(len(periods)), len(units)),
+        y.ravel(), np.ones(y.size),
+    )
     return data, design, truth
 
 
@@ -410,12 +396,7 @@ class RaceResult:
     def write_csv(self, sink: IO[str] | str | Path) -> None:
         import csv as _csv
 
-        stream, owned = (
-            (open(sink, "w", encoding="utf-8", newline=""), True)
-            if isinstance(sink, (str, Path))
-            else (sink, False)
-        )
-        try:
+        with open_text(sink, "w") as stream:
             writer = _csv.writer(stream, lineterminator="\n")
             writer.writerow(
                 ["estimator", "n_reps", "n_failed", "mean_estimate", "bias", "sd",
@@ -425,13 +406,10 @@ class RaceResult:
                 writer.writerow(
                     [
                         row.estimator, str(row.n_reps), str(row.n_failed),
-                        _fmt(row.mean_estimate), _fmt(row.bias), _fmt(row.sd),
-                        _fmt(row.coverage), _fmt(self.truth.overall),
+                        format_float(row.mean_estimate), format_float(row.bias), format_float(row.sd),
+                        format_float(row.coverage), format_float(self.truth.overall),
                     ]
                 )
-        finally:
-            if owned:
-                stream.close()
 
     def to_json_dict(self) -> dict:
         return {

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,7 +28,7 @@ from scipy import stats
 
 from .designs import CovariateTerm, expand_covariates
 from .engine import DesignMatrix, RegressionFit, TwoWaySolver, wls_fit
-from .panel import Observation, PanelDataset
+from .panel import PanelDataset
 from .periods import Period
 
 NEVER = -1
@@ -516,10 +517,10 @@ def sa_event_study(
 
 
 def _restrict_periods(data: PanelDataset, keep: set[Period]) -> PanelDataset:
-    obs = tuple(o for o in data.observations if o.period in keep)
-    if not obs:
+    rows = np.asarray([p in keep for p in data.periods])[data.arrays.period_codes]
+    if not rows.any():
         raise ValueError("restriction removed every observation")
-    return PanelDataset(obs, data.covariate_names, data.cluster)
+    return data._subset(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -534,20 +535,40 @@ class ImputedCell:
     weight: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ImputationResult:
-    """Treated-cell effects measured against an untreated-sample prediction."""
+    """Treated-cell effects measured against an untreated-sample prediction.
+
+    The per-cell effects are kept as arrays over the treated rows: unit and
+    period codes into `units` and `periods`, effect, and weight. `effects`
+    turns them into `ImputedCell`s on first access.
+    """
 
     aggregate: float
     se: float
-    effects: tuple[ImputedCell, ...]
     n_treated: int
     n_untreated: int
     dropped_collinear: tuple[str, ...]
     seed: int | None
     bootstrap_draws: int
+    units: tuple[str, ...]
+    periods: tuple[Period, ...]
+    unit_codes: np.ndarray
+    period_codes: np.ndarray
+    effect_values: np.ndarray
+    effect_weights: np.ndarray
 
     estimator = "impute_att"
+
+    @cached_property
+    def effects(self) -> tuple[ImputedCell, ...]:
+        return tuple(map(
+            ImputedCell,
+            [self.units[c] for c in self.unit_codes.tolist()],
+            [self.periods[c] for c in self.period_codes.tolist()],
+            self.effect_values.tolist(),
+            self.effect_weights.tolist(),
+        ))
 
     def conf_int(self) -> tuple[float, float]:
         return self.aggregate - _Z95 * self.se, self.aggregate + _Z95 * self.se
@@ -653,16 +674,6 @@ def impute_att(
 
     effect_rows = _untreated_effects(gamma_resid, row_weight, untr, data)
     t_ix = np.flatnonzero(treated_rows)
-    observations = data.observations
-    effects = tuple(
-        ImputedCell(
-            unit=observations[i].unit,
-            period=observations[i].period,
-            effect=float(effect_rows[i]),
-            weight=float(row_weight[i]),
-        )
-        for i in t_ix
-    )
     w_treated = row_weight[t_ix]
     aggregate = float(np.average(effect_rows[t_ix], weights=w_treated))
 
@@ -681,12 +692,17 @@ def impute_att(
     return ImputationResult(
         aggregate=aggregate,
         se=se,
-        effects=effects,
         n_treated=int(treated_rows.sum()),
         n_untreated=int(untr.sum()),
         dropped_collinear=dropped,
         seed=seed,
         bootstrap_draws=bootstrap_draws,
+        units=a.units,
+        periods=a.periods,
+        unit_codes=a.unit_codes[t_ix],
+        period_codes=a.period_codes[t_ix],
+        effect_values=effect_rows[t_ix],
+        effect_weights=w_treated,
     )
 
 

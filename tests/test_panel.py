@@ -217,3 +217,105 @@ def test_log_then_exp_round_trip(values):
     back = logged.with_outcome([math.exp(o.outcome) for o in logged.observations])
     for before, after in zip(data.observations, back.observations):
         assert after.outcome == pytest.approx(before.outcome, rel=1e-12)
+
+
+def _csv_lines(data):
+    sink = io.StringIO()
+    serialize_panel(data, sink)
+    return sink.getvalue().splitlines(keepends=True)
+
+
+def _array_bytes(data):
+    a = data.arrays
+    return (
+        [getattr(a, name).tobytes() for name in
+         ("unit_codes", "period_codes", "cluster_codes", "outcome", "weight", "covariates")],
+        a.units, a.periods, a.clusters,
+    )
+
+
+@st.composite
+def panels(draw):
+    """Possibly unbalanced panels with covariates and non-default clusters."""
+    n_units = draw(st.integers(min_value=1, max_value=5))
+    n_periods = draw(st.integers(min_value=1, max_value=5))
+    n_cov = draw(st.integers(min_value=0, max_value=2))
+    finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    values, weights, covariates, clusters = {}, {}, {}, {}
+    for i in range(n_units):
+        clusters[f"u{i}"] = draw(st.sampled_from(["c0", "c1", f"u{i}"]))
+        for j in range(n_periods):
+            if draw(st.booleans()) or not values:
+                key = (f"u{i}", P(2013, 1).shift(j))
+                values[key] = draw(outcome_values)
+                weights[key] = draw(outcome_values)
+                covariates[key] = tuple(draw(finite) for _ in range(n_cov))
+    return make_panel(values, weights, covariates if n_cov else None, clusters)
+
+
+@settings(max_examples=50, deadline=None)
+@given(panels(), st.randoms(use_true_random=False))
+def test_shuffled_rows_ingest_to_the_same_columns(data, random):
+    lines = _csv_lines(data)
+    body = lines[1:]
+    random.shuffle(body)
+    again = ingest_panel(io.StringIO("".join(lines[:1] + body)))
+    assert again == data
+    assert _array_bytes(again) == _array_bytes(data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(panels())
+def test_serialize_ingest_serialize_is_byte_identical(data):
+    first = "".join(_csv_lines(data))
+    again = ingest_panel(io.StringIO(first))
+    assert "".join(_csv_lines(again)) == first
+
+
+def test_first_bad_row_in_file_order_is_named():
+    rows = [f"u{i},2014,1,{10.0 + i},1.0" for i in range(8)]
+    rows[5] = "u5,2014,1,15.0,-2.0"  # bad weight, file row 7
+    rows[2] = "u2,2014,1,0.0,1.0"    # non-positive outcome, file row 4
+    text = "unit,year,quarter,outcome,weight\n" + "\n".join(rows) + "\n"
+    with pytest.raises(IngestError, match=r"^row 4: column 'outcome' must be positive"):
+        ingest_panel(io.StringIO(text))
+
+
+def test_duplicate_names_both_rows():
+    text = MINIMAL + "\nb,2014,2,22.0,2.0\n"  # blank line 6 still counts
+    with pytest.raises(
+        IngestError,
+        match=r"^row 7: duplicate observation for unit 'b' period 2014Q2 \(first seen at row 5\)",
+    ):
+        ingest_panel(io.StringIO(text))
+
+
+def test_equivalent_period_text_is_one_period():
+    text = "unit,year,quarter,outcome,weight\na,2014,1,1.0,1.0\na, 2014,1,2.0,1.0\n"
+    with pytest.raises(IngestError, match="row 3: duplicate.*2014Q1.*row 2"):
+        ingest_panel(io.StringIO(text))
+
+
+def test_columns_are_read_only_and_panel_immutable():
+    data = ingest_panel(io.StringIO(MINIMAL))
+    with pytest.raises(ValueError, match="read-only"):
+        data.arrays.outcome[0] = 0.0
+    with pytest.raises(AttributeError):
+        data.units = ("x",)
+    logged = log_outcome(data)
+    np.testing.assert_array_equal(data.arrays.outcome, [10.0, 11.0, 20.0, 21.0])
+    assert logged != data
+
+
+def test_observation_view_matches_columns():
+    data = make_panel(
+        {("b", P(2014, 2)): 4.0, ("a", P(2014, 1)): 1.0, ("b", P(2014, 1)): 3.0},
+        covariates={("b", P(2014, 2)): (0.5,), ("a", P(2014, 1)): (1.5,),
+                    ("b", P(2014, 1)): (0.5,)},
+    )
+    assert data.observations == (
+        Observation("a", P(2014, 1), 1.0, 1.0, (1.5,)),
+        Observation("b", P(2014, 1), 3.0, 1.0, (0.5,)),
+        Observation("b", P(2014, 2), 4.0, 1.0, (0.5,)),
+    )
+    assert PanelDataset(data.observations, ("z0",)) == data

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import P
+from paneldid.cli import main
 from paneldid.designs import DesignKind, DidSpec
 from paneldid.engine import wls_fit
 from paneldid.designs import build_staggered_twfe
@@ -127,6 +129,14 @@ class TestGenerate:
         y0 = [o.outcome for o in data1.observations]
         y1 = [o.outcome for o in other.observations]
         assert y0 != y1
+
+    def test_preset_panel_bytes_pinned(self, tmp_path, capsys):
+        # The bytes the per-cell generator and CSV writer produced; the
+        # vectorised generate and serialize_panel must reproduce them exactly.
+        assert main(["simulate", "--preset", "heterogeneous", "--seed", "1",
+                     "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "panel.csv").read_bytes()).hexdigest()
+        assert digest == "b2beeb41df182d6b2770ad08e7fbdc05fe352e8cc0c69411bbbfc9d29448708f"
 
     def test_panel_layout(self):
         config = small_config()
