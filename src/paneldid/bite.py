@@ -13,6 +13,8 @@ import csv
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -20,7 +22,7 @@ import numpy as np
 from scipy import stats
 
 from .periods import Period
-from .textio import format_float, open_text, parse_number
+from .textio import IngestError, format_float, open_text, parse_number
 
 DEFAULT_EARLY_COHORT = Period(2014, 3)
 DEFAULT_LATE_COHORT = Period(2019, 1)
@@ -28,6 +30,7 @@ DESIGN_COLUMNS = (
     "region", "gap_first", "gap_second", "high_first",
     "high_second", "group", "cohort", "population_weight",
 )
+_BATCH_ROWS = 4096  # microdata rows parsed and checked together
 
 
 @dataclass(frozen=True)
@@ -44,19 +47,61 @@ class WageRecord:
             raise ValueError(f"hourly wage must be positive, got {self.hourly_wage!r}")
 
 
-@dataclass(frozen=True)
 class WageMicrodata:
-    """Worker-level wages from one survey wave, with the minimum wage they face."""
+    """Worker-level wages from one survey wave, with the minimum wage they face.
 
-    records: tuple[WageRecord, ...]
-    minimum_wage: float
-    survey_year: int
+    Held as columns: the distinct `regions`, one `region_codes` entry (an
+    index into `regions`) and one `wages` entry per worker, both read-only and
+    in input order. Built from `WageRecord`s, or from a file by `read_csv`.
+    """
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.minimum_wage) and self.minimum_wage > 0):
-            raise ValueError(f"minimum wage must be positive, got {self.minimum_wage!r}")
-        if not self.records:
+    def __init__(
+        self, records: Iterable[WageRecord], minimum_wage: float, survey_year: int
+    ) -> None:
+        records = tuple(records)
+        index: dict[str, int] = {}
+        codes = [index.setdefault(r.region, len(index)) for r in records]
+        self.__dict__.update(vars(self._from_columns(
+            tuple(index), codes, [r.hourly_wage for r in records], minimum_wage, survey_year,
+        )))
+
+    @classmethod
+    def _from_columns(cls, regions, region_codes, wages, minimum_wage, survey_year):
+        """Store checked columns; `region_codes` index the distinct `regions`."""
+        if not (math.isfinite(minimum_wage) and minimum_wage > 0):
+            raise ValueError(f"minimum wage must be positive, got {minimum_wage!r}")
+        if len(wages) == 0:
             raise ValueError("microdata needs at least one wage record")
+        region_codes = np.asarray(region_codes, dtype=np.intp)
+        wages = np.asarray(wages, dtype=float)
+        region_codes.flags.writeable = wages.flags.writeable = False
+        self = cls.__new__(cls)
+        self.__dict__.update(
+            regions=tuple(regions), region_codes=region_codes, wages=wages,
+            minimum_wage=minimum_wage, survey_year=survey_year,
+        )
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WageMicrodata):
+            return NotImplemented
+        return (
+            (self.regions, self.minimum_wage, self.survey_year)
+            == (other.regions, other.minimum_wage, other.survey_year)
+            and np.array_equal(self.region_codes, other.region_codes)
+            and np.array_equal(self.wages, other.wages)
+        )
+
+    @cached_property
+    def records(self) -> tuple[WageRecord, ...]:
+        """One `WageRecord` per worker, built on first access."""
+        return tuple(
+            WageRecord(self.regions[code], wage)
+            for code, wage in zip(self.region_codes.tolist(), self.wages.tolist())
+        )
 
     @classmethod
     def read_csv(
@@ -65,7 +110,13 @@ class WageMicrodata:
         minimum_wage: float,
         survey_year: int,
     ) -> WageMicrodata:
-        """Read `region,hourly_wage` rows (header required)."""
+        """Read `region,hourly_wage` rows (header required).
+
+        Rows whose cells are all blank are skipped. Ids are stripped of
+        surrounding whitespace. A short row, a wage that is not a positive
+        number or an empty id raises `IngestError` naming the first such row
+        in file order and its column.
+        """
         with open_text(source) as stream:
             reader = csv.reader(stream)
             try:
@@ -73,20 +124,70 @@ class WageMicrodata:
             except StopIteration:
                 raise ValueError("empty microdata input: expected a header row") from None
             try:
-                region_col = header.index("region")
-                wage_col = header.index("hourly_wage")
+                columns = {name: header.index(name) for name in ("region", "hourly_wage")}
             except ValueError:
                 raise ValueError(
                     f"microdata header must contain 'region' and 'hourly_wage', got {header}"
                 ) from None
-            records = []
-            for row_number, row in enumerate(reader, start=2):
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                region = row[region_col].strip()
-                wage = parse_number(row[wage_col], row_number, "hourly_wage")
-                records.append(WageRecord(region, wage))
-        return cls(tuple(records), minimum_wage, survey_year)
+            raw_ids: dict[str, int] = {}
+            codes, wages = [np.empty(0, np.intp)], [np.empty(0)]
+            row_number = 2
+            # Batches bound the rows held at once; a batch that fails the
+            # array checks is checked row by row to name its first bad row.
+            while rows := list(islice(reader, _BATCH_ROWS)):
+                try:
+                    batch = _parse_batch(rows, columns, raw_ids)
+                except (IndexError, ValueError):
+                    batch = _parse_batch(_checked_rows(rows, row_number, columns), columns, raw_ids)
+                codes.append(batch[0])
+                wages.append(batch[1])
+                row_number += len(rows)
+        # Ids that differ only in surrounding whitespace are one region.
+        index: dict[str, int] = {}
+        merged = np.array([index.setdefault(r.strip(), len(index)) for r in raw_ids], dtype=np.intp)
+        return cls._from_columns(
+            tuple(index), merged[np.concatenate(codes)], np.concatenate(wages),
+            minimum_wage, survey_year,
+        )
+
+
+def _parse_batch(
+    rows: list[list[str]], columns: Mapping[str, int], raw_ids: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw-id codes and wages of `rows`, adding their new raw ids to `raw_ids`.
+
+    Raises `IndexError` or `ValueError`, leaving `raw_ids` as it was, if a row
+    is short, blank, has an empty id or a wage that is not a positive number.
+    """
+    region_col, wage_col = columns["region"], columns["hourly_wage"]
+    region = [row[region_col] for row in rows]
+    wages = np.fromiter(map(float, [row[wage_col] for row in rows]), float, len(rows))
+    new = [r for r in dict.fromkeys(region) if r not in raw_ids]
+    if not (all(r.strip() for r in new) and np.all(np.isfinite(wages) & (wages > 0))):
+        raise ValueError("a row failed the microdata checks")
+    for r in new:
+        raw_ids[r] = len(raw_ids)
+    return np.fromiter(map(raw_ids.__getitem__, region), np.intp, len(rows)), wages
+
+
+def _checked_rows(
+    rows: list[list[str]], first_row: int, columns: Mapping[str, int]
+) -> list[list[str]]:
+    """The rows that are not blank; raises `IngestError` at the first bad row."""
+    kept = []
+    for row_number, row in enumerate(rows, start=first_row):
+        if all(not cell.strip() for cell in row):
+            continue
+        for name, col in columns.items():
+            if col >= len(row):
+                raise IngestError(f"row {row_number}: column {name!r} is missing")
+        wage = parse_number(row[columns["hourly_wage"]], row_number, "hourly_wage", positive=True)
+        try:
+            WageRecord(row[columns["region"]].strip(), wage)
+        except ValueError as exc:
+            raise IngestError(f"row {row_number}: column 'region': {exc}") from None
+        kept.append(row)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -131,22 +232,22 @@ def wage_gap(
     in the microdata; a region with no workers has an undefined gap and is
     reported as an error rather than silently dropped.
     """
-    totals: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for rec in micro.records:
-        shortfall = max(micro.minimum_wage - rec.hourly_wage, 0.0)
-        totals[rec.region] = totals.get(rec.region, 0.0) + shortfall
-        counts[rec.region] = counts.get(rec.region, 0) + 1
+    n_regions = len(micro.regions)
+    shortfall = np.maximum(micro.minimum_wage - micro.wages, 0.0)
+    # bincount adds each region's shortfalls in input order, so every total is
+    # the sequential sum, bit for bit.
+    totals = np.bincount(micro.region_codes, weights=shortfall, minlength=n_regions)
+    counts = np.bincount(micro.region_codes, minlength=n_regions)
     if regions is not None:
-        missing = sorted(set(regions) - set(counts))
+        missing = sorted(set(regions) - set(micro.regions))
         if missing:
             raise ValueError(
                 f"no wage records for region(s) {missing}: "
                 "the average gap would divide by zero"
             )
     gaps = {
-        region: RegionGap(totals[region] / counts[region], counts[region])
-        for region in counts
+        region: RegionGap(total / count, count)
+        for region, total, count in zip(micro.regions, totals.tolist(), counts.tolist())
     }
     return WageGapTable(gaps, micro.minimum_wage, micro.survey_year)
 
@@ -365,18 +466,33 @@ class TreatmentDesign:
                 raise ValueError(f"treatment design file lacks column(s) {missing}")
             regions: dict[str, RegionTreatment] = {}
             cohorts: set[Period] = set()
-            for row in reader:
-                cohort = Period.parse(row["cohort"]) if row["cohort"] else None
+            for row_number, row in enumerate(reader, start=2):
+                for column in DESIGN_COLUMNS:
+                    if row[column] is None:
+                        raise IngestError(f"row {row_number}: column {column!r} is missing")
+                try:
+                    group = SwitcherGroup(row["group"])
+                except ValueError:
+                    raise IngestError(
+                        f"row {row_number}: column 'group': unknown group {row['group']!r}; "
+                        f"expected one of {[g.value for g in SwitcherGroup]}"
+                    ) from None
+                try:
+                    cohort = Period.parse(row["cohort"]) if row["cohort"] else None
+                except ValueError as exc:
+                    raise IngestError(f"row {row_number}: column 'cohort': {exc}") from None
                 if cohort is not None:
                     cohorts.add(cohort)
                 regions[row["region"]] = RegionTreatment(
-                    gap_first=float(row["gap_first"]),
-                    gap_second=float(row["gap_second"]),
+                    gap_first=parse_number(row["gap_first"], row_number, "gap_first"),
+                    gap_second=parse_number(row["gap_second"], row_number, "gap_second"),
                     high_first=row["high_first"] == "1",
                     high_second=row["high_second"] == "1",
-                    group=SwitcherGroup(row["group"]),
+                    group=group,
                     cohort=cohort,
-                    population_weight=float(row["population_weight"]),
+                    population_weight=parse_number(
+                        row["population_weight"], row_number, "population_weight"
+                    ),
                 )
         if not regions:
             raise ValueError("treatment design file has no regions")

@@ -49,6 +49,7 @@ from .simulate import (
     load_dgp_config,
     null_config,
 )
+from .textio import IngestError, parse_number
 
 _PRESETS = {
     "homogeneous": homogeneous_config,
@@ -128,39 +129,27 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _read_weights_csv(path: str) -> dict[str, float]:
+def _read_region_values(path: str, column: str) -> dict[str, float]:
+    """Read a `region,<column>` CSV into one number per distinct region."""
     with open(path, newline="", encoding="utf-8") as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["region", "weight"]:
+        if header is None or [h.strip() for h in header[:2]] != ["region", column]:
             raise ValueError(
-                f"{path}: expected a header 'region,weight', got {header!r}"
+                f"{path}: expected a header 'region,{column}', got {header!r}"
             )
-        weights: dict[str, float] = {}
+        values: dict[str, float] = {}
         for row_number, row in enumerate(reader, start=2):
             if len(row) < 2:
                 raise ValueError(f"{path}: row {row_number} has fewer than 2 fields")
             region = row[0].strip()
-            if region in weights:
+            if region in values:
                 raise ValueError(f"{path}: duplicate region {region!r} at row {row_number}")
-            weights[region] = float(row[1])
-    return weights
-
-
-def _read_growth_csv(path: str) -> dict[str, float]:
-    with open(path, newline="", encoding="utf-8") as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["region", "growth"]:
-            raise ValueError(
-                f"{path}: expected a header 'region,growth', got {header!r}"
-            )
-        growth: dict[str, float] = {}
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) < 2:
-                raise ValueError(f"{path}: row {row_number} has fewer than 2 fields")
-            growth[row[0].strip()] = float(row[1])
-    return growth
+            try:
+                values[region] = parse_number(row[1], row_number, column)
+            except IngestError as exc:
+                raise IngestError(f"{path}: {exc}") from None
+    return values
 
 
 def cmd_bite(args) -> int:
@@ -175,7 +164,7 @@ def cmd_bite(args) -> int:
     for path, mw, year in zip(micro_paths, args.mw, args.survey_year):
         micro = WageMicrodata.read_csv(path, minimum_wage=mw, survey_year=year)
         tables.append(wage_gap(micro))
-    weights = _read_weights_csv(args.weights)
+    weights = _read_region_values(args.weights, "weight")
     design = build_treatment_design(
         tables[0], tables[1], weights, strict=args.strict_median
     )
@@ -243,7 +232,7 @@ def cmd_estimate(args) -> int:
                 "this model interacts treatment with a low-growth flag; pass "
                 "--growth CSV (columns region,growth)"
             )
-        growth_flags = low_growth_flag(_read_growth_csv(args.growth))
+        growth_flags = low_growth_flag(_read_region_values(args.growth, "growth"))
     elif args.growth is not None:
         raise ValueError("--growth only applies to the growth_interaction kind")
 

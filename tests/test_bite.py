@@ -1,9 +1,11 @@
 import io
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paneldid import bite
 from paneldid.bite import (
     RegionTreatment,
     SwitcherGroup,
@@ -20,6 +22,7 @@ from paneldid.bite import (
     weighted_median_split,
 )
 from paneldid.periods import Period
+from paneldid.textio import IngestError
 
 
 def micro(wages_by_region, mw=8.50, year=2014):
@@ -79,6 +82,67 @@ class TestWageGap:
         text = "region,hourly_wage\na,8.00\na,9.00\n"
         got = wage_gap(WageMicrodata.read_csv(io.StringIO(text), 8.50, 2014))
         assert got.gaps["a"].gap == pytest.approx(0.25)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.sampled_from(["", " ,\t"]),  # blank rows are skipped
+                st.tuples(st.sampled_from(["a", " a", "b ", "c", "d"]),
+                          st.floats(min_value=0.01, max_value=30.0)),
+            ),
+            min_size=1, max_size=40,
+        ).filter(lambda rows: any(isinstance(row, tuple) for row in rows)),
+        mw=st.floats(min_value=0.5, max_value=20.0),
+        batch=st.integers(min_value=1, max_value=6),
+    )
+    def test_read_csv_gaps_equal_sequential_sums(self, rows, mw, batch):
+        text = "region,hourly_wage\n" + "".join(
+            f"{row[0]},{row[1]!r}\n" if isinstance(row, tuple) else f"{row}\n"
+            for row in rows
+        )
+        with mock.patch.object(bite, "_BATCH_ROWS", batch):
+            got = wage_gap(WageMicrodata.read_csv(io.StringIO(text), mw, 2014))
+        totals, counts = {}, {}
+        for row in rows:
+            if isinstance(row, tuple):
+                region = row[0].strip()
+                totals[region] = totals.get(region, 0.0) + max(mw - row[1], 0.0)
+                counts[region] = counts.get(region, 0) + 1
+        exact = {r: (gap.gap.hex(), gap.worker_count) for r, gap in got.gaps.items()}
+        assert exact == {r: ((totals[r] / counts[r]).hex(), counts[r]) for r in totals}
+        records = [WageRecord(row[0].strip(), row[1]) for row in rows if isinstance(row, tuple)]
+        assert wage_gap(WageMicrodata(records, mw, 2014)).gaps == got.gaps
+
+    @pytest.mark.parametrize("line, message", [
+        ("b", r"row 4: column 'hourly_wage' is missing"),
+        (" ,9.0", r"row 4: column 'region': region id must be a non-empty string"),
+        ("b,0", r"row 4: column 'hourly_wage' must be positive, got 0\.0"),
+        ("b,-2.5", r"row 4: column 'hourly_wage' must be positive, got -2\.5"),
+        ("b,nan", r"row 4: column 'hourly_wage': non-finite value 'nan'"),
+        ("b,x", r"row 4: column 'hourly_wage': could not parse 'x'"),
+    ])
+    @pytest.mark.parametrize("batch", [1, 2, 4096])
+    def test_bad_row_named(self, line, message, batch):
+        # Row 3 is blank; row 7 is bad too, so the first bad row must win.
+        text = f"region,hourly_wage\na,8.0\n\n{line}\na,9.0\nb,7.0\n,0\n"
+        with mock.patch.object(bite, "_BATCH_ROWS", batch), \
+                pytest.raises(IngestError, match=message):
+            WageMicrodata.read_csv(io.StringIO(text), 8.50, 2014)
+
+    def test_columns_and_record_view(self):
+        text = "hourly_wage,region\n8.0, b\n7.5,a\n9.0,b \n"
+        data = WageMicrodata.read_csv(io.StringIO(text), 8.50, 2014)
+        assert data.regions == ("b", "a")
+        assert data.region_codes.tolist() == [0, 1, 0]
+        assert data.wages.tolist() == [8.0, 7.5, 9.0]
+        assert data.records == (WageRecord("b", 8.0), WageRecord("a", 7.5), WageRecord("b", 9.0))
+        assert WageMicrodata(data.records, 8.50, 2014) == data
+        with pytest.raises(ValueError, match="read-only"):
+            data.wages[0] = 1.0
+        with pytest.raises(AttributeError):
+            data.minimum_wage = 9.0
 
 
 class TestWeightedMedianSplit:
@@ -268,6 +332,21 @@ class TestTreatmentDesign:
         )
         with pytest.raises(ValueError, match=r"column\(s\) \['cohort'\]"):
             TreatmentDesign.read_csv(io.StringIO(text))
+
+    @pytest.mark.parametrize("row, message", [
+        ("b,0.1", r"row 3: column 'gap_second' is missing"),
+        ("b,x,0.6,0,1,low/high,2019Q1,1.0", r"row 3: column 'gap_first': could not parse 'x'"),
+        ("b,0.1,0.6,0,1,mid,2019Q1,1.0", r"row 3: column 'group': unknown group 'mid'"),
+        ("b,0.1,0.6,0,1,low/high,2019Q5,1.0", r"row 3: column 'cohort': expected a period"),
+    ])
+    def test_bad_cell_named(self, row, message):
+        sink = io.StringIO()
+        self.build().write_csv(sink)
+        lines = sink.getvalue().splitlines()
+        assert lines[2] == "b,0.1,0.6,0,1,low/high,2019Q1,1.0"
+        lines[2] = row
+        with pytest.raises(IngestError, match=message):
+            TreatmentDesign.read_csv(io.StringIO("\n".join(lines) + "\n"))
 
     def test_cohort_map(self):
         design = self.build()

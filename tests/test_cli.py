@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +92,37 @@ class TestBite:
         assert all(len(d) == 64 for d in manifest["inputs"].values())
         assert "design.csv" in manifest["outputs"]
 
+    def test_seeded_outputs_pinned(self, tmp_path, capsys):
+        # The bytes the per-record reader and gap loop wrote; the columnar
+        # reader and bincount gaps must reproduce them exactly. Each wave spans
+        # several read batches, pads some ids with spaces and has a blank line.
+        rng = np.random.default_rng(20)
+        regions = [f"r{i:02d}" for i in range(15)]
+        waves = []
+        for wave, growth in enumerate((0.0, 0.1)):
+            region_of = rng.integers(0, len(regions), 9000).tolist()
+            wage = rng.lognormal(np.log(10.0) + growth, 0.4, 9000).tolist()
+            lines = [f"{' ' * (i % 7 == 0)}{regions[r]},{w!r}\n"
+                     for i, (r, w) in enumerate(zip(region_of, wage))]
+            lines.insert(5000, "\n")
+            waves.append(tmp_path / f"wave{wave + 1}.csv")
+            waves[-1].write_text("region,hourly_wage\n" + "".join(lines))
+        weights = tmp_path / "weights.csv"
+        weights.write_text("region,weight\n" + "".join(
+            f"{r},{w!r}\n" for r, w in zip(regions, rng.uniform(0.5, 3.0, 15).tolist())
+        ))
+        out = tmp_path / "out"
+        code, _, _ = run(["bite", "--out", out, "--micro", waves[0], "--micro", waves[1],
+                          *self.ARGS, "--weights", weights], capsys)
+        assert code == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("gap_first.csv", "gap_second.csv", "design.csv")}
+        assert digests == {
+            "gap_first.csv": "6f7d9160899dd7abdf11c4fcf8848e2f822edea2b3909da9b8bb868633644c53",
+            "gap_second.csv": "a400a0dfaa8a8fd2a633e34e7ba939e95f624a19969fc966bc07d3b39a2384f4",
+            "design.csv": "a7b0ceefc126dbe25fde95b2ed5ba9b27121f60a23cd4f46ab3f450ff55a6718",
+        }
+
     def test_wave_arguments_must_pair(self, tmp_path, capsys, bite_inputs):
         m1, _, weights = bite_inputs
         code, _, err = run(
@@ -111,6 +144,24 @@ class TestBite:
         )
         assert code == 1
         assert "b" in stderr_payload(err)["message"]
+
+
+    @pytest.mark.parametrize("text, message", [
+        ("region,weight\na,3\nb,x\nc,1\nd,1\n",
+         r"row 3: column 'weight': could not parse 'x'"),
+        ("region,weight\na,3\nb,1\nc,1\nd,1\nb,2\n", r"duplicate region 'b' at row 6"),
+    ])
+    def test_bad_weights_row_named(self, tmp_path, capsys, bite_inputs, text, message):
+        m1, m2, _ = bite_inputs
+        weights = tmp_path / "bad.csv"
+        weights.write_text(text)
+        code, _, err = run(
+            ["bite", "--out", tmp_path / "o", "--micro", m1, "--micro", m2,
+             *self.ARGS, "--weights", weights],
+            capsys,
+        )
+        assert code == 1
+        assert re.search(message, stderr_payload(err)["message"])
 
 
 def design_rows(units_high):
@@ -212,6 +263,25 @@ class TestEstimate:
         )
         assert code == 1
         assert "growth_interaction" in stderr_payload(err)["message"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("region,growth\nu1,1\nu2,2\nu3,3\nu4,4\nu2,5\n", r"duplicate region 'u2' at row 6"),
+        ("region,growth\nu1,1\nu2,fast\nu3,3\nu4,4\n",
+         r"row 3: column 'growth': could not parse 'fast'"),
+    ])
+    def test_bad_growth_row_named(self, tmp_path, capsys, estimate_inputs, text, message):
+        panel, design, _ = estimate_inputs
+        spec = tmp_path / "growth.txt"
+        spec.write_text("kind = growth_interaction\n")
+        growth = tmp_path / "growth.csv"
+        growth.write_text(text)
+        code, _, err = run(
+            ["estimate", "--out", tmp_path / "o", "--panel", panel,
+             "--design", design, "--spec", spec, "--growth", growth],
+            capsys,
+        )
+        assert code == 1
+        assert re.search(message, stderr_payload(err)["message"])
 
     def test_bacon_requires_staggered_kind(self, tmp_path, capsys, estimate_inputs):
         panel, design, spec = estimate_inputs
