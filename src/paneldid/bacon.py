@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping
 
 import numpy as np
 
-from .panel import PanelDataset, balance_report
+from .panel import PanelDataset, balance_report, cohort_start
 from .periods import Period
 from .textio import format_float, open_text
 
@@ -78,34 +77,23 @@ def bacon_decompose(
             f"panel is unbalanced: {len(report.missing)} missing (unit, period) "
             f"cells, e.g. {report.missing[0]}"
         )
-    missing_units = [u for u in data.units if u not in cohorts]
-    if missing_units:
-        raise ValueError(f"cohort missing for unit(s) {missing_units[:5]}")
+    start = cohort_start(data, cohorts)
 
     periods = data.periods
-    first, last = periods[0], periods[-1]
-    t_count = len(periods)
+    first = periods[0]
+    early = np.flatnonzero(start <= first.index)
+    if early.size:
+        unit = data.units[early[0]]
+        raise ValueError(
+            f"unit {unit!r} is treated from {cohorts[unit]}, on or before the first "
+            f"period {first}; an always-treated group has no pre-period"
+        )
 
-    # Units whose cohort starts after the window never switch inside it.
-    def effective(cohort: Period | None) -> Period | None:
-        if cohort is None or cohort > last:
-            return None
-        return cohort
-
-    for unit in data.units:
-        c = effective(cohorts[unit])
-        if c is not None and c <= first:
-            raise ValueError(
-                f"unit {unit!r} is treated from {c}, on or before the first "
-                f"period {first}; an always-treated group has no pre-period"
-            )
-
-    groups: dict[Period | None, list[str]] = {}
-    for unit in data.units:
-        groups.setdefault(effective(cohorts[unit]), []).append(unit)
-    never_units = groups.pop(None, [])
-    timing = sorted(groups)
-    if len(timing) + (1 if never_units else 0) < 2:
+    # Cohorts that switch inside the window, and the rows of their units.
+    timing = [Period.from_index(int(i)) for i in np.unique(start[np.isfinite(start)])]
+    rows = {k: np.flatnonzero(start == k.index) for k in timing}
+    never_rows = np.flatnonzero(~np.isfinite(start))
+    if len(timing) + (1 if never_rows.size else 0) < 2:
         raise ValueError(
             "decomposition needs at least two cohorts, or one cohort plus "
             "never-treated units"
@@ -113,25 +101,19 @@ def bacon_decompose(
 
     # Dense outcome grid, units in rows.
     a = data.arrays
-    y = np.empty((len(a.units), t_count))
+    y = np.empty((len(a.units), len(periods)))
     y[a.unit_codes, a.period_codes] = a.outcome
-    unit_ix = {u: i for i, u in enumerate(a.units)}
-    rows = {
-        cohort: np.asarray([unit_ix[u] for u in units])
-        for cohort, units in groups.items()
-    }
-    never_rows = np.asarray([unit_ix[u] for u in never_units], dtype=np.intp)
 
     period_index = np.asarray([p.index for p in periods])
     n_total = len(data.units)
-    share = {c: len(groups[c]) / n_total for c in timing}
-    share_never = len(never_units) / n_total
+    share = {c: len(rows[c]) / n_total for c in timing}
+    share_never = len(never_rows) / n_total
     # Fraction of the window each cohort spends treated.
     dbar = {c: float(np.mean(period_index >= c.index)) for c in timing}
 
     raw: list[tuple[ComparisonKind, Period, Period | None, float, float]] = []
 
-    if never_units:
+    if never_rows.size:
         for k in timing:
             post = period_index >= k.index
             est = (

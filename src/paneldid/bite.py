@@ -465,11 +465,19 @@ class TreatmentDesign:
             if missing:
                 raise ValueError(f"treatment design file lacks column(s) {missing}")
             regions: dict[str, RegionTreatment] = {}
+            first_row: dict[str, int] = {}
             cohorts: set[Period] = set()
             for row_number, row in enumerate(reader, start=2):
                 for column in DESIGN_COLUMNS:
                     if row[column] is None:
                         raise IngestError(f"row {row_number}: column {column!r} is missing")
+                region = row["region"]
+                if region in first_row:
+                    raise IngestError(
+                        f"row {row_number}: column 'region': duplicate region {region!r}, "
+                        f"first listed at row {first_row[region]}"
+                    )
+                first_row[region] = row_number
                 try:
                     group = SwitcherGroup(row["group"])
                 except ValueError:
@@ -483,7 +491,7 @@ class TreatmentDesign:
                     raise IngestError(f"row {row_number}: column 'cohort': {exc}") from None
                 if cohort is not None:
                     cohorts.add(cohort)
-                regions[row["region"]] = RegionTreatment(
+                regions[region] = RegionTreatment(
                     gap_first=parse_number(row["gap_first"], row_number, "gap_first"),
                     gap_second=parse_number(row["gap_second"], row_number, "gap_second"),
                     high_first=row["high_first"] == "1",

@@ -8,7 +8,6 @@ columns. Fixed effects are never built here; the engine absorbs them.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -17,7 +16,7 @@ import numpy as np
 
 from .bite import SwitcherGroup, TreatmentDesign
 from .engine import DesignMatrix
-from .panel import PanelDataset
+from .panel import PanelDataset, cohort_start, unit_values
 from .periods import Period
 from .textio import read_key_values
 
@@ -143,14 +142,6 @@ def dump_spec(spec: DidSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _unit_lookup(data: PanelDataset, values: Mapping[str, object], what: str) -> list:
-    missing = [u for u in data.units if u not in values]
-    if missing:
-        raise ValueError(f"{what} missing for unit(s) {missing[:5]}" +
-                         (" ..." if len(missing) > 5 else ""))
-    return [values[u] for u in data.units]
-
-
 def expand_covariates(
     data: PanelDataset,
     plan: Sequence[CovariateTerm],
@@ -166,13 +157,13 @@ def expand_covariates(
     cols: list[np.ndarray] = []
     for term in plan:
         char = np.asarray(
-            _unit_lookup(data, data.region_constant(term.characteristic),
-                         f"characteristic {term.characteristic!r}")
+            unit_values(data, data.region_constant(term.characteristic),
+                        f"characteristic {term.characteristic!r}")
         )[a.unit_codes]
         if term.by_flag is not None:
             flag = np.asarray(
-                _unit_lookup(data, data.region_constant(term.by_flag),
-                             f"flag {term.by_flag!r}")
+                unit_values(data, data.region_constant(term.by_flag),
+                            f"flag {term.by_flag!r}")
             )[a.unit_codes]
             char = char * flag
         if not term.by_time:
@@ -203,7 +194,7 @@ def _assemble(
 
 def _high_first_by_row(data: PanelDataset, design: TreatmentDesign) -> np.ndarray:
     flags = design.high_first_map()
-    per_unit = np.asarray(_unit_lookup(data, flags, "first-wave exposure flag"), dtype=float)
+    per_unit = np.asarray(unit_values(data, flags, "first-wave exposure flag"), dtype=float)
     return per_unit[data.arrays.unit_codes]
 
 
@@ -266,7 +257,7 @@ def build_growth_interaction(
     """
     high = _high_first_by_row(data, design)
     t = _period_index_by_row(data)
-    low = np.asarray(_unit_lookup(data, growth_flags, "low-growth flag"), dtype=float)
+    low = np.asarray(unit_values(data, growth_flags, "low-growth flag"), dtype=float)
     low_row = low[data.arrays.unit_codes]
     post = (t > spec.cutoff.index).astype(float)
     names = ["treated_post", "treated_post_lowgrowth"]
@@ -314,7 +305,7 @@ def build_multi_group(
     The never-high group is the omitted category. With `placebo`, matching
     pre-cutoff columns are added for all three groups.
     """
-    groups = design.group_map()
+    groups = unit_values(data, design.group_map(), "switcher group")
     t = _period_index_by_row(data)
     a = data.arrays
     post = (t > spec.cutoff.index).astype(float)
@@ -325,14 +316,8 @@ def build_multi_group(
         ("high_high", SwitcherGroup.HIGH_HIGH),
     )
     per_unit = {
-        label: np.asarray(
-            [float(groups[u] is member) for u in data.units]
-        )
-        for label, member in tracked
+        label: np.asarray([float(g is member) for g in groups]) for label, member in tracked
     }
-    missing = [u for u in data.units if u not in groups]
-    if missing:
-        raise ValueError(f"switcher group missing for unit(s) {missing[:5]}")
     names, cols = [], []
     for label, _ in tracked:
         names.append(f"{label}_post")
@@ -350,13 +335,7 @@ def build_staggered_twfe(
     spec: DidSpec,
 ) -> DesignMatrix:
     """Single absorbing-treatment indicator, switched on from each cohort start."""
-    cohorts = design.cohort_map()
-    missing = [u for u in data.units if u not in cohorts]
-    if missing:
-        raise ValueError(f"cohort missing for unit(s) {missing[:5]}")
-    start = np.asarray(
-        [math.inf if cohorts[u] is None else cohorts[u].index for u in data.units]
-    )
+    start = cohort_start(data, design.cohort_map())
     t = _period_index_by_row(data)
     treated = (t >= start[data.arrays.unit_codes]).astype(float)
     return _assemble(data, ["post_adoption"], [treated], spec)

@@ -13,8 +13,10 @@ One Householder QR of the weighted demeaned [X | y] then does the rest.
 Read left to right, |R_jj| is the norm of column j after projecting out the
 columns before it; a column whose pivot does not exceed PIVOT_RTOL times the
 largest pivot, or times its own weighted norm before absorption, is dropped
-as collinear. R gives the coefficients and the bread (X'WX)^(-1) =
-R^(-1) R^(-T). Inference is cluster-robust:
+as collinear. R gives the coefficients; that much is `_absorbed_slopes`,
+which the imputation estimator also runs on its own untreated-sample solve.
+`wls_fit` adds the bread (X'WX)^(-1) = R^(-1) R^(-T) and cluster-robust
+inference:
 
     V = c * (X'WX)^(-1) (sum_g s_g s_g') (X'WX)^(-1),
     s_g = sum_{i in g} w_i * x_i * e_i,
@@ -336,6 +338,39 @@ class RegressionFit:
         }
 
 
+def _absorbed_slopes(
+    weight: np.ndarray, x_raw: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Slopes of y on x once both have been demeaned, collinear columns dropped.
+
+    `x_raw` is x before absorption, with at least one column; it scales the
+    pivot rule. Returns the mask of kept columns, their slopes, R of the
+    kept columns (X'WX = R'R) and every column's pivot relative to the
+    largest.
+    """
+    raw_norm = np.sqrt(np.einsum("i,ij,ij->j", weight, x_raw, x_raw))
+    root_w = np.sqrt(weight)
+    r = _weighted_r(root_w, x, y)
+    pivots = np.abs(np.diag(r))[:-1]
+    largest = pivots.max()
+    keep = (pivots > PIVOT_RTOL * largest) & (pivots > PIVOT_RTOL * raw_norm)
+    kept = np.flatnonzero(keep)
+    if not len(kept):
+        raise ValueError(
+            "every regressor column is collinear with the fixed effects; nothing to estimate"
+        )
+    if len(weight) < len(kept) + 2:
+        raise ValueError(
+            f"{len(weight)} rows cannot support {len(kept)} retained parameters; "
+            "need at least two more rows than parameters"
+        )
+    if not keep.all():
+        r = _weighted_r(root_w, x, y, kept)
+    k = len(kept)
+    beta = linalg.solve_triangular(r[:k, :k], r[:k, k])
+    return keep, beta, r[:k, :k], pivots / largest
+
+
 def wls_fit(design: DesignMatrix) -> RegressionFit:
     """Absorb the fixed effects, drop collinear columns, and solve by QR.
 
@@ -348,34 +383,15 @@ def wls_fit(design: DesignMatrix) -> RegressionFit:
     g = len(np.unique(design.cluster_codes))
     if g < 2:
         raise ValueError(f"need at least 2 clusters for inference, got {g}")
-    raw_norm = np.sqrt(np.einsum("i,ij,ij->j", design.weight, design.x, design.x))
     dm = demean_two_way(design)
     x, y, components = dm.x, dm.y, dm.fe_components
     del dm  # lets x go once the retained columns are copied out
-    root_w = np.sqrt(design.weight)
-    r = _weighted_r(root_w, x, y)
-    pivots = np.abs(np.diag(r))[:-1]
-    largest = pivots.max()
-    keep = (pivots > PIVOT_RTOL * largest) & (pivots > PIVOT_RTOL * raw_norm)
-    kept = np.flatnonzero(keep)
-    if not len(kept):
-        raise ValueError(
-            "every regressor column is collinear with the fixed effects; nothing to estimate"
-        )
-    if design.n < len(kept) + 2:
-        raise ValueError(
-            f"{design.n} rows cannot support {len(kept)} retained parameters; "
-            "need at least two more rows than parameters"
-        )
-    dropped = np.flatnonzero(~keep)
-    if len(dropped):
-        r = _weighted_r(root_w, x, y, kept)
-        x = x[:, kept]
-    k = len(kept)
-    beta = linalg.solve_triangular(r[:k, :k], r[:k, k])
+    keep, beta, r, ratios = _absorbed_slopes(design.weight, design.x, x, y)
+    if not keep.all():
+        x = x[:, keep]
     residuals = y - x @ beta
-    vcov = cluster_vcov(x, design.weight, residuals, design.cluster_codes, r=r[:k, :k])
-    columns = tuple(design.columns[j] for j in kept)
+    vcov = cluster_vcov(x, design.weight, residuals, design.cluster_codes, r=r)
+    columns = tuple(c for c, k in zip(design.columns, keep) if k)
     return RegressionFit(
         columns=columns,
         coefficients={c: float(v) for c, v in zip(columns, beta)},
@@ -383,8 +399,10 @@ def wls_fit(design: DesignMatrix) -> RegressionFit:
         residuals=residuals,
         n_obs=design.n,
         n_clusters=g,
-        dropped_collinear=tuple(design.columns[j] for j in dropped),
-        pivot_ratios={design.columns[j]: float(pivots[j] / largest) for j in dropped},
-        condition=float(np.linalg.cond(r[:k, :k])),
+        dropped_collinear=tuple(c for c, k in zip(design.columns, keep) if not k),
+        pivot_ratios={
+            c: float(ratio) for c, k, ratio in zip(design.columns, keep, ratios) if not k
+        },
+        condition=float(np.linalg.cond(r)),
         fe_components=components,
     )

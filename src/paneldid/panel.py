@@ -253,6 +253,28 @@ class PanelDataset:
         return self._subset(covariates=None, covariate_names=())
 
 
+def unit_values(data: PanelDataset, values: Mapping[str, object], what: str) -> list:
+    """`values` of every unit of the panel, in unit order; names units that have none."""
+    missing = [u for u in data.units if u not in values]
+    if missing:
+        raise ValueError(f"{what} missing for unit(s) {missing[:5]}" +
+                         (" ..." if len(missing) > 5 else ""))
+    return [values[u] for u in data.units]
+
+
+def cohort_start(data: PanelDataset, cohorts: Mapping[str, Period | None]) -> np.ndarray:
+    """Each unit's cohort start period index, in unit order.
+
+    Units never treated, or first treated after the panel's last period, get
+    inf: they stay untreated throughout the panel.
+    """
+    last = data.periods[-1]
+    return np.asarray([
+        math.inf if c is None or c > last else float(c.index)
+        for c in unit_values(data, cohorts, "cohort")
+    ])
+
+
 def ingest_panel(
     source: IO[str] | str | Path,
     schema: Mapping[str, str] | None = None,

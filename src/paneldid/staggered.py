@@ -27,8 +27,8 @@ import numpy as np
 from scipy import stats
 
 from .designs import CovariateTerm, expand_covariates
-from .engine import DesignMatrix, RegressionFit, TwoWaySolver, wls_fit
-from .panel import PanelDataset
+from .engine import DesignMatrix, RegressionFit, TwoWaySolver, _absorbed_slopes, wls_fit
+from .panel import PanelDataset, cohort_start, unit_values
 from .periods import Period
 
 NEVER = -1
@@ -60,9 +60,7 @@ def _build_grid(
 ) -> _Grid:
     a = data.arrays
     u_count, t_count = len(a.units), len(a.periods)
-    missing = [u for u in a.units if u not in cohorts]
-    if missing:
-        raise ValueError(f"cohort missing for unit(s) {missing[:5]}")
+    start = cohort_start(data, cohorts)
     y = np.full((u_count, t_count), np.nan)
     w = np.zeros((u_count, t_count))
     y[a.unit_codes, a.period_codes] = a.outcome
@@ -71,25 +69,12 @@ def _build_grid(
     if weights is None:
         unit_weight = w.sum(axis=1) / mask.sum(axis=1)
     else:
-        missing_w = [u for u in a.units if u not in weights]
-        if missing_w:
-            raise ValueError(f"unit weight missing for unit(s) {missing_w[:5]}")
-        unit_weight = np.asarray([float(weights[u]) for u in a.units])
+        unit_weight = np.asarray(unit_values(data, weights, "unit weight"), dtype=float)
         if np.any(unit_weight <= 0):
             raise ValueError("unit weights must be positive")
-    last = a.periods[-1]
-    start = np.asarray(
-        [
-            math.inf
-            if cohorts[u] is None or cohorts[u] > last
-            else float(cohorts[u].index)
-            for u in a.units
-        ]
+    cohort_starts = tuple(
+        Period.from_index(int(i)) for i in np.unique(start[np.isfinite(start)])
     )
-    cohort_starts = tuple(sorted({
-        cohorts[u] for u in a.units
-        if cohorts[u] is not None and cohorts[u] <= last
-    }))
     return _Grid(y, w, mask, a.units, a.periods, unit_weight, start, cohort_starts)
 
 
@@ -487,10 +472,7 @@ def sa_event_study(
         raise ValueError("no cohort x period cells to estimate")
     cov_names, cov_matrix = expand_covariates(sample, tuple(covariates))
     x = np.column_stack(cols + ([cov_matrix] if cov_matrix.size else []))
-    row_weight = None
-    if weights is not None:
-        per_unit = np.asarray([float(weights[u]) for u in a.units])
-        row_weight = per_unit[a.unit_codes]
+    row_weight = None if weights is None else grid.unit_weight[a.unit_codes]
     design = DesignMatrix.from_panel(sample, names + cov_names, x, weight=row_weight)
     fit = wls_fit(design)
 
@@ -588,26 +570,34 @@ class ImputationResult:
         }
 
 
-def _untreated_effects(
-    y: np.ndarray, w: np.ndarray, sample: np.ndarray, data: PanelDataset
-) -> np.ndarray:
-    """Gaps of y from unit and period effects fitted on the sample rows only.
+def _untreated_gaps(
+    x: np.ndarray, w: np.ndarray, sample: np.ndarray, data: PanelDataset
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps of the outcome from a fit on the sample rows only.
 
-    Every row gets a gap; rows of units without sample weight get nan. Raises
-    unless the sample rows tie every period and weighted unit together.
+    One two-way solve on the sample gives the slopes on the columns of x and
+    then the unit and period effects of the outcome net of those slopes.
+    Every row gets a gap; rows of units without sample weight get nan. Also
+    returns the mask of columns of x kept by the slope fit. Raises unless
+    the sample rows tie every period and weighted unit together.
     """
     a = data.arrays
+    ws = w[sample]
     solver = TwoWaySolver(
-        w[sample], a.unit_codes[sample], a.period_codes[sample],
-        len(a.units), len(a.periods),
+        ws, a.unit_codes[sample], a.period_codes[sample], len(a.units), len(a.periods)
     )
     if solver.components > 1 or np.any(solver.period_weight <= 0):
         raise ValueError(
             "untreated observations do not connect all units and periods; "
             "the fixed effects are not identified"
         )
+    y, keep = a.outcome, np.ones(x.shape[1], dtype=bool)
+    if x.shape[1]:
+        xs, ys = x[sample], y[sample]
+        keep, beta, *_ = _absorbed_slopes(ws, xs, solver.residuals(xs), solver.residuals(ys))
+        y = y - x[:, keep] @ beta
     alpha, lam = solver.effects(y[sample])
-    return y - alpha[a.unit_codes] - lam[a.period_codes]
+    return y - alpha[a.unit_codes] - lam[a.period_codes], keep
 
 
 def impute_att(
@@ -662,17 +652,8 @@ def impute_att(
         )
 
     row_weight = a.weight if weights is None else grid.unit_weight[a.unit_codes]
-
-    gamma_resid = a.outcome.copy()
-    dropped: tuple[str, ...] = ()
-    if covariates:
-        cov_names, cov_matrix = expand_covariates(data, tuple(covariates))
-        fit = _fit_untreated(data, cov_names, cov_matrix, row_weight, untr)
-        dropped = fit.dropped_collinear
-        kept_ix = [cov_names.index(c) for c in fit.columns]
-        gamma_resid = a.outcome - cov_matrix[:, kept_ix] @ fit.coef_vector()
-
-    effect_rows = _untreated_effects(gamma_resid, row_weight, untr, data)
+    cov_names, cov_matrix = expand_covariates(data, tuple(covariates))
+    effect_rows, keep = _untreated_gaps(cov_matrix, row_weight, untr, data)
     t_ix = np.flatnonzero(treated_rows)
     w_treated = row_weight[t_ix]
     aggregate = float(np.average(effect_rows[t_ix], weights=w_treated))
@@ -681,12 +662,11 @@ def impute_att(
     if bootstrap_draws > 0:
         if covariates:
             se = _impute_bootstrap_slow(
-                data, cohorts, tuple(covariates), weights,
-                bootstrap_draws, seed, untr, treated_rows, row_weight,
+                data, cov_matrix, bootstrap_draws, seed, untr, treated_rows, row_weight
             )
         else:
             se = _impute_bootstrap_grid(
-                gamma_resid, row_weight, a.unit_codes, a.period_codes,
+                a.outcome, row_weight, a.unit_codes, a.period_codes,
                 u_count, t_count, untr, treated_rows, bootstrap_draws, seed,
             )
     return ImputationResult(
@@ -694,7 +674,7 @@ def impute_att(
         se=se,
         n_treated=int(treated_rows.sum()),
         n_untreated=int(untr.sum()),
-        dropped_collinear=dropped,
+        dropped_collinear=tuple(c for c, k in zip(cov_names, keep) if not k),
         seed=seed,
         bootstrap_draws=bootstrap_draws,
         units=a.units,
@@ -704,29 +684,6 @@ def impute_att(
         effect_values=effect_rows[t_ix],
         effect_weights=w_treated,
     )
-
-
-def _fit_untreated(
-    data: PanelDataset,
-    cov_names: Sequence[str],
-    cov_matrix: np.ndarray,
-    row_weight: np.ndarray,
-    untr: np.ndarray,
-) -> RegressionFit:
-    a = data.arrays
-    design = DesignMatrix(
-        columns=tuple(cov_names),
-        x=cov_matrix[untr],
-        y=a.outcome[untr],
-        weight=row_weight[untr],
-        unit_codes=a.unit_codes[untr],
-        period_codes=a.period_codes[untr],
-        cluster_codes=a.cluster_codes[untr],
-        units=a.units,
-        periods=a.periods,
-        clusters=a.clusters,
-    )
-    return wls_fit(design)
 
 
 def _philox_key(seed: int, stream: int) -> np.ndarray:
@@ -817,9 +774,7 @@ def _impute_bootstrap_grid(
 
 def _impute_bootstrap_slow(
     data: PanelDataset,
-    cohorts: Mapping[str, Period | None],
-    covariates: tuple[CovariateTerm, ...],
-    weights: Mapping[str, float] | None,
+    cov_matrix: np.ndarray,
     draws: int,
     seed: int,
     untr: np.ndarray,
@@ -829,28 +784,20 @@ def _impute_bootstrap_slow(
     """Per-draw bootstrap for the covariate-adjusted imputation estimator."""
     a = data.arrays
     u_count = len(a.units)
-    cov_names, cov_matrix = expand_covariates(data, covariates)
     rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
     m = rng.multinomial(u_count, np.full(u_count, 1.0 / u_count), size=draws).astype(float)
     out = np.full(draws, np.nan)
     t_ix = np.flatnonzero(treated_rows)
     for b in range(draws):
-        mult = m[b][a.unit_codes]
-        wb = row_weight * mult
-        keep = wb > 0
+        wb = row_weight * m[b][a.unit_codes]
         try:
-            fit = _fit_untreated(
-                data, cov_names, cov_matrix, np.where(keep, wb, 1.0), untr & keep
-            )
-            kept_ix = [cov_names.index(c) for c in fit.columns]
-            resid = a.outcome - cov_matrix[:, kept_ix] @ fit.coef_vector()
-            eff = _untreated_effects(resid, wb, untr & keep, data)
-            wt = wb[t_ix]
-            if wt.sum() <= 0 or not np.all(np.isfinite(eff[t_ix][wt > 0])):
-                continue
-            out[b] = np.average(eff[t_ix][wt > 0], weights=wt[wt > 0])
+            eff = _untreated_gaps(cov_matrix, wb, untr & (wb > 0), data)[0]
         except (ValueError, np.linalg.LinAlgError):
             continue
+        wt = wb[t_ix]
+        if wt.sum() <= 0 or not np.all(np.isfinite(eff[t_ix][wt > 0])):
+            continue
+        out[b] = np.average(eff[t_ix][wt > 0], weights=wt[wt > 0])
     valid = np.isfinite(out)
     if valid.sum() < 2:
         return math.nan

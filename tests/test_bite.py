@@ -348,6 +348,17 @@ class TestTreatmentDesign:
         with pytest.raises(IngestError, match=message):
             TreatmentDesign.read_csv(io.StringIO("\n".join(lines) + "\n"))
 
+    @pytest.mark.parametrize("repeat", ["a,0.9,0.8,1,1,high/high,2014Q3,1.0",
+                                        "a,0.1,0.2,0,0,low/low,,2.0"])
+    def test_duplicate_region_named(self, repeat):
+        sink = io.StringIO()
+        self.build().write_csv(sink)
+        lines = sink.getvalue().splitlines()
+        assert lines[1].startswith("a,") and len(lines) == 5
+        with pytest.raises(IngestError, match=r"row 6: column 'region': duplicate "
+                                              r"region 'a', first listed at row 2"):
+            TreatmentDesign.read_csv(io.StringIO("\n".join(lines + [repeat]) + "\n"))
+
     def test_cohort_map(self):
         design = self.build()
         assert design.cohort_map() == {

@@ -298,6 +298,13 @@ class TestMultiGroup:
         assert cell(dm, data, "late", P(2014, 2), "low_high_pre") == 0.0
         assert cell(dm, data, "late", P(2014, 1), "low_high_post") == 0.0
 
+    def test_unit_without_group_named(self):
+        data = panel_for(("high", "fade", "late", "low"), QUARTERS)
+        with pytest.raises(ValueError, match=r"switcher group missing for unit\(s\) "
+                                             r"\['fade', 'low'\]"):
+            build_multi_group(data, design_for(("high", "late")),
+                              DidSpec(kind=DesignKind.MULTI_GROUP))
+
 
 class TestStaggered:
     def test_adoption_boundary_inclusive(self):

@@ -12,9 +12,11 @@ from paneldid.panel import (
     Observation,
     PanelDataset,
     balance_report,
+    cohort_start,
     ingest_panel,
     log_outcome,
     serialize_panel,
+    unit_values,
 )
 
 MINIMAL = """\
@@ -319,3 +321,20 @@ def test_observation_view_matches_columns():
         Observation("b", P(2014, 2), 4.0, 1.0, (0.5,)),
     )
     assert PanelDataset(data.observations, ("z0",)) == data
+
+
+def test_cohort_start_marks_units_untreated_in_the_window():
+    data = make_panel({(u, P(2014, q)): 1.0 for u in "abcd" for q in (1, 2, 3)})
+    start = cohort_start(data, {"a": P(2014, 2), "b": None, "c": P(2014, 4),
+                                "d": P(2013, 1), "e": P(2014, 1)})
+    assert start.tolist() == [P(2014, 2).index, math.inf, math.inf, P(2013, 1).index]
+
+
+def test_unit_lookups_name_missing_units():
+    data = make_panel({(u, P(2014, 1)): 1.0 for u in "abcdefg"})
+    assert unit_values(data, {u: u.upper() for u in "gfedcba"}, "label") == list("ABCDEFG")
+    with pytest.raises(ValueError, match=r"cohort missing for unit\(s\) \['b', 'd'\]$"):
+        cohort_start(data, {u: None for u in "acefg"})
+    with pytest.raises(ValueError, match=r"label missing for unit\(s\) "
+                                         r"\['a', 'b', 'c', 'd', 'e'\] \.\.\.$"):
+        unit_values(data, {"g": 1}, "label")

@@ -525,6 +525,120 @@ class TestImpute:
                         bootstrap_draws=30, seed=7).se
         assert np.isfinite(se)
 
+    @staticmethod
+    def covariate_fixture(seed=23):
+        """Two cohorts and eight never-treated units whose trend loads on z."""
+        cohorts = {"a1": P(2013, 3), "a2": P(2013, 4), "b1": P(2014, 2),
+                   "b2": P(2014, 2)}
+        cohorts.update({f"n{k}": None for k in range(8)})
+        rng = np.random.default_rng(seed)
+        z = {u: float(rng.normal()) for u in cohorts}
+        obs = []
+        for u, g in cohorts.items():
+            alpha = float(rng.normal())
+            for j, p in enumerate(EIGHT):
+                y = alpha + 0.2 * j + 0.6 * z[u] * j + 0.4 * float(rng.normal())
+                if g is not None and p >= g:
+                    y += 0.5
+                obs.append(Observation(u, p, y, 1.0, (z[u],)))
+        weights = {u: 0.5 + float(rng.uniform()) for u in cohorts}
+        return PanelDataset(tuple(obs), covariate_names=("z",)), cohorts, weights
+
+    def test_covariate_bootstrap_matches_bruteforce(self):
+        data, cohorts, weights = self.covariate_fixture()
+        draws, seed = 150, 31
+        res = impute_att(data, cohorts, covariates=(CovariateTerm("z"),),
+                         weights=weights, bootstrap_draws=draws, seed=seed)
+
+        a = data.arrays
+        u_count, t_count = len(a.units), len(a.periods)
+        z = a.covariates[:, 0]
+        treated = np.array([
+            cohorts[o.unit] is not None and o.period >= cohorts[o.unit]
+            for o in data.observations
+        ])
+        unit_w = np.array([weights[u] for u in a.units])
+        m = multinomial_draws(seed, u_count, draws)
+        reps = np.full(draws, np.nan)
+        for b in range(draws):
+            wb = unit_w[a.unit_codes] * m[b][a.unit_codes]
+            rows = np.flatnonzero(~treated & (wb > 0))
+            present = np.zeros(t_count)
+            np.add.at(present, a.period_codes[rows], wb[rows])
+            if present.min() <= 0:
+                continue
+            # unit dummies, period dummies (first omitted), z x period (first omitted)
+            design = np.zeros((len(a.outcome), u_count + 2 * (t_count - 1)))
+            for i in range(len(a.outcome)):
+                design[i, a.unit_codes[i]] = 1.0
+                t = a.period_codes[i]
+                if t > 0:
+                    design[i, u_count + t - 1] = 1.0
+                    design[i, u_count + t_count - 1 + t - 1] = z[i]
+            used = np.flatnonzero(np.abs(design[rows]).sum(axis=0) > 0)
+            sub = design[np.ix_(rows, used)]
+            assert np.linalg.matrix_rank(sub) == len(used), b
+            root = np.sqrt(wb[rows])
+            coef, *_ = np.linalg.lstsq(sub * root[:, None], a.outcome[rows] * root,
+                                       rcond=None)
+            gaps = a.outcome - design[:, used] @ coef
+            keep = treated & (wb > 0)
+            if not keep.any():
+                continue
+            reps[b] = np.average(gaps[keep], weights=wb[keep])
+        finite = reps[np.isfinite(reps)]
+        assert len(finite) > draws // 2
+        assert res.se == pytest.approx(float(np.std(finite, ddof=1)), rel=1e-9)
+
+    def test_covariates_on_single_cluster_panel(self):
+        # clusters play no part in the imputation estimator or its bootstrap
+        data, cohorts, weights = self.covariate_fixture()
+        a = data.arrays
+        pooled = PanelDataset(data.observations, covariate_names=data.covariate_names,
+                              cluster={u: "all" for u in a.units})
+        kwargs = dict(covariates=(CovariateTerm("z"),), weights=weights,
+                      bootstrap_draws=40, seed=5)
+        one = impute_att(pooled, cohorts, **kwargs)
+        many = impute_att(data, cohorts, **kwargs)
+        assert np.isfinite(one.aggregate) and np.isfinite(one.se)
+        assert (one.aggregate, one.se) == (many.aggregate, many.se)
+
+    def test_covariates_build_one_solver_per_sample(self, monkeypatch):
+        from paneldid import engine
+
+        setups = []
+        original = engine.TwoWaySolver.__init__
+
+        def counting(self, *args, **kwargs):
+            setups.append(1)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(engine.TwoWaySolver, "__init__", counting)
+        data, cohorts, weights = self.covariate_fixture()
+        impute_att(data, cohorts, covariates=(CovariateTerm("z"),), weights=weights,
+                   bootstrap_draws=25, seed=4)
+        assert len(setups) == 25 + 1
+
+    def test_covariate_weight_rescaling_invariance(self):
+        data, cohorts, weights = self.covariate_fixture()
+        kwargs = dict(covariates=(CovariateTerm("z"),), bootstrap_draws=60, seed=12)
+        r1 = impute_att(data, cohorts, weights=weights, **kwargs)
+        r3 = impute_att(data, cohorts, weights={u: 3.0 * w for u, w in weights.items()},
+                        **kwargs)
+        assert r3.aggregate == pytest.approx(r1.aggregate, rel=1e-10)
+        assert r3.se == pytest.approx(r1.se, rel=1e-10)
+
+    @pytest.mark.parametrize("shift,scale", [(3.0, 2.5), (-40.0, -0.01), (1e4, 1e3)])
+    def test_covariate_affine_outcome(self, shift, scale):
+        data, cohorts, weights = self.covariate_fixture()
+        kwargs = dict(covariates=(CovariateTerm("z"),), weights=weights,
+                      bootstrap_draws=60, seed=12)
+        base = impute_att(data, cohorts, **kwargs)
+        moved = impute_att(data.with_outcome(shift + scale * data.arrays.outcome),
+                           cohorts, **kwargs)
+        assert moved.aggregate == pytest.approx(scale * base.aggregate, rel=1e-9)
+        assert moved.se == pytest.approx(abs(scale) * base.se, rel=1e-9)
+
     def test_seed_required_for_bootstrap(self):
         cohorts = {"a": P(2013, 4), "n": None}
         data = build(cohorts)
