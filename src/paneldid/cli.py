@@ -49,7 +49,7 @@ from .simulate import (
     load_dgp_config,
     null_config,
 )
-from .textio import IngestError, parse_number
+from .textio import IngestError, open_text, parse_number
 
 _PRESETS = {
     "homogeneous": homogeneous_config,
@@ -130,8 +130,11 @@ def _require_seed(args) -> int:
 
 
 def _read_region_values(path: str, column: str) -> dict[str, float]:
-    """Read a `region,<column>` CSV into one number per distinct region."""
-    with open(path, newline="", encoding="utf-8") as stream:
+    """Read a `region,<column>` CSV into one number per distinct region.
+
+    Rows whose cells are all blank are skipped. Errors name the file and row.
+    """
+    with open_text(path) as stream:
         reader = csv.reader(stream)
         header = next(reader, None)
         if header is None or [h.strip() for h in header[:2]] != ["region", column]:
@@ -140,9 +143,13 @@ def _read_region_values(path: str, column: str) -> dict[str, float]:
             )
         values: dict[str, float] = {}
         for row_number, row in enumerate(reader, start=2):
+            if all(not cell.strip() for cell in row):
+                continue
             if len(row) < 2:
-                raise ValueError(f"{path}: row {row_number} has fewer than 2 fields")
+                raise IngestError(f"{path}: row {row_number} has fewer than 2 fields")
             region = row[0].strip()
+            if not region:
+                raise IngestError(f"{path}: row {row_number}: empty region id")
             if region in values:
                 raise ValueError(f"{path}: duplicate region {region!r} at row {row_number}")
             try:

@@ -295,10 +295,13 @@ class RegressionFit:
         return float(np.sqrt(self.vcov[i, i]))
 
     def tstat(self, name: str) -> float:
-        return self.coefficients[name] / self.se(name)
+        """Coefficient over standard error; +-inf or nan when the error is 0."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.float64(self.coefficients[name]) / self.se(name))
 
     def pvalue(self, name: str) -> float:
-        return float(2.0 * stats.t.sf(abs(self.tstat(name)), self.df_inference))
+        t = self.tstat(name)
+        return float(2.0 * stats.t.sf(abs(t), self.df_inference)) if math.isfinite(t) else math.nan
 
     def conf_int(self, name: str, level: float = 0.95) -> tuple[float, float]:
         crit = float(stats.t.ppf(0.5 + level / 2.0, self.df_inference))

@@ -11,8 +11,12 @@ Three estimators, all anchored to each cohort's last untreated period:
 
 Group-time and imputation standard errors come from a cluster bootstrap over
 units; duplicated units re-enter as multiplicity weights, which leaves every
-within-unit mean unchanged and keeps draws cheap. The event study inherits
-the engine's analytic covariance.
+within-unit mean unchanged, so every draw's normal equations, covariate
+columns included, are one matrix product of per-unit blocks and are solved in
+one batch. A draw whose pivots fail a fixed margin (an empty period, unlinked
+units and periods, a nearly collinear column) is re-fit alone by the routine
+the point estimate uses. The event study inherits the engine's analytic
+covariance.
 """
 
 from __future__ import annotations
@@ -33,6 +37,10 @@ from .periods import Period
 
 NEVER = -1
 _Z95 = float(stats.norm.ppf(0.975))
+# Relative pivot a bootstrap draw's normal equations must clear to be solved
+# in the batch, far above what normal equations resolve.
+_MARGIN = 1e-6
+_CHUNK_BYTES = 1 << 19  # the systems of one batch of draws fit in this
 
 
 @dataclass(frozen=True)
@@ -76,16 +84,6 @@ def _build_grid(
         Period.from_index(int(i)) for i in np.unique(start[np.isfinite(start)])
     )
     return _Grid(y, w, mask, a.units, a.periods, unit_weight, start, cohort_starts)
-
-
-def _region_constant_matrix(
-    data: PanelDataset, names: Sequence[str]
-) -> np.ndarray:
-    cols = []
-    for name in names:
-        values = data.region_constant(name)
-        cols.append([values[u] for u in data.units])
-    return np.asarray(cols, dtype=float).T if cols else np.empty((len(data.units), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +181,8 @@ def cs_att(
     if bootstrap_draws > 0 and seed is None:
         raise ValueError("a seed is required when bootstrap draws are requested")
     grid = _build_grid(data, cohorts, weights)
-    z = _region_constant_matrix(data, covariates)
+    constants = [data.region_constant(name) for name in covariates]
+    z = np.array([[c[u] for c in constants] for u in grid.units], dtype=float)
     period_ix = {p: j for j, p in enumerate(grid.periods)}
     period_index = np.asarray([p.index for p in grid.periods])
 
@@ -237,43 +236,50 @@ def cs_att(
     boot = None
     if bootstrap_draws > 0 and specs:
         rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
-        u_count = len(grid.units)
-        m = rng.multinomial(u_count, np.full(u_count, 1.0 / u_count), size=bootstrap_draws)
-        boot = np.empty((bootstrap_draws, len(specs)))
-        if z.shape[1] == 0:
-            for e, (_, _, delta, tsel, csel) in enumerate(specs):
-                d0 = np.where(np.isnan(delta), 0.0, delta)
-                tn = m @ (grid.unit_weight * d0 * tsel)
-                td = m @ (grid.unit_weight * tsel)
-                cn = m @ (grid.unit_weight * d0 * csel)
-                cd = m @ (grid.unit_weight * csel)
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    col = tn / td - cn / cd
-                col[(td <= 0) | (cd <= 0)] = np.nan
-                boot[:, e] = col
-        else:
-            for b in range(bootstrap_draws):
-                uw = grid.unit_weight * m[b]
-                for e, (_, _, delta, tsel, csel) in enumerate(specs):
-                    boot[b, e] = cell_att(delta, tsel & (m[b] > 0), csel & (m[b] > 0), uw)
+        u_count, k = z.shape
+        m = rng.multinomial(
+            u_count, np.full(u_count, 1.0 / u_count), size=bootstrap_draws
+        ).astype(float)
+        uw = grid.unit_weight
+        # Control regressions in Frisch-Waugh form on z centred once:
+        # ATT = (tn/td - cn/cd) - (mean z treated - mean z control)' gamma.
+        z0 = z - np.average(z, axis=0, weights=uw)
+        zz = (z0[:, :, None] * z0[:, None, :]).reshape(u_count, k * k)
+        boot = np.full((bootstrap_draws, len(specs)), np.nan)
+        for e, (_, _, delta, tsel, csel) in enumerate(specs):
+            d0 = np.where(np.isnan(delta), 0.0, delta)
+            tn = m @ (uw * d0 * tsel)
+            td = m @ (uw * tsel)
+            cn = m @ (uw * d0 * csel)
+            cd = m @ (uw * csel)
+            live = np.flatnonzero((td > 0) & (cd > 0))
+            cw = uw * csel
+            sz = (m @ (cw[:, None] * z0))[live]
+            zc = sz / cd[live, None]
+            gram = (m @ (cw[:, None] * zz))[live].reshape(len(live), k, k)
+            raw = np.diagonal(gram, axis1=1, axis2=2)
+            gamma, ok = _certified_solve(
+                gram - sz[:, :, None] * zc[:, None, :],
+                (m @ ((cw * d0)[:, None] * z0))[live] - sz * (cn[live] / cd[live])[:, None],
+                raw,
+            )
+            zt = (m @ ((uw * tsel)[:, None] * z0))[live] / td[live, None]
+            boot[live, e] = (
+                tn[live] / td[live] - cn[live] / cd[live] - ((zt - zc) * gamma).sum(axis=1)
+            )
+            for b in live[~ok]:
+                keep = m[b] > 0
+                boot[b, e] = cell_att(delta, tsel & keep, csel & keep, uw * m[b])
 
     entries = []
     for e, (g, t, _, tsel, _) in enumerate(specs):
-        if boot is not None:
-            col = boot[:, e]
-            finite = col[np.isfinite(col)]
-            se = float(np.std(finite, ddof=1)) if len(finite) > 1 else math.nan
-        else:
-            se = math.nan
-        entries.append(
-            GroupTimeCell(
-                cohort=g,
-                period=t,
-                att=float(atts[e]),
-                se=se,
-                treated_weight=float(grid.unit_weight[tsel].sum()),
-            )
-        )
+        entries.append(GroupTimeCell(
+            cohort=g,
+            period=t,
+            att=float(atts[e]),
+            se=math.nan if boot is None else _boot_se(boot[:, e]),
+            treated_weight=float(grid.unit_weight[tsel].sum()),
+        ))
     return GroupTimeATT(
         entries=tuple(entries),
         control_rule=control_rule,
@@ -324,38 +330,26 @@ def cs_aggregate(result: GroupTimeATT, kind: str = "overall") -> Aggregation:
     """
     if kind not in AGGREGATION_KINDS:
         raise ValueError(f"unknown aggregation {kind!r}; valid kinds: {AGGREGATION_KINDS}")
-    post = [
-        (i, cell) for i, cell in enumerate(result.entries)
-        if cell.period >= cell.cohort
-    ]
-    if kind == "by_event_time":
-        pool = list(enumerate(result.entries))
-        keyed: dict[object, list[tuple[int, GroupTimeCell]]] = {}
-        for i, cell in pool:
-            keyed.setdefault(cell.event_time, []).append((i, cell))
-    elif kind == "by_cohort":
-        keyed = {}
-        for i, cell in post:
-            keyed.setdefault(cell.cohort, []).append((i, cell))
-    else:
-        keyed = {"overall": post}
-    if not any(keyed.values()):
+    key_of = {
+        "overall": lambda cell: "overall",
+        "by_event_time": lambda cell: cell.event_time,
+        "by_cohort": lambda cell: cell.cohort,
+    }[kind]
+    keyed: dict[object, list[tuple[int, GroupTimeCell]]] = {}
+    for i, cell in enumerate(result.entries):
+        if kind == "by_event_time" or cell.period >= cell.cohort:
+            keyed.setdefault(key_of(cell), []).append((i, cell))
+    if not keyed:
         raise ValueError("no entries to aggregate")
     values: dict[object, AggregateValue] = {}
     for key in sorted(keyed, key=str):
         members = keyed[key]
-        if not members:
-            continue
         w = np.asarray([cell.treated_weight for _, cell in members])
         w = w / w.sum()
         estimate = float(np.dot(w, [cell.att for _, cell in members]))
+        se = math.nan
         if result.boot is not None:
-            cols = result.boot[:, [i for i, _ in members]]
-            combined = cols @ w
-            valid = np.isfinite(combined)
-            se = float(np.std(combined[valid], ddof=1)) if valid.sum() > 1 else math.nan
-        else:
-            se = math.nan
+            se = _boot_se(result.boot[:, [i for i, _ in members]] @ w)
         values[key] = AggregateValue(estimate, se)
     return Aggregation(kind=kind, values=values)
 
@@ -620,7 +614,6 @@ def impute_att(
     if bootstrap_draws > 0 and seed is None:
         raise ValueError("a seed is required when bootstrap draws are requested")
     a = data.arrays
-    u_count, t_count = len(a.units), len(a.periods)
     grid = _build_grid(data, cohorts, weights)
     period_index = np.asarray([p.index for p in a.periods])
     treated_rows = period_index[a.period_codes] >= grid.start[a.unit_codes]
@@ -632,43 +625,27 @@ def impute_att(
         )
 
     untr = ~treated_rows
-    treated_units_without_pre = sorted(
-        {a.units[c] for c in np.unique(a.unit_codes[treated_rows])}
-        - {a.units[c] for c in np.unique(a.unit_codes[untr])}
-    )
-    if treated_units_without_pre:
-        raise ValueError(
-            f"treated unit(s) {treated_units_without_pre[:5]} have no untreated "
-            "observations; their unit effects cannot be estimated"
-        )
-    periods_without_untreated = sorted(
-        {str(a.periods[c]) for c in np.unique(a.period_codes[treated_rows])}
-        - {str(a.periods[c]) for c in np.unique(a.period_codes[untr])}
-    )
-    if periods_without_untreated:
-        raise ValueError(
-            f"period(s) {periods_without_untreated[:5]} have treated observations "
-            "but no untreated ones; their period effects cannot be estimated"
-        )
+    for codes, labels, problem in (
+        (a.unit_codes, a.units, "treated unit(s) {} have no untreated observations; "
+         "their unit effects cannot be estimated"),
+        (a.period_codes, a.periods, "period(s) {} have treated observations but no "
+         "untreated ones; their period effects cannot be estimated"),
+    ):
+        missing = np.setdiff1d(codes[treated_rows], codes[untr])
+        if len(missing):
+            raise ValueError(problem.format([str(labels[c]) for c in missing[:5]]))
 
     row_weight = a.weight if weights is None else grid.unit_weight[a.unit_codes]
     cov_names, cov_matrix = expand_covariates(data, tuple(covariates))
     effect_rows, keep = _untreated_gaps(cov_matrix, row_weight, untr, data)
+    cov_matrix = cov_matrix[:, keep]
     t_ix = np.flatnonzero(treated_rows)
     w_treated = row_weight[t_ix]
     aggregate = float(np.average(effect_rows[t_ix], weights=w_treated))
 
-    se = math.nan
-    if bootstrap_draws > 0:
-        if covariates:
-            se = _impute_bootstrap_slow(
-                data, cov_matrix, bootstrap_draws, seed, untr, treated_rows, row_weight
-            )
-        else:
-            se = _impute_bootstrap_grid(
-                a.outcome, row_weight, a.unit_codes, a.period_codes,
-                u_count, t_count, untr, treated_rows, bootstrap_draws, seed,
-            )
+    se = math.nan if bootstrap_draws <= 0 else _impute_bootstrap(
+        data, cov_matrix, row_weight, untr, treated_rows, bootstrap_draws, seed
+    )
     return ImputationResult(
         aggregate=aggregate,
         se=se,
@@ -690,115 +667,125 @@ def _philox_key(seed: int, stream: int) -> np.ndarray:
     return np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
 
 
-def _impute_bootstrap_grid(
-    y: np.ndarray,
+def _boot_se(draws: np.ndarray) -> float:
+    """Standard deviation of the finite bootstrap draws; nan with fewer than two."""
+    finite = draws[np.isfinite(draws)]
+    return float(np.std(finite, ddof=1)) if len(finite) > 1 else math.nan
+
+
+def _certified_solve(
+    a: np.ndarray, rhs: np.ndarray, raw: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve in one batch the draws' systems a x = rhs that their pivots certify.
+
+    A draw is certified when each pivot of an LDL' elimination in column
+    order (a column's squared norm once the columns before it are projected
+    out) exceeds _MARGIN**2 times its raw squared norm `raw`. Returns the
+    solutions, zero for the other draws, and the certified mask.
+    """
+    work = a.copy()
+    ok = np.ones(len(a), dtype=bool)
+    for j in range(a.shape[1]):
+        pivot = work[:, j, j]
+        clear = pivot > _MARGIN**2 * raw[:, j]
+        ok &= clear
+        scale = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=clear)
+        col = work[:, j + 1:, j]
+        work[:, j + 1:, j + 1:] -= col[:, :, None] * (col * scale[:, None])[:, None, :]
+    x = np.zeros(rhs.shape)
+    x[ok] = np.linalg.solve(a[ok], rhs[ok][:, :, None])[:, :, 0]
+    return x, ok
+
+
+def _impute_bootstrap(
+    data: PanelDataset,
+    x: np.ndarray,
     w: np.ndarray,
-    unit_codes: np.ndarray,
-    period_codes: np.ndarray,
-    u_count: int,
-    t_count: int,
     untr: np.ndarray,
     treated_rows: np.ndarray,
     draws: int,
     seed: int,
 ) -> float:
-    """Batched bootstrap of the no-covariate imputation aggregate.
+    """Batched bootstrap SE of the imputation aggregate with covariate columns x.
 
-    Resampled units enter as multinomial multiplicities. Within-unit weighted
-    means are multiplicity-invariant, so only the period-effect system
-    changes per draw, and it is linear in the per-unit multiplicity. All
-    draws solve in one batched call.
+    Resampled units enter as multinomial multiplicities, which leave every
+    within-unit mean unchanged. With the unit effects eliminated, each draw's
+    system in the period effects (first period anchored) and the slopes, and
+    its treated sums, are linear in the multiplicities. A draw the pivots do
+    not certify is re-fit alone by `_untreated_gaps`.
     """
-    uu = unit_codes[untr]
-    tt = period_codes[untr]
-    wu = w[untr]
-    yy = y[untr]
+    a = data.arrays
+    u_count, t_count, k = len(a.units), len(a.periods), x.shape[1]
+
+    def grid(values, rows):
+        out = np.zeros((u_count, t_count) + values.shape[1:])
+        out[a.unit_codes[rows], a.period_codes[rows]] = values
+        return out
+
+    uu, wu, yu = a.unit_codes[untr], w[untr], a.outcome[untr]
+    ut, wt = a.unit_codes[treated_rows], w[treated_rows]
     wsum_u = np.bincount(uu, weights=wu, minlength=u_count)
-    wy_u = np.bincount(uu, weights=wu * yy, minlength=u_count)
-    a_grid = np.zeros((u_count, t_count))
-    np.add.at(a_grid, (uu, tt), wu)
-    wy_grid = np.zeros((u_count, t_count))
-    np.add.at(wy_grid, (uu, tt), wu * yy)
+    wy_u = np.bincount(uu, weights=wu * yu, minlength=u_count)
+    ty_sum = np.bincount(ut, weights=wt * a.outcome[treated_rows], minlength=u_count)
+    tw_sum = np.bincount(ut, weights=wt, minlength=u_count)
+    a_grid, wy_grid, tw_grid = grid(wu, untr), grid(wu * yu, untr), grid(wt, treated_rows)
+    x_grid = grid(x, slice(None))
     active = wsum_u > 0
     ratio_u = np.where(active, wy_u / np.where(active, wsum_u, 1.0), 0.0)
-    # Per-unit contributions to the period-effect normal equations.
     inv = np.where(active, 1.0 / np.where(active, wsum_u, 1.0), 0.0)
-    p_tensor = a_grid[:, :, None] * a_grid[:, None, :] * inv[:, None, None]
-    c_unit = wy_grid - a_grid * ratio_u[:, None]
-
-    tw_grid = np.zeros((u_count, t_count))
-    ty_sum = np.zeros(u_count)
-    tw_sum = np.zeros(u_count)
-    ut = unit_codes[treated_rows]
-    pt = period_codes[treated_rows]
-    wt = w[treated_rows]
-    np.add.at(tw_grid, (ut, pt), wt)
-    np.add.at(ty_sum, ut, wt * y[treated_rows])
-    np.add.at(tw_sum, ut, wt)
-
     rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
     m = rng.multinomial(u_count, np.full(u_count, 1.0 / u_count), size=draws).astype(float)
-
+    # Each draw's period block: the period weights on the diagonal, less the
+    # per-unit outer products of the period weights over the unit's weight.
     d_t = m @ a_grid                                  # (draws, T)
-    b_all = -(m @ p_tensor.reshape(u_count, t_count * t_count)).reshape(
-        draws, t_count, t_count
+    b_all = m @ (a_grid[:, :, None] * a_grid[:, None, :] * inv[:, None, None]).reshape(
+        u_count, t_count * t_count
     )
+    b_all = np.negative(b_all, out=b_all).reshape(draws, t_count, t_count)
     b_all[:, np.arange(t_count), np.arange(t_count)] += d_t
-    c_all = m @ c_unit                                # (draws, T)
-    lam = np.zeros((draws, t_count))  # first period anchored at zero
-    ok = d_t.min(axis=1) > 0
-    if ok.any():
-        try:
-            solved = np.linalg.solve(b_all[ok][:, 1:, 1:], c_all[ok][:, 1:, None])
-            lam[ok, 1:] = solved[:, :, 0]
-        except np.linalg.LinAlgError:
-            for i in np.flatnonzero(ok):
-                try:
-                    lam[i, 1:] = np.linalg.solve(b_all[i, 1:, 1:], c_all[i, 1:])
-                except np.linalg.LinAlgError:
-                    lam[i] = np.nan
-    lam[~ok] = np.nan
+    # The slopes' columns: weighted cross products of x centred on its
+    # untreated unit mean, with the period dummies and with itself.
+    tx_u = np.einsum("ut,utk->uk", tw_grid, x_grid)
+    q_unit = np.empty((u_count, t_count + k, k))
+    wx_grid = q_unit[:, :t_count]
+    np.multiply(a_grid[:, :, None], x_grid, out=wx_grid)
+    sx_u = wx_grid.sum(axis=1)
+    xsq_u = np.einsum("utk,utk->uk", wx_grid, x_grid)
+    x_grid -= (sx_u * inv[:, None])[:, None, :]
+    np.multiply(a_grid[:, :, None], x_grid, out=wx_grid)
+    q_unit[:, t_count:] = np.einsum("utk,utl->ukl", wx_grid, x_grid)
+    q_unit = q_unit.reshape(u_count, (t_count + k) * k)
+    c_unit = np.hstack([
+        wy_grid - a_grid * ratio_u[:, None], np.einsum("ut,utk->uk", wy_grid, x_grid)
+    ])
+    del x_grid  # only the per-unit blocks are needed from here on
+    c_all = m @ c_unit                                # (draws, T + K)
+    raw = np.hstack([d_t, m @ xsq_u])[:, 1:]
+    n, p = t_count - 1 + k, t_count - 1
+    theta = np.zeros((draws, n))
+    ok = np.zeros(draws, dtype=bool)
+    step = max(1, _CHUNK_BYTES // (8 * n * n))
+    for lo in range(0, draws, step):
+        rows = slice(lo, lo + step)
+        q = (m[rows] @ q_unit).reshape(len(m[rows]), t_count + k, k)[:, 1:]
+        system = np.block([[b_all[rows, 1:, 1:], q[:, :p]],
+                           [q[:, :p].transpose(0, 2, 1), q[:, p:]]])
+        theta[rows], ok[rows] = _certified_solve(system, c_all[rows, 1:], raw[rows])
+    lam = np.hstack([np.zeros((draws, 1)), theta[:, :p]])  # first period anchored at 0
+    gamma = theta[:, p:]
     # alpha per draw: within-unit means are multiplicity-invariant.
-    alpha = (wy_u[None, :] - lam @ a_grid.T) * inv[None, :]   # (draws, U)
-    contrib = ty_sum[None, :] - alpha * tw_sum[None, :] - lam @ tw_grid.T
+    alpha = (wy_u[None, :] - lam @ a_grid.T - gamma @ sx_u.T) * inv[None, :]   # (draws, U)
+    contrib = ty_sum[None, :] - alpha * tw_sum[None, :] - lam @ tw_grid.T - gamma @ tx_u.T
     num = (m * contrib).sum(axis=1)
     den = (m * tw_sum[None, :]).sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        draws_att = num / den
-    draws_att[den <= 0] = np.nan
-    valid = np.isfinite(draws_att)
-    if valid.sum() < 2:
-        return math.nan
-    return float(np.std(draws_att[valid], ddof=1))
-
-
-def _impute_bootstrap_slow(
-    data: PanelDataset,
-    cov_matrix: np.ndarray,
-    draws: int,
-    seed: int,
-    untr: np.ndarray,
-    treated_rows: np.ndarray,
-    row_weight: np.ndarray,
-) -> float:
-    """Per-draw bootstrap for the covariate-adjusted imputation estimator."""
-    a = data.arrays
-    u_count = len(a.units)
-    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
-    m = rng.multinomial(u_count, np.full(u_count, 1.0 / u_count), size=draws).astype(float)
     out = np.full(draws, np.nan)
-    t_ix = np.flatnonzero(treated_rows)
-    for b in range(draws):
-        wb = row_weight * m[b][a.unit_codes]
+    np.divide(num, den, out=out, where=ok & (den > 0))
+    for i in np.flatnonzero(~ok & (den > 0)):
+        wb = w * m[i][a.unit_codes]
         try:
-            eff = _untreated_gaps(cov_matrix, wb, untr & (wb > 0), data)[0]
-        except (ValueError, np.linalg.LinAlgError):
+            gaps = _untreated_gaps(x, wb, untr & (wb > 0), data)[0]
+        except ValueError:
             continue
-        wt = wb[t_ix]
-        if wt.sum() <= 0 or not np.all(np.isfinite(eff[t_ix][wt > 0])):
-            continue
-        out[b] = np.average(eff[t_ix][wt > 0], weights=wt[wt > 0])
-    valid = np.isfinite(out)
-    if valid.sum() < 2:
-        return math.nan
-    return float(np.std(out[valid], ddof=1))
+        drawn = treated_rows & (wb > 0)
+        out[i] = np.average(gaps[drawn], weights=wb[drawn])
+    return _boot_se(out)

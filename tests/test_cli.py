@@ -150,6 +150,9 @@ class TestBite:
         ("region,weight\na,3\nb,x\nc,1\nd,1\n",
          r"row 3: column 'weight': could not parse 'x'"),
         ("region,weight\na,3\nb,1\nc,1\nd,1\nb,2\n", r"duplicate region 'b' at row 6"),
+        ("region,weight\na,3\n,1\nc,1\nd,1\n", r"bad\.csv: row 3: empty region id"),
+        ("region,weight\na,3\n\nb\nc,1\nd,1\n", r"bad\.csv: row 4 has fewer than 2 fields"),
+        ("region,weight\na,3\n , \nb,x\n", r"row 4: column 'weight': could not parse 'x'"),
     ])
     def test_bad_weights_row_named(self, tmp_path, capsys, bite_inputs, text, message):
         m1, m2, _ = bite_inputs
@@ -162,6 +165,21 @@ class TestBite:
         )
         assert code == 1
         assert re.search(message, stderr_payload(err)["message"])
+
+    def test_trailing_blank_line_accepted(self, tmp_path, capsys, bite_inputs):
+        m1, m2, weights = bite_inputs
+        padded = tmp_path / "padded.csv"
+        padded.write_text(weights.read_text() + "\n")
+        designs = []
+        for name, path in (("plain", weights), ("padded", padded)):
+            code, _, _ = run(
+                ["bite", "--out", tmp_path / name, "--micro", m1, "--micro", m2,
+                 *self.ARGS, "--weights", path],
+                capsys,
+            )
+            assert code == 0
+            designs.append((tmp_path / name / "design.csv").read_bytes())
+        assert designs[0] == designs[1]
 
 
 def design_rows(units_high):
@@ -222,6 +240,22 @@ class TestEstimate:
         assert term == "treated_post"
         assert float(estimate) == fit.coefficients["treated_post"]
         assert "treated_post" in stdout and "n_obs 24" in stdout
+
+    def test_constant_outcome_writes_fit(self, tmp_path, capsys, estimate_inputs):
+        # every standard error is 0: t and p are written as nan, not a crash
+        _, design, spec = estimate_inputs
+        panel = tmp_path / "constant.csv"
+        obs = ingest_panel(estimate_inputs[0]).observations
+        serialize_panel(PanelDataset(tuple(
+            Observation(o.unit, o.period, 5.0, o.weight) for o in obs
+        )), panel)
+        out = tmp_path / "constant_out"
+        code, _, _ = run(["estimate", "--out", out, "--panel", panel, "--design", design,
+                          "--spec", spec, "--no-log"], capsys)
+        assert code == 0
+        fit = json.loads((out / "fit.json").read_text())
+        assert fit["se"] == {"treated_post": 0.0}
+        assert math.isnan(fit["t"]["treated_post"]) and math.isnan(fit["p"]["treated_post"])
 
     def test_design_without_cohort_column_named(self, tmp_path, capsys,
                                                 estimate_inputs):

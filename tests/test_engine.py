@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -119,6 +120,12 @@ class TestWlsFit:
         )
         fit = wls_fit(d)
         assert np.allclose(fit.coef_vector(), 0.0, atol=1e-12)
+        # a zero standard error gives a non-finite t, a nan p and no stars
+        payload = fit.to_json_dict()
+        for c in fit.columns:
+            assert fit.se(c) == 0.0
+            assert not math.isfinite(payload["t"][c]) and math.isnan(payload["p"][c])
+            assert fit.stars(c) == ""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_dummy_wls(self, seed):

@@ -11,6 +11,7 @@ from paneldid.engine import wls_fit
 from paneldid.panel import Observation, PanelDataset
 from paneldid.periods import Period, period_range
 from paneldid.staggered import (
+    CONTROL_RULES,
     cs_aggregate,
     cs_att,
     impute_att,
@@ -48,6 +49,46 @@ def multinomial_draws(seed, n_units, draws):
     key = np.array([seed, 0], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     return rng.multinomial(n_units, np.full(n_units, 1.0 / n_units), size=draws)
+
+
+def impute_bruteforce_se(data, cohorts, draws, seed):
+    """Loop-written bootstrap SE of the imputation aggregate, no covariates.
+
+    Each draw fits unit and period dummies by lstsq on its untreated rows. A
+    draw whose dummies are not of full rank (a period without untreated rows,
+    or untreated rows in unlinked blocks) is skipped. Returns the SE and the
+    number of skipped draws.
+    """
+    a = data.arrays
+    u_count, t_count = len(a.units), len(a.periods)
+    treated = np.array([
+        cohorts[o.unit] is not None and o.period >= cohorts[o.unit]
+        for o in data.observations
+    ])
+    m = multinomial_draws(seed, u_count, draws)
+    reps, skipped = [], 0
+    for b in range(draws):
+        wb = a.weight * m[b][a.unit_codes]
+        rows = np.flatnonzero(~treated & (wb > 0))
+        dummies = np.zeros((len(rows), u_count + t_count - 1))
+        dummies[np.arange(len(rows)), a.unit_codes[rows]] = 1.0
+        late = a.period_codes[rows] > 0
+        dummies[np.flatnonzero(late), u_count + a.period_codes[rows][late] - 1] = 1.0
+        used = dummies.any(axis=0)
+        if (len(np.unique(a.period_codes[rows])) < t_count
+                or np.linalg.matrix_rank(dummies[:, used]) < used.sum()):
+            skipped += 1
+            continue
+        root = np.sqrt(wb[rows])
+        coef = np.zeros(u_count + t_count - 1)
+        coef[used] = np.linalg.lstsq(dummies[:, used] * root[:, None],
+                                     a.outcome[rows] * root, rcond=None)[0]
+        lam = np.concatenate([[0.0], coef[u_count:]])
+        gaps = a.outcome - coef[a.unit_codes] - lam[a.period_codes]
+        keep = treated & (wb > 0)
+        if keep.any():
+            reps.append(np.average(gaps[keep], weights=wb[keep]))
+    return float(np.std(reps, ddof=1)), skipped
 
 
 class TestCsAtt:
@@ -200,6 +241,53 @@ class TestCsAtt:
             np.testing.assert_allclose(
                 np.nanstd(res.boot[:, k], ddof=1), expected, rtol=1e-10
             )
+
+    @pytest.mark.parametrize("rule", CONTROL_RULES)
+    def test_covariate_bootstrap_matches_bruteforce(self, rule):
+        # three never-treated units for an intercept and two slopes: many
+        # draws hold fewer distinct controls than that and are re-fit exactly
+        cohorts = {"a1": P(2013, 3), "a2": P(2013, 3), "b": P(2014, 2),
+                   "n1": None, "n2": None, "n3": None}
+        rng = np.random.default_rng(3)
+        names = ("z1", "z2")
+        constants = {n: {u: float(rng.normal()) for u in cohorts} for n in names}
+        weights = {u: 0.5 + float(rng.uniform()) for u in cohorts}
+        data = build(cohorts, effect=lambda g, e: 0.5, noise=0.4, seed=8,
+                     constants=constants)
+        draws, seed = 150, 41
+        res = cs_att(data, cohorts, rule, weights, covariates=names,
+                     bootstrap_draws=draws, seed=seed)
+        m = multinomial_draws(seed, len(data.units), draws)
+
+        units = data.units
+        y = {(o.unit, o.period): o.outcome for o in data.observations}
+        z = np.array([[constants[n][u] for n in names] for u in units])
+        uw = np.array([weights[u] for u in units])
+        start = [cohorts[u] for u in units]
+        thin = 0
+        for cell in res.entries:
+            base = cell.cohort.prev()
+            horizon = max(cell.period, base)
+            delta = np.array([y[(u, cell.period)] - y[(u, base)] for u in units])
+            tsel = np.array([s == cell.cohort for s in start])
+            csel = np.array([
+                s is None or (rule == "not_yet_treated" and s > horizon) for s in start
+            ])
+            reps = []
+            for b in range(draws):
+                w = uw * m[b]
+                t, c = tsel & (w > 0), csel & (w > 0)
+                if not (t.any() and c.any()):
+                    continue
+                thin += len(np.unique(z[c], axis=0)) < 1 + len(names)
+                root = np.sqrt(w[c])
+                design = np.column_stack([np.ones(c.sum()), z[c]])
+                beta = np.linalg.lstsq(design * root[:, None], delta[c] * root,
+                                       rcond=None)[0]
+                gaps = delta[t] - np.column_stack([np.ones(t.sum()), z[t]]) @ beta
+                reps.append(np.average(gaps, weights=w[t]))
+            assert cell.se == pytest.approx(float(np.std(reps, ddof=1)), rel=1e-9), cell
+        assert thin > 0
 
     def test_json_payload(self):
         cohorts = {"a": P(2013, 4), "n": None}
@@ -468,43 +556,12 @@ class TestImpute:
         data = build(cohorts, effect=lambda g, e: 0.5, noise=0.4, seed=19)
         draws, seed = 200, 123
         res = impute_att(data, cohorts, bootstrap_draws=draws, seed=seed)
+        expected, _ = impute_bruteforce_se(data, cohorts, draws, seed)
+        assert res.se == pytest.approx(expected, rel=1e-9)
 
-        a = data.arrays
-        u_count, t_count = len(a.units), len(a.periods)
-        start = {u: cohorts[u] for u in a.units}
-        treated = np.array([
-            start[o.unit] is not None and o.period >= start[o.unit]
-            for o in data.observations
-        ])
-        m = multinomial_draws(seed, u_count, draws)
-        reps = np.full(draws, np.nan)
-        for b in range(draws):
-            wb = a.weight * m[b][a.unit_codes]
-            sel = ~treated & (wb > 0)
-            # every period must keep untreated mass or the draw is dropped
-            present = np.zeros(t_count)
-            np.add.at(present, a.period_codes[sel], wb[sel])
-            if present.min() <= 0:
-                continue
-            dummies = np.zeros((sel.sum(), u_count + t_count - 1))
-            rows = np.flatnonzero(sel)
-            dummies[np.arange(len(rows)), a.unit_codes[rows]] = 1.0
-            late = a.period_codes[rows] > 0
-            dummies[np.flatnonzero(late), u_count + a.period_codes[rows][late] - 1] = 1.0
-            root = np.sqrt(wb[rows])
-            coef, *_ = np.linalg.lstsq(dummies * root[:, None],
-                                       a.outcome[rows] * root, rcond=None)
-            alpha, lam = coef[:u_count], np.concatenate([[0.0], coef[u_count:]])
-            fitted = alpha[a.unit_codes] + lam[a.period_codes]
-            gaps = a.outcome - fitted
-            wt = wb[treated]
-            if wt.sum() <= 0:
-                continue
-            reps[b] = np.average(gaps[treated][wt > 0], weights=wt[wt > 0])
-        finite = reps[np.isfinite(reps)]
-        assert res.se == pytest.approx(float(np.std(finite, ddof=1)), rel=1e-9)
-
-    def test_covariate_adjustment_removes_characteristic_trend(self):
+    @staticmethod
+    def trend_fixture():
+        """Two treated and three control units whose trend loads on z."""
         periods = tuple(period_range(P(2013, 1), P(2013, 4)))
         z = {"t1": 3.0, "t2": 3.0, "c0": 0.0, "c1": 1.0, "c2": 2.0}
         cohorts = {u: (P(2013, 3) if u.startswith("t") else None) for u in z}
@@ -515,15 +572,44 @@ class TestImpute:
                 if cohorts[u] is not None and p >= cohorts[u]:
                     y += 2.0
                 obs.append(Observation(u, p, y, 1.0, (zu,)))
-        data = PanelDataset(tuple(obs), covariate_names=("z",))
+        return PanelDataset(tuple(obs), covariate_names=("z",)), cohorts, None
+
+    def test_covariate_adjustment_removes_characteristic_trend(self):
+        data, cohorts, _ = self.trend_fixture()
         raw = impute_att(data, cohorts, bootstrap_draws=0)
         adj = impute_att(data, cohorts, covariates=(CovariateTerm("z"),),
                          bootstrap_draws=0)
         assert abs(raw.aggregate - 2.0) > 0.5
         assert adj.aggregate == pytest.approx(2.0, abs=1e-8)
+        # 8 of the 30 draws leave a z x period column collinear with the
+        # fixed effects; they are re-fit exactly, dropping that column
         se = impute_att(data, cohorts, covariates=(CovariateTerm("z"),),
                         bootstrap_draws=30, seed=7).se
-        assert np.isfinite(se)
+        assert se == pytest.approx(1.7207322686083057, rel=1e-9)
+
+    def test_disconnected_draws_skipped(self):
+        # Untreated a and d are seen in 2013Q1-Q2, b in Q2-Q3, c and e in
+        # Q3-Q4; t is seen in all four and treated from Q3. A draw without b
+        # leaves the untreated cells in two unlinked blocks, so its period
+        # effects are not identified and the draw must be skipped.
+        quarters = tuple(period_range(P(2013, 1), P(2013, 4)))
+        spans = {"a": (0, 1), "d": (0, 1), "b": (1, 2), "c": (2, 3), "e": (2, 3),
+                 "t": (0, 3)}
+        obs = [
+            Observation(u, quarters[j],
+                        0.3 * k + 0.1 * j + 0.05 * ((7 * k + 3 * j) % 5)
+                        + (1.0 if u == "t" and j >= 2 else 0.0),
+                        (0.7, 1.3, 0.9, 2.1)[j])
+            for k, (u, (first, last)) in enumerate(spans.items())
+            for j in range(first, last + 1)
+        ]
+        data = PanelDataset(tuple(obs))
+        cohorts = {u: (quarters[2] if u == "t" else None) for u in spans}
+        res = impute_att(data, cohorts, bootstrap_draws=400, seed=5)
+        expected, skipped = impute_bruteforce_se(data, cohorts, 400, 5)
+        assert skipped == 174
+        assert res.se == pytest.approx(expected, rel=1e-9)
+        assert res.se == pytest.approx(0.0191, abs=5e-5)
 
     @staticmethod
     def covariate_fixture(seed=23):
@@ -604,6 +690,8 @@ class TestImpute:
         assert (one.aggregate, one.se) == (many.aggregate, many.se)
 
     def test_covariates_build_one_solver_per_sample(self, monkeypatch):
+        # one solver for the point estimate, one more per draw whose pivots
+        # fail the margin and is re-fit exactly
         from paneldid import engine
 
         setups = []
@@ -614,30 +702,46 @@ class TestImpute:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(engine.TwoWaySolver, "__init__", counting)
-        data, cohorts, weights = self.covariate_fixture()
-        impute_att(data, cohorts, covariates=(CovariateTerm("z"),), weights=weights,
-                   bootstrap_draws=25, seed=4)
-        assert len(setups) == 25 + 1
+        for fixture, draws, seed, refits in ((self.covariate_fixture, 25, 4, 0),
+                                             (self.trend_fixture, 30, 7, 8)):
+            data, cohorts, weights = fixture()
+            setups.clear()
+            impute_att(data, cohorts, covariates=(CovariateTerm("z"),), weights=weights,
+                       bootstrap_draws=draws, seed=seed)
+            assert len(setups) == 1 + refits
+
+    @staticmethod
+    def covariate_estimates(data, cohorts, weights, estimator):
+        """(estimates, standard errors) of a covariate-adjusted estimator."""
+        if estimator == "impute_att":
+            res = impute_att(data, cohorts, covariates=(CovariateTerm("z"),),
+                             weights=weights, bootstrap_draws=60, seed=12)
+            return np.array([res.aggregate]), np.array([res.se])
+        res = cs_att(data, cohorts, weights=weights, covariates=("z",),
+                     bootstrap_draws=60, seed=12)
+        return (np.array([c.att for c in res.entries]),
+                np.array([c.se for c in res.entries]))
 
     def test_covariate_weight_rescaling_invariance(self):
         data, cohorts, weights = self.covariate_fixture()
-        kwargs = dict(covariates=(CovariateTerm("z"),), bootstrap_draws=60, seed=12)
-        r1 = impute_att(data, cohorts, weights=weights, **kwargs)
-        r3 = impute_att(data, cohorts, weights={u: 3.0 * w for u, w in weights.items()},
-                        **kwargs)
-        assert r3.aggregate == pytest.approx(r1.aggregate, rel=1e-10)
-        assert r3.se == pytest.approx(r1.se, rel=1e-10)
+        for estimator in ("impute_att", "cs_att"):
+            est1, se1 = self.covariate_estimates(data, cohorts, weights, estimator)
+            for factor in (3.0, 2.0**-7):
+                scaled = {u: factor * w for u, w in weights.items()}
+                est, se = self.covariate_estimates(data, cohorts, scaled, estimator)
+                np.testing.assert_allclose(est, est1, rtol=1e-10)
+                np.testing.assert_allclose(se, se1, rtol=1e-10)
 
     @pytest.mark.parametrize("shift,scale", [(3.0, 2.5), (-40.0, -0.01), (1e4, 1e3)])
     def test_covariate_affine_outcome(self, shift, scale):
         data, cohorts, weights = self.covariate_fixture()
-        kwargs = dict(covariates=(CovariateTerm("z"),), weights=weights,
-                      bootstrap_draws=60, seed=12)
-        base = impute_att(data, cohorts, **kwargs)
-        moved = impute_att(data.with_outcome(shift + scale * data.arrays.outcome),
-                           cohorts, **kwargs)
-        assert moved.aggregate == pytest.approx(scale * base.aggregate, rel=1e-9)
-        assert moved.se == pytest.approx(abs(scale) * base.se, rel=1e-9)
+        moved_data = data.with_outcome(shift + scale * data.arrays.outcome)
+        for estimator in ("impute_att", "cs_att"):
+            est, se = self.covariate_estimates(data, cohorts, weights, estimator)
+            moved, moved_se = self.covariate_estimates(moved_data, cohorts, weights,
+                                                       estimator)
+            np.testing.assert_allclose(moved, scale * est, rtol=1e-9)
+            np.testing.assert_allclose(moved_se, abs(scale) * se, rtol=1e-9)
 
     def test_seed_required_for_bootstrap(self):
         cohorts = {"a": P(2013, 4), "n": None}
