@@ -151,7 +151,7 @@ def _read_region_values(path: str, column: str) -> dict[str, float]:
             if not region:
                 raise IngestError(f"{path}: row {row_number}: empty region id")
             if region in values:
-                raise ValueError(f"{path}: duplicate region {region!r} at row {row_number}")
+                raise IngestError(f"{path}: duplicate region {region!r} at row {row_number}")
             try:
                 values[region] = parse_number(row[1], row_number, column)
             except IngestError as exc:

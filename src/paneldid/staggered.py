@@ -37,10 +37,14 @@ from .periods import Period
 
 NEVER = -1
 _Z95 = float(stats.norm.ppf(0.975))
-# Relative pivot a bootstrap draw's normal equations must clear to be solved
-# in the batch, far above what normal equations resolve.
+# Least ratio of each pivot of a bootstrap draw's normal equations to its
+# column's squared norm (the squared sine of the column's angle to the columns
+# before it) for the draw to be solved in the batch. At this margin the
+# normal equations lose at most about six of the sixteen digits.
 _MARGIN = 1e-6
-_CHUNK_BYTES = 1 << 19  # the systems of one batch of draws fit in this
+# About the bytes of the covariate blocks and systems of one batch of
+# imputation draws.
+_CHUNK_BYTES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,16 @@ def _build_grid(
         Period.from_index(int(i)) for i in np.unique(start[np.isfinite(start)])
     )
     return _Grid(y, w, mask, a.units, a.periods, unit_weight, start, cohort_starts)
+
+
+def _region_constant_matrix(
+    data: PanelDataset, names: Sequence[str]
+) -> np.ndarray:
+    cols = []
+    for name in names:
+        values = data.region_constant(name)
+        cols.append([values[u] for u in data.units])
+    return np.asarray(cols, dtype=float).T if cols else np.empty((len(data.units), 0))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +195,7 @@ def cs_att(
     if bootstrap_draws > 0 and seed is None:
         raise ValueError("a seed is required when bootstrap draws are requested")
     grid = _build_grid(data, cohorts, weights)
-    constants = [data.region_constant(name) for name in covariates]
-    z = np.array([[c[u] for c in constants] for u in grid.units], dtype=float)
+    z = _region_constant_matrix(data, covariates)
     period_ix = {p: j for j, p in enumerate(grid.periods)}
     period_index = np.asarray([p.index for p in grid.periods])
 
@@ -273,13 +286,16 @@ def cs_att(
 
     entries = []
     for e, (g, t, _, tsel, _) in enumerate(specs):
-        entries.append(GroupTimeCell(
-            cohort=g,
-            period=t,
-            att=float(atts[e]),
-            se=math.nan if boot is None else _boot_se(boot[:, e]),
-            treated_weight=float(grid.unit_weight[tsel].sum()),
-        ))
+        se = math.nan if boot is None else _boot_se(boot[:, e])
+        entries.append(
+            GroupTimeCell(
+                cohort=g,
+                period=t,
+                att=float(atts[e]),
+                se=se,
+                treated_weight=float(grid.unit_weight[tsel].sum()),
+            )
+        )
     return GroupTimeATT(
         entries=tuple(entries),
         control_rule=control_rule,
@@ -330,26 +346,38 @@ def cs_aggregate(result: GroupTimeATT, kind: str = "overall") -> Aggregation:
     """
     if kind not in AGGREGATION_KINDS:
         raise ValueError(f"unknown aggregation {kind!r}; valid kinds: {AGGREGATION_KINDS}")
-    key_of = {
-        "overall": lambda cell: "overall",
-        "by_event_time": lambda cell: cell.event_time,
-        "by_cohort": lambda cell: cell.cohort,
-    }[kind]
-    keyed: dict[object, list[tuple[int, GroupTimeCell]]] = {}
-    for i, cell in enumerate(result.entries):
-        if kind == "by_event_time" or cell.period >= cell.cohort:
-            keyed.setdefault(key_of(cell), []).append((i, cell))
-    if not keyed:
+    post = [
+        (i, cell) for i, cell in enumerate(result.entries)
+        if cell.period >= cell.cohort
+    ]
+    if kind == "by_event_time":
+        pool = list(enumerate(result.entries))
+        keyed: dict[object, list[tuple[int, GroupTimeCell]]] = {}
+        for i, cell in pool:
+            keyed.setdefault(cell.event_time, []).append((i, cell))
+    elif kind == "by_cohort":
+        keyed = {}
+        for i, cell in post:
+            keyed.setdefault(cell.cohort, []).append((i, cell))
+    else:
+        keyed = {"overall": post}
+    if not any(keyed.values()):
         raise ValueError("no entries to aggregate")
     values: dict[object, AggregateValue] = {}
     for key in sorted(keyed, key=str):
         members = keyed[key]
+        if not members:
+            continue
         w = np.asarray([cell.treated_weight for _, cell in members])
         w = w / w.sum()
         estimate = float(np.dot(w, [cell.att for _, cell in members]))
-        se = math.nan
         if result.boot is not None:
-            se = _boot_se(result.boot[:, [i for i, _ in members]] @ w)
+            cols = result.boot[:, [i for i, _ in members]]
+            combined = cols @ w
+            valid = np.isfinite(combined)
+            se = float(np.std(combined[valid], ddof=1)) if valid.sum() > 1 else math.nan
+        else:
+            se = math.nan
         values[key] = AggregateValue(estimate, se)
     return Aggregation(kind=kind, values=values)
 
@@ -625,15 +653,24 @@ def impute_att(
         )
 
     untr = ~treated_rows
-    for codes, labels, problem in (
-        (a.unit_codes, a.units, "treated unit(s) {} have no untreated observations; "
-         "their unit effects cannot be estimated"),
-        (a.period_codes, a.periods, "period(s) {} have treated observations but no "
-         "untreated ones; their period effects cannot be estimated"),
-    ):
-        missing = np.setdiff1d(codes[treated_rows], codes[untr])
-        if len(missing):
-            raise ValueError(problem.format([str(labels[c]) for c in missing[:5]]))
+    treated_units_without_pre = sorted(
+        {a.units[c] for c in np.unique(a.unit_codes[treated_rows])}
+        - {a.units[c] for c in np.unique(a.unit_codes[untr])}
+    )
+    if treated_units_without_pre:
+        raise ValueError(
+            f"treated unit(s) {treated_units_without_pre[:5]} have no untreated "
+            "observations; their unit effects cannot be estimated"
+        )
+    periods_without_untreated = sorted(
+        {str(a.periods[c]) for c in np.unique(a.period_codes[treated_rows])}
+        - {str(a.periods[c]) for c in np.unique(a.period_codes[untr])}
+    )
+    if periods_without_untreated:
+        raise ValueError(
+            f"period(s) {periods_without_untreated[:5]} have treated observations "
+            "but no untreated ones; their period effects cannot be estimated"
+        )
 
     row_weight = a.weight if weights is None else grid.unit_weight[a.unit_codes]
     cov_names, cov_matrix = expand_covariates(data, tuple(covariates))
@@ -680,14 +717,14 @@ def _certified_solve(
 
     A draw is certified when each pivot of an LDL' elimination in column
     order (a column's squared norm once the columns before it are projected
-    out) exceeds _MARGIN**2 times its raw squared norm `raw`. Returns the
+    out) exceeds _MARGIN times its raw squared norm `raw`. Returns the
     solutions, zero for the other draws, and the certified mask.
     """
     work = a.copy()
     ok = np.ones(len(a), dtype=bool)
     for j in range(a.shape[1]):
         pivot = work[:, j, j]
-        clear = pivot > _MARGIN**2 * raw[:, j]
+        clear = pivot > _MARGIN * raw[:, j]
         ok &= clear
         scale = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=clear)
         col = work[:, j + 1:, j]
@@ -729,7 +766,6 @@ def _impute_bootstrap(
     ty_sum = np.bincount(ut, weights=wt * a.outcome[treated_rows], minlength=u_count)
     tw_sum = np.bincount(ut, weights=wt, minlength=u_count)
     a_grid, wy_grid, tw_grid = grid(wu, untr), grid(wu * yu, untr), grid(wt, treated_rows)
-    x_grid = grid(x, slice(None))
     active = wsum_u > 0
     ratio_u = np.where(active, wy_u / np.where(active, wsum_u, 1.0), 0.0)
     inv = np.where(active, 1.0 / np.where(active, wsum_u, 1.0), 0.0)
@@ -737,40 +773,40 @@ def _impute_bootstrap(
     m = rng.multinomial(u_count, np.full(u_count, 1.0 / u_count), size=draws).astype(float)
     # Each draw's period block: the period weights on the diagonal, less the
     # per-unit outer products of the period weights over the unit's weight.
+    # It and the periods' right-hand side are one product over all draws, as
+    # without covariates: a product split by rows differs in its last bits.
     d_t = m @ a_grid                                  # (draws, T)
-    b_all = m @ (a_grid[:, :, None] * a_grid[:, None, :] * inv[:, None, None]).reshape(
-        u_count, t_count * t_count
-    )
+    p_unit = a_grid[:, :, None] * a_grid[:, None, :]
+    p_unit *= inv[:, None, None]
+    b_all = m @ p_unit.reshape(u_count, t_count * t_count)
+    del p_unit
     b_all = np.negative(b_all, out=b_all).reshape(draws, t_count, t_count)
     b_all[:, np.arange(t_count), np.arange(t_count)] += d_t
-    # The slopes' columns: weighted cross products of x centred on its
-    # untreated unit mean, with the period dummies and with itself.
+    c_all = m @ (wy_grid - a_grid * ratio_u[:, None])  # (draws, T)
+    # Per-unit blocks of the slopes' columns: cross products of x centred on
+    # its untreated unit mean, with itself, the outcome and the periods.
+    x_grid = grid(x, slice(None))
     tx_u = np.einsum("ut,utk->uk", tw_grid, x_grid)
-    q_unit = np.empty((u_count, t_count + k, k))
-    wx_grid = q_unit[:, :t_count]
-    np.multiply(a_grid[:, :, None], x_grid, out=wx_grid)
-    sx_u = wx_grid.sum(axis=1)
-    xsq_u = np.einsum("utk,utk->uk", wx_grid, x_grid)
+    sx_u = np.einsum("ut,utk->uk", a_grid, x_grid)
+    xsq_u = np.einsum("ut,utk,utk->uk", a_grid, x_grid, x_grid)
     x_grid -= (sx_u * inv[:, None])[:, None, :]
-    np.multiply(a_grid[:, :, None], x_grid, out=wx_grid)
-    q_unit[:, t_count:] = np.einsum("utk,utl->ukl", wx_grid, x_grid)
-    q_unit = q_unit.reshape(u_count, (t_count + k) * k)
-    c_unit = np.hstack([
-        wy_grid - a_grid * ratio_u[:, None], np.einsum("ut,utk->uk", wy_grid, x_grid)
-    ])
-    del x_grid  # only the per-unit blocks are needed from here on
-    c_all = m @ c_unit                                # (draws, T + K)
-    raw = np.hstack([d_t, m @ xsq_u])[:, 1:]
+    xy_u = np.einsum("ut,utk->uk", wy_grid, x_grid)
+    xx_u = np.einsum("ut,utk,utl->ukl", a_grid, x_grid, x_grid).reshape(u_count, k * k)
+    x_grid *= a_grid[:, :, None]
+    tx_grid = x_grid[:, 1:].reshape(u_count, (t_count - 1) * k)
     n, p = t_count - 1 + k, t_count - 1
     theta = np.zeros((draws, n))
     ok = np.zeros(draws, dtype=bool)
-    step = max(1, _CHUNK_BYTES // (8 * n * n))
+    step = max(1, _CHUNK_BYTES // (32 * n * n))
     for lo in range(0, draws, step):
         rows = slice(lo, lo + step)
-        q = (m[rows] @ q_unit).reshape(len(m[rows]), t_count + k, k)[:, 1:]
-        system = np.block([[b_all[rows, 1:, 1:], q[:, :p]],
-                           [q[:, :p].transpose(0, 2, 1), q[:, p:]]])
-        theta[rows], ok[rows] = _certified_solve(system, c_all[rows, 1:], raw[rows])
+        mc = m[rows]
+        q = (mc @ tx_grid).reshape(len(mc), p, k)
+        system = np.block([[b_all[rows, 1:, 1:], q],
+                           [q.transpose(0, 2, 1), (mc @ xx_u).reshape(len(mc), k, k)]])
+        rhs = np.hstack([c_all[rows, 1:], mc @ xy_u])
+        raw = np.hstack([d_t[rows, 1:], mc @ xsq_u])
+        theta[rows], ok[rows] = _certified_solve(system, rhs, raw)
     lam = np.hstack([np.zeros((draws, 1)), theta[:, :p]])  # first period anchored at 0
     gamma = theta[:, p:]
     # alpha per draw: within-unit means are multiplicity-invariant.

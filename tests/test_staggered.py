@@ -242,15 +242,22 @@ class TestCsAtt:
                 np.nanstd(res.boot[:, k], ddof=1), expected, rtol=1e-10
             )
 
-    @pytest.mark.parametrize("rule", CONTROL_RULES)
-    def test_covariate_bootstrap_matches_bruteforce(self, rule):
+    @pytest.mark.parametrize("rule, controls, tilt", [
+        *((r, 3, None) for r in CONTROL_RULES), ("never_treated", 6, 1e-3)])
+    def test_covariate_bootstrap_matches_bruteforce(self, rule, controls, tilt):
         # three never-treated units for an intercept and two slopes: many
-        # draws hold fewer distinct controls than that and are re-fit exactly
-        cohorts = {"a1": P(2013, 3), "a2": P(2013, 3), "b": P(2014, 2),
-                   "n1": None, "n2": None, "n3": None}
+        # draws hold fewer distinct controls than that and are re-fit exactly.
+        # With a tilt, z2 is z1 plus tilt times noise, so a draw's pivot for
+        # z2 is near 1e-6 of its squared norm, where normal equations lose
+        # about 1e-8 relative; such draws must take the exact re-fit too.
+        cohorts = {"a1": P(2013, 3), "a2": P(2013, 3), "b": P(2014, 2)}
+        cohorts.update({f"n{k}": None for k in range(1, controls + 1)})
         rng = np.random.default_rng(3)
         names = ("z1", "z2")
         constants = {n: {u: float(rng.normal()) for u in cohorts} for n in names}
+        if tilt is not None:
+            constants["z2"] = {u: constants["z1"][u] + tilt * v
+                               for u, v in constants["z2"].items()}
         weights = {u: 0.5 + float(rng.uniform()) for u in cohorts}
         data = build(cohorts, effect=lambda g, e: 0.5, noise=0.4, seed=8,
                      constants=constants)
