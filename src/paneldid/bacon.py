@@ -19,7 +19,6 @@ the aggregate coefficient unreliable under dynamics.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 
 from .panel import PanelDataset, balance_report, cohort_start
 from .periods import Period
-from .textio import format_float, open_text
+from .textio import format_float, write_csv
 
 
 class ComparisonKind(enum.Enum):
@@ -164,16 +163,13 @@ def write_components_csv(
     components: tuple[BaconComponent, ...],
     sink: IO[str] | str | Path,
 ) -> None:
-    with open_text(sink, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(["comparison", "treated_cohort", "control_cohort", "estimate", "weight"])
-        for c in components:
-            writer.writerow(
-                [
-                    c.kind.value,
-                    str(c.treated_cohort),
-                    "" if c.control_cohort is None else str(c.control_cohort),
-                    format_float(c.estimate),
-                    format_float(c.weight),
-                ]
-            )
+    write_csv(sink, ["comparison", "treated_cohort", "control_cohort", "estimate", "weight"], (
+        [
+            c.kind.value,
+            str(c.treated_cohort),
+            "" if c.control_cohort is None else str(c.control_cohort),
+            format_float(c.estimate),
+            format_float(c.weight),
+        ]
+        for c in components
+    ))

@@ -9,20 +9,19 @@ into switcher groups and staggered adoption cohorts.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy import stats
 
+from . import textio
 from .periods import Period
-from .textio import IngestError, format_float, open_text, parse_number
+from .textio import IngestError, format_float, is_blank, parse_number
 
 DEFAULT_EARLY_COHORT = Period(2014, 3)
 DEFAULT_LATE_COHORT = Period(2019, 1)
@@ -30,7 +29,6 @@ DESIGN_COLUMNS = (
     "region", "gap_first", "gap_second", "high_first",
     "high_second", "group", "cohort", "population_weight",
 )
-_BATCH_ROWS = 4096  # microdata rows parsed and checked together
 
 
 @dataclass(frozen=True)
@@ -112,36 +110,24 @@ class WageMicrodata:
     ) -> WageMicrodata:
         """Read `region,hourly_wage` rows (header required).
 
-        Rows whose cells are all blank are skipped. Ids are stripped of
-        surrounding whitespace. A short row, a wage that is not a positive
+        The header follows the rules of `textio.read_csv`. Ids are stripped
+        of surrounding whitespace. A short row, a wage that is not a positive
         number or an empty id raises `IngestError` naming the first such row
         in file order and its column.
         """
-        with open_text(source) as stream:
-            reader = csv.reader(stream)
-            try:
-                header = [h.strip() for h in next(reader)]
-            except StopIteration:
-                raise ValueError("empty microdata input: expected a header row") from None
-            try:
-                columns = {name: header.index(name) for name in ("region", "hourly_wage")}
-            except ValueError:
-                raise ValueError(
-                    f"microdata header must contain 'region' and 'hourly_wage', got {header}"
-                ) from None
+        with textio.read_csv(source, "microdata") as table:
+            columns = table.columns(("region", "hourly_wage"))
             raw_ids: dict[str, int] = {}
             codes, wages = [np.empty(0, np.intp)], [np.empty(0)]
-            row_number = 2
             # Batches bound the rows held at once; a batch that fails the
             # array checks is checked row by row to name its first bad row.
-            while rows := list(islice(reader, _BATCH_ROWS)):
+            for first_row, rows in table.batches():
                 try:
                     batch = _parse_batch(rows, columns, raw_ids)
                 except (IndexError, ValueError):
-                    batch = _parse_batch(_checked_rows(rows, row_number, columns), columns, raw_ids)
+                    batch = _parse_batch(_checked_rows(rows, first_row, columns), columns, raw_ids)
                 codes.append(batch[0])
                 wages.append(batch[1])
-                row_number += len(rows)
         # Ids that differ only in surrounding whitespace are one region.
         index: dict[str, int] = {}
         merged = np.array([index.setdefault(r.strip(), len(index)) for r in raw_ids], dtype=np.intp)
@@ -176,7 +162,7 @@ def _checked_rows(
     """The rows that are not blank; raises `IngestError` at the first bad row."""
     kept = []
     for row_number, row in enumerate(rows, start=first_row):
-        if all(not cell.strip() for cell in row):
+        if is_blank(row):
             continue
         for name, col in columns.items():
             if col >= len(row):
@@ -212,12 +198,10 @@ class WageGapTable:
         return {r: self.gaps[r].gap for r in self.regions}
 
     def write_csv(self, sink: IO[str] | str | Path) -> None:
-        with open_text(sink, "w") as stream:
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(["region", "gap", "worker_count"])
-            for region in self.regions:
-                entry = self.gaps[region]
-                writer.writerow([region, format_float(entry.gap), str(entry.worker_count)])
+        textio.write_csv(sink, ["region", "gap", "worker_count"], (
+            [region, format_float(self.gaps[region].gap), str(self.gaps[region].worker_count)]
+            for region in self.regions
+        ))
 
 
 def wage_gap(
@@ -439,45 +423,46 @@ class TreatmentDesign:
         return counts
 
     def write_csv(self, sink: IO[str] | str | Path) -> None:
-        with open_text(sink, "w") as stream:
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(DESIGN_COLUMNS)
-            for region in sorted(self.regions):
-                rt = self.regions[region]
-                writer.writerow(
-                    [
-                        region,
-                        format_float(rt.gap_first),
-                        format_float(rt.gap_second),
-                        "1" if rt.high_first else "0",
-                        "1" if rt.high_second else "0",
-                        rt.group.value,
-                        "" if rt.cohort is None else str(rt.cohort),
-                        format_float(rt.population_weight),
-                    ]
-                )
+        textio.write_csv(sink, DESIGN_COLUMNS, (
+            [
+                region,
+                format_float(rt.gap_first),
+                format_float(rt.gap_second),
+                "1" if rt.high_first else "0",
+                "1" if rt.high_second else "0",
+                rt.group.value,
+                "" if rt.cohort is None else str(rt.cohort),
+                format_float(rt.population_weight),
+            ]
+            for region, rt in sorted(self.regions.items())
+        ))
 
     @classmethod
     def read_csv(cls, source: IO[str] | str | Path) -> TreatmentDesign:
-        with open_text(source) as stream:
-            reader = csv.DictReader(stream)
-            missing = [c for c in DESIGN_COLUMNS if c not in (reader.fieldnames or ())]
-            if missing:
-                raise ValueError(f"treatment design file lacks column(s) {missing}")
+        """Read a design file; a bad cell raises `IngestError` naming its row and column."""
+        with textio.read_csv(source, "treatment design file") as table:
+            at = table.columns(DESIGN_COLUMNS)
             regions: dict[str, RegionTreatment] = {}
             first_row: dict[str, int] = {}
             cohorts: set[Period] = set()
-            for row_number, row in enumerate(reader, start=2):
-                for column in DESIGN_COLUMNS:
-                    if row[column] is None:
+            for row_number, cells in table.rows():
+                for column, i in at.items():
+                    if i >= len(cells):
                         raise IngestError(f"row {row_number}: column {column!r} is missing")
+                row = {column: cells[i].strip() for column, i in at.items()}
                 region = row["region"]
+                if not region:
+                    raise IngestError(f"row {row_number}: column 'region': empty region id")
                 if region in first_row:
                     raise IngestError(
                         f"row {row_number}: column 'region': duplicate region {region!r}, "
                         f"first listed at row {first_row[region]}"
                     )
                 first_row[region] = row_number
+                for column in ("high_first", "high_second"):
+                    if row[column] not in ("0", "1"):
+                        raise IngestError(f"row {row_number}: column {column!r}: "
+                                          f"expected 0 or 1, got {row[column]!r}")
                 try:
                     group = SwitcherGroup(row["group"])
                 except ValueError:

@@ -14,7 +14,6 @@ exit nonzero.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -49,7 +48,7 @@ from .simulate import (
     load_dgp_config,
     null_config,
 )
-from .textio import IngestError, open_text, parse_number
+from .textio import IngestError, parse_number, read_csv, write_csv
 
 _PRESETS = {
     "homogeneous": homogeneous_config,
@@ -130,30 +129,24 @@ def _require_seed(args) -> int:
 
 
 def _read_region_values(path: str, column: str) -> dict[str, float]:
-    """Read a `region,<column>` CSV into one number per distinct region.
+    """Read the `region` and `<column>` columns of a CSV into one number per region.
 
-    Rows whose cells are all blank are skipped. Errors name the file and row.
+    The header follows the rules of `textio.read_csv`. Errors name the file and row.
     """
-    with open_text(path) as stream:
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:2]] != ["region", column]:
-            raise ValueError(
-                f"{path}: expected a header 'region,{column}', got {header!r}"
-            )
+    with read_csv(path, str(path)) as table:
+        region_at, value_at = table.columns(("region", column)).values()
+        width = max(region_at, value_at) + 1
         values: dict[str, float] = {}
-        for row_number, row in enumerate(reader, start=2):
-            if all(not cell.strip() for cell in row):
-                continue
-            if len(row) < 2:
-                raise IngestError(f"{path}: row {row_number} has fewer than 2 fields")
-            region = row[0].strip()
+        for row_number, row in table.rows():
+            if len(row) < width:
+                raise IngestError(f"{path}: row {row_number} has fewer than {width} fields")
+            region = row[region_at].strip()
             if not region:
                 raise IngestError(f"{path}: row {row_number}: empty region id")
             if region in values:
                 raise IngestError(f"{path}: duplicate region {region!r} at row {row_number}")
             try:
-                values[region] = parse_number(row[1], row_number, column)
+                values[region] = parse_number(row[value_at], row_number, column)
             except IngestError as exc:
                 raise IngestError(f"{path}: {exc}") from None
     return values
@@ -248,19 +241,24 @@ def cmd_estimate(args) -> int:
 
     fit_path = out / "fit.json"
     fit_path.write_text(json.dumps(fit.to_json_dict(), indent=2, sort_keys=True) + "\n")
-    coef_path = out / "coefficients.csv"
-    with open(coef_path, "w", newline="", encoding="utf-8") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(
-            ["term", "estimate", "se", "t", "p", "conf_low", "conf_high", "stars"]
-        )
-        for name in fit.columns:
-            low, high = fit.conf_int(name)
-            writer.writerow([
-                name, repr(fit.coefficients[name]), repr(fit.se(name)),
-                repr(fit.tstat(name)), repr(fit.pvalue(name)),
-                repr(low), repr(high), fit.stars(name),
-            ])
+    coefficients, rows = [], []
+    for name in fit.columns:
+        low, high = fit.conf_int(name)
+        coefficients.append([
+            name, repr(fit.coefficients[name]), repr(fit.se(name)),
+            repr(fit.tstat(name)), repr(fit.pvalue(name)),
+            repr(low), repr(high), fit.stars(name),
+        ])
+        rows.append([
+            name, _num(fit.coefficients[name]) + fit.stars(name),
+            _num(fit.se(name)), _num(fit.tstat(name), 3), _num(fit.pvalue(name), 4),
+            f"[{_num(low)}, {_num(high)}]",
+        ])
+    write_csv(
+        out / "coefficients.csv",
+        ["term", "estimate", "se", "t", "p", "conf_low", "conf_high", "stars"],
+        coefficients,
+    )
     outputs = ["fit.json", "coefficients.csv"]
 
     if args.bacon:
@@ -277,14 +275,6 @@ def cmd_estimate(args) -> int:
         write_components_csv(components, out / "bacon.csv")
         outputs.append("bacon.csv")
 
-    rows = []
-    for name in fit.columns:
-        low, high = fit.conf_int(name)
-        rows.append([
-            name, _num(fit.coefficients[name]) + fit.stars(name),
-            _num(fit.se(name)), _num(fit.tstat(name), 3), _num(fit.pvalue(name), 4),
-            f"[{_num(low)}, {_num(high)}]",
-        ])
     print(_table(["term", "estimate", "se", "t", "p", "95% ci"], rows))
     print()
     print(f"n_obs {fit.n_obs}, n_clusters {fit.n_clusters}, "

@@ -8,7 +8,6 @@ independent of input row order. Transformations return new instances.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -18,7 +17,7 @@ from typing import IO, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .periods import Period
-from .textio import IngestError, open_text, parse_number
+from .textio import IngestError, parse_number, read_csv, write_csv
 
 # Canonical field names. Any further mapped column is carried as a covariate.
 REQUIRED_FIELDS = ("unit", "year", "quarter", "outcome", "weight")
@@ -297,40 +296,27 @@ def ingest_panel(
         Reject non-positive outcomes (the default; levels are logged later).
         Pass False for panels whose outcome is already on a transformed scale.
 
-    Covariates are attached in header order. Any malformed cell raises
-    IngestError naming the offending row and column.
+    The header follows the rules of `textio.read_csv`; a header problem
+    raises ValueError. Covariates are attached in header order. Any malformed
+    cell raises IngestError naming the offending row and column.
     """
-    with open_text(source) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError("empty input: expected a header row") from None
-        header = [h.strip() for h in header]
-        if header and header[0].startswith("\ufeff"):
-            header[0] = header[0].lstrip("\ufeff")
-        position = {name: i for i, name in enumerate(header)}
-        if len(position) != len(header):
-            raise IngestError("duplicate column names in header")
-
+    with read_csv(source, "panel") as table:
         if schema is None:
-            mapping = {name: name for name in (*REQUIRED_FIELDS, *header)}
+            mapping = {name: name for name in (*REQUIRED_FIELDS, *table.header)}
         else:
             mapping = dict(schema)
             for f in REQUIRED_FIELDS:
                 if f not in mapping:
                     raise IngestError(f"schema is missing required field {f!r}")
-
-        for canonical, column in mapping.items():
-            if column not in position:
-                raise IngestError(f"missing column {column!r} (mapped to {canonical!r})")
+        at = table.columns(mapping.values())
+        col = {canonical: at[column] for canonical, column in mapping.items()}
+        n_fields = len(table.header)
 
         # Covariates keep the order their columns appear in the header.
         covariate_fields = sorted(
-            (position[column], canonical, column) for canonical, column in mapping.items()
+            (col[canonical], canonical, column) for canonical, column in mapping.items()
             if canonical not in REQUIRED_FIELDS and canonical != CLUSTER_FIELD
         )
-        col = {canonical: position[column] for canonical, column in mapping.items()}
 
         # Rows are parsed straight into columns. Each distinct (year, quarter)
         # text pair is parsed once; pairs naming one period share its code.
@@ -340,12 +326,10 @@ def ingest_panel(
         code_of: dict[Period, int] = {}
         seen: dict[tuple[str, int], int] = {}
         cluster: dict[str, str] = {}
-        for row_number, row in enumerate(reader, start=2):
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(header):
+        for row_number, row in table.rows():
+            if len(row) != n_fields:
                 raise IngestError(
-                    f"row {row_number}: expected {len(header)} fields, got {len(row)}"
+                    f"row {row_number}: expected {n_fields} fields, got {len(row)}"
                 )
             unit = row[col["unit"]].strip()
             if not unit:
@@ -427,10 +411,7 @@ def serialize_panel(
     header.extend(name(c) for c in data.covariate_names)
     columns.extend(list(map(repr, column.tolist())) for column in a.covariates.T)
 
-    with open_text(sink, "w") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+    write_csv(sink, header, zip(*columns))
 
 
 def log_outcome(data: PanelDataset) -> PanelDataset:

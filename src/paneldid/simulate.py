@@ -18,13 +18,14 @@ from typing import IO, Callable, Mapping, Sequence
 import numpy as np
 from scipy import stats
 
+from . import textio
 from .bite import RegionTreatment, SwitcherGroup, TreatmentDesign
 from .designs import DesignKind, DidSpec, build_staggered_twfe
 from .engine import wls_fit
 from .panel import PanelDataset
 from .periods import Period
 from .staggered import cs_aggregate, cs_att, impute_att, sa_event_study
-from .textio import format_float, open_text, read_key_values
+from .textio import format_float, read_key_values
 
 _Z95 = float(stats.norm.ppf(0.975))
 
@@ -394,22 +395,19 @@ class RaceResult:
         return out
 
     def write_csv(self, sink: IO[str] | str | Path) -> None:
-        import csv as _csv
-
-        with open_text(sink, "w") as stream:
-            writer = _csv.writer(stream, lineterminator="\n")
-            writer.writerow(
-                ["estimator", "n_reps", "n_failed", "mean_estimate", "bias", "sd",
-                 "coverage", "truth"]
-            )
-            for row in self.rows():
-                writer.writerow(
-                    [
-                        row.estimator, str(row.n_reps), str(row.n_failed),
-                        format_float(row.mean_estimate), format_float(row.bias), format_float(row.sd),
-                        format_float(row.coverage), format_float(self.truth.overall),
-                    ]
-                )
+        textio.write_csv(
+            sink,
+            ["estimator", "n_reps", "n_failed", "mean_estimate", "bias", "sd",
+             "coverage", "truth"],
+            (
+                [
+                    row.estimator, str(row.n_reps), str(row.n_failed),
+                    format_float(row.mean_estimate), format_float(row.bias), format_float(row.sd),
+                    format_float(row.coverage), format_float(self.truth.overall),
+                ]
+                for row in self.rows()
+            ),
+        )
 
     def to_json_dict(self) -> dict:
         return {

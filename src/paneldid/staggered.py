@@ -639,6 +639,8 @@ def impute_att(
     treated-weight-weighted mean of those differences. Standard errors use a
     multinomial cluster bootstrap over units.
     """
+    if bootstrap_draws < 0:
+        raise ValueError("bootstrap_draws must be non-negative")
     if bootstrap_draws > 0 and seed is None:
         raise ValueError("a seed is required when bootstrap draws are requested")
     a = data.arrays

@@ -767,6 +767,12 @@ class TestImpute:
 
 
 class TestCrossEstimator:
+    @pytest.mark.parametrize("estimator", [cs_att, impute_att])
+    def test_negative_bootstrap_draws_rejected(self, estimator):
+        cohorts = {"a": P(2013, 4), "n": None}
+        with pytest.raises(ValueError, match="bootstrap_draws must be non-negative"):
+            estimator(build(cohorts), cohorts, bootstrap_draws=-3, seed=1)
+
     def test_two_by_two_identities(self, canonical_2x2):
         # on the 2x2 every route reduces to the same difference in differences
         data, p1, p2, dd = canonical_2x2
