@@ -21,7 +21,7 @@ from scipy import stats
 
 from . import textio
 from .periods import Period
-from .textio import IngestError, format_float, is_blank, parse_number
+from .textio import IngestError, format_float, parse_number
 
 DEFAULT_EARLY_COHORT = Period(2014, 3)
 DEFAULT_LATE_COHORT = Period(2019, 1)
@@ -110,22 +110,24 @@ class WageMicrodata:
     ) -> WageMicrodata:
         """Read `region,hourly_wage` rows (header required).
 
-        The header follows the rules of `textio.read_csv`. Ids are stripped
-        of surrounding whitespace. A short row, a wage that is not a positive
-        number or an empty id raises `IngestError` naming the first such row
-        in file order and its column.
+        The header and row widths follow the rules of `textio.read_csv`. Ids
+        are stripped of surrounding whitespace. A row of the wrong width, a
+        wage that is not a positive number or an empty id raises `IngestError`
+        naming the first such row in file order and its column.
         """
         with textio.read_csv(source, "microdata") as table:
             columns = table.columns(("region", "hourly_wage"))
+            width = len(table.header)
             raw_ids: dict[str, int] = {}
             codes, wages = [np.empty(0, np.intp)], [np.empty(0)]
             # Batches bound the rows held at once; a batch that fails the
             # array checks is checked row by row to name its first bad row.
             for first_row, rows in table.batches():
                 try:
-                    batch = _parse_batch(rows, columns, raw_ids)
-                except (IndexError, ValueError):
-                    batch = _parse_batch(_checked_rows(rows, first_row, columns), columns, raw_ids)
+                    batch = _parse_batch(rows, columns, width, raw_ids)
+                except ValueError:
+                    checked = _checked_rows(table.checked(rows, first_row), columns)
+                    batch = _parse_batch(checked, columns, width, raw_ids)
                 codes.append(batch[0])
                 wages.append(batch[1])
         # Ids that differ only in surrounding whitespace are one region.
@@ -138,18 +140,24 @@ class WageMicrodata:
 
 
 def _parse_batch(
-    rows: list[list[str]], columns: Mapping[str, int], raw_ids: dict[str, int]
+    rows: list[list[str]], columns: Mapping[str, int], width: int, raw_ids: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw-id codes and wages of `rows`, adding their new raw ids to `raw_ids`.
 
-    Raises `IndexError` or `ValueError`, leaving `raw_ids` as it was, if a row
-    is short, blank, has an empty id or a wage that is not a positive number.
+    Raises `ValueError`, leaving `raw_ids` as it was, if a row does not have
+    `width` fields (a blank row among them), has an empty id or a wage that
+    is not a positive number in ASCII without `_`.
     """
+    if not set(map(len, rows)) <= {width}:
+        raise ValueError("a row has the wrong number of fields")
     region_col, wage_col = columns["region"], columns["hourly_wage"]
     region = [row[region_col] for row in rows]
-    wages = np.fromiter(map(float, [row[wage_col] for row in rows]), float, len(rows))
+    cells = [row[wage_col] for row in rows]
+    wages = np.fromiter(map(float, cells), float, len(rows))
     new = [r for r in dict.fromkeys(region) if r not in raw_ids]
-    if not (all(r.strip() for r in new) and np.all(np.isfinite(wages) & (wages > 0))):
+    joined = "".join(cells)
+    if not (all(r.strip() for r in new) and np.all(np.isfinite(wages) & (wages > 0))
+            and joined.isascii() and "_" not in joined):
         raise ValueError("a row failed the microdata checks")
     for r in new:
         raw_ids[r] = len(raw_ids)
@@ -157,16 +165,11 @@ def _parse_batch(
 
 
 def _checked_rows(
-    rows: list[list[str]], first_row: int, columns: Mapping[str, int]
+    rows: Iterable[tuple[int, list[str]]], columns: Mapping[str, int]
 ) -> list[list[str]]:
-    """The rows that are not blank; raises `IngestError` at the first bad row."""
+    """The numbered `rows` of `CsvTable.checked`; raises `IngestError` at the first bad row."""
     kept = []
-    for row_number, row in enumerate(rows, start=first_row):
-        if is_blank(row):
-            continue
-        for name, col in columns.items():
-            if col >= len(row):
-                raise IngestError(f"row {row_number}: column {name!r} is missing")
+    for row_number, row in rows:
         wage = parse_number(row[columns["hourly_wage"]], row_number, "hourly_wage", positive=True)
         try:
             WageRecord(row[columns["region"]].strip(), wage)
@@ -446,9 +449,6 @@ class TreatmentDesign:
             first_row: dict[str, int] = {}
             cohorts: set[Period] = set()
             for row_number, cells in table.rows():
-                for column, i in at.items():
-                    if i >= len(cells):
-                        raise IngestError(f"row {row_number}: column {column!r} is missing")
                 row = {column: cells[i].strip() for column, i in at.items()}
                 region = row["region"]
                 if not region:

@@ -1,10 +1,19 @@
 """Command-line entry point.
 
-Subcommands: bite, estimate, decompose, race, simulate. Every run writes a
-manifest.json next to its outputs recording the command, SHA-256 digests of
-the input files, the effective parameters, the seed, and the package version.
-Worker-thread counts are deliberately left out of the manifest: thread count
-never changes results, so reruns compare bit for bit.
+Subcommands and the flags each takes:
+
+* bite: --out --micro --mw --survey-year --weights --strict-median
+* estimate: --out --panel --design --spec --no-log --growth --bacon
+* decompose: --out --panel --design --no-log --format
+* race: --out --seed --config --preset --estimators --replications --draws
+  --format --threads
+* simulate: --out --seed --config --preset
+
+Every run writes a manifest.json next to its outputs recording the command,
+SHA-256 digests of the input files, the effective parameters, the seed (null
+for the commands without one), and the package version. Worker-thread counts
+are deliberately left out of the manifest: thread count never changes
+results, so reruns compare bit for bit.
 
 stdout carries human-readable tables; machine outputs go to --out only.
 Failures print one JSON object {"error": ..., "message": ...} to stderr and
@@ -20,9 +29,8 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 from . import __version__
 from .bacon import bacon_decompose, reconstruct, write_components_csv
@@ -57,31 +65,32 @@ _PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record emitted for every command."""
-
-    command: str
-    inputs: Mapping[str, str]
-    parameters: Mapping[str, object]
-    seed: int | None
-    version: str
-    outputs: tuple[str, ...]
-
-    def write(self, path: Path) -> None:
-        payload = {
-            "command": self.command,
-            "inputs": dict(self.inputs),
-            "parameters": dict(self.parameters),
-            "seed": self.seed,
-            "version": self.version,
-            "outputs": list(self.outputs),
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path: Path, payload: object) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _write_manifest(
+    out: Path,
+    command: str,
+    inputs: Iterable[str],
+    parameters: dict,
+    outputs: Iterable[str],
+    seed: int | None = None,
+) -> None:
+    """Write `out/manifest.json`, the reproducibility record of every command.
+
+    `inputs` are the input file paths, recorded with their SHA-256 digests;
+    `outputs` are the names written to `out`, to which the manifest adds itself.
+    """
+    _write_json(out / "manifest.json", {
+        "command": command,
+        "inputs": {path: hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                   for path in inputs},
+        "parameters": parameters,
+        "seed": seed,
+        "version": __version__,
+        "outputs": [*outputs, "manifest.json"],
+    })
 
 
 def _seed_value(text: str) -> int:
@@ -116,6 +125,11 @@ def _num(value: float, digits: int = 6) -> str:
     return f"{value:.{digits}f}"
 
 
+def _group_table(design: TreatmentDesign) -> str:
+    counts = sorted(design.group_counts().items(), key=lambda kv: kv[0].value)
+    return _table(["group", "n_regions"], [[g.value, str(n)] for g, n in counts])
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,22 +147,19 @@ def _read_region_values(path: str, column: str) -> dict[str, float]:
 
     The header follows the rules of `textio.read_csv`. Errors name the file and row.
     """
+    values: dict[str, float] = {}
     with read_csv(path, str(path)) as table:
         region_at, value_at = table.columns(("region", column)).values()
-        width = max(region_at, value_at) + 1
-        values: dict[str, float] = {}
-        for row_number, row in table.rows():
-            if len(row) < width:
-                raise IngestError(f"{path}: row {row_number} has fewer than {width} fields")
-            region = row[region_at].strip()
-            if not region:
-                raise IngestError(f"{path}: row {row_number}: empty region id")
-            if region in values:
-                raise IngestError(f"{path}: duplicate region {region!r} at row {row_number}")
-            try:
+        try:
+            for row_number, row in table.rows():
+                region = row[region_at].strip()
+                if not region:
+                    raise IngestError(f"row {row_number}: empty region id")
+                if region in values:
+                    raise IngestError(f"duplicate region {region!r} at row {row_number}")
                 values[region] = parse_number(row[value_at], row_number, column)
-            except IngestError as exc:
-                raise IngestError(f"{path}: {exc}") from None
+        except IngestError as exc:
+            raise IngestError(f"{path}: {exc}") from None
     return values
 
 
@@ -175,41 +186,29 @@ def cmd_bite(args) -> int:
     design.write_csv(design_path)
 
     pearson, spearman = gap_correlations(tables[0], tables[1])
-    counts = design.group_counts()
-    n_high_first = sum(1 for r in design.regions.values() if r.high_first)
-    n_high_second = sum(1 for r in design.regions.values() if r.high_second)
+    n_high = [sum(design.high_first_map().values()), sum(design.high_second_map().values())]
     rows = [
-        [str(args.survey_year[0]), _num(args.mw[0], 2),
-         str(len(tables[0].regions)), str(n_high_first)],
-        [str(args.survey_year[1]), _num(args.mw[1], 2),
-         str(len(tables[1].regions)), str(n_high_second)],
+        [str(year), _num(mw, 2), str(len(table.regions)), str(n)]
+        for year, mw, table, n in zip(args.survey_year, args.mw, tables, n_high)
     ]
     print(_table(["survey_year", "minimum_wage", "n_regions", "n_high"], rows))
     print()
-    print(_table(
-        ["group", "n_regions"],
-        [[group.value, str(counts.get(group, 0))] for group in sorted(counts, key=lambda g: g.value)],
-    ))
+    print(_group_table(design))
     print()
     print(f"gap correlation across waves: pearson {_num(pearson, 4)}, "
           f"spearman {_num(spearman, 4)}")
 
-    outputs = ("gap_first.csv", "gap_second.csv", "design.csv", "manifest.json")
-    manifest = RunManifest(
-        command="bite",
-        inputs={p: _digest(p) for p in (*micro_paths, args.weights)},
-        parameters={
+    _write_manifest(
+        out, "bite", [*micro_paths, args.weights],
+        {
             "mw": list(args.mw),
             "survey_year": list(args.survey_year),
             "strict_median": args.strict_median,
             "early_cohort": str(design.early_cohort),
             "late_cohort": str(design.late_cohort),
         },
-        seed=args.seed,
-        version=__version__,
-        outputs=outputs,
+        ["gap_first.csv", "gap_second.csv", "design.csv"],
     )
-    manifest.write(out / "manifest.json")
     return 0
 
 
@@ -239,8 +238,7 @@ def cmd_estimate(args) -> int:
     matrix = build_design(data, design, spec, growth_flags=growth_flags)
     fit = wls_fit(matrix)
 
-    fit_path = out / "fit.json"
-    fit_path.write_text(json.dumps(fit.to_json_dict(), indent=2, sort_keys=True) + "\n")
+    _write_json(out / "fit.json", fit.to_json_dict())
     coefficients, rows = [], []
     for name in fit.columns:
         low, high = fit.conf_int(name)
@@ -282,15 +280,10 @@ def cmd_estimate(args) -> int:
     if fit.dropped_collinear:
         print("note: dropped terms were collinear with fixed effects or other terms")
 
-    outputs.append("manifest.json")
-    manifest = RunManifest(
-        command="estimate",
-        inputs={
-            p: _digest(p)
-            for p in (args.panel, args.design, args.spec,
-                      *([] if args.growth is None else [args.growth]))
-        },
-        parameters={
+    _write_manifest(
+        out, "estimate",
+        [args.panel, args.design, args.spec, *([] if args.growth is None else [args.growth])],
+        {
             "kind": spec.kind.value,
             "cutoff": str(spec.cutoff),
             "baseline": str(spec.baseline),
@@ -300,11 +293,8 @@ def cmd_estimate(args) -> int:
             "log_outcome": not args.no_log,
             "bacon": args.bacon,
         },
-        seed=args.seed,
-        version=__version__,
-        outputs=tuple(outputs),
+        outputs,
     )
-    manifest.write(out / "manifest.json")
     return 0
 
 
@@ -324,9 +314,8 @@ def cmd_decompose(args) -> int:
     components = bacon_decompose(data, design.cohort_map())
     if args.format == "csv":
         write_components_csv(components, out / "bacon.csv")
-        outputs = ("bacon.csv", "manifest.json")
     else:
-        payload = {
+        _write_json(out / "bacon.json", {
             "components": [
                 {
                     "comparison": c.kind.value,
@@ -338,9 +327,7 @@ def cmd_decompose(args) -> int:
                 for c in components
             ],
             "reconstruction": reconstruct(components),
-        }
-        (out / "bacon.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        outputs = ("bacon.json", "manifest.json")
+        })
 
     by_kind: dict[str, tuple[int, float, float]] = {}
     for c in components:
@@ -354,35 +341,30 @@ def cmd_decompose(args) -> int:
     print()
     print(f"reconstructed coefficient: {_num(reconstruct(components))}")
 
-    manifest = RunManifest(
-        command="decompose",
-        inputs={p: _digest(p) for p in (args.panel, args.design)},
-        parameters={"log_outcome": not args.no_log},
-        seed=args.seed,
-        version=__version__,
-        outputs=outputs,
+    _write_manifest(
+        out, "decompose", [args.panel, args.design], {"log_outcome": not args.no_log},
+        [f"bacon.{args.format}"],
     )
-    manifest.write(out / "manifest.json")
     return 0
 
 
-def _resolve_config(args, seed: int) -> tuple[DgpConfig, dict]:
+def _generator(args) -> tuple[DgpConfig, list[str], dict]:
+    """The generator config of race and simulate, its input files and its parameters."""
+    seed = _require_seed(args)
     if (args.config is None) == (args.preset is None):
         raise ValueError("pass exactly one of --config FILE or --preset NAME")
     if args.config is not None:
-        config = load_dgp_config(args.config)
-        config = dataclasses.replace(config, seed=seed)
-        meta = {"config": args.config}
+        config = dataclasses.replace(load_dgp_config(args.config), seed=seed)
+        inputs, source = [args.config], {"config": args.config}
     else:
         config = _PRESETS[args.preset](seed)
-        meta = {"preset": args.preset}
-    return config, meta
+        inputs, source = [], {"preset": args.preset}
+    return config, inputs, {**source, "config_effective": dump_dgp_config(config)}
 
 
 def cmd_race(args) -> int:
     out = _out_dir(args)
-    seed = _require_seed(args)
-    config, meta = _resolve_config(args, seed)
+    config, inputs, parameters = _generator(args)
     estimators = [name.strip() for name in args.estimators.split(",") if name.strip()]
     result = estimator_race(
         config,
@@ -393,12 +375,8 @@ def cmd_race(args) -> int:
     )
     if args.format == "csv":
         result.write_csv(out / "race.csv")
-        outputs = ("race.csv", "manifest.json")
     else:
-        (out / "race.json").write_text(
-            json.dumps(result.to_json_dict(), indent=2, sort_keys=True) + "\n"
-        )
-        outputs = ("race.json", "manifest.json")
+        _write_json(out / "race.json", result.to_json_dict())
 
     rows = [
         [row.estimator, str(row.n_reps), str(row.n_failed), _num(row.mean_estimate),
@@ -411,56 +389,39 @@ def cmd_race(args) -> int:
     print()
     print(f"true overall effect: {_num(result.truth.overall)}")
 
-    manifest = RunManifest(
-        command="race",
-        inputs={} if args.config is None else {args.config: _digest(args.config)},
-        parameters={
-            **meta,
+    _write_manifest(
+        out, "race", inputs,
+        {
+            **parameters,
             "estimators": list(result.estimators),
             "replications": args.replications,
             "draws": args.draws,
             "format": args.format,
-            "config_effective": dump_dgp_config(config),
         },
-        seed=seed,
-        version=__version__,
-        outputs=outputs,
+        [f"race.{args.format}"], config.seed,
     )
-    manifest.write(out / "manifest.json")
     return 0
 
 
 def cmd_simulate(args) -> int:
     out = _out_dir(args)
-    seed = _require_seed(args)
-    config, meta = _resolve_config(args, seed)
+    config, inputs, parameters = _generator(args)
     data, design, truth = generate(config)
     serialize_panel(data, out / "panel.csv")
     design.write_csv(out / "design.csv")
-    (out / "truth.json").write_text(
-        json.dumps(truth.to_json_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(out / "truth.json", truth.to_json_dict())
     (out / "config.txt").write_text(dump_dgp_config(config))
 
-    counts = design.group_counts()
-    print(_table(
-        ["group", "n_regions"],
-        [[g.value, str(n)] for g, n in sorted(counts.items(), key=lambda kv: kv[0].value)],
-    ))
+    print(_group_table(design))
     print()
     print(f"{data.n_obs} observations over {config.n_periods} quarters; "
           f"true overall effect {_num(truth.overall)}")
     print("note: outcomes are on the regression scale; estimate with --no-log")
 
-    manifest = RunManifest(
-        command="simulate",
-        inputs={} if args.config is None else {args.config: _digest(args.config)},
-        parameters={**meta, "config_effective": dump_dgp_config(config)},
-        seed=seed,
-        version=__version__,
-        outputs=("panel.csv", "design.csv", "truth.json", "config.txt", "manifest.json"),
+    _write_manifest(
+        out, "simulate", inputs, parameters,
+        ["panel.csv", "design.csv", "truth.json", "config.txt"], config.seed,
     )
-    manifest.write(out / "manifest.json")
     return 0
 
 
@@ -470,18 +431,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Panel difference-in-differences estimation toolkit",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", required=True, help="output directory")
-    common.add_argument("--seed", type=_seed_value, default=None,
-                        help="RNG seed (required for race and simulate)")
-    common.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker thread cap for parallel replications")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="format for outputs that support both")
+    # Flags that more than one command takes. --seed is optional here so that
+    # a missing seed is the command's one-line JSON error.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory")
+    panel = argparse.ArgumentParser(add_help=False)
+    panel.add_argument("--panel", required=True, help="panel CSV")
+    panel.add_argument("--design", required=True, help="treatment design CSV")
+    panel.add_argument("--no-log", action="store_true",
+                       help="outcome is already on the regression scale; skip the log")
+    generator = argparse.ArgumentParser(add_help=False)
+    generator.add_argument("--seed", type=_seed_value, default=None,
+                           help="RNG seed (required)")
+    generator.add_argument("--config", default=None, help="generator config file")
+    generator.add_argument("--preset", choices=sorted(_PRESETS), default=None,
+                           help="built-in generator config")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="format of the main output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bite", parents=[common],
-                       help="wage gaps, median splits, and the treatment design")
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, parents=[out, *parents], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("bite", cmd_bite, "wage gaps, median splits, and the treatment design")
     p.add_argument("--micro", action="append", required=True,
                    help="wage microdata CSV (region,hourly_wage); pass twice, first wave first")
     p.add_argument("--mw", action="append", type=float, required=True,
@@ -492,49 +467,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="population weights CSV (region,weight)")
     p.add_argument("--strict-median", action="store_true",
                    help="treat only regions strictly above the median as high-bite")
-    p.set_defaults(func=cmd_bite)
 
-    p = sub.add_parser("estimate", parents=[common],
-                       help="fit a difference-in-differences model")
-    p.add_argument("--panel", required=True, help="panel CSV")
-    p.add_argument("--design", required=True, help="treatment design CSV")
+    p = command("estimate", cmd_estimate, "fit a difference-in-differences model", panel)
     p.add_argument("--spec", required=True, help="model spec file (key = value lines)")
-    p.add_argument("--no-log", action="store_true",
-                   help="outcome is already on the regression scale; skip the log")
     p.add_argument("--growth", default=None,
                    help="regional growth CSV (region,growth) for the low-growth interaction")
     p.add_argument("--bacon", action="store_true",
                    help="also write the comparison decomposition (staggered kind only)")
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("decompose", parents=[common],
-                       help="decompose the staggered coefficient into 2x2 comparisons")
-    p.add_argument("--panel", required=True, help="panel CSV")
-    p.add_argument("--design", required=True, help="treatment design CSV")
-    p.add_argument("--no-log", action="store_true",
-                   help="outcome is already on the regression scale; skip the log")
-    p.set_defaults(func=cmd_decompose)
+    command("decompose", cmd_decompose,
+            "decompose the staggered coefficient into 2x2 comparisons", panel, fmt)
 
-    p = sub.add_parser("race", parents=[common],
-                       help="compare estimators on synthetic panels")
-    p.add_argument("--config", default=None, help="generator config file")
-    p.add_argument("--preset", choices=sorted(_PRESETS), default=None,
-                   help="built-in generator config")
+    p = command("race", cmd_race, "compare estimators on synthetic panels", generator, fmt)
     p.add_argument("--estimators", default=",".join(sorted(ESTIMATORS, key=lambda n: ESTIMATORS[n][0])),
                    help="comma-separated estimator names")
     p.add_argument("--replications", type=_positive_int, default=200,
                    help="number of synthetic panels")
     p.add_argument("--draws", type=int, default=199,
                    help="bootstrap draws per replication (0 disables)")
-    p.set_defaults(func=cmd_race)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="worker thread cap for parallel replications")
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="write one synthetic panel, its design, and the true effects")
-    p.add_argument("--config", default=None, help="generator config file")
-    p.add_argument("--preset", choices=sorted(_PRESETS), default=None,
-                   help="built-in generator config")
-    p.set_defaults(func=cmd_simulate)
-
+    command("simulate", cmd_simulate,
+            "write one synthetic panel, its design, and the true effects", generator)
     return parser
 
 
@@ -544,8 +499,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except Exception as error:  # noqa: BLE001 - single reporting point
-        payload = {"error": type(error).__name__, "message": str(error)}
-        print(json.dumps(payload), file=sys.stderr)
+        json.dump({"error": type(error).__name__, "message": str(error)}, sys.stderr)
+        print(file=sys.stderr)
         return 1
 
 

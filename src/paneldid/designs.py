@@ -91,43 +91,43 @@ class DidSpec:
         object.__setattr__(self, "increase_years", years)
 
 
-_SPEC_KEYS = ("kind", "cutoff", "baseline", "increase_years", "placebo", "covariates")
+def _design_kind(text: str) -> DesignKind:
+    try:
+        return DesignKind(text)
+    except ValueError:
+        valid = ", ".join(k.value for k in DesignKind)
+        raise ValueError(f"unknown design kind {text!r}; valid kinds: {valid}") from None
+
+
+def _true_or_false(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected 'true' or 'false', got {text!r}")
+    return text.lower() == "true"
+
+
+_SPEC_PARSERS = {
+    "kind": _design_kind,
+    "cutoff": Period.parse,
+    "baseline": Period.parse,
+    "increase_years": lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
+    "placebo": _true_or_false,
+    "covariates": lambda text: tuple(
+        CovariateTerm.parse(tok) for tok in text.split(",") if tok.strip()
+    ),
+}
 
 
 def load_spec(source: IO[str] | str | Path) -> DidSpec:
     """Parse a flat `key = value` spec file.
 
     Recognized keys: kind, cutoff, baseline, increase_years, placebo,
-    covariates. Lines starting with '#' are comments. `covariates` is a
-    comma-separated list of terms like `east*time` or `popshare*time*east`.
+    covariates. '#' starts a comment. `covariates` is a comma-separated list
+    of terms like `east*time` or `popshare*time*east`.
     """
-    raw = read_key_values(source, _SPEC_KEYS)
-    if "kind" not in raw:
+    values = read_key_values(source, _SPEC_PARSERS)
+    if "kind" not in values:
         raise ValueError("spec file must set 'kind'")
-    try:
-        kind = DesignKind(raw["kind"])
-    except ValueError:
-        valid = ", ".join(k.value for k in DesignKind)
-        raise ValueError(f"unknown design kind {raw['kind']!r}; valid kinds: {valid}") from None
-    kwargs: dict = {"kind": kind}
-    if "cutoff" in raw:
-        kwargs["cutoff"] = Period.parse(raw["cutoff"])
-    if "baseline" in raw:
-        kwargs["baseline"] = Period.parse(raw["baseline"])
-    if "increase_years" in raw:
-        kwargs["increase_years"] = tuple(
-            int(tok.strip()) for tok in raw["increase_years"].split(",") if tok.strip()
-        )
-    if "placebo" in raw:
-        value = raw["placebo"].lower()
-        if value not in ("true", "false"):
-            raise ValueError(f"placebo must be 'true' or 'false', got {raw['placebo']!r}")
-        kwargs["placebo"] = value == "true"
-    if "covariates" in raw and raw["covariates"]:
-        kwargs["covariates"] = tuple(
-            CovariateTerm.parse(tok) for tok in raw["covariates"].split(",") if tok.strip()
-        )
-    return DidSpec(**kwargs)
+    return DidSpec(**values)
 
 
 def dump_spec(spec: DidSpec) -> str:
@@ -142,6 +142,21 @@ def dump_spec(spec: DidSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def by_period(
+    data: PanelDataset, values: np.ndarray, omit: Period | None
+) -> tuple[list[Period], np.ndarray]:
+    """The periods of `data` other than `omit`, and `values` interacted with each.
+
+    Column j of the block is `values` (one per row) times the indicator of the
+    j-th kept period; off-period cells keep the sign of `values`, so a
+    negative value gives -0.0.
+    """
+    a = data.arrays
+    kept = [j for j, period in enumerate(a.periods) if period != omit]
+    block = np.asarray(values, dtype=float)[:, None] * (a.period_codes[:, None] == kept)
+    return [a.periods[j] for j in kept], block
+
+
 def expand_covariates(
     data: PanelDataset,
     plan: Sequence[CovariateTerm],
@@ -154,7 +169,7 @@ def expand_covariates(
     """
     a = data.arrays
     names: list[str] = []
-    cols: list[np.ndarray] = []
+    cols: list[np.ndarray] = []  # columns and period blocks
     for term in plan:
         char = np.asarray(
             unit_values(data, data.region_constant(term.characteristic),
@@ -170,11 +185,9 @@ def expand_covariates(
             names.append(str(term))
             cols.append(char.astype(float))
             continue
-        for j, period in enumerate(a.periods):
-            if j == 0:
-                continue
-            names.append(f"{term}@{period}")
-            cols.append(char * (a.period_codes == j).astype(float))
+        periods, block = by_period(data, char, a.periods[0])
+        names.extend(f"{term}@{period}" for period in periods)
+        cols.append(block)
     matrix = np.column_stack(cols) if cols else np.empty((data.n_obs, 0))
     return names, matrix
 
@@ -186,10 +199,8 @@ def _assemble(
     spec: DidSpec,
 ) -> DesignMatrix:
     cov_names, cov_matrix = expand_covariates(data, spec.covariates)
-    x = np.column_stack(list(cols) + ([cov_matrix] if cov_matrix.size else []))
-    if not cols and cov_matrix.size:
-        x = cov_matrix
-    return DesignMatrix.from_panel(data, list(names) + cov_names, x)
+    x = np.column_stack([*cols, cov_matrix])
+    return DesignMatrix.from_panel(data, [*names, *cov_names], x)
 
 
 def _high_first_by_row(data: PanelDataset, design: TreatmentDesign) -> np.ndarray:
@@ -230,17 +241,10 @@ def build_event_study(
     spec: DidSpec,
 ) -> DesignMatrix:
     """One high-exposure x period indicator per period except the baseline."""
-    high = _high_first_by_row(data, design)
-    a = data.arrays
-    names, cols = [], []
-    for j, period in enumerate(a.periods):
-        if period == spec.baseline:
-            continue
-        names.append(f"treated@{period}")
-        cols.append(high * (a.period_codes == j).astype(float))
-    if not names:
+    periods, block = by_period(data, _high_first_by_row(data, design), spec.baseline)
+    if not periods:
         raise ValueError("event study needs at least one non-baseline period")
-    return _assemble(data, names, cols, spec)
+    return _assemble(data, [f"treated@{period}" for period in periods], [block], spec)
 
 
 def build_growth_interaction(
@@ -260,15 +264,9 @@ def build_growth_interaction(
     low = np.asarray(unit_values(data, growth_flags, "low-growth flag"), dtype=float)
     low_row = low[data.arrays.unit_codes]
     post = (t > spec.cutoff.index).astype(float)
-    names = ["treated_post", "treated_post_lowgrowth"]
-    cols = [high * post, high * post * low_row]
-    a = data.arrays
-    for j, period in enumerate(a.periods):
-        if j == 0:
-            continue
-        names.append(f"low_growth@{period}")
-        cols.append(low_row * (a.period_codes == j).astype(float))
-    return _assemble(data, names, cols, spec)
+    periods, block = by_period(data, low_row, data.arrays.periods[0])
+    names = ["treated_post", "treated_post_lowgrowth", *(f"low_growth@{p}" for p in periods)]
+    return _assemble(data, names, [high * post, high * post * low_row, block], spec)
 
 
 def build_increases(

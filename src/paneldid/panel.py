@@ -310,7 +310,6 @@ def ingest_panel(
                     raise IngestError(f"schema is missing required field {f!r}")
         at = table.columns(mapping.values())
         col = {canonical: at[column] for canonical, column in mapping.items()}
-        n_fields = len(table.header)
 
         # Covariates keep the order their columns appear in the header.
         covariate_fields = sorted(
@@ -327,10 +326,6 @@ def ingest_panel(
         seen: dict[tuple[str, int], int] = {}
         cluster: dict[str, str] = {}
         for row_number, row in table.rows():
-            if len(row) != n_fields:
-                raise IngestError(
-                    f"row {row_number}: expected {n_fields} fields, got {len(row)}"
-                )
             unit = row[col["unit"]].strip()
             if not unit:
                 raise IngestError(f"row {row_number}: empty unit id")

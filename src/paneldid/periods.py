@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-_PERIOD_RE = re.compile(r"^(\d{4})Q([1-4])$")
+_PERIOD_RE = re.compile(r"^(\d{4})Q([1-4])$", re.ASCII)
 
 
 @dataclass(frozen=True, order=True)

@@ -115,30 +115,18 @@ class DgpConfig:
         return [self.start.shift(i) for i in range(self.n_periods)]
 
 
-_CONFIG_KEYS = (
-    "n_early", "n_late", "n_never", "start", "n_periods", "early_cohort",
-    "late_cohort", "unit_fe_mean", "unit_fe_sd", "trend", "effect_early",
-    "effect_late", "noise_sd", "seed",
-)
+_CONFIG_PARSERS = {
+    "n_early": int, "n_late": int, "n_never": int, "start": Period.parse,
+    "n_periods": int, "early_cohort": Period.parse, "late_cohort": Period.parse,
+    "unit_fe_mean": float, "unit_fe_sd": float, "trend": float,
+    "effect_early": EffectSchedule.parse, "effect_late": EffectSchedule.parse,
+    "noise_sd": float, "seed": int,
+}
 
 
 def load_dgp_config(source: IO[str] | str | Path) -> DgpConfig:
-    """Parse a flat `key = value` generator config file."""
-    raw = read_key_values(source, _CONFIG_KEYS)
-    kwargs: dict = {}
-    for key in ("n_early", "n_late", "n_never", "n_periods", "seed"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    for key in ("unit_fe_mean", "unit_fe_sd", "trend", "noise_sd"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    for key in ("start", "early_cohort", "late_cohort"):
-        if key in raw:
-            kwargs[key] = Period.parse(raw[key])
-    for key in ("effect_early", "effect_late"):
-        if key in raw:
-            kwargs[key] = EffectSchedule.parse(raw[key])
-    return DgpConfig(**kwargs)
+    """Parse a flat `key = value` generator config file; '#' starts a comment."""
+    return DgpConfig(**read_key_values(source, _CONFIG_PARSERS))
 
 
 def dump_dgp_config(config: DgpConfig) -> str:

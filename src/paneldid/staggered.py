@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy import stats
 
-from .designs import CovariateTerm, expand_covariates
+from .designs import CovariateTerm, by_period, expand_covariates
 from .engine import DesignMatrix, RegressionFit, TwoWaySolver, _absorbed_slopes, wls_fit
 from .panel import PanelDataset, cohort_start, unit_values
 from .periods import Period
@@ -182,9 +182,11 @@ def cs_att(
     by a weighted linear fit on the named region-constant covariates.
 
     Cohorts whose base period is not in the panel are skipped with a warning,
-    as are cells with an empty treated or control set. Standard errors come
-    from a multinomial cluster bootstrap over units; `seed` is required
-    whenever `bootstrap_draws` is positive.
+    as are cells with an empty treated or control set and cells whose
+    weighted control design [1, covariates] has rank below its column count.
+    Standard errors come from a multinomial cluster bootstrap over units; a
+    draw whose control design is rank-deficient is not identified and is
+    skipped. `seed` is required whenever `bootstrap_draws` is positive.
     """
     if control_rule not in CONTROL_RULES:
         raise ValueError(
@@ -199,7 +201,25 @@ def cs_att(
     period_ix = {p: j for j, p in enumerate(grid.periods)}
     period_index = np.asarray([p.index for p in grid.periods])
 
+    def cell_att(delta, tsel, csel, uw) -> float:
+        """ATT of one cell; nan if a side has no weight or the control design lacks rank."""
+        tw, cw = uw[tsel], uw[csel]
+        if tw.sum() <= 0 or cw.sum() <= 0:
+            return np.nan
+        if z.shape[1] == 0:
+            return float(
+                np.average(delta[tsel], weights=tw) - np.average(delta[csel], weights=cw)
+            )
+        design = np.column_stack([np.ones(csel.sum()), z[csel]])
+        root = np.sqrt(cw)
+        beta, _, rank, _ = np.linalg.lstsq(design * root[:, None], delta[csel] * root, rcond=None)
+        if rank < design.shape[1]:
+            return np.nan
+        predicted = np.column_stack([np.ones(tsel.sum()), z[tsel]]) @ beta
+        return float(np.average(delta[tsel] - predicted, weights=tw))
+
     specs = []  # (cohort, period, delta, treated_sel, control_sel)
+    atts = []
     for g in grid.cohort_starts:
         base = g.prev()
         if base not in period_ix:
@@ -228,23 +248,14 @@ def cs_att(
                 warnings.warn(f"ATT({g}, {t}): control set is empty; entry omitted")
                 continue
             delta = grid.y[:, j] - grid.y[:, b_col]
+            att = cell_att(delta, treated_sel, control_sel, grid.unit_weight)
+            if math.isnan(att):
+                warnings.warn(
+                    f"ATT({g}, {t}): the controls' covariates are collinear; entry omitted"
+                )
+                continue
             specs.append((g, t, delta, treated_sel, control_sel))
-
-    def cell_att(delta, tsel, csel, uw) -> float:
-        tw, cw = uw[tsel], uw[csel]
-        if tw.sum() <= 0 or cw.sum() <= 0:
-            return np.nan
-        if z.shape[1] == 0:
-            return float(
-                np.average(delta[tsel], weights=tw) - np.average(delta[csel], weights=cw)
-            )
-        design = np.column_stack([np.ones(csel.sum()), z[csel]])
-        root = np.sqrt(cw)
-        beta, *_ = np.linalg.lstsq(design * root[:, None], delta[csel] * root, rcond=None)
-        predicted = np.column_stack([np.ones(tsel.sum()), z[tsel]]) @ beta
-        return float(np.average(delta[tsel] - predicted, weights=tw))
-
-    atts = np.asarray([cell_att(d, t, c, grid.unit_weight) for _, _, d, t, c in specs])
+            atts.append(att)
 
     boot = None
     if bootstrap_draws > 0 and specs:
@@ -291,7 +302,7 @@ def cs_att(
             GroupTimeCell(
                 cohort=g,
                 period=t,
-                att=float(atts[e]),
+                att=atts[e],
                 se=se,
                 treated_weight=float(grid.unit_weight[tsel].sum()),
             )
@@ -371,13 +382,8 @@ def cs_aggregate(result: GroupTimeATT, kind: str = "overall") -> Aggregation:
         w = np.asarray([cell.treated_weight for _, cell in members])
         w = w / w.sum()
         estimate = float(np.dot(w, [cell.att for _, cell in members]))
-        if result.boot is not None:
-            cols = result.boot[:, [i for i, _ in members]]
-            combined = cols @ w
-            valid = np.isfinite(combined)
-            se = float(np.std(combined[valid], ddof=1)) if valid.sum() > 1 else math.nan
-        else:
-            se = math.nan
+        boot = result.boot
+        se = math.nan if boot is None else _boot_se(boot[:, [i for i, _ in members]] @ w)
         values[key] = AggregateValue(estimate, se)
     return Aggregation(kind=kind, values=values)
 
@@ -478,22 +484,20 @@ def sa_event_study(
     a = sample.arrays
     unit_start = grid.start[:]
     names: list[str] = []
-    cols: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     events_of: dict[str, tuple[Period, int]] = {}
     for g in interacted:
-        in_cohort = (unit_start == g.index)[a.unit_codes]
-        for j, t in enumerate(a.periods):
-            e = t.index - g.index
-            if e == -1:
-                continue
-            name = _sa_name(g, e)
+        periods, block = by_period(sample, (unit_start == g.index)[a.unit_codes], g.prev())
+        for t in periods:
+            name = _sa_name(g, t.index - g.index)
             names.append(name)
-            cols.append(in_cohort * (a.period_codes == j).astype(float))
-            events_of[name] = (g, e)
+            events_of[name] = (g, t.index - g.index)
+        blocks.append(block)
     if not names:
         raise ValueError("no cohort x period cells to estimate")
     cov_names, cov_matrix = expand_covariates(sample, tuple(covariates))
-    x = np.column_stack(cols + ([cov_matrix] if cov_matrix.size else []))
+    x = np.column_stack([*blocks, cov_matrix])
+    del blocks  # free the cells' blocks before the fit; x holds a copy
     row_weight = None if weights is None else grid.unit_weight[a.unit_codes]
     design = DesignMatrix.from_panel(sample, names + cov_names, x, weight=row_weight)
     fit = wls_fit(design)

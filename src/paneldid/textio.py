@@ -3,13 +3,16 @@
 `open_text` lets each reader and writer take either an open stream or a
 path; `read_key_values` is the one parser for the flat `key = value` files
 (design specs and generator configs); `parse_number` and `format_float` read
-and write numeric CSV cells.
+and write numeric CSV cells. A numeric cell is ASCII and holds no `_`, so
+digit grouping and non-ASCII digits, which Python's `int` and `float` accept,
+are rejected.
 
 This is the one module that speaks CSV. `read_csv` reads every CSV input
 under one set of rules: header names are stripped, a leading byte-order mark
 is dropped, and a column named twice is rejected; columns are looked up by
 name, in any order; a row whose cells are all blank is skipped but still
-counted. A header problem (no header, a repeated or a missing column) raises
+counted, and every other row must have as many fields as the header. A
+header problem (no header, a repeated or a missing column) raises
 `ValueError`; a bad data row raises `IngestError` naming its row and column.
 `write_csv` writes every CSV output, UTF-8 with `\n` line ends.
 """
@@ -21,7 +24,7 @@ import math
 from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
-from typing import IO, Collection, Iterable, Iterator, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 BATCH_ROWS = 4096  # rows handed out together by `CsvTable.batches`
 
@@ -35,6 +38,8 @@ def parse_number(
 ) -> float:
     """Parse one numeric cell as `kind`; errors name the row and column."""
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError
         value = kind(text)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
@@ -67,43 +72,45 @@ def open_text(source: IO[str] | str | Path, mode: str = "r") -> Iterator[IO[str]
         yield source
 
 
-def read_key_values(source: IO[str] | str | Path, keys: Collection[str]) -> dict[str, str]:
-    """Parse `key = value` lines; blank lines and '#' comments are skipped.
+def read_key_values(
+    source: IO[str] | str | Path, parsers: Mapping[str, Callable[[str], Any]]
+) -> dict[str, Any]:
+    """Parse `key = value` lines into each key's parsed value.
 
-    Every key must be one of `keys` and may appear once. Values are returned
-    stripped and unparsed; errors name the offending line.
+    '#' starts a comment anywhere on a line, and blank lines are skipped.
+    Every key must be one of `parsers` and may appear once; its stripped value
+    is passed to its parser. Errors name the offending line, and a value that
+    its parser rejects with `ValueError` also names the key.
     """
-    raw: dict[str, str] = {}
+    values: dict[str, Any] = {}
     with open_text(source) as stream:
         for line_number, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
+            text = line.partition("#")[0].strip()
+            if not text:
                 continue
             if "=" not in text:
                 raise ValueError(f"line {line_number}: expected 'key = value', got {text!r}")
             key, _, value = text.partition("=")
             key = key.strip()
-            if key not in keys:
+            if key not in parsers:
                 raise ValueError(
                     f"line {line_number}: unknown key {key!r}; "
-                    f"valid keys: {', '.join(keys)}"
+                    f"valid keys: {', '.join(parsers)}"
                 )
-            if key in raw:
+            if key in values:
                 raise ValueError(f"line {line_number}: duplicate key {key!r}")
-            raw[key] = value.strip()
-    return raw
-
-
-def is_blank(row: Sequence[str]) -> bool:
-    """Whether every cell of `row` is empty or whitespace; such rows are skipped."""
-    return not "".join(row).strip()
+            try:
+                values[key] = parsers[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"line {line_number}: {key}: {exc}") from None
+    return values
 
 
 class CsvTable:
     """The cleaned header of a CSV stream and its rows from row 2 on.
 
-    `rows` streams the rows one by one and `batches` in lists; both number
-    them in file order.
+    `rows` streams the checked rows one by one and `batches` the raw rows in
+    lists; both number them in file order.
     """
 
     def __init__(self, stream: IO[str], what: str) -> None:
@@ -129,13 +136,31 @@ class CsvTable:
         return {n: self._position[n] for n in names}
 
     def rows(self) -> Iterator[tuple[int, list[str]]]:
-        """Each row that is not blank, with its row number in the file."""
-        for row_number, row in enumerate(self._reader, start=2):
-            if "".join(row).strip():  # `not is_blank(row)`, inlined in this hot loop
+        """Each row that is not blank, with its row number in the file; see `checked`."""
+        return self.checked(self._reader, 2)
+
+    def checked(
+        self, rows: Iterable[list[str]], first_row: int
+    ) -> Iterator[tuple[int, list[str]]]:
+        """Each of `rows` that is not blank, numbered from `first_row`.
+
+        Raises `IngestError` at the first such row whose field count is not
+        the header's.
+        """
+        width = len(self.header)
+        for row_number, row in enumerate(rows, start=first_row):
+            if "".join(row).strip():  # a row of blank cells is skipped
+                if len(row) != width:
+                    raise IngestError(
+                        f"row {row_number}: expected {width} fields, got {len(row)}"
+                    )
                 yield row_number, row
 
     def batches(self) -> Iterator[tuple[int, list[list[str]]]]:
-        """Lists of `BATCH_ROWS` rows, blank ones kept, with their first row number."""
+        """Lists of `BATCH_ROWS` raw rows, blank ones kept, with their first row number.
+
+        Their cells are not checked: pass a failing batch to `checked`.
+        """
         first_row = 2
         while rows := list(islice(self._reader, BATCH_ROWS)):
             yield first_row, rows

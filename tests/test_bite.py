@@ -116,12 +116,16 @@ class TestWageGap:
         assert wage_gap(WageMicrodata(records, mw, 2014)).gaps == got.gaps
 
     @pytest.mark.parametrize("line, message", [
-        ("b", r"row 4: column 'hourly_wage' is missing"),
+        ("b", r"row 4: expected 2 fields, got 1"),
         (" ,9.0", r"row 4: column 'region': region id must be a non-empty string"),
         ("b,0", r"row 4: column 'hourly_wage' must be positive, got 0\.0"),
         ("b,-2.5", r"row 4: column 'hourly_wage' must be positive, got -2\.5"),
         ("b,nan", r"row 4: column 'hourly_wage': non-finite value 'nan'"),
         ("b,x", r"row 4: column 'hourly_wage': could not parse 'x'"),
+        ("b,8.0,junk", r"row 4: expected 2 fields, got 3"),
+        ("b,1_0", r"row 4: column 'hourly_wage': could not parse '1_0'"),
+        ("b,\u0663", r"row 4: column 'hourly_wage': could not parse '\u0663'"),
+        ("b,8.0\u00a0", r"row 4: column 'hourly_wage': could not parse '8\.0\\xa0'"),
     ])
     @pytest.mark.parametrize("batch", [1, 2, 4096])
     def test_bad_row_named(self, line, message, batch):
@@ -337,7 +341,7 @@ class TestTreatmentDesign:
             TreatmentDesign.read_csv(io.StringIO(text))
 
     @pytest.mark.parametrize("row, message", [
-        ("b,0.1", r"row 3: column 'gap_second' is missing"),
+        ("b,0.1", r"row 3: expected 8 fields, got 2"),
         ("b,x,0.6,0,1,low/high,2019Q1,1.0", r"row 3: column 'gap_first': could not parse 'x'"),
         ("b,0.1,0.6,0,1,mid,2019Q1,1.0", r"row 3: column 'group': unknown group 'mid'"),
         ("b,0.1,0.6,0,1,low/high,2019Q5,1.0", r"row 3: column 'cohort': expected a period"),

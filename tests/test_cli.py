@@ -15,7 +15,7 @@ from paneldid.bite import (
     build_treatment_design,
     wage_gap,
 )
-from paneldid.cli import main
+from paneldid.cli import build_parser, main
 from paneldid.designs import DesignKind, DidSpec, build_design, load_spec
 from paneldid.engine import wls_fit
 from paneldid.panel import (
@@ -151,7 +151,7 @@ class TestBite:
          r"row 3: column 'weight': could not parse 'x'"),
         ("region,weight\na,3\nb,1\nc,1\nd,1\nb,2\n", r"duplicate region 'b' at row 6"),
         ("region,weight\na,3\n,1\nc,1\nd,1\n", r"bad\.csv: row 3: empty region id"),
-        ("region,weight\na,3\n\nb\nc,1\nd,1\n", r"bad\.csv: row 4 has fewer than 2 fields"),
+        ("region,weight\na,3\n\nb\nc,1\nd,1\n", r"bad\.csv: row 4: expected 2 fields, got 1"),
         ("region,weight\na,3\n , \nb,x\n", r"row 4: column 'weight': could not parse 'x'"),
     ])
     def test_bad_weights_row_named(self, tmp_path, capsys, bite_inputs, text, message):
@@ -513,6 +513,24 @@ class TestRace:
         assert payload["error"] == "ValueError"
 
 
+# One argv per command that passes every flag the command takes.
+FULL_ARGV = {
+    "bite": ["--out", "o", "--micro", "m1", "--micro", "m2", "--mw", "8.5", "--mw", "9",
+             "--survey-year", "2014", "--survey-year", "2018", "--weights", "w",
+             "--strict-median"],
+    "estimate": ["--out", "o", "--panel", "p", "--design", "d", "--spec", "s",
+                 "--no-log", "--growth", "g", "--bacon"],
+    "decompose": ["--out", "o", "--panel", "p", "--design", "d", "--no-log",
+                  "--format", "json"],
+    "race": ["--out", "o", "--seed", "3", "--config", "c", "--preset", "null",
+             "--estimators", "twfe", "--replications", "2", "--draws", "0",
+             "--format", "json", "--threads", "2"],
+    "simulate": ["--out", "o", "--seed", "3", "--config", "c", "--preset", "null"],
+}
+# Flags that some commands take and the others reject, with a value for each.
+SHARED = {"--seed": "3", "--threads": "2", "--format": "json"}
+
+
 class TestParser:
     def test_version_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -524,3 +542,22 @@ class TestParser:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", FULL_ARGV)
+    def test_every_kept_flag_parses(self, command):
+        argv = FULL_ARGV[command]
+        args = build_parser().parse_args([command, *argv])
+        flags = {a for a in argv if a.startswith("--")}
+        assert {f"--{k.replace('_', '-')}" for k, v in vars(args).items()
+                if v is not None and v is not False and k not in ("command", "func")} == flags
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, argv in FULL_ARGV.items()
+        for flag in SHARED if flag not in argv
+    ])
+    def test_flag_a_command_does_not_read_is_a_usage_error(self, capsys, command, flag):
+        argv = [command, *FULL_ARGV[command], flag, SHARED[flag]]
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag} {SHARED[flag]}" in capsys.readouterr().err

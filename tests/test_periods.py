@@ -15,7 +15,8 @@ def test_str_and_parse():
     assert Period.parse("2014Q3") == Period(2014, 3)
 
 
-@pytest.mark.parametrize("bad", ["2014", "2014Q5", "2014Q0", "Q3", "2014q3", "2014Q33"])
+@pytest.mark.parametrize("bad", ["2014", "2014Q5", "2014Q0", "Q3", "2014q3", "2014Q33",
+                                 "\u0662\u0660\u0661\u0664Q3", "2014Q\u0663"])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ValueError):
         Period.parse(bad)

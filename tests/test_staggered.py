@@ -246,10 +246,11 @@ class TestCsAtt:
         *((r, 3, None) for r in CONTROL_RULES), ("never_treated", 6, 1e-3)])
     def test_covariate_bootstrap_matches_bruteforce(self, rule, controls, tilt):
         # three never-treated units for an intercept and two slopes: many
-        # draws hold fewer distinct controls than that and are re-fit exactly.
-        # With a tilt, z2 is z1 plus tilt times noise, so a draw's pivot for
-        # z2 is near 1e-6 of its squared norm, where normal equations lose
-        # about 1e-8 relative; such draws must take the exact re-fit too.
+        # draws hold fewer distinct controls than that, so their control
+        # design is rank-deficient and the draw is skipped. With a tilt, z2
+        # is z1 plus tilt times noise, so a draw's pivot for z2 is near 1e-6
+        # of its squared norm, where normal equations lose about 1e-8
+        # relative; such draws must take the exact re-fit too.
         cohorts = {"a1": P(2013, 3), "a2": P(2013, 3), "b": P(2014, 2)}
         cohorts.update({f"n{k}": None for k in range(1, controls + 1)})
         rng = np.random.default_rng(3)
@@ -289,12 +290,46 @@ class TestCsAtt:
                 thin += len(np.unique(z[c], axis=0)) < 1 + len(names)
                 root = np.sqrt(w[c])
                 design = np.column_stack([np.ones(c.sum()), z[c]])
+                if np.linalg.matrix_rank(design * root[:, None]) < 1 + len(names):
+                    continue
                 beta = np.linalg.lstsq(design * root[:, None], delta[c] * root,
                                        rcond=None)[0]
                 gaps = delta[t] - np.column_stack([np.ones(t.sum()), z[t]]) @ beta
                 reps.append(np.average(gaps, weights=w[t]))
             assert cell.se == pytest.approx(float(np.std(reps, ddof=1)), rel=1e-9), cell
         assert thin > 0
+
+    def test_covariate_shift_moves_no_att_or_se(self):
+        # Draws whose controls cannot identify an intercept and two slopes are
+        # skipped, not fit by a minimum-norm solution that depends on where
+        # the covariates are centred; so adding 10 to z1 moves nothing.
+        cohorts = {"a1": P(2013, 3), "a2": P(2013, 3), "b": P(2014, 2)}
+        cohorts.update({f"n{k}": None for k in range(1, 4)})
+        rng = np.random.default_rng(3)
+        constants = {n: {u: float(rng.normal()) for u in cohorts} for n in ("z1", "z2")}
+        weights = {u: 0.5 + float(rng.uniform()) for u in cohorts}
+        shifted = {**constants, "z1": {u: v + 10.0 for u, v in constants["z1"].items()}}
+        base, moved = (
+            cs_att(build(cohorts, effect=lambda g, e: 0.5, noise=0.4, seed=8, constants=c),
+                   cohorts, "never_treated", weights, covariates=("z1", "z2"),
+                   bootstrap_draws=150, seed=41)
+            for c in (constants, shifted)
+        )
+        scale = max(cell.se for cell in base.entries)
+        assert len(base.entries) == len(moved.entries) > 0
+        for cell, other in zip(base.entries, moved.entries):
+            assert other.att == pytest.approx(cell.att, rel=1e-9)
+            assert abs(other.se - cell.se) <= 1e-9 * scale
+
+    def test_collinear_control_covariates_omit_cell(self):
+        # z is the same for every never-treated unit, so no cell's control
+        # design identifies its slope: every entry is omitted with a warning.
+        cohorts = {"a": P(2013, 4), "n1": None, "n2": None}
+        constants = {"z": {"a": 1.0, "n1": 2.0, "n2": 2.0}}
+        data = build(cohorts, effect=lambda g, e: 1.0, noise=0.1, seed=1, constants=constants)
+        with pytest.warns(UserWarning, match="collinear; entry omitted"):
+            res = cs_att(data, cohorts, covariates=("z",), bootstrap_draws=0)
+        assert res.entries == ()
 
     def test_json_payload(self):
         cohorts = {"a": P(2013, 4), "n": None}

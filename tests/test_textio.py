@@ -1,10 +1,17 @@
-"""The input rules that every CSV reader shares through `textio.read_csv`."""
+"""The input rules that every reader shares through `textio`."""
+
+import io
+import re
+from pathlib import Path
 
 import pytest
 
 from paneldid.bite import TreatmentDesign, WageMicrodata
 from paneldid.cli import _read_region_values
+from paneldid.designs import DesignKind, load_spec
 from paneldid.panel import ingest_panel
+from paneldid.simulate import load_dgp_config
+from paneldid.textio import IngestError
 
 # Each reader with a small valid file for it; the files hold no quoted cells.
 READERS = {
@@ -43,7 +50,8 @@ def edit_lines(text, edit):
 
 @pytest.mark.parametrize("reader", READERS)
 @pytest.mark.parametrize("case", ["bom and padded header", "repeated column",
-                                  "whitespace-only row", "missing column", "empty file"])
+                                  "whitespace-only row", "missing column", "empty file",
+                                  "wide row", "grouped digits", "non-ascii digit"])
 def test_shared_input_rules(tmp_path, reader, case):
     plain = READERS[reader][1]
     header = plain.splitlines()[0].split(",")
@@ -64,10 +72,23 @@ def test_shared_input_rules(tmp_path, reader, case):
         with pytest.raises(ValueError, match=rf"lacks column\(s\) \['{header[-1]}'\]$") as exc:
             read(tmp_path, reader, text)
         assert exc.type is ValueError
-    else:
+    elif case == "empty file":
         with pytest.raises(ValueError, match="is empty: expected a header row$") as exc:
             read(tmp_path, reader, "")
         assert exc.type is ValueError
+    elif case == "wide row":
+        text = edit_lines(plain, lambda i, line: f"{line},junk" if i == 1 else line)
+        with pytest.raises(IngestError,
+                           match=rf"row 2: expected {len(header)} fields, got {len(header) + 1}$"):
+            read(tmp_path, reader, text)
+    else:
+        # the last column of every file here is numeric
+        cell = "1_0" if case == "grouped digits" else "\u0663"
+        text = edit_lines(plain, lambda i, line: line.rsplit(",", 1)[0] + f",{cell}"
+                          if i == 1 else line)
+        message = rf"row 2: column '{header[-1]}': could not parse '{cell}' as a number$"
+        with pytest.raises(IngestError, match=message):
+            read(tmp_path, reader, text)
 
 
 @pytest.mark.parametrize("reader", READERS)
@@ -76,3 +97,32 @@ def test_columns_found_by_name_in_any_order(tmp_path, reader):
     order = [*range(1, len(plain.splitlines()[0].split(","))), 0]
     text = edit_lines(plain, lambda i, line: ",".join(line.split(",")[j] for j in order))
     assert read(tmp_path, reader, text) == read(tmp_path, reader, plain)
+
+
+def readme_block(first_key):
+    """The fenced block of README.md whose first line sets `first_key`."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\w*\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    (block,) = [b for b in blocks if b.startswith(f"{first_key} =")]
+    return block
+
+
+def test_readme_key_value_files_load():
+    # both README examples put '#' comments after values
+    spec = load_spec(io.StringIO(readme_block("kind")))
+    assert spec.kind is DesignKind.EVENT_STUDY
+    assert [str(term) for term in spec.covariates] == ["east*time", "popshare*time*east"]
+    config = load_dgp_config(io.StringIO(readme_block("n_early")))
+    assert config.effect_early.values == (-0.004, -0.008, -0.012)
+    assert config.seed == 42
+
+
+@pytest.mark.parametrize("load, text, message", [
+    (load_spec, "kind = baseline\ncutoff = 2014Q5   # a bad quarter\n",
+     r"^line 2: cutoff: expected a period like '2014Q3', got '2014Q5'$"),
+    (load_dgp_config, "n_early = 60\nn_late = many   # --seed overrides\n",
+     r"^line 2: n_late: invalid literal for int\(\) with base 10: 'many'$"),
+])
+def test_bad_key_value_names_line_and_key(load, text, message):
+    with pytest.raises(ValueError, match=message):
+        load(io.StringIO(text))
