@@ -26,7 +26,7 @@ from typing import IO, Mapping
 
 import numpy as np
 
-from .panel import PanelDataset, balance_report, cohort_start
+from .panel import PanelDataset, balance_report, cohort_start, cohorts_in
 from .periods import Period
 from .textio import format_float, write_csv
 
@@ -89,7 +89,7 @@ def bacon_decompose(
         )
 
     # Cohorts that switch inside the window, and the rows of their units.
-    timing = [Period.from_index(int(i)) for i in np.unique(start[np.isfinite(start)])]
+    timing = cohorts_in(start)
     rows = {k: np.flatnonzero(start == k.index) for k in timing}
     never_rows = np.flatnonzero(~np.isfinite(start))
     if len(timing) + (1 if never_rows.size else 0) < 2:
@@ -98,12 +98,9 @@ def bacon_decompose(
             "never-treated units"
         )
 
-    # Dense outcome grid, units in rows.
     a = data.arrays
-    y = np.empty((len(a.units), len(periods)))
-    y[a.unit_codes, a.period_codes] = a.outcome
-
-    period_index = np.asarray([p.index for p in periods])
+    y = a.grid(a.outcome)  # balanced: every cell observed
+    period_index = a.period_index
     n_total = len(data.units)
     share = {c: len(rows[c]) / n_total for c in timing}
     share_never = len(never_rows) / n_total

@@ -15,9 +15,9 @@ for the commands without one), and the package version. Worker-thread counts
 are deliberately left out of the manifest: thread count never changes
 results, so reruns compare bit for bit.
 
-stdout carries human-readable tables; machine outputs go to --out only.
-Failures print one JSON object {"error": ..., "message": ...} to stderr and
-exit nonzero.
+stdout carries human-readable tables; machine outputs go to --out only, which
+a command creates once its inputs have been read and checked. Failures print
+one JSON object {"error": ..., "message": ...} to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -107,6 +107,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer")
+    return value
+
+
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -164,7 +171,6 @@ def _read_region_values(path: str, column: str) -> dict[str, float]:
 
 
 def cmd_bite(args) -> int:
-    out = _out_dir(args)
     micro_paths = args.micro
     if len(micro_paths) != 2 or len(args.mw) != 2 or len(args.survey_year) != 2:
         raise ValueError(
@@ -179,6 +185,7 @@ def cmd_bite(args) -> int:
     design = build_treatment_design(
         tables[0], tables[1], weights, strict=args.strict_median
     )
+    out = _out_dir(args)
     gap_first_path, gap_second_path = out / "gap_first.csv", out / "gap_second.csv"
     tables[0].write_csv(gap_first_path)
     tables[1].write_csv(gap_second_path)
@@ -220,7 +227,6 @@ def _load_panel(args):
 
 
 def cmd_estimate(args) -> int:
-    out = _out_dir(args)
     data = _load_panel(args)
     design = TreatmentDesign.read_csv(args.design)
     spec = load_spec(args.spec)
@@ -234,10 +240,22 @@ def cmd_estimate(args) -> int:
         growth_flags = low_growth_flag(_read_region_values(args.growth, "growth"))
     elif args.growth is not None:
         raise ValueError("--growth only applies to the growth_interaction kind")
+    if args.bacon:
+        if spec.kind is not DesignKind.STAGGERED_TWFE:
+            raise ValueError(
+                "--bacon requires a staggered adoption model (kind = staggered_twfe)"
+            )
+        if (data.arrays.weight != 1.0).any():
+            warnings.warn(
+                "the decomposition ignores observation weights; the fitted "
+                "model above was weighted", stacklevel=1
+            )
+        components = bacon_decompose(data.drop_covariates(), design.cohort_map())
 
     matrix = build_design(data, design, spec, growth_flags=growth_flags)
     fit = wls_fit(matrix)
 
+    out = _out_dir(args)
     _write_json(out / "fit.json", fit.to_json_dict())
     coefficients, rows = [], []
     for name in fit.columns:
@@ -258,18 +276,7 @@ def cmd_estimate(args) -> int:
         coefficients,
     )
     outputs = ["fit.json", "coefficients.csv"]
-
     if args.bacon:
-        if spec.kind is not DesignKind.STAGGERED_TWFE:
-            raise ValueError(
-                "--bacon requires a staggered adoption model (kind = staggered_twfe)"
-            )
-        if (data.arrays.weight != 1.0).any():
-            warnings.warn(
-                "the decomposition ignores observation weights; the fitted "
-                "model above was weighted", stacklevel=1
-            )
-        components = bacon_decompose(data.drop_covariates(), design.cohort_map())
         write_components_csv(components, out / "bacon.csv")
         outputs.append("bacon.csv")
 
@@ -299,7 +306,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    out = _out_dir(args)
     data = _load_panel(args)
     design = TreatmentDesign.read_csv(args.design)
     if data.arrays.covariates.shape[1] > 0:
@@ -312,6 +318,7 @@ def cmd_decompose(args) -> int:
             "observation weights are ignored by the decomposition", stacklevel=1
         )
     components = bacon_decompose(data, design.cohort_map())
+    out = _out_dir(args)
     if args.format == "csv":
         write_components_csv(components, out / "bacon.csv")
     else:
@@ -363,7 +370,6 @@ def _generator(args) -> tuple[DgpConfig, list[str], dict]:
 
 
 def cmd_race(args) -> int:
-    out = _out_dir(args)
     config, inputs, parameters = _generator(args)
     estimators = [name.strip() for name in args.estimators.split(",") if name.strip()]
     result = estimator_race(
@@ -373,6 +379,7 @@ def cmd_race(args) -> int:
         bootstrap_draws=args.draws,
         threads=args.threads,
     )
+    out = _out_dir(args)
     if args.format == "csv":
         result.write_csv(out / "race.csv")
     else:
@@ -404,9 +411,9 @@ def cmd_race(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    out = _out_dir(args)
     config, inputs, parameters = _generator(args)
     data, design, truth = generate(config)
+    out = _out_dir(args)
     serialize_panel(data, out / "panel.csv")
     design.write_csv(out / "design.csv")
     _write_json(out / "truth.json", truth.to_json_dict())
@@ -483,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated estimator names")
     p.add_argument("--replications", type=_positive_int, default=200,
                    help="number of synthetic panels")
-    p.add_argument("--draws", type=int, default=199,
+    p.add_argument("--draws", type=_non_negative_int, default=199,
                    help="bootstrap draws per replication (0 disables)")
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker thread cap for parallel replications")

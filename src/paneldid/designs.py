@@ -18,7 +18,7 @@ from .bite import SwitcherGroup, TreatmentDesign
 from .engine import DesignMatrix
 from .panel import PanelDataset, cohort_start, unit_values
 from .periods import Period
-from .textio import read_key_values
+from .textio import read_key_values, to_numbers
 
 DEFAULT_CUTOFF = Period(2014, 2)
 FULL_INCREASE_YEARS = (2016, 2018, 2019, 2020, 2021)
@@ -109,7 +109,7 @@ _SPEC_PARSERS = {
     "kind": _design_kind,
     "cutoff": Period.parse,
     "baseline": Period.parse,
-    "increase_years": lambda text: tuple(int(tok) for tok in text.split(",") if tok.strip()),
+    "increase_years": lambda text: to_numbers(text, int),
     "placebo": _true_or_false,
     "covariates": lambda text: tuple(
         CovariateTerm.parse(tok) for tok in text.split(",") if tok.strip()
@@ -171,19 +171,12 @@ def expand_covariates(
     names: list[str] = []
     cols: list[np.ndarray] = []  # columns and period blocks
     for term in plan:
-        char = np.asarray(
-            unit_values(data, data.region_constant(term.characteristic),
-                        f"characteristic {term.characteristic!r}")
-        )[a.unit_codes]
+        char = data.region_constant(term.characteristic)[a.unit_codes]
         if term.by_flag is not None:
-            flag = np.asarray(
-                unit_values(data, data.region_constant(term.by_flag),
-                            f"flag {term.by_flag!r}")
-            )[a.unit_codes]
-            char = char * flag
+            char = char * data.region_constant(term.by_flag)[a.unit_codes]
         if not term.by_time:
             names.append(str(term))
-            cols.append(char.astype(float))
+            cols.append(char)
             continue
         periods, block = by_period(data, char, a.periods[0])
         names.extend(f"{term}@{period}" for period in periods)
@@ -211,7 +204,7 @@ def _high_first_by_row(data: PanelDataset, design: TreatmentDesign) -> np.ndarra
 
 def _period_index_by_row(data: PanelDataset) -> np.ndarray:
     a = data.arrays
-    return np.asarray([p.index for p in a.periods])[a.period_codes]
+    return a.period_index[a.period_codes]
 
 
 def build_baseline(

@@ -4,6 +4,10 @@ A `PanelDataset` is a set of read-only columns: unit and period codes into the
 sorted `units` and `periods`, outcome, weight, a covariate matrix, and cluster
 codes. Rows are sorted by (unit, period), so every downstream computation is
 independent of input row order. Transformations return new instances.
+
+`PanelArrays` owns the units x periods layout: `grid` lays any row values out
+as a (units, periods, ...) array and `period_index` holds each period's
+quarter index, so no estimator rebuilds either.
 """
 
 from __future__ import annotations
@@ -72,7 +76,16 @@ class PanelArrays:
     covariates: np.ndarray  # (n, n_covariates), empty second axis when none
     units: tuple[str, ...]
     periods: tuple[Period, ...]
+    period_index: np.ndarray  # (T,) `Period.index` of each period
     clusters: tuple[str, ...]
+
+    def grid(self, values, fill=0) -> np.ndarray:
+        """Row `values` as a units x periods (x any trailing shape) array; `fill` where no row."""
+        values = np.asarray(values)
+        out = np.full((len(self.units), len(self.periods), *values.shape[1:]), fill,
+                      dtype=np.result_type(values, fill))
+        out[self.unit_codes, self.period_codes] = values
+        return out
 
 
 def _factorize(values: Sequence[Hashable]) -> tuple[tuple, np.ndarray]:
@@ -161,7 +174,8 @@ class PanelDataset:
             unit_codes=unit_codes, period_codes=np.asarray(period_codes, dtype=np.intp)[order],
             cluster_codes=unit_cluster[unit_codes], outcome=outcome[order],
             weight=weight[order], covariates=covariates[order], units=tuple(units),
-            periods=tuple(periods), clusters=clusters,
+            periods=tuple(periods), period_index=np.asarray([p.index for p in periods]),
+            clusters=clusters,
         )
         for column in vars(columns).values():
             if isinstance(column, np.ndarray):
@@ -213,11 +227,11 @@ class PanelDataset:
 
     def covariate_column(self, name: str) -> np.ndarray:
         if name not in self.covariate_names:
-            raise KeyError(f"unknown covariate {name!r}; have {list(self.covariate_names)}")
+            raise ValueError(f"unknown covariate {name!r}; have {list(self.covariate_names)}")
         return self._columns.covariates[:, self.covariate_names.index(name)].copy()
 
-    def region_constant(self, name: str) -> dict[str, float]:
-        """Per-unit value of a covariate that must not vary within unit."""
+    def region_constant(self, name: str) -> np.ndarray:
+        """The (U,) values, in unit order, of a covariate that must not vary within unit."""
         col = self.covariate_column(name)
         codes = self._columns.unit_codes
         first = col[np.flatnonzero(np.diff(codes, prepend=-1))]
@@ -228,7 +242,7 @@ class PanelDataset:
                 f"({float(first[codes[i]])!r} vs {float(col[i])!r}); "
                 "a per-region constant is required"
             )
-        return dict(zip(self.units, first.tolist()))
+        return first
 
     def _subset(self, rows=slice(None), **replace) -> PanelDataset:
         """The panel's `rows`, with the columns named in `replace` substituted."""
@@ -272,6 +286,11 @@ def cohort_start(data: PanelDataset, cohorts: Mapping[str, Period | None]) -> np
         math.inf if c is None or c > last else float(c.index)
         for c in unit_values(data, cohorts, "cohort")
     ])
+
+
+def cohorts_in(start: np.ndarray) -> tuple[Period, ...]:
+    """The distinct cohorts of a `cohort_start` vector that start in the window, sorted."""
+    return tuple(Period.from_index(int(i)) for i in np.unique(start[np.isfinite(start)]))
 
 
 def ingest_panel(
@@ -424,7 +443,6 @@ def log_outcome(data: PanelDataset) -> PanelDataset:
 def balance_report(data: PanelDataset) -> BalanceReport:
     """List the (unit, period) cells absent from the full grid."""
     a = data.arrays
-    present = np.zeros((len(a.units), len(a.periods)), dtype=bool)
-    present[a.unit_codes, a.period_codes] = True
+    present = a.grid(np.ones(data.n_obs, dtype=bool), fill=False)
     missing = tuple((a.units[u], a.periods[t]) for u, t in np.argwhere(~present).tolist())
     return BalanceReport(len(a.units), len(a.periods), data.n_obs, missing)

@@ -25,7 +25,7 @@ from .engine import wls_fit
 from .panel import PanelDataset
 from .periods import Period
 from .staggered import cs_aggregate, cs_att, impute_att, sa_event_study
-from .textio import format_float, read_key_values
+from .textio import format_float, read_key_values, to_number, to_numbers
 
 _Z95 = float(stats.norm.ppf(0.975))
 
@@ -61,8 +61,7 @@ class EffectSchedule:
 
     @classmethod
     def parse(cls, text: str) -> EffectSchedule:
-        values = tuple(float(tok.strip()) for tok in text.split(",") if tok.strip())
-        return cls(values)
+        return cls(to_numbers(text))
 
     def __str__(self) -> str:
         return ", ".join(repr(v) for v in self.values)
@@ -115,12 +114,16 @@ class DgpConfig:
         return [self.start.shift(i) for i in range(self.n_periods)]
 
 
+def _integer(text: str) -> int:
+    return to_number(text, int)
+
+
 _CONFIG_PARSERS = {
-    "n_early": int, "n_late": int, "n_never": int, "start": Period.parse,
-    "n_periods": int, "early_cohort": Period.parse, "late_cohort": Period.parse,
-    "unit_fe_mean": float, "unit_fe_sd": float, "trend": float,
+    "n_early": _integer, "n_late": _integer, "n_never": _integer, "start": Period.parse,
+    "n_periods": _integer, "early_cohort": Period.parse, "late_cohort": Period.parse,
+    "unit_fe_mean": to_number, "unit_fe_sd": to_number, "trend": to_number,
     "effect_early": EffectSchedule.parse, "effect_late": EffectSchedule.parse,
-    "noise_sd": float, "seed": int,
+    "noise_sd": to_number, "seed": _integer,
 }
 
 
@@ -436,6 +439,8 @@ def estimator_race(
         raise ValueError("config.seed must be set to run a race")
     if replications < 1:
         raise ValueError("need at least one replication")
+    if bootstrap_draws < 0:
+        raise ValueError("bootstrap_draws must be non-negative")
     unknown = [name for name in estimators if name not in ESTIMATORS]
     if unknown:
         raise ValueError(

@@ -9,6 +9,10 @@ Three estimators, all anchored to each cohort's last untreated period:
 * an imputation estimator that fits unit and period effects on untreated
   observations only and reads effects off the treated residuals.
 
+Each reads the panel's units x periods layout, calendar time and cohorts
+from `panel`: `PanelArrays.grid`, `PanelArrays.period_index`,
+`cohort_start` and `cohorts_in`.
+
 Group-time and imputation standard errors come from a cluster bootstrap over
 units; duplicated units re-enter as multiplicity weights, which leaves every
 within-unit mean unchanged, so every draw's normal equations, covariate
@@ -32,7 +36,7 @@ from scipy import stats
 
 from .designs import CovariateTerm, by_period, expand_covariates
 from .engine import DesignMatrix, RegressionFit, TwoWaySolver, _absorbed_slopes, wls_fit
-from .panel import PanelDataset, cohort_start, unit_values
+from .panel import PanelDataset, cohort_start, cohorts_in, unit_values
 from .periods import Period
 
 NEVER = -1
@@ -47,57 +51,15 @@ _MARGIN = 1e-6
 _CHUNK_BYTES = 1 << 21
 
 
-@dataclass(frozen=True)
-class _Grid:
-    """Per-unit view of a panel: outcome and weight laid out unit x period."""
-
-    y: np.ndarray       # (U, T), nan where missing
-    w: np.ndarray       # (U, T), 0 where missing
-    mask: np.ndarray    # (U, T) bool
-    units: tuple[str, ...]
-    periods: tuple[Period, ...]
-    unit_weight: np.ndarray   # (U,) scalar weight used for group means
-    start: np.ndarray         # (U,) cohort start period index, math.inf if never
-    cohort_starts: tuple[Period, ...]  # distinct in-window cohorts, sorted
-
-    @property
-    def never(self) -> np.ndarray:
-        return ~np.isfinite(self.start)
-
-
-def _build_grid(
-    data: PanelDataset,
-    cohorts: Mapping[str, Period | None],
-    weights: Mapping[str, float] | None,
-) -> _Grid:
-    a = data.arrays
-    u_count, t_count = len(a.units), len(a.periods)
-    start = cohort_start(data, cohorts)
-    y = np.full((u_count, t_count), np.nan)
-    w = np.zeros((u_count, t_count))
-    y[a.unit_codes, a.period_codes] = a.outcome
-    w[a.unit_codes, a.period_codes] = a.weight
-    mask = w > 0
-    if weights is None:
-        unit_weight = w.sum(axis=1) / mask.sum(axis=1)
-    else:
-        unit_weight = np.asarray(unit_values(data, weights, "unit weight"), dtype=float)
-        if np.any(unit_weight <= 0):
-            raise ValueError("unit weights must be positive")
-    cohort_starts = tuple(
-        Period.from_index(int(i)) for i in np.unique(start[np.isfinite(start)])
-    )
-    return _Grid(y, w, mask, a.units, a.periods, unit_weight, start, cohort_starts)
-
-
-def _region_constant_matrix(
-    data: PanelDataset, names: Sequence[str]
-) -> np.ndarray:
-    cols = []
-    for name in names:
-        values = data.region_constant(name)
-        cols.append([values[u] for u in data.units])
-    return np.asarray(cols, dtype=float).T if cols else np.empty((len(data.units), 0))
+def _unit_weight(data: PanelDataset, weights: Mapping[str, float] | None) -> np.ndarray:
+    """Each unit's weight in group means: `weights`, else its mean row weight."""
+    if weights is None:  # summed on the grid: a bincount rounds in another order
+        w = data.arrays.grid(data.arrays.weight)
+        return w.sum(axis=1) / (w > 0).sum(axis=1)
+    unit_weight = np.asarray(unit_values(data, weights, "unit weight"), dtype=float)
+    if np.any(unit_weight <= 0):
+        raise ValueError("unit weights must be positive")
+    return unit_weight
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +158,13 @@ def cs_att(
         raise ValueError("bootstrap_draws must be non-negative")
     if bootstrap_draws > 0 and seed is None:
         raise ValueError("a seed is required when bootstrap draws are requested")
-    grid = _build_grid(data, cohorts, weights)
-    z = _region_constant_matrix(data, covariates)
-    period_ix = {p: j for j, p in enumerate(grid.periods)}
-    period_index = np.asarray([p.index for p in grid.periods])
+    a = data.arrays
+    start = cohort_start(data, cohorts)
+    unit_weight = _unit_weight(data, weights)
+    y = a.grid(a.outcome, fill=np.nan)  # (U, T), nan where unobserved
+    # A transposed (K, U) array: the bootstrap's column means round in this layout.
+    z = np.asarray([data.region_constant(c) for c in covariates]).reshape(-1, len(a.units)).T
+    period_ix = {p: j for j, p in enumerate(a.periods)}
 
     def cell_att(delta, tsel, csel, uw) -> float:
         """ATT of one cell; nan if a side has no weight or the control design lacks rank."""
@@ -220,7 +185,7 @@ def cs_att(
 
     specs = []  # (cohort, period, delta, treated_sel, control_sel)
     atts = []
-    for g in grid.cohort_starts:
+    for g in cohorts_in(start):
         base = g.prev()
         if base not in period_ix:
             warnings.warn(
@@ -228,27 +193,27 @@ def cs_att(
             )
             continue
         b_col = period_ix[base]
-        in_cohort = grid.start == g.index
-        for j, t in enumerate(grid.periods):
+        in_cohort = start == g.index
+        for j, t in enumerate(a.periods):
             if t == base:
                 continue
             if not include_pre and t < g:
                 continue
-            valid = grid.mask[:, j] & grid.mask[:, b_col]
+            delta = y[:, j] - y[:, b_col]
+            valid = ~np.isnan(delta)
             treated_sel = in_cohort & valid
-            horizon = max(period_index[j], base.index)
+            horizon = max(a.period_index[j], base.index)
             if control_rule == "never_treated":
-                control_sel = grid.never & valid
+                control_sel = ~np.isfinite(start) & valid
             else:
-                control_sel = (grid.start > horizon) & ~in_cohort & valid
+                control_sel = (start > horizon) & ~in_cohort & valid
             if not treated_sel.any():
                 warnings.warn(f"ATT({g}, {t}): no treated units observed; entry omitted")
                 continue
             if not control_sel.any():
                 warnings.warn(f"ATT({g}, {t}): control set is empty; entry omitted")
                 continue
-            delta = grid.y[:, j] - grid.y[:, b_col]
-            att = cell_att(delta, treated_sel, control_sel, grid.unit_weight)
+            att = cell_att(delta, treated_sel, control_sel, unit_weight)
             if math.isnan(att):
                 warnings.warn(
                     f"ATT({g}, {t}): the controls' covariates are collinear; entry omitted"
@@ -264,7 +229,7 @@ def cs_att(
         m = rng.multinomial(
             u_count, np.full(u_count, 1.0 / u_count), size=bootstrap_draws
         ).astype(float)
-        uw = grid.unit_weight
+        uw = unit_weight
         # Control regressions in Frisch-Waugh form on z centred once:
         # ATT = (tn/td - cn/cd) - (mean z treated - mean z control)' gamma.
         z0 = z - np.average(z, axis=0, weights=uw)
@@ -304,7 +269,7 @@ def cs_att(
                 period=t,
                 att=atts[e],
                 se=se,
-                treated_weight=float(grid.unit_weight[tsel].sum()),
+                treated_weight=float(unit_weight[tsel].sum()),
             )
         )
     return GroupTimeATT(
@@ -462,12 +427,12 @@ def sa_event_study(
     contributing cohort's total unit weight; covariance comes from the
     engine's cluster-robust fit via the same linear combination.
     """
-    grid = _build_grid(data, cohorts, weights)
-    if not grid.cohort_starts:
+    start = cohort_start(data, cohorts)
+    interacted = list(cohorts_in(start))
+    if not interacted:
         raise ValueError("no treated cohorts in the panel window")
-    interacted = list(grid.cohort_starts)
     sample = data
-    if not grid.never.any():
+    if np.isfinite(start).all():
         if len(interacted) < 2:
             raise ValueError(
                 "need never-treated units or at least two cohorts to identify the event study"
@@ -477,17 +442,17 @@ def sa_event_study(
             f"no never-treated units: cohort {control_cohort} serves as the "
             f"control and periods from {control_cohort} on are dropped"
         )
-        keep = {p for p in data.periods if p < control_cohort}
-        sample = _restrict_periods(data, keep)
-        grid = _build_grid(sample, cohorts, weights)
+        a = data.arrays
+        sample = data._subset(a.period_index[a.period_codes] < control_cohort.index)
+        start = cohort_start(sample, cohorts)
 
     a = sample.arrays
-    unit_start = grid.start[:]
+    unit_weight = _unit_weight(sample, weights)
     names: list[str] = []
     blocks: list[np.ndarray] = []
     events_of: dict[str, tuple[Period, int]] = {}
     for g in interacted:
-        periods, block = by_period(sample, (unit_start == g.index)[a.unit_codes], g.prev())
+        periods, block = by_period(sample, (start == g.index)[a.unit_codes], g.prev())
         for t in periods:
             name = _sa_name(g, t.index - g.index)
             names.append(name)
@@ -498,12 +463,12 @@ def sa_event_study(
     cov_names, cov_matrix = expand_covariates(sample, tuple(covariates))
     x = np.column_stack([*blocks, cov_matrix])
     del blocks  # free the cells' blocks before the fit; x holds a copy
-    row_weight = None if weights is None else grid.unit_weight[a.unit_codes]
+    row_weight = None if weights is None else unit_weight[a.unit_codes]
     design = DesignMatrix.from_panel(sample, names + cov_names, x, weight=row_weight)
     fit = wls_fit(design)
 
     cohort_weight = {
-        g: float(grid.unit_weight[unit_start == g.index].sum()) for g in interacted
+        g: float(unit_weight[start == g.index].sum()) for g in interacted
     }
     by_event: dict[int, dict[Period, float]] = {}
     for name in fit.columns:
@@ -522,13 +487,6 @@ def sa_event_study(
         entries[e] = EventTimeValue(est, se, fit.df_inference)
         shares[e] = {g: contrib[g] for g in contrib}
     return EventStudyResult(entries=entries, cohort_shares=shares, fit=fit)
-
-
-def _restrict_periods(data: PanelDataset, keep: set[Period]) -> PanelDataset:
-    rows = np.asarray([p in keep for p in data.periods])[data.arrays.period_codes]
-    if not rows.any():
-        raise ValueError("restriction removed every observation")
-    return data._subset(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +606,7 @@ def impute_att(
     if bootstrap_draws > 0 and seed is None:
         raise ValueError("a seed is required when bootstrap draws are requested")
     a = data.arrays
-    grid = _build_grid(data, cohorts, weights)
-    period_index = np.asarray([p.index for p in a.periods])
-    treated_rows = period_index[a.period_codes] >= grid.start[a.unit_codes]
+    treated_rows = a.period_index[a.period_codes] >= cohort_start(data, cohorts)[a.unit_codes]
     if not treated_rows.any():
         raise ValueError("no treated observations; nothing to impute")
     if treated_rows.all():
@@ -678,7 +634,7 @@ def impute_att(
             "but no untreated ones; their period effects cannot be estimated"
         )
 
-    row_weight = a.weight if weights is None else grid.unit_weight[a.unit_codes]
+    row_weight = a.weight if weights is None else _unit_weight(data, weights)[a.unit_codes]
     cov_names, cov_matrix = expand_covariates(data, tuple(covariates))
     effect_rows, keep = _untreated_gaps(cov_matrix, row_weight, untr, data)
     cov_matrix = cov_matrix[:, keep]
@@ -760,18 +716,14 @@ def _impute_bootstrap(
     a = data.arrays
     u_count, t_count, k = len(a.units), len(a.periods), x.shape[1]
 
-    def grid(values, rows):
-        out = np.zeros((u_count, t_count) + values.shape[1:])
-        out[a.unit_codes[rows], a.period_codes[rows]] = values
-        return out
-
     uu, wu, yu = a.unit_codes[untr], w[untr], a.outcome[untr]
     ut, wt = a.unit_codes[treated_rows], w[treated_rows]
     wsum_u = np.bincount(uu, weights=wu, minlength=u_count)
     wy_u = np.bincount(uu, weights=wu * yu, minlength=u_count)
     ty_sum = np.bincount(ut, weights=wt * a.outcome[treated_rows], minlength=u_count)
     tw_sum = np.bincount(ut, weights=wt, minlength=u_count)
-    a_grid, wy_grid, tw_grid = grid(wu, untr), grid(wu * yu, untr), grid(wt, treated_rows)
+    a_grid, tw_grid = a.grid(w * untr), a.grid(w * treated_rows)
+    wy_grid = a.grid(w * untr * a.outcome)
     active = wsum_u > 0
     ratio_u = np.where(active, wy_u / np.where(active, wsum_u, 1.0), 0.0)
     inv = np.where(active, 1.0 / np.where(active, wsum_u, 1.0), 0.0)
@@ -791,7 +743,7 @@ def _impute_bootstrap(
     c_all = m @ (wy_grid - a_grid * ratio_u[:, None])  # (draws, T)
     # Per-unit blocks of the slopes' columns: cross products of x centred on
     # its untreated unit mean, with itself, the outcome and the periods.
-    x_grid = grid(x, slice(None))
+    x_grid = a.grid(x)
     tx_u = np.einsum("ut,utk->uk", tw_grid, x_grid)
     sx_u = np.einsum("ut,utk->uk", a_grid, x_grid)
     xsq_u = np.einsum("ut,utk,utk->uk", a_grid, x_grid, x_grid)

@@ -2,10 +2,11 @@
 
 `open_text` lets each reader and writer take either an open stream or a
 path; `read_key_values` is the one parser for the flat `key = value` files
-(design specs and generator configs); `parse_number` and `format_float` read
-and write numeric CSV cells. A numeric cell is ASCII and holds no `_`, so
-digit grouping and non-ASCII digits, which Python's `int` and `float` accept,
-are rejected.
+(design specs and generator configs); `to_number` reads every number of
+those files and, through `parse_number`, every numeric CSV cell, which
+`format_float` writes. A number is ASCII and holds no `_`, so digit
+grouping and non-ASCII digits, which Python's `int` and `float` accept, are
+rejected; a numeric CSV cell must also be finite.
 
 This is the one module that speaks CSV. `read_csv` reads every CSV input
 under one set of rules: header names are stripped, a leading byte-order mark
@@ -33,14 +34,24 @@ class IngestError(ValueError):
     """A delimited input failed validation."""
 
 
+def to_number(text: str, kind: type = float) -> float:
+    """Parse `text` as `kind` if it is ASCII with no `_`; `ValueError` otherwise."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"could not parse {text!r}: a number is ASCII with no '_'")
+    return kind(text)
+
+
+def to_numbers(text: str, kind: type = float) -> tuple:
+    """Parse a comma-separated list of numbers as `kind`; blank items are skipped."""
+    return tuple(to_number(tok.strip(), kind) for tok in text.split(",") if tok.strip())
+
+
 def parse_number(
     text: str, row: int, column: str, *, kind: type = float, positive: bool = False
 ) -> float:
     """Parse one numeric cell as `kind`; errors name the row and column."""
     try:
-        if not text.isascii() or "_" in text:
-            raise ValueError
-        value = kind(text)
+        value = to_number(text, kind)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise IngestError(

@@ -317,6 +317,18 @@ class TestEstimate:
         assert code == 1
         assert re.search(message, stderr_payload(err)["message"])
 
+    def test_unknown_covariate_is_a_value_error(self, tmp_path, capsys, estimate_inputs):
+        panel, design, _ = estimate_inputs
+        spec = tmp_path / "covariate.txt"
+        spec.write_text("kind = baseline\ncovariates = nope*time\n")
+        out = tmp_path / "cov"
+        code, _, err = run(["estimate", "--out", out, "--panel", panel,
+                            "--design", design, "--spec", spec], capsys)
+        assert code == 1
+        assert stderr_payload(err) == {
+            "error": "ValueError", "message": "unknown covariate 'nope'; have []"}
+        assert not out.exists()
+
     def test_bacon_requires_staggered_kind(self, tmp_path, capsys, estimate_inputs):
         panel, design, spec = estimate_inputs
         code, _, err = run(
@@ -326,6 +338,7 @@ class TestEstimate:
         )
         assert code == 1
         assert "staggered" in stderr_payload(err)["message"]
+        assert not (tmp_path / "b").exists()  # no fit.json without its manifest
 
 
 @pytest.fixture
@@ -511,6 +524,41 @@ class TestRace:
         assert code == 1
         payload = stderr_payload(err)
         assert payload["error"] == "ValueError"
+
+    def test_negative_draws_are_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["race", "--out", str(tmp_path / "x"), "--preset", "null",
+                  "--seed", "1", "--draws", "-1"])
+        assert info.value.code == 2
+        assert "--draws: expected a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+# Invocations that fail on their inputs; none may leave its --out behind.
+REJECTED = {
+    "simulate without a seed": ["simulate", "--preset", "null"],
+    "simulate with config and preset": ["simulate", "--preset", "null", "--config",
+                                        "dgp.txt", "--seed", "1"],
+    "race without a seed": ["race", "--preset", "null"],
+    "race with an unknown estimator": ["race", "--preset", "null", "--seed", "1",
+                                       "--estimators", "ols", "--replications", "1"],
+    "estimate with a missing panel": ["estimate", "--panel", "absent.csv",
+                                      "--design", "d.csv", "--spec", "s.txt"],
+    "decompose with a missing panel": ["decompose", "--panel", "absent.csv",
+                                       "--design", "d.csv"],
+    "bite with one wave": ["bite", "--micro", "m.csv", "--mw", "8.5",
+                           "--survey-year", "2014", "--weights", "w.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", REJECTED.values(), ids=REJECTED)
+def test_rejected_run_leaves_no_out_directory(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dgp.txt").write_text(SMALL_CONFIG)
+    code, _, err = run([*argv, "--out", tmp_path / "x"], capsys)
+    assert code == 1
+    assert stderr_payload(err)["error"]
+    assert not (tmp_path / "x").exists()
 
 
 # One argv per command that passes every flag the command takes.

@@ -127,6 +127,14 @@ class TestSpecFile:
         with pytest.raises(ValueError, match="placebo"):
             load_spec(io.StringIO("kind = baseline\nplacebo = yes\n"))
 
+    @pytest.mark.parametrize("years", [
+        "2_016, 2018", "2016, \u0662\u0660\u0661\u0668", "2016.0", "2016, inf",
+    ])
+    def test_increase_years_use_the_one_number_rule(self, years):
+        # digit grouping and non-ASCII digits, which int() accepts, are rejected
+        with pytest.raises(ValueError, match=r"^line 2: increase_years: "):
+            load_spec(io.StringIO(f"kind = increases\nincrease_years = {years}\n"))
+
     def test_increase_years_validated(self):
         with pytest.raises(ValueError, match="duplicates"):
             DidSpec(kind=DesignKind.INCREASES, increase_years=(2016, 2016))
@@ -363,7 +371,7 @@ class TestCovariateExpansion:
     def test_unknown_characteristic_rejected(self):
         units = ("high", "low")
         data = panel_for(units, QUARTERS, constants=self.CONSTS)
-        with pytest.raises(KeyError, match="elevation"):
+        with pytest.raises(ValueError, match="elevation"):
             expand_covariates(data, (CovariateTerm("elevation"),))
 
     def test_spec_covariates_appended_to_design(self):

@@ -13,6 +13,7 @@ from paneldid.panel import (
     PanelDataset,
     balance_report,
     cohort_start,
+    cohorts_in,
     ingest_panel,
     log_outcome,
     serialize_panel,
@@ -179,6 +180,41 @@ def test_region_constant_validated():
     )
     with pytest.raises(ValueError, match="constant"):
         data.region_constant("z0")
+
+
+def test_region_constant_in_unit_order_and_unknown_covariate_named():
+    data = make_panel(
+        {(u, P(2014, q)): 1.0 for u in "ba" for q in (1, 2)},
+        covariates={(u, P(2014, q)): (v,) for u, v in (("a", 3.0), ("b", 4.0)) for q in (1, 2)},
+    )
+    np.testing.assert_array_equal(data.region_constant("z0"), [3.0, 4.0])
+    with pytest.raises(ValueError, match=r"^unknown covariate 'nope'; have \['z0'\]$"):
+        data.region_constant("nope")
+
+
+def test_grid_lays_rows_out_units_by_periods():
+    # Unbalanced, with a gap in calendar time: b has no 2014Q2 row, and no unit a 2014Q1 row.
+    data = PanelDataset([
+        Observation("b", P(2013, 4), 2.0, 1.0, (20.0, 21.0)),
+        Observation("a", P(2014, 2), 3.0, 1.0, (30.0, 31.0)),
+        Observation("a", P(2013, 4), 1.0, 1.0, (10.0, 11.0)),
+    ], covariate_names=("x", "z"))
+    a = data.arrays
+    assert a.period_index.tolist() == [P(2013, 4).index, P(2014, 2).index]
+    assert not a.period_index.flags.writeable
+    np.testing.assert_array_equal(a.grid(a.outcome, fill=np.nan), [[1.0, 3.0], [2.0, np.nan]])
+    assert a.grid(a.outcome).tolist() == [[1.0, 3.0], [2.0, 0.0]]
+    covariates = a.grid(a.covariates, fill=-1.0)
+    assert covariates.shape == (2, 2, 2)
+    assert covariates.tolist() == [[[10.0, 11.0], [30.0, 31.0]], [[20.0, 21.0], [-1.0, -1.0]]]
+    present = a.grid(np.ones(data.n_obs, dtype=bool), fill=False)
+    assert present.dtype == bool and present.tolist() == [[True, True], [True, False]]
+
+
+def test_cohorts_in_lists_distinct_in_window_starts():
+    start = np.array([P(2015, 1).index, np.inf, P(2014, 3).index, P(2015, 1).index])
+    assert cohorts_in(start) == (P(2014, 3), P(2015, 1))
+    assert cohorts_in(np.array([np.inf])) == ()
 
 
 def test_with_outcome_replaces_values_only():

@@ -114,6 +114,17 @@ class TestDgpConfig:
         with pytest.raises(ValueError, match="key = value"):
             load_dgp_config(io.StringIO("just some text\n"))
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", "4_2"), ("n_early", "\u0666_0"), ("n_periods", "\u0663\u0667"),
+        ("n_never", "5.0"), ("trend", "0.00_2"), ("noise_sd", "0.0\u0662"),
+        ("unit_fe_mean", "\uff11"), ("effect_early", "-0.01, -0.0_2"),
+        ("effect_late", "-0.05, \u0665"),
+    ])
+    def test_numbers_use_the_one_number_rule(self, key, value):
+        # int() and float() accept digit grouping and non-ASCII digits
+        with pytest.raises(ValueError, match=rf"^line 2: {key}: "):
+            load_dgp_config(io.StringIO(f"n_late = 3\n{key} = {value}\n"))
+
 
 class TestGenerate:
     def test_requires_seed(self):
@@ -253,6 +264,14 @@ class TestRace:
     def test_replications_positive(self):
         with pytest.raises(ValueError, match="replication"):
             estimator_race(small_config(), ["twfe"], 0)
+
+    def test_negative_draws_rejected_before_any_replication(self, monkeypatch):
+        def no_panels(*args, **kwargs):
+            raise AssertionError("a replication ran")
+        monkeypatch.setattr("paneldid.simulate.generate", no_panels)
+        with pytest.raises(ValueError, match="bootstrap_draws must be non-negative"):
+            estimator_race(small_config(), ["twfe", "cs_never", "imputation"], 2,
+                           bootstrap_draws=-1)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_failures_are_counted_not_raised(self):
