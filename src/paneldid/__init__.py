@@ -35,6 +35,7 @@ from .designs import (
 )
 from .engine import (
     DesignMatrix,
+    Estimate,
     RegressionFit,
     cluster_vcov,
     demean_two_way,
@@ -85,6 +86,7 @@ __all__ = [
     "DgpConfig",
     "DidSpec",
     "EffectSchedule",
+    "Estimate",
     "EventStudyResult",
     "GroundTruth",
     "GroupTimeATT",

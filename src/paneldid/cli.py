@@ -9,6 +9,9 @@ Subcommands and the flags each takes:
   --format --threads
 * simulate: --out --seed --config --preset
 
+Numeric flags are read by `textio.to_number`; a value it rejects is a usage
+error.
+
 Every run writes a manifest.json next to its outputs recording the command,
 SHA-256 digests of the input files, the effective parameters, the seed (null
 for the commands without one), and the package version. Worker-thread counts
@@ -56,7 +59,7 @@ from .simulate import (
     load_dgp_config,
     null_config,
 )
-from .textio import IngestError, parse_number, read_csv, write_csv
+from .textio import IngestError, parse_number, read_csv, to_number, write_csv
 
 _PRESETS = {
     "homogeneous": homogeneous_config,
@@ -93,22 +96,35 @@ def _write_manifest(
     })
 
 
+def _flag_number(kind: type):
+    """An argparse type reading `kind` by `textio.to_number`; a rejection is a usage error."""
+    def parse(text: str):
+        try:
+            return to_number(text, kind)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
+_flag_int = _flag_number(int)
+
+
 def _seed_value(text: str) -> int:
-    value = int(text)
+    value = _flag_int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
     return value
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _flag_int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("expected a positive integer")
     return value
 
 
 def _non_negative_int(text: str) -> int:
-    value = int(text)
+    value = _flag_int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("expected a non-negative integer")
     return value
@@ -466,9 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("bite", cmd_bite, "wage gaps, median splits, and the treatment design")
     p.add_argument("--micro", action="append", required=True,
                    help="wage microdata CSV (region,hourly_wage); pass twice, first wave first")
-    p.add_argument("--mw", action="append", type=float, required=True,
+    p.add_argument("--mw", action="append", type=_flag_number(float), required=True,
                    help="minimum wage for the matching --micro file; pass twice")
-    p.add_argument("--survey-year", action="append", type=int, required=True,
+    p.add_argument("--survey-year", action="append", type=_flag_int, required=True,
                    help="survey year for the matching --micro file; pass twice")
     p.add_argument("--weights", required=True,
                    help="population weights CSV (region,weight)")

@@ -25,6 +25,10 @@ inference:
 with X the demeaned retained regressors, G the number of clusters and K the
 number of retained slope parameters. Test statistics use a t reference
 distribution with G-1 degrees of freedom.
+
+`Estimate` holds one estimate and its standard error and is the one home of
+the toolkit's 95% interval: a t(df) critical value for these CR1 errors
+(df = G-1), a normal one for bootstrap errors (no df).
 """
 
 from __future__ import annotations
@@ -42,6 +46,25 @@ from .periods import Period
 
 PIVOT_RTOL = 1e-9
 _BLOCK_ROWS = 1024  # rows per chunk: residuals and QR blocks stay in cache
+_Z95 = float(stats.norm.ppf(0.975))
+
+
+@dataclass(frozen=True)
+class Estimate:
+    """An estimate, its standard error and the df of its t reference, if any."""
+
+    estimate: float
+    se: float
+    df: int | None = None
+
+    def conf_int(self) -> tuple[float, float]:
+        """95% interval: normal critical value without df, t(df) with it."""
+        crit = _Z95 if self.df is None else float(stats.t.ppf(0.975, self.df))
+        return self.estimate - crit * self.se, self.estimate + crit * self.se
+
+    def to_json_dict(self) -> dict:
+        low, high = self.conf_int()
+        return {"estimate": self.estimate, "se": self.se, "conf_low": low, "conf_high": high}
 
 
 @dataclass(frozen=True)
@@ -303,10 +326,11 @@ class RegressionFit:
         t = self.tstat(name)
         return float(2.0 * stats.t.sf(abs(t), self.df_inference)) if math.isfinite(t) else math.nan
 
-    def conf_int(self, name: str, level: float = 0.95) -> tuple[float, float]:
-        crit = float(stats.t.ppf(0.5 + level / 2.0, self.df_inference))
-        est, se = self.coefficients[name], self.se(name)
-        return est - crit * se, est + crit * se
+    def estimate(self, name: str) -> Estimate:
+        return Estimate(self.coefficients[name], self.se(name), self.df_inference)
+
+    def conf_int(self, name: str) -> tuple[float, float]:
+        return self.estimate(name).conf_int()
 
     def stars(self, name: str) -> str:
         p = self.pvalue(name)
@@ -321,8 +345,8 @@ class RegressionFit:
         var = float(vec @ self.vcov @ vec)
         return est, math.sqrt(max(var, 0.0))
 
-    def to_json_dict(self, level: float = 0.95) -> dict:
-        ci = {c: self.conf_int(c, level) for c in self.columns}
+    def to_json_dict(self) -> dict:
+        ci = {c: self.conf_int(c) for c in self.columns}
         return {
             "coefficients": {c: self.coefficients[c] for c in self.columns},
             "se": {c: self.se(c) for c in self.columns},

@@ -16,18 +16,15 @@ from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from . import textio
 from .bite import RegionTreatment, SwitcherGroup, TreatmentDesign
 from .designs import DesignKind, DidSpec, build_staggered_twfe
-from .engine import wls_fit
+from .engine import Estimate, wls_fit
 from .panel import PanelDataset
 from .periods import Period
 from .staggered import cs_aggregate, cs_att, impute_att, sa_event_study
 from .textio import format_float, read_key_values, to_number, to_numbers
-
-_Z95 = float(stats.norm.ppf(0.975))
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -269,24 +266,13 @@ def generate(
     return data, design, truth
 
 
-@dataclass(frozen=True)
-class EstimateRecord:
-    estimate: float
-    se: float
-    conf_low: float
-    conf_high: float
-
-
-def _run_twfe(data, design, draws, seed) -> EstimateRecord:
+def _run_twfe(data, design, draws, seed) -> Estimate:
     spec = DidSpec(kind=DesignKind.STAGGERED_TWFE)
-    fit = wls_fit(build_staggered_twfe(data, design, spec))
-    name = "post_adoption"
-    low, high = fit.conf_int(name)
-    return EstimateRecord(fit.coefficients[name], fit.se(name), low, high)
+    return wls_fit(build_staggered_twfe(data, design, spec)).estimate("post_adoption")
 
 
 def _run_cs(rule: str):
-    def run(data, design, draws, seed) -> EstimateRecord:
+    def run(data, design, draws, seed) -> Estimate:
         result = cs_att(
             data,
             design.cohort_map(),
@@ -294,26 +280,21 @@ def _run_cs(rule: str):
             bootstrap_draws=draws,
             seed=seed,
         )
-        overall = cs_aggregate(result, "overall").values["overall"]
-        low, high = overall.conf_int()
-        return EstimateRecord(overall.estimate, overall.se, low, high)
+        return cs_aggregate(result, "overall").values["overall"]
 
     return run
 
 
-def _run_sa(data, design, draws, seed) -> EstimateRecord:
+def _run_sa(data, design, draws, seed) -> Estimate:
     result = sa_event_study(data, design.cohort_map())
-    estimate, se = result.overall()
-    crit = float(stats.t.ppf(0.975, result.fit.df_inference))
-    return EstimateRecord(estimate, se, estimate - crit * se, estimate + crit * se)
+    return Estimate(*result.overall(), result.fit.df_inference)
 
 
-def _run_impute(data, design, draws, seed) -> EstimateRecord:
+def _run_impute(data, design, draws, seed) -> Estimate:
     result = impute_att(
         data, design.cohort_map(), bootstrap_draws=draws, seed=seed
     )
-    low, high = result.conf_int()
-    return EstimateRecord(result.aggregate, result.se, low, high)
+    return Estimate(result.aggregate, result.se)
 
 
 # Estimator slots feed the per-replication stream split, so results do not
@@ -434,6 +415,7 @@ def estimator_race(
     summary statistics, and counted. Results are independent of the estimator
     order and the thread count: each (replication, estimator) pair draws from
     its own pre-assigned stream, and replications are reduced in index order.
+    Coverage counts the 95% intervals of each estimator's `engine.Estimate`.
     """
     if config.seed is None:
         raise ValueError("config.seed must be set to run a race")
@@ -441,6 +423,10 @@ def estimator_race(
         raise ValueError("need at least one replication")
     if bootstrap_draws < 0:
         raise ValueError("bootstrap_draws must be non-negative")
+    if threads < 1:
+        raise ValueError(f"need at least one worker thread, got {threads}")
+    if not estimators:
+        raise ValueError("no estimators to race")
     unknown = [name for name in estimators if name not in ESTIMATORS]
     if unknown:
         raise ValueError(
@@ -452,17 +438,17 @@ def estimator_race(
     ordered = tuple(sorted(estimators, key=lambda n: ESTIMATORS[n][0]))
     truth = _truth(config)
 
-    def one_rep(rep: int) -> dict[str, EstimateRecord | None]:
+    def one_rep(rep: int) -> list[tuple[float, float, float, float]]:
+        """(estimate, se, conf_low, conf_high) per estimator; nans where it failed."""
         data, design, _ = generate(config, stream=rep)
-        out: dict[str, EstimateRecord | None] = {}
+        out = []
         for name in ordered:
             slot, run = ESTIMATORS[name]
             try:
-                out[name] = run(
-                    data, design, bootstrap_draws, _child_seed(config.seed, rep, slot)
-                )
+                value = run(data, design, bootstrap_draws, _child_seed(config.seed, rep, slot))
+                out.append((value.estimate, value.se, *value.conf_int()))
             except (ValueError, np.linalg.LinAlgError):
-                out[name] = None
+                out.append((math.nan,) * 4)
         return out
 
     if threads > 1:
@@ -470,28 +456,20 @@ def estimator_race(
             results = list(pool.map(one_rep, range(replications)))
     else:
         results = [one_rep(rep) for rep in range(replications)]
-
-    def collect(attr: str) -> dict[str, np.ndarray]:
-        return {
-            name: np.asarray(
-                [
-                    getattr(results[rep][name], attr) if results[rep][name] else math.nan
-                    for rep in range(replications)
-                ]
-            )
-            for name in ordered
-        }
-
+    table = np.asarray(results, dtype=float)  # (replication, estimator, field)
+    estimates, ses, conf_lows, conf_highs = (
+        {name: table[:, i, k].copy() for i, name in enumerate(ordered)} for k in range(4)
+    )
     return RaceResult(
         estimators=ordered,
         replications=replications,
         seed=config.seed,
         bootstrap_draws=bootstrap_draws,
         truth=truth,
-        estimates=collect("estimate"),
-        ses=collect("se"),
-        conf_lows=collect("conf_low"),
-        conf_highs=collect("conf_high"),
+        estimates=estimates,
+        ses=ses,
+        conf_lows=conf_lows,
+        conf_highs=conf_highs,
     )
 
 

@@ -20,7 +20,8 @@ columns included, are one matrix product of per-unit blocks and are solved in
 one batch. A draw whose pivots fail a fixed margin (an empty period, unlinked
 units and periods, a nearly collinear column) is re-fit alone by the routine
 the point estimate uses. The event study inherits the engine's analytic
-covariance.
+covariance. Every interval is an `engine.Estimate`'s: a normal critical value
+for the bootstrap errors and t(G-1) for the event study's.
 """
 
 from __future__ import annotations
@@ -32,15 +33,13 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .designs import CovariateTerm, by_period, expand_covariates
-from .engine import DesignMatrix, RegressionFit, TwoWaySolver, _absorbed_slopes, wls_fit
+from .engine import DesignMatrix, Estimate, RegressionFit, TwoWaySolver, _absorbed_slopes, wls_fit
 from .panel import PanelDataset, cohort_start, cohorts_in, unit_values
 from .periods import Period
 
 NEVER = -1
-_Z95 = float(stats.norm.ppf(0.975))
 # Least ratio of each pivot of a bootstrap draw's normal equations to its
 # column's squared norm (the squared sine of the column's angle to the columns
 # before it) for the draw to be solved in the batch. At this margin the
@@ -79,7 +78,7 @@ class GroupTimeCell:
         return self.period.index - self.cohort.index
 
     def conf_int(self) -> tuple[float, float]:
-        return self.att - _Z95 * self.se, self.att + _Z95 * self.se
+        return Estimate(self.att, self.se).conf_int()
 
 
 @dataclass(frozen=True)
@@ -282,33 +281,24 @@ def cs_att(
 
 
 @dataclass(frozen=True)
-class AggregateValue:
-    estimate: float
-    se: float
-
-    def conf_int(self) -> tuple[float, float]:
-        return self.estimate - _Z95 * self.se, self.estimate + _Z95 * self.se
-
-
-@dataclass(frozen=True)
 class Aggregation:
     """Treated-share-weighted summaries of group-time effects."""
 
     kind: str
-    values: Mapping[object, AggregateValue]
+    values: Mapping[object, Estimate]
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for key, v in self.values.items():
-            low, high = v.conf_int()
-            out[str(key)] = {
-                "estimate": v.estimate, "se": v.se,
-                "conf_low": low, "conf_high": high,
-            }
-        return {"kind": self.kind, "values": out}
+        values = {str(key): v.to_json_dict() for key, v in self.values.items()}
+        return {"kind": self.kind, "values": values}
 
 
-AGGREGATION_KINDS = ("overall", "by_event_time", "by_cohort")
+# Each kind's key for an entry; only `by_event_time` keeps pre-treatment entries.
+_GROUP_KEYS = {
+    "overall": lambda cell: "overall",
+    "by_event_time": lambda cell: cell.event_time,
+    "by_cohort": lambda cell: cell.cohort,
+}
+AGGREGATION_KINDS = tuple(_GROUP_KEYS)
 
 
 def cs_aggregate(result: GroupTimeATT, kind: str = "overall") -> Aggregation:
@@ -322,34 +312,20 @@ def cs_aggregate(result: GroupTimeATT, kind: str = "overall") -> Aggregation:
     """
     if kind not in AGGREGATION_KINDS:
         raise ValueError(f"unknown aggregation {kind!r}; valid kinds: {AGGREGATION_KINDS}")
-    post = [
-        (i, cell) for i, cell in enumerate(result.entries)
-        if cell.period >= cell.cohort
-    ]
-    if kind == "by_event_time":
-        pool = list(enumerate(result.entries))
-        keyed: dict[object, list[tuple[int, GroupTimeCell]]] = {}
-        for i, cell in pool:
-            keyed.setdefault(cell.event_time, []).append((i, cell))
-    elif kind == "by_cohort":
-        keyed = {}
-        for i, cell in post:
-            keyed.setdefault(cell.cohort, []).append((i, cell))
-    else:
-        keyed = {"overall": post}
-    if not any(keyed.values()):
+    groups: dict[object, list[int]] = {}
+    for i, cell in enumerate(result.entries):
+        if kind == "by_event_time" or cell.period >= cell.cohort:
+            groups.setdefault(_GROUP_KEYS[kind](cell), []).append(i)
+    if not groups:
         raise ValueError("no entries to aggregate")
-    values: dict[object, AggregateValue] = {}
-    for key in sorted(keyed, key=str):
-        members = keyed[key]
-        if not members:
-            continue
-        w = np.asarray([cell.treated_weight for _, cell in members])
+    values: dict[object, Estimate] = {}
+    for key in sorted(groups, key=str):
+        members = groups[key]
+        w = np.asarray([result.entries[i].treated_weight for i in members])
         w = w / w.sum()
-        estimate = float(np.dot(w, [cell.att for _, cell in members]))
-        boot = result.boot
-        se = math.nan if boot is None else _boot_se(boot[:, [i for i, _ in members]] @ w)
-        values[key] = AggregateValue(estimate, se)
+        estimate = float(np.dot(w, [result.entries[i].att for i in members]))
+        se = math.nan if result.boot is None else _boot_se(result.boot[:, members] @ w)
+        values[key] = Estimate(estimate, se)
     return Aggregation(kind=kind, values=values)
 
 
@@ -358,21 +334,10 @@ def cs_aggregate(result: GroupTimeATT, kind: str = "overall") -> Aggregation:
 
 
 @dataclass(frozen=True)
-class EventTimeValue:
-    estimate: float
-    se: float
-    df: int
-
-    def conf_int(self) -> tuple[float, float]:
-        crit = float(stats.t.ppf(0.975, self.df))
-        return self.estimate - crit * self.se, self.estimate + crit * self.se
-
-
-@dataclass(frozen=True)
 class EventStudyResult:
     """Cohort-share-weighted event-time path and the saturated fit behind it."""
 
-    entries: Mapping[int, EventTimeValue]
+    entries: Mapping[int, Estimate]
     cohort_shares: Mapping[int, Mapping[Period, float]]
     fit: RegressionFit
 
@@ -396,15 +361,8 @@ class EventStudyResult:
         return self.fit.linear_combination(weights)
 
     def to_json_dict(self) -> dict:
-        out = {}
-        for e in sorted(self.entries):
-            v = self.entries[e]
-            low, high = v.conf_int()
-            out[str(e)] = {
-                "estimate": v.estimate, "se": v.se,
-                "conf_low": low, "conf_high": high,
-            }
-        return {"estimator": self.estimator, "entries": out}
+        entries = {str(e): self.entries[e].to_json_dict() for e in sorted(self.entries)}
+        return {"estimator": self.estimator, "entries": entries}
 
 
 def _sa_name(cohort: Period, event: int) -> str:
@@ -476,7 +434,7 @@ def sa_event_study(
             continue
         g, e = events_of[name]
         by_event.setdefault(e, {})[g] = cohort_weight[g]
-    entries: dict[int, EventTimeValue] = {}
+    entries: dict[int, Estimate] = {}
     shares: dict[int, dict[Period, float]] = {}
     for e, contrib in sorted(by_event.items()):
         total = sum(contrib.values())
@@ -484,7 +442,7 @@ def sa_event_study(
         est, se = fit.linear_combination(
             {_sa_name(g, e): s for g, s in share.items()}
         )
-        entries[e] = EventTimeValue(est, se, fit.df_inference)
+        entries[e] = Estimate(est, se, fit.df_inference)
         shares[e] = {g: contrib[g] for g in contrib}
     return EventStudyResult(entries=entries, cohort_shares=shares, fit=fit)
 
@@ -537,7 +495,7 @@ class ImputationResult:
         ))
 
     def conf_int(self) -> tuple[float, float]:
-        return self.aggregate - _Z95 * self.se, self.aggregate + _Z95 * self.se
+        return Estimate(self.aggregate, self.se).conf_int()
 
     def to_json_dict(self) -> dict:
         low, high = self.conf_int()

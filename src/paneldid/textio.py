@@ -6,7 +6,7 @@ path; `read_key_values` is the one parser for the flat `key = value` files
 those files and, through `parse_number`, every numeric CSV cell, which
 `format_float` writes. A number is ASCII and holds no `_`, so digit
 grouping and non-ASCII digits, which Python's `int` and `float` accept, are
-rejected; a numeric CSV cell must also be finite.
+rejected, and it must be finite.
 
 This is the one module that speaks CSV. `read_csv` reads every CSV input
 under one set of rules: header names are stripped, a leading byte-order mark
@@ -34,11 +34,19 @@ class IngestError(ValueError):
     """A delimited input failed validation."""
 
 
-def to_number(text: str, kind: type = float) -> float:
-    """Parse `text` as `kind` if it is ASCII with no `_`; `ValueError` otherwise."""
+def _parse(text: str, kind: type) -> float:
+    """`kind(text)` if `text` is ASCII with no `_`; `ValueError` otherwise."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"could not parse {text!r}: a number is ASCII with no '_'")
     return kind(text)
+
+
+def to_number(text: str, kind: type = float) -> float:
+    """Parse `text` as `kind` if it is ASCII with no `_` and finite; `ValueError` otherwise."""
+    value = _parse(text, kind)
+    if kind is not int and not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def to_numbers(text: str, kind: type = float) -> tuple:
@@ -51,7 +59,7 @@ def parse_number(
 ) -> float:
     """Parse one numeric cell as `kind`; errors name the row and column."""
     try:
-        value = to_number(text, kind)
+        value = _parse(text, kind)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
         raise IngestError(

@@ -542,6 +542,8 @@ REJECTED = {
     "race without a seed": ["race", "--preset", "null"],
     "race with an unknown estimator": ["race", "--preset", "null", "--seed", "1",
                                        "--estimators", "ols", "--replications", "1"],
+    "race with no estimators": ["race", "--preset", "null", "--seed", "1",
+                                "--estimators", ",", "--replications", "1"],
     "estimate with a missing panel": ["estimate", "--panel", "absent.csv",
                                       "--design", "d.csv", "--spec", "s.txt"],
     "decompose with a missing panel": ["decompose", "--panel", "absent.csv",
@@ -609,3 +611,20 @@ class TestParser:
             build_parser().parse_args(argv)
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag} {SHARED[flag]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, text", [
+        ("race", "--seed", "4_2"), ("race", "--replications", "1_0"),
+        ("race", "--draws", "\u0663"), ("race", "--threads", "\u0662"),
+        ("simulate", "--seed", "\uff13"), ("bite", "--mw", "8_5"),
+        ("bite", "--mw", "inf"), ("bite", "--mw", "nan"),
+        ("bite", "--survey-year", "\u0662\u0660\u0661\u0668"),
+    ])
+    def test_numeric_flags_use_the_one_number_rule(self, capsys, command, flag, text):
+        # int() and float() accept each of these texts
+        argv = [command, *FULL_ARGV[command]]
+        argv[argv.index(flag) + 1] = text
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"argument {flag}: (could not parse|non-finite value) '{text}'", err)

@@ -10,6 +10,7 @@ from scipy import stats
 from conftest import P, direct_cr1, dummy_wls_coefficients, grid_panel, make_panel
 from paneldid.engine import (
     DesignMatrix,
+    Estimate,
     cluster_vcov,
     demean_two_way,
     wls_fit,
@@ -353,6 +354,15 @@ class TestInference:
         crit = stats.t.ppf(0.975, fit.n_clusters - 1)
         assert low == pytest.approx(fit.coefficients[name] - crit * fit.se(name), rel=1e-10)
         assert high == pytest.approx(fit.coefficients[name] + crit * fit.se(name), rel=1e-10)
+
+    def test_estimate_interval_rule(self):
+        # normal without df (bootstrap SEs), t(df) with it (CR1 SEs)
+        z, t = float(stats.norm.ppf(0.975)), float(stats.t.ppf(0.975, 7))
+        assert Estimate(0.3, 0.1).conf_int() == (0.3 - z * 0.1, 0.3 + z * 0.1)
+        assert Estimate(0.3, 0.1, 7).conf_int() == (0.3 - t * 0.1, 0.3 + t * 0.1)
+        assert Estimate(0.3, 0.1, 7).to_json_dict() == {
+            "estimate": 0.3, "se": 0.1, "conf_low": 0.3 - t * 0.1, "conf_high": 0.3 + t * 0.1,
+        }
 
     def test_stars_thresholds(self):
         rng = np.random.default_rng(61)

@@ -1,4 +1,5 @@
-"""Every race estimator ignores unit names and the order of the rows.
+"""Every race estimator ignores unit names, the order of the rows and the
+scale of the weights, and follows an affine map of the outcome.
 
 Panels are drawn by `simulate.generate`, then unbalanced (treated and
 late-cohort units lose random post-adoption rows) and given random row
@@ -55,12 +56,22 @@ def estimate(name: str, data: PanelDataset, design: TreatmentDesign):
         return ESTIMATORS[name][1](data, design, 0, None)
 
 
-def assert_same(name: str, got, want) -> None:
-    assert got.estimate == pytest.approx(want.estimate, rel=REL, abs=0)
+def assert_same(name: str, got, want, b: float = 1.0) -> None:
+    """`got` is `want` with the outcome times b: estimate, SE and 95% interval."""
+    assert got.estimate == pytest.approx(b * want.estimate, rel=REL, abs=0)
     if name in ANALYTIC_SE:
-        assert got.se == pytest.approx(want.se, rel=REL, abs=0)
+        assert got.se == pytest.approx(abs(b) * want.se, rel=REL, abs=0)
+        low, high = sorted(b * end for end in want.conf_int())
+        assert got.conf_int()[0] == pytest.approx(low, rel=REL, abs=0)
+        assert got.conf_int()[1] == pytest.approx(high, rel=REL, abs=0)
     else:
         assert math.isnan(got.se) and math.isnan(want.se)
+        assert all(map(math.isnan, got.conf_int()))
+
+
+def mapped(data: PanelDataset, outcome=lambda y: y, weight=lambda w: w) -> PanelDataset:
+    return PanelDataset([Observation(o.unit, o.period, outcome(o.outcome), weight(o.weight))
+                         for o in data.observations])
 
 
 @pytest.mark.parametrize("name", sorted(ESTIMATORS))
@@ -79,3 +90,25 @@ def test_row_order_does_not_matter(name, seed):
     data, design, rng = drawn_panel(seed)
     shuffled = PanelDataset([data.observations[i] for i in rng.permutation(data.n_obs)])
     assert_same(name, estimate(name, shuffled, design), estimate(name, data, design))
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       shift=st.floats(-3.0, 3.0),
+       b=st.floats(0.1, 10.0) | st.floats(-10.0, -0.1))
+def test_affine_outcome_moves_estimates_affinely(name, seed, shift, b):
+    data, design, _ = drawn_panel(seed)
+    a = shift * max(abs(o.outcome) for o in data.observations)  # on the data's scale
+    assert_same(name, estimate(name, mapped(data, outcome=lambda y: a + b * y), design),
+                estimate(name, data, design), b)
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATORS))
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), power=st.floats(-3.0, 3.0))
+def test_weight_scale_does_not_matter(name, seed, power):
+    data, design, _ = drawn_panel(seed)
+    c = 10.0**power
+    assert_same(name, estimate(name, mapped(data, weight=lambda w: c * w), design),
+                estimate(name, data, design))

@@ -8,7 +8,7 @@ import pytest
 from conftest import P
 from paneldid.cli import main
 from paneldid.designs import DesignKind, DidSpec
-from paneldid.engine import wls_fit
+from paneldid.engine import Estimate, wls_fit
 from paneldid.designs import build_staggered_twfe
 from paneldid.simulate import (
     ESTIMATORS,
@@ -22,6 +22,7 @@ from paneldid.simulate import (
     load_dgp_config,
     null_config,
 )
+from paneldid.staggered import cs_aggregate, cs_att, impute_att, sa_event_study
 
 
 def small_config(seed=11, **overrides):
@@ -57,6 +58,11 @@ class TestEffectSchedule:
             EffectSchedule(())
         with pytest.raises(ValueError, match="at least one"):
             EffectSchedule.parse("  ")
+
+    @pytest.mark.parametrize("text", ["-0.01, nan", "inf", "-0.01, -1e999"])
+    def test_non_finite_values_rejected(self, text):
+        with pytest.raises(ValueError, match="^non-finite value "):
+            EffectSchedule.parse(text)
 
 
 class TestDgpConfig:
@@ -123,6 +129,15 @@ class TestDgpConfig:
     def test_numbers_use_the_one_number_rule(self, key, value):
         # int() and float() accept digit grouping and non-ASCII digits
         with pytest.raises(ValueError, match=rf"^line 2: {key}: "):
+            load_dgp_config(io.StringIO(f"n_late = 3\n{key} = {value}\n"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("noise_sd", "nan"), ("trend", "inf"), ("unit_fe_mean", "-Infinity"),
+        ("unit_fe_sd", "NaN"), ("effect_early", "-0.01, nan"), ("effect_late", "1e400"),
+    ])
+    def test_numbers_must_be_finite(self, key, value):
+        # float() reads these; generate() would fail later naming neither line nor key
+        with pytest.raises(ValueError, match=rf"^line 2: {key}: non-finite value "):
             load_dgp_config(io.StringIO(f"n_late = 3\n{key} = {value}\n"))
 
 
@@ -241,13 +256,37 @@ class TestRace:
 
     def test_first_replication_matches_direct_call(self):
         config = small_config(seed=24)
-        race = estimator_race(config, ["twfe"], 1, bootstrap_draws=0)
+        race = estimator_race(config, list(ESTIMATORS), 1, bootstrap_draws=9)
         data, design, _ = generate(config, stream=0)
-        fit = wls_fit(build_staggered_twfe(
-            data, design, DidSpec(kind=DesignKind.STAGGERED_TWFE)
-        ))
-        assert race.estimates["twfe"][0] == fit.coefficients["post_adoption"]
-        assert race.ses["twfe"][0] == fit.se("post_adoption")
+        cohorts = design.cohort_map()
+
+        def seed(name):  # replication 0's stream for the estimator's slot
+            sequence = np.random.SeedSequence(config.seed, spawn_key=(0, ESTIMATORS[name][0]))
+            return int(sequence.generate_state(1, np.uint64)[0])
+
+        def cs_overall(name, rule):
+            result = cs_att(data, cohorts, rule, bootstrap_draws=9, seed=seed(name))
+            return cs_aggregate(result, "overall").values["overall"]
+
+        sa = sa_event_study(data, cohorts)
+        imputation = impute_att(data, cohorts, bootstrap_draws=9, seed=seed("imputation"))
+        direct = {
+            "twfe": wls_fit(build_staggered_twfe(
+                data, design, DidSpec(kind=DesignKind.STAGGERED_TWFE)
+            )).estimate("post_adoption"),
+            "cs_never": cs_overall("cs_never", "never_treated"),
+            "cs_notyet": cs_overall("cs_notyet", "not_yet_treated"),
+            "sa": Estimate(*sa.overall(), sa.fit.df_inference),
+            "imputation": Estimate(imputation.aggregate, imputation.se),
+        }
+        assert set(direct) == set(race.estimators)
+        for name, want in direct.items():
+            low, high = want.conf_int()
+            assert np.isfinite([want.se, low, high]).all(), name
+            assert race.estimates[name][0] == want.estimate, name
+            assert race.ses[name][0] == want.se, name
+            assert race.conf_lows[name][0] == low, name
+            assert race.conf_highs[name][0] == high, name
 
     def test_unknown_estimator_lists_names(self):
         with pytest.raises(ValueError, match=r"cs_never.*cs_notyet.*imputation"):
@@ -272,6 +311,20 @@ class TestRace:
         with pytest.raises(ValueError, match="bootstrap_draws must be non-negative"):
             estimator_race(small_config(), ["twfe", "cs_never", "imputation"], 2,
                            bootstrap_draws=-1)
+
+    @pytest.mark.parametrize("estimators, threads, message", [
+        ([], 1, "^no estimators to race$"),
+        (["twfe"], 0, "^need at least one worker thread, got 0$"),
+        (["twfe"], -3, "^need at least one worker thread, got -3$"),
+    ])
+    def test_empty_race_rejected_before_any_replication(
+        self, monkeypatch, estimators, threads, message
+    ):
+        def no_panels(*args, **kwargs):
+            raise AssertionError("a replication ran")
+        monkeypatch.setattr("paneldid.simulate.generate", no_panels)
+        with pytest.raises(ValueError, match=message):
+            estimator_race(small_config(), estimators, 2, threads=threads)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_failures_are_counted_not_raised(self):

@@ -514,10 +514,15 @@ class TestSaEventStudy:
     def test_json_payload(self):
         cohorts = {"a": P(2013, 3), "n": None}
         data = build(cohorts, effect=lambda g, e: 0.1, noise=0.1, seed=2)
-        payload = sa_event_study(data, cohorts).to_json_dict()
+        res = sa_event_study(data, cohorts)
+        payload = res.to_json_dict()
         assert payload["estimator"] == "sa_event_study"
         assert all(set(v) == {"estimate", "se", "conf_low", "conf_high"}
                    for v in payload["entries"].values())
+        crit = stats.t.ppf(0.975, res.fit.df_inference)  # CR1 SEs: t(G-1), not normal
+        first = payload["entries"]["0"]
+        assert first["conf_high"] == pytest.approx(first["estimate"] + crit * first["se"],
+                                                   rel=1e-12)
 
 
 class TestImpute:

@@ -11,7 +11,7 @@ from paneldid.cli import _read_region_values
 from paneldid.designs import DesignKind, load_spec
 from paneldid.panel import ingest_panel
 from paneldid.simulate import load_dgp_config
-from paneldid.textio import IngestError
+from paneldid.textio import IngestError, to_number, to_numbers
 
 # Each reader with a small valid file for it; the files hold no quoted cells.
 READERS = {
@@ -126,3 +126,12 @@ def test_readme_key_value_files_load():
 def test_bad_key_value_names_line_and_key(load, text, message):
     with pytest.raises(ValueError, match=message):
         load(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text", ["nan", "NaN", "inf", "-Infinity", "1e400"])
+def test_to_number_rejects_non_finite_values(text):
+    with pytest.raises(ValueError, match=rf"^non-finite value '{text}'$"):
+        to_number(text)
+    with pytest.raises(ValueError, match=rf"^non-finite value '{text}'$"):
+        to_numbers(f"0.5, {text}")
+    assert to_number("1" * 400, int) == int("1" * 400)  # an integer is always finite
