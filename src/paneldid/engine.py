@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -139,6 +140,32 @@ class DesignMatrix:
         )
 
 
+def _fe_labels(
+    weight: np.ndarray,
+    unit_codes: np.ndarray,
+    period_codes: np.ndarray,
+    n_units: int,
+    n_periods: int,
+) -> np.ndarray:
+    """Component label of each unit, then each period, of the unit-period graph."""
+    nodes = n_units + n_periods
+    graph = sparse.csr_matrix((weight, (unit_codes, n_units + period_codes)), (nodes, nodes))
+    return connected_components(graph, directed=False)[1]
+
+
+def fe_components(
+    weight: np.ndarray,
+    unit_codes: np.ndarray,
+    period_codes: np.ndarray,
+    n_units: int,
+    n_periods: int,
+) -> int:
+    """Connected components of the unit-period graph that hold a weighted unit."""
+    labels = _fe_labels(weight, unit_codes, period_codes, n_units, n_periods)
+    active = np.bincount(unit_codes, weight, n_units) > 0
+    return len(np.unique(labels[:n_units][active]))
+
+
 def _row_chunks(n: int):
     for start in range(0, n, _BLOCK_ROWS):
         yield slice(start, min(start + _BLOCK_ROWS, n))
@@ -174,24 +201,46 @@ class TwoWaySolver:
         active = unit_weight > 0
         self._inv_unit = np.where(active, 1.0, np.nan) / np.where(active, unit_weight, 1.0)
         self._scaled = self._cells * np.nan_to_num(self._inv_unit)[:, None]
-        nodes = n_units + n_periods
-        graph = sparse.csr_matrix((weight, (unit_codes, n_units + period_codes)), (nodes, nodes))
-        _, labels = connected_components(graph, directed=False)
+        labels = _fe_labels(weight, unit_codes, period_codes, n_units, n_periods)
         self.components = len(np.unique(labels[:n_units][active]))
+        # Each period's component label: period effects compare only within one.
+        self.period_labels = labels[n_units:]
         self._free = np.ones(n_periods, dtype=bool)
-        self._free[np.unique(labels[n_units:], return_index=True)[1]] = False
+        self._free[np.unique(self.period_labels, return_index=True)[1]] = False
         schur = np.diag(self.period_weight) - self._cells.T @ self._scaled
         free = np.ix_(self._free, self._free)
         self._factor = linalg.cho_factor(schur[free])
+        self._weight = weight
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The period system's solution for `rhs` (T, ...): zero at anchored periods."""
+        out = np.zeros_like(rhs)
+        out[self._free] = linalg.cho_solve(self._factor, rhs[self._free])
+        return out
 
     def effects(self, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Unit effects (U, ...) and period effects (T, ...) fitted to m."""
         unit_sums = self._to_unit @ m
-        rhs = self._to_period @ m - self._scaled.T @ unit_sums
-        period = np.zeros_like(rhs)
-        period[self._free] = linalg.cho_solve(self._factor, rhs[self._free])
+        period = self.solve(self._to_period @ m - self._scaled.T @ unit_sums)
         inv = self._inv_unit if m.ndim == 1 else self._inv_unit[:, None]
         return (unit_sums - self._cells @ period) * inv, period
+
+    def cluster_scores(self, residuals: np.ndarray, cluster_codes: np.ndarray) -> np.ndarray:
+        """(T, clusters) scores of each cluster's residuals on the period effects.
+
+        Column c sums, over cluster c's rows, w * e times the row's period
+        indicator less its unit's period weight shares: the period columns
+        with the unit effects partialled out. `solve` turns a score into the
+        cluster's influence on the period effects.
+        """
+        n_clusters, n_periods = int(cluster_codes.max()) + 1, len(self._free)
+        we = self._weight * residuals
+        cells = cluster_codes * n_periods + self._period_codes
+        scores = np.bincount(cells, we, n_clusters * n_periods).reshape(n_clusters, -1)
+        by_unit = sparse.csr_matrix((we, (cluster_codes, self._unit_codes)),
+                                    (n_clusters, len(self._inv_unit)))
+        scores -= by_unit @ self._scaled
+        return scores.T
 
     def residuals(self, m: np.ndarray) -> np.ndarray:
         """m minus its fitted unit and period effects, formed in row chunks."""
@@ -283,9 +332,13 @@ def cluster_vcov(
     )
     # scores @ (X'WX)^-1, one row per cluster
     half = (to_cluster @ x_demeaned) @ r_inv @ r_inv.T
-    factor = (g / (g - 1)) * ((n - 1) / (n - k))
-    v = factor * half.T @ half
+    v = cr1_factor(g, n, k) * half.T @ half
     return (v + v.T) / 2.0
+
+
+def cr1_factor(n_clusters: int, n: int, k: int) -> float:
+    """The CR1 small-sample factor G/(G-1) * (N-1)/(N-K)."""
+    return (n_clusters / (n_clusters - 1)) * ((n - 1) / (n - k))
 
 
 @dataclass(frozen=True)
@@ -310,11 +363,19 @@ class RegressionFit:
     def df_inference(self) -> int:
         return self.n_clusters - 1
 
-    def coef_vector(self) -> np.ndarray:
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {c: i for i, c in enumerate(self.columns)}
+
+    @cached_property
+    def _coefs(self) -> np.ndarray:
         return np.array([self.coefficients[c] for c in self.columns])
 
+    def coef_vector(self) -> np.ndarray:
+        return self._coefs.copy()
+
     def se(self, name: str) -> float:
-        i = self.columns.index(name)
+        i = self._position[name]
         return float(np.sqrt(self.vcov[i, i]))
 
     def tstat(self, name: str) -> float:
@@ -340,8 +401,8 @@ class RegressionFit:
         """Estimate and standard error of sum_j weights[j] * coefficient[j]."""
         vec = np.zeros(len(self.columns))
         for name, w in weights.items():
-            vec[self.columns.index(name)] = w
-        est = float(vec @ self.coef_vector())
+            vec[self._position[name]] = w
+        est = float(vec @ self._coefs)
         var = float(vec @ self.vcov @ vec)
         return est, math.sqrt(max(var, 0.0))
 
@@ -365,6 +426,45 @@ class RegressionFit:
         }
 
 
+def check_support(n: int, k: int) -> None:
+    """Raise unless some of the slopes are kept and n rows exceed the k kept by two."""
+    if not k:
+        raise ValueError(
+            "every regressor column is collinear with the fixed effects; nothing to estimate"
+        )
+    if n < k + 2:
+        raise ValueError(
+            f"{n} rows cannot support {k} retained parameters; "
+            "need at least two more rows than parameters"
+        )
+
+
+def inference_clusters(cluster_codes: np.ndarray) -> int:
+    """The number of clusters; raises below the two that t(G-1) inference needs."""
+    g = len(np.unique(cluster_codes))
+    if g < 2:
+        raise ValueError(f"need at least 2 clusters for inference, got {g}")
+    return g
+
+
+def kept_fit(
+    names: Sequence[str], keep: np.ndarray, beta: np.ndarray, ratios: np.ndarray, **fit
+) -> RegressionFit:
+    """The `RegressionFit` of the kept columns' slopes `beta`; `fit` gives its other fields.
+
+    The columns `keep` leaves out are recorded as dropped, with their pivot `ratios`.
+    """
+    columns = tuple(c for c, k in zip(names, keep) if k)
+    return RegressionFit(
+        columns=columns,
+        coefficients={c: float(v) for c, v in zip(columns, beta)},
+        dropped_collinear=tuple(c for c, k in zip(names, keep) if not k),
+        pivot_ratios={c: float(ratio) for c, k, ratio in zip(names, keep, ratios) if not k},
+        n_obs=len(fit["residuals"]),
+        **fit,
+    )
+
+
 def _absorbed_slopes(
     weight: np.ndarray, x_raw: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -382,15 +482,7 @@ def _absorbed_slopes(
     largest = pivots.max()
     keep = (pivots > PIVOT_RTOL * largest) & (pivots > PIVOT_RTOL * raw_norm)
     kept = np.flatnonzero(keep)
-    if not len(kept):
-        raise ValueError(
-            "every regressor column is collinear with the fixed effects; nothing to estimate"
-        )
-    if len(weight) < len(kept) + 2:
-        raise ValueError(
-            f"{len(weight)} rows cannot support {len(kept)} retained parameters; "
-            "need at least two more rows than parameters"
-        )
+    check_support(len(weight), len(kept))
     if not keep.all():
         r = _weighted_r(root_w, x, y, kept)
     k = len(kept)
@@ -407,9 +499,7 @@ def wls_fit(design: DesignMatrix) -> RegressionFit:
     """
     if design.x.shape[1] == 0:
         raise ValueError("design matrix has no regressor columns")
-    g = len(np.unique(design.cluster_codes))
-    if g < 2:
-        raise ValueError(f"need at least 2 clusters for inference, got {g}")
+    g = inference_clusters(design.cluster_codes)
     dm = demean_two_way(design)
     x, y, components = dm.x, dm.y, dm.fe_components
     del dm  # lets x go once the retained columns are copied out
@@ -418,18 +508,11 @@ def wls_fit(design: DesignMatrix) -> RegressionFit:
         x = x[:, keep]
     residuals = y - x @ beta
     vcov = cluster_vcov(x, design.weight, residuals, design.cluster_codes, r=r)
-    columns = tuple(c for c, k in zip(design.columns, keep) if k)
-    return RegressionFit(
-        columns=columns,
-        coefficients={c: float(v) for c, v in zip(columns, beta)},
+    return kept_fit(
+        design.columns, keep, beta, ratios,
         vcov=vcov,
         residuals=residuals,
-        n_obs=design.n,
         n_clusters=g,
-        dropped_collinear=tuple(c for c, k in zip(design.columns, keep) if not k),
-        pivot_ratios={
-            c: float(ratio) for c, k, ratio in zip(design.columns, keep, ratios) if not k
-        },
         condition=float(np.linalg.cond(r)),
         fe_components=components,
     )

@@ -19,9 +19,11 @@ within-unit mean unchanged, so every draw's normal equations, covariate
 columns included, are one matrix product of per-unit blocks and are solved in
 one batch. A draw whose pivots fail a fixed margin (an empty period, unlinked
 units and periods, a nearly collinear column) is re-fit alone by the routine
-the point estimate uses. The event study inherits the engine's analytic
-covariance. Every interval is an `engine.Estimate`'s: a normal critical value
-for the bootstrap errors and t(G-1) for the event study's.
+the point estimate uses. The event study has an analytic CR1 covariance:
+without covariates from one two-way solve over cohort x period levels, with
+them from the engine's dense fit. Every interval is an `engine.Estimate`'s: a
+normal critical value for the bootstrap errors and t(G-1) for the event
+study's.
 """
 
 from __future__ import annotations
@@ -35,7 +37,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .designs import CovariateTerm, by_period, expand_covariates
-from .engine import DesignMatrix, Estimate, RegressionFit, TwoWaySolver, _absorbed_slopes, wls_fit
+from .engine import (
+    DesignMatrix, Estimate, RegressionFit, TwoWaySolver, _absorbed_slopes, check_support,
+    cr1_factor, fe_components, inference_clusters, kept_fit, wls_fit,
+)
 from .panel import PanelDataset, cohort_start, cohorts_in, unit_values
 from .periods import Period
 
@@ -380,10 +385,14 @@ def sa_event_study(
     Each cohort gets its own indicator for every relative period except -1;
     never-treated units carry no interactions and act as the comparison. When
     no never-treated units exist, the last cohort serves as the control and
-    periods from its start onward are dropped (with a warning). Event-time
-    estimates average cohort coefficients with weights proportional to each
-    contributing cohort's total unit weight; covariance comes from the
-    engine's cluster-robust fit via the same linear combination.
+    periods from its start onward are dropped (with a warning). A cohort with
+    no row at its base period g-1 cannot be compared with it; its units are
+    dropped (with a warning). Event-time estimates average cohort
+    coefficients with weights proportional to each contributing cohort's
+    total unit weight; covariance comes from the cluster-robust fit via the
+    same linear combination. Without covariates the fit is one two-way solve
+    over cohort x period levels (`_sa_level_fit`); with them it is the engine's
+    dense fit (`_sa_dense_fit`).
     """
     start = cohort_start(data, cohorts)
     interacted = list(cohorts_in(start))
@@ -405,25 +414,34 @@ def sa_event_study(
         start = cohort_start(sample, cohorts)
 
     a = sample.arrays
+    row_start = start[a.unit_codes]
+    based = set(row_start[a.period_index[a.period_codes] == row_start - 1].tolist())
+    unbased = [g for g in interacted if g.index not in based]
+    if unbased:
+        for g in unbased:
+            warnings.warn(
+                f"cohort {g}: no row at its base period {g.prev()}; its units are dropped"
+            )
+        interacted = [g for g in interacted if g.index in based]
+        if not interacted:
+            raise ValueError("no treated cohort has a row at its base period")
+        sample = sample._subset(~np.isin(row_start, [g.index for g in unbased]))
+        start = cohort_start(sample, cohorts)
+        a = sample.arrays
+
     unit_weight = _unit_weight(sample, weights)
-    names: list[str] = []
-    blocks: list[np.ndarray] = []
-    events_of: dict[str, tuple[Period, int]] = {}
-    for g in interacted:
-        periods, block = by_period(sample, (start == g.index)[a.unit_codes], g.prev())
-        for t in periods:
-            name = _sa_name(g, t.index - g.index)
-            names.append(name)
-            events_of[name] = (g, t.index - g.index)
-        blocks.append(block)
-    if not names:
+    row_weight = a.weight if weights is None else unit_weight[a.unit_codes]
+    events_of = {  # every cohort's cells but its base period's (e = -1), in fit order
+        _sa_name(g, e): (g, e)
+        for g in interacted for e in (a.period_index - g.index).tolist() if e != -1
+    }
+    if not events_of:
         raise ValueError("no cohort x period cells to estimate")
-    cov_names, cov_matrix = expand_covariates(sample, tuple(covariates))
-    x = np.column_stack([*blocks, cov_matrix])
-    del blocks  # free the cells' blocks before the fit; x holds a copy
-    row_weight = None if weights is None else unit_weight[a.unit_codes]
-    design = DesignMatrix.from_panel(sample, names + cov_names, x, weight=row_weight)
-    fit = wls_fit(design)
+    names = list(events_of)
+    if covariates:
+        fit = _sa_dense_fit(sample, start, interacted, names, row_weight, tuple(covariates))
+    else:
+        fit = _sa_level_fit(sample, start, interacted, names, row_weight)
 
     cohort_weight = {
         g: float(unit_weight[start == g.index].sum()) for g in interacted
@@ -445,6 +463,93 @@ def sa_event_study(
         entries[e] = Estimate(est, se, fit.df_inference)
         shares[e] = {g: contrib[g] for g in contrib}
     return EventStudyResult(entries=entries, cohort_shares=shares, fit=fit)
+
+
+def _sa_dense_fit(
+    sample: PanelDataset,
+    start: np.ndarray,
+    interacted: Sequence[Period],
+    names: list[str],
+    row_weight: np.ndarray,
+    covariates: tuple[CovariateTerm, ...] = (),
+) -> RegressionFit:
+    """The saturated fit as one dense design: a column per cohort x period cell.
+
+    `names` names the cells, cohort by cohort and, within a cohort, period by
+    period, each cohort's base period left out.
+    """
+    a = sample.arrays
+    blocks = [
+        by_period(sample, (start == g.index)[a.unit_codes], g.prev())[1] for g in interacted
+    ]
+    cov_names, cov_matrix = expand_covariates(sample, covariates)
+    x = np.column_stack([*blocks, cov_matrix])
+    del blocks  # free the cells' blocks before the fit; x holds a copy
+    return wls_fit(DesignMatrix.from_panel(sample, names + cov_names, x, weight=row_weight))
+
+
+def _sa_level_fit(
+    sample: PanelDataset,
+    start: np.ndarray,
+    interacted: Sequence[Period],
+    names: list[str],
+    row_weight: np.ndarray,
+) -> RegressionFit:
+    """The saturated fit without covariates, as one two-way solve over levels.
+
+    A control row, and a cohort's row at its base period g-1, has its period
+    as its level; the i-th cohort's row at any other period t gets a level of
+    its own, T + i*T + t. Unit and level effects then fit the same model as
+    unit and period effects plus the cell columns: cell (g, t)'s coefficient
+    is its level's effect less period t's, and the residuals and each
+    cluster's scores on the levels come from the same solve, so the CR1
+    covariance needs no column per cell. A cell is dropped, with pivot ratio
+    0, when its level and period t's are not connected, which includes a
+    cell with no rows. `names` names the cells as for `_sa_dense_fit`.
+    """
+    a = sample.arrays
+    u_count, t_count = len(a.units), len(a.periods)
+    unit_cohort = np.full(u_count, -1)
+    for i, g in enumerate(interacted):
+        unit_cohort[start == g.index] = i
+    base = np.searchsorted(a.period_index, [g.index - 1 for g in interacted])
+    row_cohort = unit_cohort[a.unit_codes]
+    in_cell = (row_cohort >= 0) & (a.period_codes != base[row_cohort])
+    levels = np.where(in_cell, t_count * (row_cohort + 1) + a.period_codes, a.period_codes)
+    # Every cohort x period cell but the cohorts' base periods, in `names` order.
+    cell_cohort = np.repeat(np.arange(len(interacted)), t_count)
+    cell_period = np.tile(np.arange(t_count), len(interacted))
+    not_base = cell_period != base[cell_cohort]
+    cell_period = cell_period[not_base]
+    cell_level = t_count * (cell_cohort[not_base] + 1) + cell_period
+
+    n_clusters = inference_clusters(a.cluster_codes)
+    solver = TwoWaySolver(
+        row_weight, a.unit_codes, levels, u_count, t_count * (len(interacted) + 1)
+    )
+    keep = solver.period_labels[cell_level] == solver.period_labels[cell_period]
+    n, k = len(levels), int(keep.sum())
+    check_support(n, k)
+    cell_level, cell_period = cell_level[keep], cell_period[keep]
+
+    def contrast(m: np.ndarray) -> np.ndarray:
+        return m[cell_level] - m[cell_period]
+
+    unit, level = solver.effects(a.outcome)
+    beta = contrast(level)
+    residuals = a.outcome - unit[a.unit_codes] - level[levels]
+    solved = solver.solve(contrast(np.eye(len(level))).T)  # F^-1 A', A the contrasts
+    bread = contrast(solved)  # (X'WX)^-1 of the cell columns
+    half = solved.T @ solver.cluster_scores(residuals, a.cluster_codes)  # (k, clusters)
+    vcov = cr1_factor(n_clusters, n, k) * half @ half.T
+    return kept_fit(
+        names, keep, beta, np.zeros(len(names)),
+        vcov=(vcov + vcov.T) / 2.0,
+        residuals=residuals,
+        n_clusters=n_clusters,
+        condition=float(np.sqrt(np.linalg.cond(bread))),
+        fe_components=fe_components(row_weight, a.unit_codes, a.period_codes, u_count, t_count),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,11 @@ def parse_number(
         raise IngestError(
             f"row {row}: column {column!r}: could not parse {text!r} as {noun}"
         ) from None
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond float range
+        raise IngestError(f"row {row}: column {column!r}: integer out of range {text!r}") from None
+    if not finite:
         raise IngestError(f"row {row}: column {column!r}: non-finite value {text!r}")
     if positive and value <= 0:
         raise IngestError(f"row {row}: column {column!r} must be positive, got {value!r}")

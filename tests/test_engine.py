@@ -11,6 +11,7 @@ from conftest import P, direct_cr1, dummy_wls_coefficients, grid_panel, make_pan
 from paneldid.engine import (
     DesignMatrix,
     Estimate,
+    TwoWaySolver,
     cluster_vcov,
     demean_two_way,
     wls_fit,
@@ -289,6 +290,23 @@ class TestWlsFit:
         assert solver["dropped_pivot_ratios"]["a_minus_b"] < 1e-9
         assert 1.0 <= solver["condition"] < 1e3
         assert solver["fe_components"] == 1
+
+
+class TestTwoWaySolver:
+    def test_cluster_scores_partial_out_unit_effects(self):
+        # Any vector, and clusters that split units: each cluster's sum of w * e
+        # times the period dummies less their weighted projection on the units.
+        rng = np.random.default_rng(5)
+        d = random_design(rng, n_units=7, n_periods=5, unbalanced=True)
+        clusters = rng.integers(0, 3, size=d.n)
+        e = rng.normal(size=d.n)
+        units, periods = np.eye(7)[d.unit_codes], np.eye(5)[d.period_codes]
+        wu = d.weight[:, None] * units
+        z = periods - units @ np.linalg.solve(wu.T @ units, wu.T @ periods)
+        want = np.stack([(d.weight * e * (clusters == c)) @ z for c in range(3)], axis=1)
+        got = TwoWaySolver(d.weight, d.unit_codes, d.period_codes, 7, 5).cluster_scores(
+            e, clusters)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 class TestClusterVcov:

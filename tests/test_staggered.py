@@ -5,11 +5,13 @@ import pytest
 from scipy import stats
 
 from conftest import P
+from paneldid import staggered
 from paneldid.bite import RegionTreatment, SwitcherGroup, TreatmentDesign
 from paneldid.designs import CovariateTerm, DesignKind, DidSpec, build_event_study
 from paneldid.engine import wls_fit
 from paneldid.panel import Observation, PanelDataset
 from paneldid.periods import Period, period_range
+from paneldid.simulate import generate, heterogeneous_config, null_config
 from paneldid.staggered import (
     CONTROL_RULES,
     cs_aggregate,
@@ -89,6 +91,52 @@ def impute_bruteforce_se(data, cohorts, draws, seed):
         if keep.any():
             reps.append(np.average(gaps[keep], weights=wb[keep]))
     return float(np.std(reps, ddof=1)), skipped
+
+
+def random_staggered_panel(seed, never=True):
+    """Unbalanced panel with random row weights over ten quarters.
+
+    Units adopt in 2013Q3, 2014Q1 or 2014Q3, or never (`never`); clusters
+    hold up to three units. Each row is kept with probability 0.75, except
+    that one control unit (never treated, or of the last cohort when `never`
+    is false) keeps every row, so every period has a control row. The
+    2013Q3 cohort loses its 2013Q1 rows and its 2015Q2 rows, so those cells
+    have no rows. Half the seeds also return a unit-weight mapping.
+    """
+    rng = np.random.default_rng(seed)
+    periods = [P(2013, 1).shift(j) for j in range(10)]
+    starts = [P(2013, 3), P(2014, 1), P(2014, 3)]
+    n_units = int(rng.integers(10, 16))
+    cohorts = {}
+    for i in range(n_units):
+        if never and i < 3:
+            cohorts[f"u{i:02d}"] = None
+        else:
+            cohorts[f"u{i:02d}"] = starts[i % 3 if i < 6 else int(rng.integers(3))]
+    anchor = "u00" if never else "u05"
+    obs = []
+    for u, g in cohorts.items():
+        alpha = float(rng.normal())
+        for j, p in enumerate(periods):
+            if g == starts[0] and p in (periods[0], periods[-1]):
+                continue
+            if u != anchor and rng.random() < 0.25:
+                continue
+            y = alpha + 0.1 * j + float(rng.normal(0.0, 0.3))
+            if g is not None and p >= g:
+                y += 0.5 + 0.1 * (p.index - g.index)
+            obs.append(Observation(u, p, y, float(rng.uniform(0.5, 3.0))))
+    cluster = {u: f"c{i // 3}" for i, u in enumerate(cohorts)}
+    data = PanelDataset(tuple(obs), cluster=cluster)
+    weights = None if seed % 2 else {u: float(rng.uniform(0.5, 3.0)) for u in cohorts}
+    return data, cohorts, weights
+
+
+def assert_close(got, want, rel):
+    """`got` within `rel` of `want`, measured against the largest entry of `want`."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
 
 
 class TestCsAtt:
@@ -524,6 +572,76 @@ class TestSaEventStudy:
         assert first["conf_high"] == pytest.approx(first["estimate"] + crit * first["se"],
                                                    rel=1e-12)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_level_fit_matches_dense_fit(self, seed, monkeypatch):
+        # Without covariates the fit is one solve over cohort x period levels;
+        # the dense fit, kept for covariates, is its oracle.
+        data, cohorts, weights = random_staggered_panel(seed, never=seed % 3 > 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            level = sa_event_study(data, cohorts, weights=weights)
+            monkeypatch.setattr(staggered, "_sa_level_fit", staggered._sa_dense_fit)
+            dense = sa_event_study(data, cohorts, weights=weights)
+        a, b = level.fit, dense.fit
+        assert a.columns == b.columns
+        assert a.dropped_collinear == b.dropped_collinear
+        assert "e-2@2013Q3" in a.dropped_collinear  # a cell with no rows
+        assert a.n_obs == b.n_obs and a.n_clusters == b.n_clusters < len(data.units)
+        assert a.fe_components == b.fe_components
+        assert_close(a.coef_vector(), b.coef_vector(), 1e-9)
+        for name in a.columns:
+            assert a.se(name) == pytest.approx(b.se(name), rel=1e-9)
+        assert_close(a.vcov, b.vcov, 1e-9)
+        assert_close(a.residuals, b.residuals, 1e-9)
+        assert a.condition == pytest.approx(b.condition, rel=1e-9)
+        assert level.entries.keys() == dense.entries.keys()
+        assert level.cohort_shares == dense.cohort_shares
+        assert_close([v.estimate for v in level.entries.values()],
+                     [v.estimate for v in dense.entries.values()], 1e-9)
+        for e, v in level.entries.items():
+            assert v.se == pytest.approx(dense.entries[e].se, rel=1e-9)
+
+    def test_level_fit_drops_cells_of_a_period_without_controls(self):
+        # Every 2014Q1 row is a treated cell's: the period's effect, and so every
+        # cell coefficient at 2014Q1, is not identified.
+        cohorts = {"a": P(2013, 3), "b": P(2013, 4), "n1": None, "n2": None}
+        full = build(cohorts, effect=lambda g, e: 1.0, noise=0.1, seed=4)
+        data = PanelDataset(tuple(
+            o for o in full.observations
+            if not (cohorts[o.unit] is None and o.period == P(2014, 1))
+        ))
+        fit = sa_event_study(data, cohorts).fit
+        assert fit.dropped_collinear == ("e2@2013Q3", "e1@2013Q4")
+        assert fit.pivot_ratios == {"e2@2013Q3": 0.0, "e1@2013Q4": 0.0}
+
+    @pytest.mark.parametrize("with_covariates", [False, True])
+    @pytest.mark.parametrize("case", ["adopts at the first period", "no row at g-1"])
+    def test_cohort_without_base_row_dropped(self, case, with_covariates):
+        cohorts = {"a": P(2013, 1), "b": P(2013, 4), "c": P(2013, 4), "n1": None,
+                   "n2": None, "n3": None}
+        if case == "no row at g-1":
+            cohorts["a"] = P(2013, 3)
+        effect = lambda g, e: 0.5 if g == cohorts["a"] else 0.2
+        constants = {"east": {u: float(i % 2) for i, u in enumerate(cohorts)}}
+        full = build(cohorts, effect=effect, noise=0.0, seed=3, constants=constants)
+        data = PanelDataset(tuple(
+            o for o in full.observations if not (o.unit == "a" and o.period == P(2013, 2))
+        ), covariate_names=("east",))
+        covariates = (CovariateTerm("east"),) if with_covariates else ()
+        with pytest.warns(UserWarning, match=rf"cohort {cohorts['a']}: no row at its base"):
+            res = sa_event_study(data, cohorts, covariates=covariates)
+        assert f"e0@{cohorts['a']}" not in res.fit.columns + res.fit.dropped_collinear
+        assert all(cohorts["a"] not in shares for shares in res.cohort_shares.values())
+        assert res.fit.n_obs == data.n_obs - 7
+        for e, v in res.entries.items():
+            assert v.estimate == pytest.approx(0.2 if e >= 0 else 0.0, abs=1e-8)
+
+    def test_no_cohort_with_base_row_rejected(self):
+        cohorts = {"a": P(2013, 1), "n": None}
+        with pytest.warns(UserWarning, match="cohort 2013Q1"):
+            with pytest.raises(ValueError, match="no treated cohort has a row at its base"):
+                sa_event_study(build(cohorts), cohorts)
+
 
 class TestImpute:
     def test_exact_recovery_on_additive_grid(self):
@@ -833,3 +951,17 @@ class TestCrossEstimator:
         assert agg.estimate == pytest.approx(-0.08, abs=1e-8)
         assert sa_est == pytest.approx(-0.08, abs=1e-8)
         assert imp == pytest.approx(-0.08, abs=1e-8)
+
+    @pytest.mark.parametrize("config", [heterogeneous_config, null_config])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sa_overall_equals_cs_never_treated_overall(self, config, seed):
+        # On a balanced panel with never-treated units and no covariates both
+        # are the treated-share-weighted mean of the same cohort x period DiDs.
+        data, design, _ = generate(config(seed))
+        cohorts = design.cohort_map()
+        rng = np.random.default_rng(seed)
+        weights = None if seed == 1 else {u: float(rng.uniform(0.5, 3.0)) for u in cohorts}
+        sa, _ = sa_event_study(data, cohorts, weights=weights).overall()
+        cs = cs_aggregate(cs_att(data, cohorts, "never_treated", weights, bootstrap_draws=0))
+        scale = np.abs(data.arrays.outcome).max()
+        assert abs(sa - cs.values["overall"].estimate) <= 1e-10 * scale

@@ -135,3 +135,17 @@ def test_to_number_rejects_non_finite_values(text):
     with pytest.raises(ValueError, match=rf"^non-finite value '{text}'$"):
         to_numbers(f"0.5, {text}")
     assert to_number("1" * 400, int) == int("1" * 400)  # an integer is always finite
+
+
+@pytest.mark.parametrize("reader", READERS)
+def test_number_beyond_float_range_names_row_and_column(tmp_path, reader):
+    # 400 digits: too large for a float, whether read as an integer or a float
+    plain = READERS[reader][1]
+    header = plain.splitlines()[0].split(",")
+    column = "year" if reader == "panel" else header[-1]
+    at, big = header.index(column), "1" * 400
+    text = edit_lines(plain, lambda i, line: ",".join(
+        big if i == 1 and j == at else cell for j, cell in enumerate(line.split(","))))
+    problem = "integer out of range" if column == "year" else "non-finite value"
+    with pytest.raises(IngestError, match=rf"row 2: column '{column}': {problem} '{big}'$"):
+        read(tmp_path, reader, text)
