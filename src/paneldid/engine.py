@@ -29,13 +29,17 @@ distribution with G-1 degrees of freedom.
 `Estimate` holds one estimate and its standard error and is the one home of
 the toolkit's 95% interval: a t(df) critical value for these CR1 errors
 (df = G-1), a normal one for bootstrap errors (no df).
+
+Several outcomes can share one design: with y of shape (n, R), `wls_fit`
+absorbs, pivots and factorises the regressors once, and the slopes, residuals
+and covariances gain a trailing (for the covariances a leading) axis of R.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,17 +54,30 @@ _BLOCK_ROWS = 1024  # rows per chunk: residuals and QR blocks stay in cache
 _Z95 = float(stats.norm.ppf(0.975))
 
 
+@lru_cache(maxsize=None)
+def _t95(df: int) -> float:
+    return float(stats.t.ppf(0.975, df))
+
+
+def _scalar(value):
+    """`value` as a Python float when it holds one number; arrays pass through."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 @dataclass(frozen=True)
 class Estimate:
-    """An estimate, its standard error and the df of its t reference, if any."""
+    """An estimate, its standard error and the df of its t reference, if any.
 
-    estimate: float
-    se: float
+    Estimate and standard error may be (R,) arrays, one entry per outcome.
+    """
+
+    estimate: float | np.ndarray
+    se: float | np.ndarray
     df: int | None = None
 
     def conf_int(self) -> tuple[float, float]:
-        """95% interval: normal critical value without df, t(df) with it."""
-        crit = _Z95 if self.df is None else float(stats.t.ppf(0.975, self.df))
+        """95% interval, elementwise: normal critical value without df, t(df) with it."""
+        crit = _Z95 if self.df is None else _t95(self.df)
         return self.estimate - crit * self.se, self.estimate + crit * self.se
 
     def to_json_dict(self) -> dict:
@@ -74,6 +91,7 @@ class DesignMatrix:
 
     Rows follow the dataset's (unit, period) ordering. `x` has one column per
     name in `columns`; group labels are integer codes into the label tuples.
+    `y` is (n,), or (n, R) for R outcomes fitted on the same regressors.
     """
 
     columns: tuple[str, ...]
@@ -166,6 +184,25 @@ def fe_components(
     return len(np.unique(labels[:n_units][active]))
 
 
+def _per_cluster(
+    values: np.ndarray, cluster_codes: np.ndarray, n_clusters: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row `values` (n,) or (R, n), flattened, and each one's row r * clusters + cluster.
+
+    Summing by that row keeps every outcome's cluster sums apart. A single
+    outcome's values and codes are returned as they are.
+    """
+    if values.ndim == 1:
+        return values, cluster_codes
+    rows = cluster_codes + n_clusters * np.arange(len(values))[:, None]
+    return values.ravel(), rows.ravel()
+
+
+def _each_outcome(codes: np.ndarray, reps: int) -> np.ndarray:
+    """Row `codes` (n,) repeated for each of `reps` outcomes, flattened."""
+    return np.broadcast_to(codes, (reps, len(codes))).ravel()
+
+
 def _row_chunks(n: int):
     for start in range(0, n, _BLOCK_ROWS):
         yield slice(start, min(start + _BLOCK_ROWS, n))
@@ -231,16 +268,18 @@ class TwoWaySolver:
         Column c sums, over cluster c's rows, w * e times the row's period
         indicator less its unit's period weight shares: the period columns
         with the unit effects partialled out. `solve` turns a score into the
-        cluster's influence on the period effects.
+        cluster's influence on the period effects. Residuals of shape (n, R)
+        give (R, T, clusters).
         """
         n_clusters, n_periods = int(cluster_codes.max()) + 1, len(self._free)
-        we = self._weight * residuals
-        cells = cluster_codes * n_periods + self._period_codes
-        scores = np.bincount(cells, we, n_clusters * n_periods).reshape(n_clusters, -1)
-        by_unit = sparse.csr_matrix((we, (cluster_codes, self._unit_codes)),
-                                    (n_clusters, len(self._inv_unit)))
+        we, rows = _per_cluster(self._weight * residuals.T, cluster_codes, n_clusters)
+        reps = len(we) // len(self._weight)
+        cells = rows * n_periods + _each_outcome(self._period_codes, reps)
+        scores = np.bincount(cells, we, reps * n_clusters * n_periods).reshape(-1, n_periods)
+        by_unit = sparse.csr_matrix((we, (rows, _each_outcome(self._unit_codes, reps))),
+                                    (reps * n_clusters, len(self._inv_unit)))
         scores -= by_unit @ self._scaled
-        return scores.T
+        return np.swapaxes(scores.reshape(*residuals.shape[1:], n_clusters, n_periods), -1, -2)
 
     def residuals(self, m: np.ndarray) -> np.ndarray:
         """m minus its fitted unit and period effects, formed in row chunks."""
@@ -278,19 +317,20 @@ def _weighted_r(
     y: np.ndarray | None = None,
     keep: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Square R of the Householder QR of root_w * [x[:, keep] | y].
+    """Square R of the Householder QR of root_w * [x[:, keep] | y], y (n,) or (n, R).
 
     A tall-skinny QR: each block of rows is reduced to its own R, and the
     stacked block factors are reduced once more.
     """
     k = x.shape[1] if keep is None else len(keep)
-    buffer = np.empty((_BLOCK_ROWS, k + (y is not None)))
+    y_cols = 0 if y is None else int(np.prod(y.shape[1:]))
+    buffer = np.empty((_BLOCK_ROWS, k + y_cols))
     factors = []
     for rows in _row_chunks(len(root_w)):
         block = buffer[: rows.stop - rows.start]
         block[:, :k] = x[rows] if keep is None else x[rows][:, keep]
         if y is not None:
-            block[:, k] = y[rows]
+            block[:, k:] = y[rows].reshape(len(block), y_cols)
         block *= root_w[rows, None]
         factors.append(np.linalg.qr(block, mode="r"))
     r = np.linalg.qr(np.vstack(factors), mode="r")
@@ -311,7 +351,8 @@ def cluster_vcov(
 
     `x_demeaned` must contain only retained columns. `r` is the triangular
     factor of sqrt(weight) * x_demeaned, so that X'WX = R'R; it is computed
-    when not given. Raises if X'WX is singular.
+    when not given. Residuals of shape (n, R) give one (k, k) covariance per
+    outcome, stacked as (R, k, k). Raises if X'WX is singular.
     """
     n, k = x_demeaned.shape
     codes = np.asarray(cluster_codes)
@@ -327,13 +368,16 @@ def cluster_vcov(
         raise ValueError(
             "X'WX is singular; drop collinear columns before computing the covariance"
         ) from None
+    we, rows = _per_cluster(weight * residuals.T, codes, n_clusters)
     to_cluster = sparse.csr_matrix(
-        (weight * residuals, (codes, np.arange(n))), shape=(n_clusters, n)
+        (we, (rows, _each_outcome(np.arange(n), len(we) // n))),
+        shape=(len(we) // n * n_clusters, n),
     )
     # scores @ (X'WX)^-1, one row per cluster
-    half = (to_cluster @ x_demeaned) @ r_inv @ r_inv.T
-    v = cr1_factor(g, n, k) * half.T @ half
-    return (v + v.T) / 2.0
+    scores = (to_cluster @ x_demeaned).reshape(*residuals.shape[1:], n_clusters, k)
+    half = scores @ r_inv @ r_inv.T
+    v = cr1_factor(g, n, k) * np.swapaxes(half, -1, -2) @ half
+    return (v + np.swapaxes(v, -1, -2)) / 2.0
 
 
 def cr1_factor(n_clusters: int, n: int, k: int) -> float:
@@ -343,7 +387,12 @@ def cr1_factor(n_clusters: int, n: int, k: int) -> float:
 
 @dataclass(frozen=True)
 class RegressionFit:
-    """Slope estimates from a two-way fixed-effects weighted regression."""
+    """Slope estimates from a two-way fixed-effects weighted regression.
+
+    A fit of R outcomes at once holds (R,) coefficient arrays, an (R, k, k)
+    `vcov` and (n, R) residuals; the columns and solver diagnostics are shared.
+    `se`, `estimate` and `linear_combination` then return (R,) arrays.
+    """
 
     columns: tuple[str, ...]
     coefficients: Mapping[str, float]
@@ -376,7 +425,7 @@ class RegressionFit:
 
     def se(self, name: str) -> float:
         i = self._position[name]
-        return float(np.sqrt(self.vcov[i, i]))
+        return _scalar(np.sqrt(self.vcov[..., i, i]))
 
     def tstat(self, name: str) -> float:
         """Coefficient over standard error; +-inf or nan when the error is 0."""
@@ -402,9 +451,11 @@ class RegressionFit:
         vec = np.zeros(len(self.columns))
         for name, w in weights.items():
             vec[self._position[name]] = w
-        est = float(vec @ self._coefs)
-        var = float(vec @ self.vcov @ vec)
-        return est, math.sqrt(max(var, 0.0))
+        est = vec @ self._coefs
+        var = vec @ self.vcov @ vec
+        if np.ndim(est):
+            return est, np.sqrt(np.maximum(var, 0.0))
+        return float(est), math.sqrt(max(float(var), 0.0))
 
     def to_json_dict(self) -> dict:
         ci = {c: self.conf_int(c) for c in self.columns}
@@ -457,7 +508,7 @@ def kept_fit(
     columns = tuple(c for c, k in zip(names, keep) if k)
     return RegressionFit(
         columns=columns,
-        coefficients={c: float(v) for c, v in zip(columns, beta)},
+        coefficients={c: _scalar(v) for c, v in zip(columns, beta)},
         dropped_collinear=tuple(c for c, k in zip(names, keep) if not k),
         pivot_ratios={c: float(ratio) for c, k, ratio in zip(names, keep, ratios) if not k},
         n_obs=len(fit["residuals"]),
@@ -471,14 +522,14 @@ def _absorbed_slopes(
     """Slopes of y on x once both have been demeaned, collinear columns dropped.
 
     `x_raw` is x before absorption, with at least one column; it scales the
-    pivot rule. Returns the mask of kept columns, their slopes, R of the
-    kept columns (X'WX = R'R) and every column's pivot relative to the
-    largest.
+    pivot rule. Returns the mask of kept columns, their slopes ((k,), or
+    (k, R) for an (n, R) y), R of the kept columns (X'WX = R'R) and every
+    column's pivot relative to the largest.
     """
     raw_norm = np.sqrt(np.einsum("i,ij,ij->j", weight, x_raw, x_raw))
     root_w = np.sqrt(weight)
     r = _weighted_r(root_w, x, y)
-    pivots = np.abs(np.diag(r))[:-1]
+    pivots = np.abs(np.diag(r))[: x.shape[1]]
     largest = pivots.max()
     keep = (pivots > PIVOT_RTOL * largest) & (pivots > PIVOT_RTOL * raw_norm)
     kept = np.flatnonzero(keep)
@@ -486,7 +537,7 @@ def _absorbed_slopes(
     if not keep.all():
         r = _weighted_r(root_w, x, y, kept)
     k = len(kept)
-    beta = linalg.solve_triangular(r[:k, :k], r[:k, k])
+    beta = linalg.solve_triangular(r[:k, :k], r[:k, k:].reshape(k, *y.shape[1:]))
     return keep, beta, r[:k, :k], pivots / largest
 
 
@@ -495,7 +546,8 @@ def wls_fit(design: DesignMatrix) -> RegressionFit:
 
     Residuals are reported on the demeaned scale, which matches the residuals
     of the equivalent dummy-variable regression. Dropped columns are recorded
-    by name and excluded from the covariance.
+    by name and excluded from the covariance. An (n, R) `design.y` is fitted
+    as R outcomes on the shared regressors.
     """
     if design.x.shape[1] == 0:
         raise ValueError("design matrix has no regressor columns")

@@ -8,12 +8,15 @@ independent of input row order. Transformations return new instances.
 `PanelArrays` owns the units x periods layout: `grid` lays any row values out
 as a (units, periods, ...) array and `period_index` holds each period's
 quarter index, so no estimator rebuilds either.
+
+Inside the package a panel may also stack R outcomes on one layout: its
+outcome column is then (n, R) (`PanelDataset._with_outcome`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Hashable, Iterable, Mapping, Sequence
@@ -71,7 +74,7 @@ class PanelArrays:
     unit_codes: np.ndarray
     period_codes: np.ndarray
     cluster_codes: np.ndarray
-    outcome: np.ndarray
+    outcome: np.ndarray  # (n,), or (n, R) on a stacked panel
     weight: np.ndarray
     covariates: np.ndarray  # (n, n_covariates), empty second axis when none
     units: tuple[str, ...]
@@ -177,6 +180,11 @@ class PanelDataset:
             periods=tuple(periods), period_index=np.asarray([p.index for p in periods]),
             clusters=clusters,
         )
+        return cls._of(columns, cluster, covariate_names)
+
+    @classmethod
+    def _of(cls, columns: PanelArrays, cluster: dict[str, str],
+            covariate_names: tuple[str, ...]) -> PanelDataset:
         for column in vars(columns).values():
             if isinstance(column, np.ndarray):
                 column.flags.writeable = False
@@ -186,6 +194,18 @@ class PanelDataset:
             units=columns.units, periods=columns.periods,
         )
         return self
+
+    def _with_outcome(self, outcome: np.ndarray) -> PanelDataset:
+        """This panel's rows and layout with `outcome`, (n,) or (n, R), put in unchecked.
+
+        An (n, R) outcome stacks R outcomes on one layout, e.g. replications
+        of one design; the estimators then fit all R in one pass.
+        """
+        outcome = np.array(outcome, dtype=float)
+        if len(outcome) != self.n_obs:
+            raise ValueError("replacement outcome length does not match the panel")
+        columns = replace(self._columns, outcome=outcome)
+        return self._of(columns, self._cluster, self.covariate_names)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -5,6 +5,10 @@ schedules switched on at adoption, with normal noise on top. All randomness
 flows through the Philox counter-based generator; independent streams come
 from SeedSequence spawn keys, so replication r and estimator slot s always
 see the same draws no matter how many worker threads run the race.
+
+Every replication of a config has the same layout; only the outcome changes.
+So the race takes its replications in chunks of a fixed size, stacks each
+chunk's outcomes on one panel and runs every estimator once per chunk.
 """
 
 from __future__ import annotations
@@ -224,24 +228,10 @@ def _make_design(config: DgpConfig) -> TreatmentDesign:
     )
 
 
-def generate(
-    config: DgpConfig, *, stream: int = 0
-) -> tuple[PanelDataset, TreatmentDesign, GroundTruth]:
-    """Draw one panel. Equal seeds and streams reproduce it bit for bit.
-
-    The outcome is built on the regression scale (effects are additive), so
-    feed it to the estimators directly rather than log-transforming again.
-    """
-    if config.seed is None:
-        raise ValueError("config.seed must be set to generate data")
-    design = _make_design(config)
-    truth = _truth(config)
-    rng = _rng(config.seed, stream)
+def _effects(config: DgpConfig, design: TreatmentDesign) -> np.ndarray:
+    """The (units, periods) treatment effect, units in sorted order."""
     periods = config.periods
-    units = sorted(design.regions)
     cohort_of = design.cohort_map()
-    alpha = rng.normal(config.unit_fe_mean, config.unit_fe_sd, size=len(units))
-    noise = rng.normal(0.0, config.noise_sd, size=(len(units), len(periods)))
     period_index = np.asarray([p.index for p in periods])
 
     def effects(cohort: Period | None) -> np.ndarray:
@@ -256,17 +246,80 @@ def generate(
         return np.where(event >= 0, values[np.clip(event, 0, len(values) - 1)], 0.0)
 
     by_cohort = {cohort: effects(cohort) for cohort in set(cohort_of.values())}
-    effect = np.stack([by_cohort[cohort_of[unit]] for unit in units])
-    y = alpha[:, None] + config.trend * np.arange(len(periods)) + effect + noise
+    return np.stack([by_cohort[cohort_of[unit]] for unit in sorted(design.regions)])
+
+
+def _outcome(config: DgpConfig, stream: int, effect: np.ndarray) -> np.ndarray:
+    """Replication `stream`'s outcome rows, in (unit, period) order."""
+    rng = _rng(config.seed, stream)
+    alpha = rng.normal(config.unit_fe_mean, config.unit_fe_sd, size=len(effect))
+    noise = rng.normal(0.0, config.noise_sd, size=effect.shape)
+    y = alpha[:, None] + config.trend * np.arange(effect.shape[1]) + effect + noise
+    return y.ravel()
+
+
+def generate(
+    config: DgpConfig, *, stream: int = 0
+) -> tuple[PanelDataset, TreatmentDesign, GroundTruth]:
+    """Draw one panel. Equal seeds and streams reproduce it bit for bit.
+
+    The outcome is built on the regression scale (effects are additive), so
+    feed it to the estimators directly rather than log-transforming again.
+    """
+    if config.seed is None:
+        raise ValueError("config.seed must be set to generate data")
+    design = _make_design(config)
+    truth = _truth(config)
+    periods = config.periods
+    units = sorted(design.regions)
+    y = _outcome(config, stream, _effects(config, design))
     data = PanelDataset._from_columns(
         units, np.repeat(np.arange(len(units)), len(periods)),
         periods, np.tile(np.arange(len(periods)), len(units)),
-        y.ravel(), np.ones(y.size),
+        y, np.ones(y.size),
     )
     return data, design, truth
 
 
-def _run_twfe(data, design, draws, seed) -> Estimate:
+def _stacked_panel(
+    config: DgpConfig, streams: Sequence[int]
+) -> tuple[PanelDataset, TreatmentDesign]:
+    """One panel holding the outcomes of `streams` as columns, on their shared layout.
+
+    The layout comes from `generate` for the first stream, whose outcome is
+    column 0; every further column equals `generate(config, stream=s)`'s
+    outcome bit for bit. A single stream gives `generate`'s panel itself.
+    """
+    data, design, _ = generate(config, stream=streams[0])
+    if len(streams) > 1:
+        effect = _effects(config, design)
+        data = data._with_outcome(np.column_stack(
+            [data.arrays.outcome, *(_outcome(config, s, effect) for s in streams[1:])]
+        ))
+    return data, design
+
+
+def _single_outcomes(data: PanelDataset) -> list[PanelDataset]:
+    """The one-outcome panels of a stacked panel, in column order."""
+    y = data.arrays.outcome
+    return [data] if y.ndim == 1 else [data._with_outcome(column) for column in y.T]
+
+
+def _one_at_a_time_with_draws(run: Callable) -> Callable:
+    """An adapter for `run(data, design, draws, seed)`: with bootstrap draws, it
+    calls `run` once per stacked outcome, on that replication's own seed."""
+
+    def adapter(data, design, draws, seeds) -> Estimate:
+        if draws == 0:  # no resampling, so no seed
+            return run(data, design, 0, None)
+        values = [run(one, design, draws, seed)
+                  for one, seed in zip(_single_outcomes(data), seeds)]
+        return Estimate(np.array([v.estimate for v in values]), np.array([v.se for v in values]))
+
+    return adapter
+
+
+def _run_twfe(data, design, draws, seeds) -> Estimate:
     spec = DidSpec(kind=DesignKind.STAGGERED_TWFE)
     return wls_fit(build_staggered_twfe(data, design, spec)).estimate("post_adoption")
 
@@ -282,14 +335,15 @@ def _run_cs(rule: str):
         )
         return cs_aggregate(result, "overall").values["overall"]
 
-    return run
+    return _one_at_a_time_with_draws(run)
 
 
-def _run_sa(data, design, draws, seed) -> Estimate:
+def _run_sa(data, design, draws, seeds) -> Estimate:
     result = sa_event_study(data, design.cohort_map())
     return Estimate(*result.overall(), result.fit.df_inference)
 
 
+@_one_at_a_time_with_draws
 def _run_impute(data, design, draws, seed) -> Estimate:
     result = impute_att(
         data, design.cohort_map(), bootstrap_draws=draws, seed=seed
@@ -297,8 +351,14 @@ def _run_impute(data, design, draws, seed) -> Estimate:
     return Estimate(result.aggregate, result.se)
 
 
+# Replications per chunk of the race. Fixed, so that which replications share
+# an estimator call, and so every result, does not depend on the thread count.
+_CHUNK = 32
+
 # Estimator slots feed the per-replication stream split, so results do not
-# depend on which other estimators run alongside.
+# depend on which other estimators run alongside. Each adapter takes a panel
+# of one or more stacked outcomes, the design, the bootstrap draws and one
+# child seed per outcome, and returns one `Estimate` for all of them.
 ESTIMATORS: dict[str, tuple[int, Callable]] = {
     "twfe": (1, _run_twfe),
     "cs_never": (2, _run_cs("never_treated")),
@@ -306,6 +366,11 @@ ESTIMATORS: dict[str, tuple[int, Callable]] = {
     "sa": (4, _run_sa),
     "imputation": (5, _run_impute),
 }
+
+
+def _fields(value: Estimate) -> np.ndarray:
+    """(estimate, se, conf_low, conf_high), one row per outcome."""
+    return np.stack(np.broadcast_arrays(value.estimate, value.se, *value.conf_int()), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -411,11 +476,22 @@ def estimator_race(
 ) -> RaceResult:
     """Run every named estimator on `replications` fresh panels.
 
-    Failures are caught per estimator and replication, excluded from the
-    summary statistics, and counted. Results are independent of the estimator
-    order and the thread count: each (replication, estimator) pair draws from
-    its own pre-assigned stream, and replications are reduced in index order.
-    Coverage counts the 95% intervals of each estimator's `engine.Estimate`.
+    Replications are taken in chunks of a fixed size (`_CHUNK`), and worker
+    threads map over the chunks. Each chunk builds its panel layout once,
+    stacks its replications' outcomes on it, and calls every estimator once.
+    With bootstrap draws, the group-time and imputation estimators still run
+    one replication at a time. A chunk's call that raises `ValueError` or
+    `LinAlgError` is retried one replication at a time, so failures are
+    caught per estimator and replication, excluded from the summary
+    statistics, and counted; any other exception propagates.
+
+    Results are independent of the estimator order and the thread count:
+    each (replication, estimator) pair draws from its own pre-assigned
+    stream, the chunks do not depend on `threads`, and replications are
+    reduced in index order. The last bits of a replication's estimate may
+    depend on the chunk it falls in, since a batched fit rounds otherwise
+    than a single one. Coverage counts the 95% intervals of each estimator's
+    `engine.Estimate`.
     """
     if config.seed is None:
         raise ValueError("config.seed must be set to run a race")
@@ -438,25 +514,37 @@ def estimator_race(
     ordered = tuple(sorted(estimators, key=lambda n: ESTIMATORS[n][0]))
     truth = _truth(config)
 
-    def one_rep(rep: int) -> list[tuple[float, float, float, float]]:
-        """(estimate, se, conf_low, conf_high) per estimator; nans where it failed."""
-        data, design, _ = generate(config, stream=rep)
-        out = []
-        for name in ordered:
+    def attempt(run: Callable, data: PanelDataset, design, seeds) -> np.ndarray | None:
+        """`_fields` of one adapter call; None if the estimator failed."""
+        try:
+            return _fields(run(data, design, bootstrap_draws, seeds))
+        except (ValueError, np.linalg.LinAlgError):
+            return None
+
+    def one_chunk(reps: range) -> np.ndarray:
+        """(replication, estimator, field) for `reps`; nans where an estimator failed."""
+        data, design = _stacked_panel(config, reps)
+        out = np.full((len(reps), len(ordered), 4), math.nan)
+        for i, name in enumerate(ordered):
             slot, run = ESTIMATORS[name]
-            try:
-                value = run(data, design, bootstrap_draws, _child_seed(config.seed, rep, slot))
-                out.append((value.estimate, value.se, *value.conf_int()))
-            except (ValueError, np.linalg.LinAlgError):
-                out.append((math.nan,) * 4)
+            seeds = [_child_seed(config.seed, rep, slot) for rep in reps]
+            batch = attempt(run, data, design, seeds)
+            if batch is not None:
+                out[:, i] = batch
+            elif len(reps) > 1:  # alone, so that only the failing replications count
+                for j, one in enumerate(_single_outcomes(data)):
+                    single = attempt(run, one, design, seeds[j:j + 1])
+                    if single is not None:
+                        out[j, i] = single
         return out
 
+    chunks = [range(lo, min(lo + _CHUNK, replications)) for lo in range(0, replications, _CHUNK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_rep, range(replications)))
+            results = list(pool.map(one_chunk, chunks))
     else:
-        results = [one_rep(rep) for rep in range(replications)]
-    table = np.asarray(results, dtype=float)  # (replication, estimator, field)
+        results = [one_chunk(reps) for reps in chunks]
+    table = np.concatenate(results)  # (replication, estimator, field)
     estimates, ses, conf_lows, conf_highs = (
         {name: table[:, i, k].copy() for i, name in enumerate(ordered)} for k in range(4)
     )

@@ -24,13 +24,19 @@ without covariates from one two-way solve over cohort x period levels, with
 them from the engine's dense fit. Every interval is an `engine.Estimate`'s: a
 normal critical value for the bootstrap errors and t(G-1) for the event
 study's.
+
+A panel may stack R outcomes on one layout (`PanelDataset._with_outcome`).
+Every estimator then returns its point estimates, and the event study its
+CR1 errors, as (R,) arrays from one pass over the layout; each group-time
+cell's ATT still rounds as it would alone. The bootstrap takes one outcome
+at a time.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -38,10 +44,10 @@ import numpy as np
 
 from .designs import CovariateTerm, by_period, expand_covariates
 from .engine import (
-    DesignMatrix, Estimate, RegressionFit, TwoWaySolver, _absorbed_slopes, check_support,
-    cr1_factor, fe_components, inference_clusters, kept_fit, wls_fit,
+    DesignMatrix, Estimate, RegressionFit, TwoWaySolver, _absorbed_slopes, _fe_labels,
+    _scalar, check_support, cr1_factor, fe_components, inference_clusters, kept_fit, wls_fit,
 )
-from .panel import PanelDataset, cohort_start, cohorts_in, unit_values
+from .panel import PanelArrays, PanelDataset, cohort_start, cohorts_in, unit_values
 from .periods import Period
 
 NEVER = -1
@@ -53,6 +59,11 @@ _MARGIN = 1e-6
 # About the bytes of the covariate blocks and systems of one batch of
 # imputation draws.
 _CHUNK_BYTES = 1 << 21
+
+
+def _mean(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted mean along the last axis, each row summed as `np.average` sums it."""
+    return (values * weights).sum(axis=-1) / weights.sum()
 
 
 def _unit_weight(data: PanelDataset, weights: Mapping[str, float] | None) -> np.ndarray:
@@ -74,7 +85,7 @@ def _unit_weight(data: PanelDataset, weights: Mapping[str, float] | None) -> np.
 class GroupTimeCell:
     cohort: Period
     period: Period
-    att: float
+    att: float | np.ndarray  # (R,) on a stacked panel
     se: float
     treated_weight: float
 
@@ -165,27 +176,32 @@ def cs_att(
     a = data.arrays
     start = cohort_start(data, cohorts)
     unit_weight = _unit_weight(data, weights)
-    y = a.grid(a.outcome, fill=np.nan)  # (U, T), nan where unobserved
+    # (U, T), or (R, U, T) for stacked outcomes; nan where unobserved
+    y = np.moveaxis(a.grid(a.outcome, fill=np.nan), (0, 1), (-2, -1))
+    observed = a.grid(np.ones(len(a.weight), dtype=bool), fill=False)
     # A transposed (K, U) array: the bootstrap's column means round in this layout.
     z = np.asarray([data.region_constant(c) for c in covariates]).reshape(-1, len(a.units)).T
     period_ix = {p: j for j, p in enumerate(a.periods)}
 
     def cell_att(delta, tsel, csel, uw) -> float:
-        """ATT of one cell; nan if a side has no weight or the control design lacks rank."""
+        """ATT of one cell; nan if a side has no weight or the control design lacks rank.
+
+        Stacked long differences (R, U) give (R,) ATTs; each row's means are
+        taken over a contiguous row, so they round as a single outcome's do.
+        """
         tw, cw = uw[tsel], uw[csel]
         if tw.sum() <= 0 or cw.sum() <= 0:
             return np.nan
+        treated, control = np.compress(tsel, delta, axis=-1), np.compress(csel, delta, axis=-1)
         if z.shape[1] == 0:
-            return float(
-                np.average(delta[tsel], weights=tw) - np.average(delta[csel], weights=cw)
-            )
+            return _scalar(_mean(treated, tw) - _mean(control, cw))
         design = np.column_stack([np.ones(csel.sum()), z[csel]])
         root = np.sqrt(cw)
-        beta, _, rank, _ = np.linalg.lstsq(design * root[:, None], delta[csel] * root, rcond=None)
+        beta, _, rank, _ = np.linalg.lstsq(design * root[:, None], (control * root).T, rcond=None)
         if rank < design.shape[1]:
             return np.nan
         predicted = np.column_stack([np.ones(tsel.sum()), z[tsel]]) @ beta
-        return float(np.average(delta[tsel] - predicted, weights=tw))
+        return _scalar(_mean(treated - predicted.T, tw))
 
     specs = []  # (cohort, period, delta, treated_sel, control_sel)
     atts = []
@@ -203,8 +219,8 @@ def cs_att(
                 continue
             if not include_pre and t < g:
                 continue
-            delta = y[:, j] - y[:, b_col]
-            valid = ~np.isnan(delta)
+            delta = y[..., j] - y[..., b_col]
+            valid = observed[:, j] & observed[:, b_col]
             treated_sel = in_cohort & valid
             horizon = max(a.period_index[j], base.index)
             if control_rule == "never_treated":
@@ -218,7 +234,7 @@ def cs_att(
                 warnings.warn(f"ATT({g}, {t}): control set is empty; entry omitted")
                 continue
             att = cell_att(delta, treated_sel, control_sel, unit_weight)
-            if math.isnan(att):
+            if np.all(np.isnan(att)):
                 warnings.warn(
                     f"ATT({g}, {t}): the controls' covariates are collinear; entry omitted"
                 )
@@ -328,7 +344,10 @@ def cs_aggregate(result: GroupTimeATT, kind: str = "overall") -> Aggregation:
         members = groups[key]
         w = np.asarray([result.entries[i].treated_weight for i in members])
         w = w / w.sum()
-        estimate = float(np.dot(w, [result.entries[i].att for i in members]))
+        atts = np.asarray([result.entries[i].att for i in members])
+        # One dot product per outcome, so each rounds as it would alone.
+        estimate = _scalar(np.array([np.dot(w, col) for col in atts.T.copy()])
+                           if atts.ndim > 1 else np.dot(w, atts))
         se = math.nan if result.boot is None else _boot_se(result.boot[:, members] @ w)
         values[key] = Estimate(estimate, se)
     return Aggregation(kind=kind, values=values)
@@ -465,6 +484,34 @@ def sa_event_study(
     return EventStudyResult(entries=entries, cohort_shares=shares, fit=fit)
 
 
+def _sa_levels(
+    a: PanelArrays, start: np.ndarray, interacted: Sequence[Period]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Each row's level, each cell's level and period, and the number of levels.
+
+    A control row, and a cohort's row at its base period g-1, has its period
+    as its level; the i-th cohort's row at any other period t gets a level of
+    its own, T + i*T + t. The cells are every cohort x period pair but the
+    cohorts' base periods, cohort by cohort and, within a cohort, period by
+    period. A cell is identified when its level and period t's are connected
+    in the unit-level graph.
+    """
+    u_count, t_count = len(a.units), len(a.periods)
+    unit_cohort = np.full(u_count, -1)
+    for i, g in enumerate(interacted):
+        unit_cohort[start == g.index] = i
+    base = np.searchsorted(a.period_index, [g.index - 1 for g in interacted])
+    row_cohort = unit_cohort[a.unit_codes]
+    in_cell = (row_cohort >= 0) & (a.period_codes != base[row_cohort])
+    levels = np.where(in_cell, t_count * (row_cohort + 1) + a.period_codes, a.period_codes)
+    cell_cohort = np.repeat(np.arange(len(interacted)), t_count)
+    cell_period = np.tile(np.arange(t_count), len(interacted))
+    not_base = cell_period != base[cell_cohort]
+    cell_period = cell_period[not_base]
+    cell_level = t_count * (cell_cohort[not_base] + 1) + cell_period
+    return levels, cell_level, cell_period, t_count * (len(interacted) + 1)
+
+
 def _sa_dense_fit(
     sample: PanelDataset,
     start: np.ndarray,
@@ -475,17 +522,27 @@ def _sa_dense_fit(
 ) -> RegressionFit:
     """The saturated fit as one dense design: a column per cohort x period cell.
 
-    `names` names the cells, cohort by cohort and, within a cohort, period by
-    period, each cohort's base period left out.
+    `names` names the cells as `_sa_levels` orders them. A cell the level
+    graph does not identify gets no column; it is reported dropped with pivot
+    ratio 0, ahead of the engine's own pivot rule.
     """
     a = sample.arrays
+    levels, cell_level, cell_period, n_levels = _sa_levels(a, start, interacted)
+    labels = _fe_labels(row_weight, a.unit_codes, levels, len(a.units), n_levels)[len(a.units):]
+    linked = labels[cell_level] == labels[cell_period]
     blocks = [
         by_period(sample, (start == g.index)[a.unit_codes], g.prev())[1] for g in interacted
     ]
     cov_names, cov_matrix = expand_covariates(sample, covariates)
     x = np.column_stack([*blocks, cov_matrix])
     del blocks  # free the cells' blocks before the fit; x holds a copy
-    return wls_fit(DesignMatrix.from_panel(sample, names + cov_names, x, weight=row_weight))
+    kept = [c for c, ok in zip(names, linked) if ok]
+    if len(kept) < len(names):
+        x = x[:, np.flatnonzero(np.append(linked, np.ones(len(cov_names), dtype=bool)))]
+    fit = wls_fit(DesignMatrix.from_panel(sample, kept + cov_names, x, weight=row_weight))
+    ratios = {c: 0.0 for c, ok in zip(names, linked) if not ok} | dict(fit.pivot_ratios)
+    ratios = {c: ratios[c] for c in names + cov_names if c in ratios}
+    return replace(fit, dropped_collinear=tuple(ratios), pivot_ratios=ratios)
 
 
 def _sa_level_fit(
@@ -497,36 +554,20 @@ def _sa_level_fit(
 ) -> RegressionFit:
     """The saturated fit without covariates, as one two-way solve over levels.
 
-    A control row, and a cohort's row at its base period g-1, has its period
-    as its level; the i-th cohort's row at any other period t gets a level of
-    its own, T + i*T + t. Unit and level effects then fit the same model as
-    unit and period effects plus the cell columns: cell (g, t)'s coefficient
-    is its level's effect less period t's, and the residuals and each
-    cluster's scores on the levels come from the same solve, so the CR1
-    covariance needs no column per cell. A cell is dropped, with pivot ratio
-    0, when its level and period t's are not connected, which includes a
-    cell with no rows. `names` names the cells as for `_sa_dense_fit`.
+    Unit and level effects (`_sa_levels`) fit the same model as unit and
+    period effects plus the cell columns: cell (g, t)'s coefficient is its
+    level's effect less period t's, and the residuals and each cluster's
+    scores on the levels come from the same solve, so the CR1 covariance
+    needs no column per cell. A cell is dropped, with pivot ratio 0, when its
+    level and period t's are not connected, which includes a cell with no
+    rows. `names` names the cells as for `_sa_dense_fit`. Stacked outcomes
+    share the solve and get a covariance each.
     """
     a = sample.arrays
     u_count, t_count = len(a.units), len(a.periods)
-    unit_cohort = np.full(u_count, -1)
-    for i, g in enumerate(interacted):
-        unit_cohort[start == g.index] = i
-    base = np.searchsorted(a.period_index, [g.index - 1 for g in interacted])
-    row_cohort = unit_cohort[a.unit_codes]
-    in_cell = (row_cohort >= 0) & (a.period_codes != base[row_cohort])
-    levels = np.where(in_cell, t_count * (row_cohort + 1) + a.period_codes, a.period_codes)
-    # Every cohort x period cell but the cohorts' base periods, in `names` order.
-    cell_cohort = np.repeat(np.arange(len(interacted)), t_count)
-    cell_period = np.tile(np.arange(t_count), len(interacted))
-    not_base = cell_period != base[cell_cohort]
-    cell_period = cell_period[not_base]
-    cell_level = t_count * (cell_cohort[not_base] + 1) + cell_period
-
+    levels, cell_level, cell_period, n_levels = _sa_levels(a, start, interacted)
     n_clusters = inference_clusters(a.cluster_codes)
-    solver = TwoWaySolver(
-        row_weight, a.unit_codes, levels, u_count, t_count * (len(interacted) + 1)
-    )
+    solver = TwoWaySolver(row_weight, a.unit_codes, levels, u_count, n_levels)
     keep = solver.period_labels[cell_level] == solver.period_labels[cell_period]
     n, k = len(levels), int(keep.sum())
     check_support(n, k)
@@ -541,10 +582,10 @@ def _sa_level_fit(
     solved = solver.solve(contrast(np.eye(len(level))).T)  # F^-1 A', A the contrasts
     bread = contrast(solved)  # (X'WX)^-1 of the cell columns
     half = solved.T @ solver.cluster_scores(residuals, a.cluster_codes)  # (k, clusters)
-    vcov = cr1_factor(n_clusters, n, k) * half @ half.T
+    vcov = cr1_factor(n_clusters, n, k) * half @ np.swapaxes(half, -1, -2)
     return kept_fit(
         names, keep, beta, np.zeros(len(names)),
-        vcov=(vcov + vcov.T) / 2.0,
+        vcov=(vcov + np.swapaxes(vcov, -1, -2)) / 2.0,
         residuals=residuals,
         n_clusters=n_clusters,
         condition=float(np.sqrt(np.linalg.cond(bread))),
@@ -573,7 +614,7 @@ class ImputationResult:
     turns them into `ImputedCell`s on first access.
     """
 
-    aggregate: float
+    aggregate: float | np.ndarray  # (R,) on a stacked panel
     se: float
     n_treated: int
     n_untreated: int
@@ -703,7 +744,7 @@ def impute_att(
     cov_matrix = cov_matrix[:, keep]
     t_ix = np.flatnonzero(treated_rows)
     w_treated = row_weight[t_ix]
-    aggregate = float(np.average(effect_rows[t_ix], weights=w_treated))
+    aggregate = _scalar(np.average(effect_rows[t_ix], axis=0, weights=w_treated))
 
     se = math.nan if bootstrap_draws <= 0 else _impute_bootstrap(
         data, cov_matrix, row_weight, untr, treated_rows, bootstrap_draws, seed

@@ -382,6 +382,43 @@ class TestInference:
             "estimate": 0.3, "se": 0.1, "conf_low": 0.3 - t * 0.1, "conf_high": 0.3 + t * 0.1,
         }
 
+    def test_estimate_interval_is_elementwise(self):
+        est, se = np.array([0.3, -1.5, 2.0]), np.array([0.1, 0.4, 0.0])
+        for df in (None, 7):
+            low, high = Estimate(est, se, df).conf_int()
+            for i in range(3):
+                assert (low[i], high[i]) == Estimate(est[i], se[i], df).conf_int()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_stacked_outcomes_fit_like_single_ones(self, seed):
+        # Columns of an (n, R) outcome share the regressors' absorption, pivots
+        # and dropped columns; slopes, SEs and combinations match lone fits.
+        rng = np.random.default_rng(90 + seed)
+        d = random_design(rng, n_units=12, n_periods=6, n_x=3, unbalanced=True,
+                          cluster_units=5 if seed % 2 else None)
+        x = d.x.copy()
+        x[:, 2] = x[:, 0] - 2.0 * x[:, 1]  # collinear: dropped for every outcome
+        d = replace(d, x=x)
+        y = rng.normal(size=(d.n, 4)) * np.array([1.0, 1e-3, 1e3, 5.0])
+        both = wls_fit(replace(d, y=y))
+        weights = {"x0": 0.25, "x1": -1.0}
+        for r in range(y.shape[1]):
+            one = wls_fit(replace(d, y=y[:, r]))
+            assert both.columns == one.columns and both.dropped_collinear == one.dropped_collinear
+            assert both.condition == pytest.approx(one.condition, rel=1e-12, abs=0)
+            assert both.fe_components == one.fe_components
+            scale = np.abs(one.coef_vector()).max()
+            assert np.abs(both.coef_vector()[:, r] - one.coef_vector()).max() <= 1e-12 * scale
+            assert np.abs(both.vcov[r] - one.vcov).max() <= 1e-12 * np.abs(one.vcov).max()
+            assert np.abs(both.residuals[:, r] - one.residuals).max() <= (
+                1e-12 * np.abs(one.residuals).max())
+            for name in both.columns:
+                assert both.se(name)[r] == pytest.approx(one.se(name), rel=1e-12, abs=0)
+            est, se = both.linear_combination(weights)
+            want = one.linear_combination(weights)
+            assert est[r] == pytest.approx(want[0], rel=1e-10, abs=0)
+            assert se[r] == pytest.approx(want[1], rel=1e-12, abs=0)
+
     def test_stars_thresholds(self):
         rng = np.random.default_rng(61)
         d = random_design(rng, n_units=20, n_periods=8)

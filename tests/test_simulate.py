@@ -10,7 +10,9 @@ from paneldid.cli import main
 from paneldid.designs import DesignKind, DidSpec
 from paneldid.engine import Estimate, wls_fit
 from paneldid.designs import build_staggered_twfe
+from paneldid import simulate
 from paneldid.simulate import (
+    _CHUNK,
     ESTIMATORS,
     DgpConfig,
     EffectSchedule,
@@ -336,7 +338,7 @@ class TestRace:
             assert math.isnan(row.mean_estimate)
 
     def test_programming_errors_propagate(self, monkeypatch):
-        def broken(data, design, draws, seed):
+        def broken(data, design, draws, seeds):
             raise TypeError("bug in an estimator")
 
         monkeypatch.setitem(ESTIMATORS, "twfe", (ESTIMATORS["twfe"][0], broken))
@@ -382,6 +384,116 @@ class TestRace:
         assert payload["replications"] == 3
         assert set(payload["estimators"]) == {"twfe", "sa"}
         assert payload["truth"]["overall"] == race.truth.overall
+
+
+def child_seed(config, rep, name):
+    """Replication `rep`'s stream for the estimator's slot."""
+    sequence = np.random.SeedSequence(config.seed, spawn_key=(rep, ESTIMATORS[name][0]))
+    return int(sequence.generate_state(1, np.uint64)[0])
+
+
+def direct_estimates(config, rep):
+    """Each race estimator's `Estimate` from public calls on replication `rep`'s panel."""
+    data, design, _ = generate(config, stream=rep)
+    cohorts = design.cohort_map()
+
+    def cs_overall(rule):
+        return cs_aggregate(cs_att(data, cohorts, rule, bootstrap_draws=0), "overall")
+
+    sa = sa_event_study(data, cohorts)
+    imputation = impute_att(data, cohorts, bootstrap_draws=0)
+    return {
+        "twfe": wls_fit(build_staggered_twfe(
+            data, design, DidSpec(kind=DesignKind.STAGGERED_TWFE)
+        )).estimate("post_adoption"),
+        "cs_never": cs_overall("never_treated").values["overall"],
+        "cs_notyet": cs_overall("not_yet_treated").values["overall"],
+        "sa": Estimate(*sa.overall(), sa.fit.df_inference),
+        "imputation": Estimate(imputation.aggregate, imputation.se),
+    }
+
+
+class TestBatchedRace:
+    """The race fits each chunk of replications in one call per estimator."""
+
+    REPS = _CHUNK + 5  # a full chunk and a partial one
+
+    def test_matches_direct_calls_per_replication(self):
+        config = small_config(seed=51)
+        race = estimator_race(config, list(ESTIMATORS), self.REPS, bootstrap_draws=0)
+        direct = [direct_estimates(config, rep) for rep in range(self.REPS)]
+        for name in ESTIMATORS:
+            want = np.array([[d[name].estimate, d[name].se, *d[name].conf_int()]
+                             for d in direct])
+            got = np.column_stack([race.estimates[name], race.ses[name],
+                                   race.conf_lows[name], race.conf_highs[name]])
+            for k in range(4):
+                assert np.array_equal(np.isnan(got[:, k]), np.isnan(want[:, k])), (name, k)
+                ok = ~np.isnan(want[:, k])
+                if ok.any():
+                    scale = np.abs(want[ok, k]).max()
+                    assert np.abs(got[ok, k] - want[ok, k]).max() <= 1e-12 * scale, (name, k)
+            if name in ("twfe", "sa"):
+                assert np.isfinite(got).all(), name
+            else:  # no standard error without a bootstrap
+                assert np.isfinite(got[:, 0]).all() and np.isnan(got[:, 1:]).all(), name
+
+    def test_threads_map_over_fixed_chunks(self):
+        config = small_config(seed=52)
+        races = [estimator_race(config, list(ESTIMATORS), self.REPS, bootstrap_draws=0,
+                                threads=threads) for threads in (1, 3, 8)]
+        for name in ESTIMATORS:
+            for field in ("estimates", "ses", "conf_lows", "conf_highs"):
+                first = getattr(races[0], field)[name]
+                for other in races[1:]:
+                    assert np.array_equal(getattr(other, field)[name], first, equal_nan=True)
+
+    def test_stacked_outcomes_equal_generated_panels(self):
+        config = small_config(seed=53)
+        streams = range(7, 7 + 4)
+        stacked, design = simulate._stacked_panel(config, streams)
+        assert design == generate(config, stream=7)[1]
+        a = stacked.arrays
+        assert a.outcome.shape == (stacked.n_obs, len(streams))
+        for j, stream in enumerate(streams):
+            b = generate(config, stream=stream)[0].arrays
+            assert np.array_equal(a.outcome[:, j], b.outcome)
+            for name in ("unit_codes", "period_codes", "cluster_codes", "weight",
+                         "covariates", "period_index"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+            assert (a.units, a.periods, a.clusters) == (b.units, b.periods, b.clusters)
+        single = simulate._stacked_panel(config, [7])[0]
+        assert single == generate(config, stream=7)[0]
+
+    def test_failed_batch_is_retried_one_replication_at_a_time(self, monkeypatch):
+        # Full-size panels: a cell's mean sums enough units for a batched sum
+        # that rounded otherwise than a single one to show.
+        config = heterogeneous_config(54)
+        reps = 4
+        clean = estimator_race(config, list(ESTIMATORS), reps, bootstrap_draws=0)
+        slot, run = ESTIMATORS["cs_never"]
+        failing = [child_seed(config, 1, "cs_never")]
+
+        def flaky(data, design, draws, seeds):
+            if data.arrays.outcome.ndim > 1:
+                raise ValueError("the batched call fails")
+            if seeds == failing:
+                raise ValueError("replication 1 fails alone too")
+            return run(data, design, draws, seeds)
+
+        monkeypatch.setitem(ESTIMATORS, "cs_never", (slot, flaky))
+        race = estimator_race(config, list(ESTIMATORS), reps, bootstrap_draws=0)
+        rows = {row.estimator: row for row in race.rows()}
+        assert rows["cs_never"].n_failed == 1
+        assert all(row.n_failed == 0 for name, row in rows.items() if name != "cs_never")
+        others = np.arange(reps) != 1
+        for name in ESTIMATORS:
+            for field in ("estimates", "ses", "conf_lows", "conf_highs"):
+                got, want = getattr(race, field)[name], getattr(clean, field)[name]
+                if name == "cs_never":
+                    assert math.isnan(got[1])
+                    got, want = got[others], want[others]
+                assert np.array_equal(got, want, equal_nan=True), (name, field)
 
 
 class TestPresets:

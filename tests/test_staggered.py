@@ -614,6 +614,23 @@ class TestSaEventStudy:
         assert fit.dropped_collinear == ("e2@2013Q3", "e1@2013Q4")
         assert fit.pivot_ratios == {"e2@2013Q3": 0.0, "e1@2013Q4": 0.0}
 
+    def test_dense_fit_drops_cells_of_a_period_without_controls(self):
+        # The covariate path drops the same cells by the same rule, rather
+        # than keeping the earlier cohort's cell as a contrast with the later.
+        cohorts = {"a": P(2013, 3), "b": P(2013, 4), "n1": None, "n2": None}
+        constants = {"east": {"a": 1.0, "b": 0.0, "n1": 1.0, "n2": 0.0}}
+        full = build(cohorts, effect=lambda g, e: 1.0, noise=0.1, seed=4, constants=constants)
+        data = PanelDataset(tuple(
+            o for o in full.observations
+            if not (cohorts[o.unit] is None and o.period == P(2014, 1))
+        ), covariate_names=("east",))
+        fit = sa_event_study(data, cohorts, covariates=(CovariateTerm("east"),)).fit
+        cells = [c for c in fit.dropped_collinear if not c.startswith("east")]
+        assert cells == ["e2@2013Q3", "e1@2013Q4"]
+        assert {c: fit.pivot_ratios[c] for c in cells} == {"e2@2013Q3": 0.0, "e1@2013Q4": 0.0}
+        level = sa_event_study(data, cohorts).fit
+        assert [c for c in fit.columns if not c.startswith("east")] == list(level.columns)
+
     @pytest.mark.parametrize("with_covariates", [False, True])
     @pytest.mark.parametrize("case", ["adopts at the first period", "no row at g-1"])
     def test_cohort_without_base_row_dropped(self, case, with_covariates):
