@@ -25,6 +25,7 @@ from .textio import IngestError, format_float, parse_number
 
 DEFAULT_EARLY_COHORT = Period(2014, 3)
 DEFAULT_LATE_COHORT = Period(2019, 1)
+_EMPTY_REGION = "region id must be a non-empty string"
 DESIGN_COLUMNS = (
     "region", "gap_first", "gap_second", "high_first",
     "high_second", "group", "cohort", "population_weight",
@@ -33,16 +34,10 @@ DESIGN_COLUMNS = (
 
 @dataclass(frozen=True)
 class WageRecord:
-    """One worker: region id and gross hourly wage."""
+    """One worker: region id and gross hourly wage; a record, not checked."""
 
     region: str
     hourly_wage: float
-
-    def __post_init__(self) -> None:
-        if not self.region:
-            raise ValueError("region id must be a non-empty string")
-        if not (math.isfinite(self.hourly_wage) and self.hourly_wage > 0):
-            raise ValueError(f"hourly wage must be positive, got {self.hourly_wage!r}")
 
 
 class WageMicrodata:
@@ -50,7 +45,8 @@ class WageMicrodata:
 
     Held as columns: the distinct `regions`, one `region_codes` entry (an
     index into `regions`) and one `wages` entry per worker, both read-only and
-    in input order. Built from `WageRecord`s, or from a file by `read_csv`.
+    in input order. Read from a file by `read_csv`, or built from
+    `WageRecord`s.
     """
 
     def __init__(
@@ -65,13 +61,18 @@ class WageMicrodata:
 
     @classmethod
     def _from_columns(cls, regions, region_codes, wages, minimum_wage, survey_year):
-        """Store checked columns; `region_codes` index the distinct `regions`."""
+        """Check and store columns; `region_codes` index the distinct `regions`."""
         if not (math.isfinite(minimum_wage) and minimum_wage > 0):
             raise ValueError(f"minimum wage must be positive, got {minimum_wage!r}")
         if len(wages) == 0:
             raise ValueError("microdata needs at least one wage record")
+        if not all(regions):
+            raise ValueError(_EMPTY_REGION)
         region_codes = np.asarray(region_codes, dtype=np.intp)
         wages = np.asarray(wages, dtype=float)
+        bad = np.flatnonzero(~(np.isfinite(wages) & (wages > 0)))
+        if bad.size:
+            raise ValueError(f"hourly wage must be positive, got {float(wages[bad[0]])!r}")
         region_codes.flags.writeable = wages.flags.writeable = False
         self = cls.__new__(cls)
         self.__dict__.update(
@@ -95,7 +96,7 @@ class WageMicrodata:
 
     @cached_property
     def records(self) -> tuple[WageRecord, ...]:
-        """One `WageRecord` per worker, built on first access."""
+        """One `WageRecord` per worker: a read-only view built on first access."""
         return tuple(
             WageRecord(self.regions[code], wage)
             for code, wage in zip(self.region_codes.tolist(), self.wages.tolist())
@@ -170,11 +171,9 @@ def _checked_rows(
     """The numbered `rows` of `CsvTable.checked`; raises `IngestError` at the first bad row."""
     kept = []
     for row_number, row in rows:
-        wage = parse_number(row[columns["hourly_wage"]], row_number, "hourly_wage", positive=True)
-        try:
-            WageRecord(row[columns["region"]].strip(), wage)
-        except ValueError as exc:
-            raise IngestError(f"row {row_number}: column 'region': {exc}") from None
+        parse_number(row[columns["hourly_wage"]], row_number, "hourly_wage", positive=True)
+        if not row[columns["region"]].strip():
+            raise IngestError(f"row {row_number}: column 'region': {_EMPTY_REGION}")
         kept.append(row)
     return kept
 

@@ -266,6 +266,11 @@ def cmd_estimate(args) -> int:
                 "the decomposition ignores observation weights; the fitted "
                 "model above was weighted", stacklevel=1
             )
+        if spec.covariates:
+            warnings.warn(
+                "the decomposition ignores covariates; the fitted model above "
+                "adjusts for them", stacklevel=1
+            )
         components = bacon_decompose(data.drop_covariates(), design.cohort_map())
 
     matrix = build_design(data, design, spec, growth_flags=growth_flags)

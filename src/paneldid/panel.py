@@ -9,8 +9,9 @@ independent of input row order. Transformations return new instances.
 as a (units, periods, ...) array and `period_index` holds each period's
 quarter index, so no estimator rebuilds either.
 
-Inside the package a panel may also stack R outcomes on one layout: its
-outcome column is then (n, R) (`PanelDataset._with_outcome`).
+A panel is built by `PanelDataset.from_columns` or read by `ingest_panel`.
+`with_outcome` may also stack R outcomes on one layout: the outcome column
+is then (n, R).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Hashable, Iterable, Mapping, Sequence
+from typing import IO, Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,24 +34,13 @@ CLUSTER_FIELD = "cluster"
 
 @dataclass(frozen=True)
 class Observation:
-    """One (unit, period) cell: outcome, estimation weight, covariate values."""
+    """One (unit, period) row of `PanelDataset.observations`; a record, not checked."""
 
     unit: str
     period: Period
     outcome: float
     weight: float
     covariates: tuple[float, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.unit:
-            raise ValueError("unit id must be a non-empty string")
-        if not math.isfinite(self.outcome):
-            raise ValueError(f"outcome must be finite, got {self.outcome!r}")
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError(f"weight must be positive, got {self.weight!r}")
-        for v in self.covariates:
-            if not math.isfinite(v):
-                raise ValueError(f"covariate values must be finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +95,11 @@ def _first(mask: np.ndarray) -> int | None:
     return int(hits[0]) if hits.size else None
 
 
+def _require(ok: np.ndarray, message: str, values: np.ndarray) -> None:
+    if not ok.all():
+        raise ValueError(f"{message}, got {float(values[~ok][0])!r}")
+
+
 def _gather(labels: Sequence, codes: np.ndarray) -> list:
     return np.asarray(labels, dtype=object)[codes].tolist()
 
@@ -112,33 +107,35 @@ def _gather(labels: Sequence, codes: np.ndarray) -> list:
 class PanelDataset:
     """Immutable long-format panel with at most one observation per (unit, period).
 
-    Built from `Observation`s, or inside the package from columns. Equality
-    compares the columns and labels.
+    Built by `from_columns`. Equality compares the columns and labels.
     """
 
-    def __init__(
-        self,
-        observations: Iterable[Observation],
-        covariate_names: Sequence[str] = (),
-        cluster: Mapping[str, str] | None = None,
-    ) -> None:
-        observations = tuple(observations)
-        for obs in observations:
-            if len(obs.covariates) != len(covariate_names):
-                raise ValueError(
-                    f"unit {obs.unit!r} period {obs.period}: expected "
-                    f"{len(covariate_names)} covariate values, got {len(obs.covariates)}"
-                )
-        self.__dict__.update(vars(self._from_columns(
-            *_factorize([o.unit for o in observations]),
-            *_factorize([o.period for o in observations]),
-            [o.outcome for o in observations], [o.weight for o in observations],
-            [o.covariates for o in observations], covariate_names, cluster,
-        )))
+    @classmethod
+    def from_columns(cls, unit, period, outcome, weight, covariates=None,
+                     cluster=None) -> PanelDataset:
+        """A panel from one unit label, `Period`, outcome and weight per row, in any order.
+
+        `covariates` maps each name to one value per row; units missing from
+        `cluster` are their own cluster. A column of the wrong length is named.
+        """
+        covariates = dict(covariates or {})
+        for name, column in (("unit", unit), ("period", period), ("weight", weight),
+                             *covariates.items()):
+            if len(column) != len(outcome):
+                raise ValueError(f"column {name!r} has {len(column)} values for "
+                                 f"{len(outcome)} outcome rows")
+        if not all(isinstance(u, str) and u for u in set(unit)):
+            raise ValueError("unit id must be a non-empty string")
+        if not all(isinstance(p, Period) for p in set(period)):
+            raise ValueError("period labels must be Period values")
+        return cls._from_columns(
+            *_factorize(unit), *_factorize(period), outcome, weight,
+            np.array(list(covariates.values()), dtype=float).T, tuple(covariates), cluster,
+        )
 
     @classmethod
     def _from_columns(cls, units, unit_codes, periods, period_codes, outcome, weight,
-                      covariates=None, covariate_names=(), cluster=None) -> PanelDataset:
+                      covariates=(), covariate_names=(), cluster=None) -> PanelDataset:
         """Validate row columns and store them sorted by (unit, period).
 
         `units` and `periods` are sorted, distinct and all used; the codes index
@@ -150,20 +147,12 @@ class PanelDataset:
         n = len(outcome)
         if n == 0:
             raise ValueError("a panel needs at least one observation")
-        if not all(units):
-            raise ValueError("unit id must be a non-empty string")
         outcome = np.asarray(outcome, dtype=float)
         weight = np.asarray(weight, dtype=float)
-        covariates = np.asarray(
-            np.empty((n, 0)) if covariates is None else covariates, dtype=float
-        ).reshape(n, len(covariate_names))
-        for bad, message, values in (
-            (~np.isfinite(outcome), "outcome must be finite", outcome),
-            (~(weight > 0) | ~np.isfinite(weight), "weight must be positive", weight),
-            (~np.isfinite(covariates), "covariate values must be finite", covariates),
-        ):
-            if bad.any():
-                raise ValueError(f"{message}, got {float(values[bad][0])!r}")
+        covariates = np.asarray(covariates, dtype=float).reshape(n, len(covariate_names))
+        _require(np.isfinite(outcome), "outcome must be finite", outcome)
+        _require(np.isfinite(weight) & (weight > 0), "weight must be positive", weight)
+        _require(np.isfinite(covariates), "covariate values must be finite", covariates)
         key = np.asarray(unit_codes) * len(periods) + np.asarray(period_codes)
         order = np.argsort(key, kind="stable")
         dup = _first(np.diff(key[order]) == 0)
@@ -194,18 +183,6 @@ class PanelDataset:
             units=columns.units, periods=columns.periods,
         )
         return self
-
-    def _with_outcome(self, outcome: np.ndarray) -> PanelDataset:
-        """This panel's rows and layout with `outcome`, (n,) or (n, R), put in unchecked.
-
-        An (n, R) outcome stacks R outcomes on one layout, e.g. replications
-        of one design; the estimators then fit all R in one pass.
-        """
-        outcome = np.array(outcome, dtype=float)
-        if len(outcome) != self.n_obs:
-            raise ValueError("replacement outcome length does not match the panel")
-        columns = replace(self._columns, outcome=outcome)
-        return self._of(columns, self._cluster, self.covariate_names)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -238,7 +215,7 @@ class PanelDataset:
 
     @cached_property
     def observations(self) -> tuple[Observation, ...]:
-        """One `Observation` per row, in (unit, period) order; built on first use."""
+        """One `Observation` per row in (unit, period) order; a view built on first use."""
         a = self._columns
         return tuple(map(
             Observation, _gather(a.units, a.unit_codes), _gather(a.periods, a.period_codes),
@@ -264,26 +241,35 @@ class PanelDataset:
             )
         return first
 
-    def _subset(self, rows=slice(None), **replace) -> PanelDataset:
-        """The panel's `rows`, with the columns named in `replace` substituted."""
+    def _subset(self, rows) -> PanelDataset:
+        """The panel's `rows`, with the units and periods they use."""
         a = self._columns
         units, unit_codes = np.unique(a.unit_codes[rows], return_inverse=True)
         periods, period_codes = np.unique(a.period_codes[rows], return_inverse=True)
-        columns = {"outcome": a.outcome[rows], "covariates": a.covariates[rows],
-                   "covariate_names": self.covariate_names, **replace}
         return self._from_columns(
             [a.units[u] for u in units.tolist()], unit_codes,
             [a.periods[t] for t in periods.tolist()], period_codes,
-            weight=a.weight[rows], cluster=self._cluster, **columns,
+            a.outcome[rows], a.weight[rows], a.covariates[rows], self.covariate_names,
+            self._cluster,
         )
 
-    def with_outcome(self, outcome: Sequence[float]) -> PanelDataset:
-        if len(outcome) != self.n_obs:
-            raise ValueError("replacement outcome length does not match the panel")
-        return self._subset(outcome=outcome)
+    def with_outcome(self, outcome) -> PanelDataset:
+        """This panel's rows and layout with `outcome`, (n,) or (n, R), in row order.
+
+        An (n, R) outcome stacks R outcomes on one layout, e.g. replications
+        of one design; the estimators then fit all R in one pass.
+        """
+        outcome = np.array(outcome, dtype=float)
+        if outcome.ndim not in (1, 2) or len(outcome) != self.n_obs:
+            raise ValueError(f"replacement outcome has shape {outcome.shape}; "
+                             f"the panel has {self.n_obs} rows")
+        _require(np.isfinite(outcome), "outcome must be finite", outcome)
+        columns = replace(self._columns, outcome=outcome)
+        return self._of(columns, self._cluster, self.covariate_names)
 
     def drop_covariates(self) -> PanelDataset:
-        return self._subset(covariates=None, covariate_names=())
+        columns = replace(self._columns, covariates=np.empty((self.n_obs, 0)))
+        return self._of(columns, self._cluster, ())
 
 
 def unit_values(data: PanelDataset, values: Mapping[str, object], what: str) -> list:
@@ -414,7 +400,7 @@ def ingest_panel(
     periods, rank = _factorize(list(code_of))
     return PanelDataset._from_columns(
         *_factorize(units), periods, rank[period_codes], outcome, weight,
-        np.array(covariates).T if covariates else None,
+        np.array(covariates).T,
         tuple(canonical for _, canonical, _ in covariate_fields), cluster,
     )
 

@@ -293,7 +293,7 @@ def _stacked_panel(
     data, design, _ = generate(config, stream=streams[0])
     if len(streams) > 1:
         effect = _effects(config, design)
-        data = data._with_outcome(np.column_stack(
+        data = data.with_outcome(np.column_stack(
             [data.arrays.outcome, *(_outcome(config, s, effect) for s in streams[1:])]
         ))
     return data, design
@@ -302,7 +302,7 @@ def _stacked_panel(
 def _single_outcomes(data: PanelDataset) -> list[PanelDataset]:
     """The one-outcome panels of a stacked panel, in column order."""
     y = data.arrays.outcome
-    return [data] if y.ndim == 1 else [data._with_outcome(column) for column in y.T]
+    return [data] if y.ndim == 1 else [data.with_outcome(column) for column in y.T]
 
 
 def _one_at_a_time_with_draws(run: Callable) -> Callable:

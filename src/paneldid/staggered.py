@@ -25,7 +25,7 @@ them from the engine's dense fit. Every interval is an `engine.Estimate`'s: a
 normal critical value for the bootstrap errors and t(G-1) for the event
 study's.
 
-A panel may stack R outcomes on one layout (`PanelDataset._with_outcome`).
+A panel may stack R outcomes on one layout (`PanelDataset.with_outcome`).
 Every estimator then returns its point estimates, and the event study its
 CR1 errors, as (R,) arrays from one pass over the layout; each group-time
 cell's ATT still rounds as it would alone. The bootstrap takes one outcome
@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -72,8 +71,10 @@ def _unit_weight(data: PanelDataset, weights: Mapping[str, float] | None) -> np.
         w = data.arrays.grid(data.arrays.weight)
         return w.sum(axis=1) / (w > 0).sum(axis=1)
     unit_weight = np.asarray(unit_values(data, weights, "unit weight"), dtype=float)
-    if np.any(unit_weight <= 0):
-        raise ValueError("unit weights must be positive")
+    bad = np.flatnonzero(~(np.isfinite(unit_weight) & (unit_weight > 0)))
+    if bad.size:
+        raise ValueError(f"unit weights must be finite and positive; unit "
+                         f"{data.units[bad[0]]!r} has {float(unit_weight[bad[0]])!r}")
     return unit_weight
 
 
@@ -597,21 +598,12 @@ def _sa_level_fit(
 # imputation
 
 
-@dataclass(frozen=True)
-class ImputedCell:
-    unit: str
-    period: Period
-    effect: float
-    weight: float
-
-
 @dataclass(frozen=True, eq=False)
 class ImputationResult:
     """Treated-cell effects measured against an untreated-sample prediction.
 
     The per-cell effects are kept as arrays over the treated rows: unit and
-    period codes into `units` and `periods`, effect, and weight. `effects`
-    turns them into `ImputedCell`s on first access.
+    period codes into `units` and `periods`, effect, and weight.
     """
 
     aggregate: float | np.ndarray  # (R,) on a stacked panel
@@ -629,16 +621,6 @@ class ImputationResult:
     effect_weights: np.ndarray
 
     estimator = "impute_att"
-
-    @cached_property
-    def effects(self) -> tuple[ImputedCell, ...]:
-        return tuple(map(
-            ImputedCell,
-            [self.units[c] for c in self.unit_codes.tolist()],
-            [self.periods[c] for c in self.period_codes.tolist()],
-            self.effect_values.tolist(),
-            self.effect_weights.tolist(),
-        ))
 
     def conf_int(self) -> tuple[float, float]:
         return Estimate(self.aggregate, self.se).conf_int()

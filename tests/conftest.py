@@ -16,6 +16,18 @@ from paneldid.periods import Period
 P = Period  # shorthand for fixtures
 
 
+def panel_of(observations, covariate_names=(), cluster=None):
+    """Build a PanelDataset from `Observation` rows, one covariate value per name."""
+    observations = tuple(observations)
+    return PanelDataset.from_columns(
+        [o.unit for o in observations], [o.period for o in observations],
+        [o.outcome for o in observations], [o.weight for o in observations],
+        {name: [o.covariates[i] for o in observations]
+         for i, name in enumerate(covariate_names)},
+        cluster,
+    )
+
+
 def make_panel(values, weights=None, covariates=None, clusters=None):
     """Build a PanelDataset from {(unit, Period): outcome} mappings."""
     observations = []
@@ -27,9 +39,7 @@ def make_panel(values, weights=None, covariates=None, clusters=None):
     if covariates is not None:
         arity = len(next(iter(covariates.values())))
         names = tuple(f"z{i}" for i in range(arity))
-    return PanelDataset(
-        tuple(observations), covariate_names=names, cluster=dict(clusters or {})
-    )
+    return panel_of(observations, covariate_names=names, cluster=dict(clusters or {}))
 
 
 def grid_panel(n_units, n_periods, outcome, weight=None, start=P(2013, 1)):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import P
+from conftest import P, panel_of
 from paneldid.bacon import (
     BaconComponent,
     ComparisonKind,
@@ -10,7 +10,7 @@ from paneldid.bacon import (
     write_components_csv,
 )
 from paneldid.engine import DesignMatrix, wls_fit
-from paneldid.panel import Observation, PanelDataset
+from paneldid.panel import Observation
 from paneldid.periods import period_range
 
 PERIODS = tuple(period_range(P(2013, 1), P(2014, 4)))
@@ -28,7 +28,7 @@ def staggered_panel(cohorts, periods=PERIODS, effect=0.0, noise=0.0, seed=0):
             if noise:
                 y += noise * rng.normal()
             obs.append(Observation(u, p, float(y), 1.0))
-    return PanelDataset(tuple(obs))
+    return panel_of(tuple(obs))
 
 
 def twfe_coefficient(data, cohorts):
@@ -124,7 +124,7 @@ class TestIdentity:
     def test_observation_weights_ignored(self):
         cohorts = {"a": P(2013, 3), "b": None, "c": None}
         data = staggered_panel(cohorts, noise=0.1)
-        reweighted = PanelDataset(
+        reweighted = panel_of(
             tuple(
                 Observation(o.unit, o.period, o.outcome, 2.0 if o.unit == "a" else 0.5)
                 for o in data.observations
@@ -138,7 +138,7 @@ class TestRejections:
     def test_covariates_rejected(self):
         cohorts = {"a": P(2013, 3), "n": None}
         base = staggered_panel(cohorts)
-        data = PanelDataset(
+        data = panel_of(
             tuple(
                 Observation(o.unit, o.period, o.outcome, o.weight, (1.0,))
                 for o in base.observations
@@ -151,7 +151,7 @@ class TestRejections:
     def test_unbalanced_rejected_with_missing_cells(self):
         cohorts = {"a": P(2013, 3), "n": None}
         base = staggered_panel(cohorts)
-        data = PanelDataset(base.observations[1:])
+        data = panel_of(base.observations[1:])
         with pytest.raises(ValueError, match="unbalanced.*missing"):
             bacon_decompose(data, cohorts)
 

@@ -135,6 +135,17 @@ class TestWageGap:
                 pytest.raises(IngestError, match=message):
             WageMicrodata.read_csv(io.StringIO(text), 8.50, 2014)
 
+    @pytest.mark.parametrize("record, message", [
+        (WageRecord("", 9.0), r"^region id must be a non-empty string$"),
+        (WageRecord("b", 0.0), r"^hourly wage must be positive, got 0\.0$"),
+        (WageRecord("b", -2.5), r"^hourly wage must be positive, got -2\.5$"),
+        (WageRecord("b", float("nan")), r"^hourly wage must be positive, got nan$"),
+        (WageRecord("b", float("inf")), r"^hourly wage must be positive, got inf$"),
+    ])
+    def test_records_checked_as_columns(self, record, message):
+        with pytest.raises(ValueError, match=message):
+            WageMicrodata([WageRecord("a", 8.0), record], 8.50, 2014)
+
     def test_columns_and_record_view(self):
         text = "hourly_wage,region\n8.0, b\n7.5,a\n9.0,b \n"
         data = WageMicrodata.read_csv(io.StringIO(text), 8.50, 2014)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import P
+from conftest import P, panel_of
 from paneldid.bite import (
     RegionTreatment,
     SwitcherGroup,
@@ -20,7 +20,6 @@ from paneldid.designs import DesignKind, DidSpec, build_design, load_spec
 from paneldid.engine import wls_fit
 from paneldid.panel import (
     Observation,
-    PanelDataset,
     ingest_panel,
     log_outcome,
     serialize_panel,
@@ -209,7 +208,7 @@ def estimate_inputs(tmp_path):
             y = math.exp(0.1 * (i + 1) + 0.02 * j + bump)
             obs.append(Observation(u, p, y, 1.0))
     panel = tmp_path / "panel.csv"
-    serialize_panel(PanelDataset(tuple(obs)), panel)
+    serialize_panel(panel_of(tuple(obs)), panel)
     design = tmp_path / "design.csv"
     design_rows(units_high).write_csv(design)
     spec = tmp_path / "model.txt"
@@ -246,7 +245,7 @@ class TestEstimate:
         _, design, spec = estimate_inputs
         panel = tmp_path / "constant.csv"
         obs = ingest_panel(estimate_inputs[0]).observations
-        serialize_panel(PanelDataset(tuple(
+        serialize_panel(panel_of(tuple(
             Observation(o.unit, o.period, 5.0, o.weight) for o in obs
         )), panel)
         out = tmp_path / "constant_out"
@@ -355,7 +354,7 @@ def staggered_inputs(tmp_path):
             y += 0.01 * float(rng.normal())
             obs.append(Observation(u, p, y, 1.0))
     panel = tmp_path / "panel.csv"
-    serialize_panel(PanelDataset(tuple(obs)), panel)
+    serialize_panel(panel_of(tuple(obs)), panel)
     design = tmp_path / "design.csv"
     design_rows(units_high).write_csv(design)
     spec = tmp_path / "model.txt"
@@ -379,6 +378,25 @@ class TestStaggeredAndDecompose:
         lines = (out / "bacon.csv").read_text().splitlines()[1:]
         recon = sum(float(r.split(",")[3]) * float(r.split(",")[4]) for r in lines)
         assert recon == pytest.approx(coefficient, abs=1e-8)
+
+    def test_bacon_with_covariates_warns(self, tmp_path, capsys, staggered_inputs):
+        # The decomposition is of the covariate-free coefficient, not the fitted one.
+        panel, design, spec = staggered_inputs
+        data = ingest_panel(panel, require_positive_outcome=False)
+        east = {u: float(u in ("e1", "n1")) for u in data.units}
+        with_east = tmp_path / "east.csv"
+        serialize_panel(panel_of(
+            [Observation(o.unit, o.period, o.outcome, o.weight, (east[o.unit],))
+             for o in data.observations], ("east",)), with_east)
+        spec.write_text("kind = staggered_twfe\ncovariates = east*time\n")
+        out = tmp_path / "stag_cov"
+        with pytest.warns(UserWarning, match="the decomposition ignores covariates"):
+            code, _, _ = run(
+                ["estimate", "--out", out, "--panel", with_east, "--design", design,
+                 "--spec", spec, "--no-log", "--bacon"],
+                capsys,
+            )
+        assert code == 0 and (out / "bacon.csv").exists()
 
     def test_decompose_json_payload(self, tmp_path, capsys, staggered_inputs):
         panel, design, _ = staggered_inputs

@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from conftest import P
+from conftest import P, panel_of
 from paneldid.bite import RegionTreatment, SwitcherGroup, TreatmentDesign
 from paneldid.designs import (
     CovariateTerm,
@@ -20,7 +20,7 @@ from paneldid.designs import (
     expand_covariates,
     load_spec,
 )
-from paneldid.panel import Observation, PanelDataset
+from paneldid.panel import Observation
 from paneldid.periods import Period, period_range
 
 EARLY = P(2014, 3)
@@ -61,7 +61,7 @@ def panel_for(units, periods, constants=None):
         covs = tuple(constants[name][u] for name in names) if names else ()
         for j, p in enumerate(periods):
             obs.append(Observation(u, p, float(i + 0.1 * j), 1.0, covs))
-    return PanelDataset(tuple(obs), covariate_names=names)
+    return panel_of(tuple(obs), covariate_names=names)
 
 
 def rows_of(data, unit):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import P
+from conftest import P, panel_of
 from paneldid.bite import TreatmentDesign
 from paneldid.panel import Observation, PanelDataset
 from paneldid.simulate import ESTIMATORS, DgpConfig, generate
@@ -36,7 +36,7 @@ def drawn_panel(seed: int) -> tuple[PanelDataset, TreatmentDesign, np.random.Gen
         for o in data.observations
         if o.unit in never or o.period < P(2013, 3) or rng.random() > 0.15
     ]
-    return PanelDataset(obs), design, rng
+    return panel_of(obs), design, rng
 
 
 def reversed_names(data: PanelDataset, design: TreatmentDesign):
@@ -46,7 +46,7 @@ def reversed_names(data: PanelDataset, design: TreatmentDesign):
     obs = [Observation(rename[o.unit], o.period, o.outcome, o.weight)
            for o in data.observations]
     regions = {rename[r]: rt for r, rt in design.regions.items()}
-    return PanelDataset(obs), TreatmentDesign(
+    return panel_of(obs), TreatmentDesign(
         regions, early_cohort=design.early_cohort, late_cohort=design.late_cohort)
 
 
@@ -70,7 +70,7 @@ def assert_same(name: str, got, want, b: float = 1.0) -> None:
 
 
 def mapped(data: PanelDataset, outcome=lambda y: y, weight=lambda w: w) -> PanelDataset:
-    return PanelDataset([Observation(o.unit, o.period, outcome(o.outcome), weight(o.weight))
+    return panel_of([Observation(o.unit, o.period, outcome(o.outcome), weight(o.weight))
                          for o in data.observations])
 
 
@@ -88,7 +88,7 @@ def test_unit_names_do_not_matter(name, seed):
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_row_order_does_not_matter(name, seed):
     data, design, rng = drawn_panel(seed)
-    shuffled = PanelDataset([data.observations[i] for i in rng.permutation(data.n_obs)])
+    shuffled = panel_of([data.observations[i] for i in rng.permutation(data.n_obs)])
     assert_same(name, estimate(name, shuffled, design), estimate(name, data, design))
 
 

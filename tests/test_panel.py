@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import P, grid_panel, make_panel
+from conftest import P, grid_panel, make_panel, panel_of
 from paneldid.panel import (
     IngestError,
     Observation,
@@ -155,22 +155,56 @@ def test_balance_report_names_gap():
     assert not report.is_balanced
 
 
-def test_observation_validation():
-    with pytest.raises(ValueError):
-        Observation("a", P(2014, 1), math.nan, 1.0)
-    with pytest.raises(ValueError):
-        Observation("a", P(2014, 1), 1.0, 0.0)
-    with pytest.raises(ValueError):
-        Observation("", P(2014, 1), 1.0, 1.0)
+def from_rows(units, outcome, weight, covariates=None):
+    """`from_columns` over 2014Q1, 2014Q2, ... one period per row."""
+    periods = [P(2014, 1).shift(i) for i in range(len(units))]
+    return PanelDataset.from_columns(units, periods, outcome, weight, covariates)
+
+
+def test_from_columns_rejects_bad_values():
+    with pytest.raises(ValueError, match="outcome must be finite, got nan"):
+        from_rows(["a"], [math.nan], [1.0])
+    with pytest.raises(ValueError, match="weight must be positive, got 0.0"):
+        from_rows(["a"], [1.0], [0.0])
+    for units in ([""], ["a", 1], [1, 2]):
+        with pytest.raises(ValueError, match="unit id must be a non-empty string"):
+            from_rows(units, [1.0] * len(units), [1.0] * len(units))
+    with pytest.raises(ValueError, match="period labels must be Period values"):
+        PanelDataset.from_columns(["a"], ["2014Q1"], [1.0], [1.0])
 
 
 def test_dataset_rejects_covariate_arity_mismatch():
-    obs = (
-        Observation("a", P(2014, 1), 1.0, 1.0, (1.0,)),
-        Observation("b", P(2014, 1), 1.0, 1.0),
+    # Row a has one value of covariate z, row b none.
+    with pytest.raises(ValueError, match=r"^column 'z' has 1 values for 2 outcome rows$"):
+        from_rows(["a", "b"], [1.0, 1.0], [1.0, 1.0], {"z": [1.0]})
+
+
+@pytest.mark.parametrize("column", ["unit", "period", "weight", "z"])
+@pytest.mark.parametrize("length", [2, 4])
+def test_from_columns_names_a_column_of_the_wrong_length(column, length):
+    columns = {"unit": ["a", "a", "b"], "period": [P(2014, 1), P(2014, 2), P(2014, 1)],
+               "weight": [1.0, 2.0, 3.0], "z": [0.5, 0.5, 1.5]}
+    columns[column] = (columns[column] * 2)[:length]
+    with pytest.raises(ValueError, match=rf"^column '{column}' has {length} values "
+                                         r"for 3 outcome rows$"):
+        PanelDataset.from_columns(columns["unit"], columns["period"], [1.0, 2.0, 3.0],
+                                  columns["weight"], {"z": columns["z"]})
+
+
+def test_from_columns_sorts_rows_and_keeps_covariate_order():
+    data = PanelDataset.from_columns(
+        ["b", "a", "b"], [P(2014, 2), P(2014, 1), P(2014, 1)], [4.0, 1.0, 3.0],
+        [1.0, 2.0, 1.0], {"z": [0.5, 1.5, 0.5], "x": [1.0, 2.0, 3.0]}, {"a": "c"},
     )
-    with pytest.raises(ValueError, match="covariate"):
-        PanelDataset(obs, covariate_names=("z",))
+    assert data.observations == (
+        Observation("a", P(2014, 1), 1.0, 2.0, (1.5, 2.0)),
+        Observation("b", P(2014, 1), 3.0, 1.0, (0.5, 3.0)),
+        Observation("b", P(2014, 2), 4.0, 1.0, (0.5, 1.0)),
+    )
+    assert data.covariate_names == ("z", "x")
+    assert data.cluster == {"a": "c", "b": "b"}
+    with pytest.raises(ValueError, match=r"duplicate observation for unit 'a' period 2014Q1"):
+        PanelDataset.from_columns(["a", "a"], [P(2014, 1)] * 2, [1.0, 2.0], [1.0, 1.0])
 
 
 def test_region_constant_validated():
@@ -194,7 +228,7 @@ def test_region_constant_in_unit_order_and_unknown_covariate_named():
 
 def test_grid_lays_rows_out_units_by_periods():
     # Unbalanced, with a gap in calendar time: b has no 2014Q2 row, and no unit a 2014Q1 row.
-    data = PanelDataset([
+    data = panel_of([
         Observation("b", P(2013, 4), 2.0, 1.0, (20.0, 21.0)),
         Observation("a", P(2014, 2), 3.0, 1.0, (30.0, 31.0)),
         Observation("a", P(2013, 4), 1.0, 1.0, (10.0, 11.0)),
@@ -222,6 +256,25 @@ def test_with_outcome_replaces_values_only():
     new = data.with_outcome([1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(new.arrays.outcome, [1.0, 2.0, 3.0, 4.0])
     np.testing.assert_array_equal(new.arrays.weight, data.arrays.weight)
+
+
+def test_with_outcome_stacks_outcomes_on_the_layout():
+    data = ingest_panel(io.StringIO(MINIMAL))
+    stacked = np.arange(12.0).reshape(4, 3)
+    new = data.with_outcome(stacked)
+    a, b = data.arrays, new.arrays
+    np.testing.assert_array_equal(b.outcome, stacked)
+    assert not b.outcome.flags.writeable and stacked.flags.writeable
+    for name in ("unit_codes", "period_codes", "cluster_codes", "weight", "covariates"):
+        np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
+    assert (b.units, b.periods, b.clusters) == (a.units, a.periods, a.clusters)
+    np.testing.assert_array_equal(new.with_outcome(stacked[:, 1]).arrays.outcome, [1, 4, 7, 10])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"outcome must be finite, got {bad!r}"):
+            data.with_outcome(np.where(stacked == 7.0, bad, stacked))
+    for shape in ((3,), (5, 2), (4, 2, 1), ()):
+        with pytest.raises(ValueError, match=r"^replacement outcome has shape .* 4 rows$"):
+            data.with_outcome(np.ones(shape))
 
 
 outcome_values = st.floats(
@@ -310,6 +363,33 @@ def test_serialize_ingest_serialize_is_byte_identical(data):
     assert "".join(_csv_lines(again)) == first
 
 
+@settings(max_examples=50, deadline=None)
+@given(panels(), st.randoms(use_true_random=False), st.data())
+def test_outcome_swaps_equal_panels_built_from_columns(data, random, extra):
+    # The swaps re-wrap the sorted layout; from_columns sorts shuffled rows.
+    a = data.arrays
+    order = list(range(data.n_obs))
+    random.shuffle(order)
+
+    def built(outcome, covariates=True):
+        return PanelDataset.from_columns(
+            [a.units[a.unit_codes[i]] for i in order],
+            [a.periods[a.period_codes[i]] for i in order],
+            outcome[order], a.weight[order],
+            {name: a.covariates[order, k] for k, name in enumerate(data.covariate_names)}
+            if covariates else None,
+            data.cluster,
+        )
+
+    other = np.array(extra.draw(st.lists(
+        st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        min_size=data.n_obs, max_size=data.n_obs,
+    )))
+    assert log_outcome(data) == built(np.log(a.outcome))
+    assert data.drop_covariates() == built(a.outcome, covariates=False)
+    assert data.with_outcome(other) == built(other)
+
+
 def test_first_bad_row_in_file_order_is_named():
     rows = [f"u{i},2014,1,{10.0 + i},1.0" for i in range(8)]
     rows[5] = "u5,2014,1,15.0,-2.0"  # bad weight, file row 7
@@ -356,7 +436,7 @@ def test_observation_view_matches_columns():
         Observation("b", P(2014, 1), 3.0, 1.0, (0.5,)),
         Observation("b", P(2014, 2), 4.0, 1.0, (0.5,)),
     )
-    assert PanelDataset(data.observations, ("z0",)) == data
+    assert panel_of(data.observations, ("z0",)) == data
 
 
 def test_cohort_start_marks_units_untreated_in_the_window():

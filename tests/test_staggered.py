@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from conftest import P
+from conftest import P, panel_of
 from paneldid import staggered
 from paneldid.bite import RegionTreatment, SwitcherGroup, TreatmentDesign
 from paneldid.designs import CovariateTerm, DesignKind, DidSpec, build_event_study
 from paneldid.engine import wls_fit
-from paneldid.panel import Observation, PanelDataset
+from paneldid.panel import Observation
 from paneldid.periods import Period, period_range
 from paneldid.simulate import generate, heterogeneous_config, null_config
 from paneldid.staggered import (
@@ -44,7 +44,7 @@ def build(cohorts, periods=EIGHT, effect=None, noise=0.0, seed=0,
             if noise:
                 y += noise * float(rng.normal())
             obs.append(Observation(u, p, float(y), 1.0, covs))
-    return PanelDataset(tuple(obs), covariate_names=names)
+    return panel_of(tuple(obs), covariate_names=names)
 
 
 def multinomial_draws(seed, n_units, draws):
@@ -127,7 +127,7 @@ def random_staggered_panel(seed, never=True):
                 y += 0.5 + 0.1 * (p.index - g.index)
             obs.append(Observation(u, p, y, float(rng.uniform(0.5, 3.0))))
     cluster = {u: f"c{i // 3}" for i, u in enumerate(cohorts)}
-    data = PanelDataset(tuple(obs), cluster=cluster)
+    data = panel_of(tuple(obs), cluster=cluster)
     weights = None if seed % 2 else {u: float(rng.uniform(0.5, 3.0)) for u in cohorts}
     return data, cohorts, weights
 
@@ -235,7 +235,7 @@ class TestCsAtt:
             obs.append(Observation(u, p2, tau, 1.0))
         obs.append(Observation("n", P(2013, 1), 0.0, 1.0))
         obs.append(Observation("n", p2, 0.0, 1.0))
-        data = PanelDataset(tuple(obs))
+        data = panel_of(tuple(obs))
         cohorts = {"t1": p2, "t2": p2, "n": None}
         res = cs_att(data, cohorts, weights={"t1": 3.0, "t2": 1.0, "n": 1.0},
                      bootstrap_draws=0)
@@ -254,7 +254,7 @@ class TestCsAtt:
             obs.append(Observation(u, p1, 0.0, 1.0, (zu,)))
             delta = 2.0 * zu + (tau if treated else 0.0)
             obs.append(Observation(u, p2, delta, 1.0, (zu,)))
-        data = PanelDataset(tuple(obs), covariate_names=("z",))
+        data = panel_of(tuple(obs), covariate_names=("z",))
         cohorts = {u: (p2 if u.startswith("t") else None) for u in z}
         raw = cs_att(data, cohorts, bootstrap_draws=0)
         adj = cs_att(data, cohorts, covariates=("z",), bootstrap_draws=0)
@@ -606,7 +606,7 @@ class TestSaEventStudy:
         # cell coefficient at 2014Q1, is not identified.
         cohorts = {"a": P(2013, 3), "b": P(2013, 4), "n1": None, "n2": None}
         full = build(cohorts, effect=lambda g, e: 1.0, noise=0.1, seed=4)
-        data = PanelDataset(tuple(
+        data = panel_of(tuple(
             o for o in full.observations
             if not (cohorts[o.unit] is None and o.period == P(2014, 1))
         ))
@@ -620,7 +620,7 @@ class TestSaEventStudy:
         cohorts = {"a": P(2013, 3), "b": P(2013, 4), "n1": None, "n2": None}
         constants = {"east": {"a": 1.0, "b": 0.0, "n1": 1.0, "n2": 0.0}}
         full = build(cohorts, effect=lambda g, e: 1.0, noise=0.1, seed=4, constants=constants)
-        data = PanelDataset(tuple(
+        data = panel_of(tuple(
             o for o in full.observations
             if not (cohorts[o.unit] is None and o.period == P(2014, 1))
         ), covariate_names=("east",))
@@ -641,7 +641,7 @@ class TestSaEventStudy:
         effect = lambda g, e: 0.5 if g == cohorts["a"] else 0.2
         constants = {"east": {u: float(i % 2) for i, u in enumerate(cohorts)}}
         full = build(cohorts, effect=effect, noise=0.0, seed=3, constants=constants)
-        data = PanelDataset(tuple(
+        data = panel_of(tuple(
             o for o in full.observations if not (o.unit == "a" and o.period == P(2013, 2))
         ), covariate_names=("east",))
         covariates = (CovariateTerm("east"),) if with_covariates else ()
@@ -674,13 +674,13 @@ class TestImpute:
                 if g is not None and p >= g:
                     y += 2.0
                 obs.append(Observation(u, p, y, 1.0))
-        data = PanelDataset(tuple(obs))
+        data = panel_of(tuple(obs))
         res = impute_att(data, cohorts, bootstrap_draws=0)
         assert res.aggregate == pytest.approx(2.0, abs=1e-10)
-        assert all(c.effect == pytest.approx(2.0, abs=1e-10) for c in res.effects)
+        assert all(e == pytest.approx(2.0, abs=1e-10) for e in res.effect_values.tolist())
         assert res.n_treated == 5 + 3
         assert res.n_untreated == len(obs) - 8
-        assert {c.unit for c in res.effects} == {"a", "b"}
+        assert {res.units[c] for c in res.unit_codes.tolist()} == {"a", "b"}
 
     def test_no_treated_rejected(self):
         cohorts = {"a": None, "b": None}
@@ -718,7 +718,7 @@ class TestImpute:
             for j, p in enumerate(EIGHT)
             if (u in ("a", "n1")) == (j < 4)
         ]
-        data = PanelDataset(tuple(obs))
+        data = panel_of(tuple(obs))
         with pytest.raises(ValueError, match="do not connect all units and periods"):
             impute_att(data, cohorts, bootstrap_draws=0)
 
@@ -754,7 +754,7 @@ class TestImpute:
                 if cohorts[u] is not None and p >= cohorts[u]:
                     y += 2.0
                 obs.append(Observation(u, p, y, 1.0, (zu,)))
-        return PanelDataset(tuple(obs), covariate_names=("z",)), cohorts, None
+        return panel_of(tuple(obs), covariate_names=("z",)), cohorts, None
 
     def test_covariate_adjustment_removes_characteristic_trend(self):
         data, cohorts, _ = self.trend_fixture()
@@ -785,7 +785,7 @@ class TestImpute:
             for k, (u, (first, last)) in enumerate(spans.items())
             for j in range(first, last + 1)
         ]
-        data = PanelDataset(tuple(obs))
+        data = panel_of(tuple(obs))
         cohorts = {u: (quarters[2] if u == "t" else None) for u in spans}
         res = impute_att(data, cohorts, bootstrap_draws=400, seed=5)
         expected, skipped = impute_bruteforce_se(data, cohorts, 400, 5)
@@ -810,7 +810,7 @@ class TestImpute:
                     y += 0.5
                 obs.append(Observation(u, p, y, 1.0, (z[u],)))
         weights = {u: 0.5 + float(rng.uniform()) for u in cohorts}
-        return PanelDataset(tuple(obs), covariate_names=("z",)), cohorts, weights
+        return panel_of(tuple(obs), covariate_names=("z",)), cohorts, weights
 
     def test_covariate_bootstrap_matches_bruteforce(self):
         data, cohorts, weights = self.covariate_fixture()
@@ -862,7 +862,7 @@ class TestImpute:
         # clusters play no part in the imputation estimator or its bootstrap
         data, cohorts, weights = self.covariate_fixture()
         a = data.arrays
-        pooled = PanelDataset(data.observations, covariate_names=data.covariate_names,
+        pooled = panel_of(data.observations, covariate_names=data.covariate_names,
                               cluster={u: "all" for u in a.units})
         kwargs = dict(covariates=(CovariateTerm("z"),), weights=weights,
                       bootstrap_draws=40, seed=5)
@@ -947,6 +947,18 @@ class TestCrossEstimator:
         cohorts = {"a": P(2013, 4), "n": None}
         with pytest.raises(ValueError, match="bootstrap_draws must be non-negative"):
             estimator(build(cohorts), cohorts, bootstrap_draws=-3, seed=1)
+
+    @pytest.mark.parametrize("estimator, options", [
+        (cs_att, {"bootstrap_draws": 0}), (impute_att, {"bootstrap_draws": 0}),
+        (sa_event_study, {}),
+    ], ids=["cs_att", "impute_att", "sa_event_study"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_unit_weight_named(self, estimator, options, bad):
+        cohorts = {"a": P(2013, 4), "b": P(2014, 2), "n1": None, "n2": None}
+        weights = {"a": 1.0, "b": bad, "n1": 2.0, "n2": 1.0}
+        with pytest.raises(ValueError, match=f"unit weights must be finite and positive; "
+                                             f"unit 'b' has {bad!r}"):
+            estimator(build(cohorts), cohorts, weights=weights, **options)
 
     def test_two_by_two_identities(self, canonical_2x2):
         # on the 2x2 every route reduces to the same difference in differences
