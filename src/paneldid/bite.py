@@ -53,22 +53,23 @@ class WageMicrodata:
         self, records: Iterable[WageRecord], minimum_wage: float, survey_year: int
     ) -> None:
         records = tuple(records)
-        index: dict[str, int] = {}
-        codes = [index.setdefault(r.region, len(index)) for r in records]
         self.__dict__.update(vars(self._from_columns(
-            tuple(index), codes, [r.hourly_wage for r in records], minimum_wage, survey_year,
+            [r.region for r in records], range(len(records)), [r.hourly_wage for r in records],
+            minimum_wage, survey_year,
         )))
 
     @classmethod
     def _from_columns(cls, regions, region_codes, wages, minimum_wage, survey_year):
-        """Check and store columns; `region_codes` index the distinct `regions`."""
+        """Check and store columns; `region_codes` index `regions`, merged once stripped."""
         if not (math.isfinite(minimum_wage) and minimum_wage > 0):
             raise ValueError(f"minimum wage must be positive, got {minimum_wage!r}")
         if len(wages) == 0:
             raise ValueError("microdata needs at least one wage record")
-        if not all(regions):
+        if not all(isinstance(r, str) and r.strip() for r in regions):
             raise ValueError(_EMPTY_REGION)
-        region_codes = np.asarray(region_codes, dtype=np.intp)
+        index: dict[str, int] = {}
+        merged = np.array([index.setdefault(r.strip(), len(index)) for r in regions], dtype=np.intp)
+        regions, region_codes = tuple(index), merged[np.asarray(region_codes, dtype=np.intp)]
         wages = np.asarray(wages, dtype=float)
         bad = np.flatnonzero(~(np.isfinite(wages) & (wages > 0)))
         if bad.size:
@@ -76,7 +77,7 @@ class WageMicrodata:
         region_codes.flags.writeable = wages.flags.writeable = False
         self = cls.__new__(cls)
         self.__dict__.update(
-            regions=tuple(regions), region_codes=region_codes, wages=wages,
+            regions=regions, region_codes=region_codes, wages=wages,
             minimum_wage=minimum_wage, survey_year=survey_year,
         )
         return self
@@ -131,11 +132,8 @@ class WageMicrodata:
                     batch = _parse_batch(checked, columns, width, raw_ids)
                 codes.append(batch[0])
                 wages.append(batch[1])
-        # Ids that differ only in surrounding whitespace are one region.
-        index: dict[str, int] = {}
-        merged = np.array([index.setdefault(r.strip(), len(index)) for r in raw_ids], dtype=np.intp)
         return cls._from_columns(
-            tuple(index), merged[np.concatenate(codes)], np.concatenate(wages),
+            tuple(raw_ids), np.concatenate(codes), np.concatenate(wages),
             minimum_wage, survey_year,
         )
 

@@ -134,8 +134,7 @@ def dump_spec(spec: DidSpec) -> str:
     lines = [f"kind = {spec.kind.value}"]
     lines.append(f"cutoff = {spec.cutoff}")
     lines.append(f"baseline = {spec.baseline}")
-    if spec.increase_years:
-        lines.append("increase_years = " + ", ".join(str(y) for y in spec.increase_years))
+    lines.append("increase_years = " + ", ".join(str(y) for y in spec.increase_years))
     lines.append(f"placebo = {'true' if spec.placebo else 'false'}")
     if spec.covariates:
         lines.append("covariates = " + ", ".join(str(t) for t in spec.covariates))

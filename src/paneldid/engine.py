@@ -184,25 +184,6 @@ def fe_components(
     return len(np.unique(labels[:n_units][active]))
 
 
-def _per_cluster(
-    values: np.ndarray, cluster_codes: np.ndarray, n_clusters: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row `values` (n,) or (R, n), flattened, and each one's row r * clusters + cluster.
-
-    Summing by that row keeps every outcome's cluster sums apart. A single
-    outcome's values and codes are returned as they are.
-    """
-    if values.ndim == 1:
-        return values, cluster_codes
-    rows = cluster_codes + n_clusters * np.arange(len(values))[:, None]
-    return values.ravel(), rows.ravel()
-
-
-def _each_outcome(codes: np.ndarray, reps: int) -> np.ndarray:
-    """Row `codes` (n,) repeated for each of `reps` outcomes, flattened."""
-    return np.broadcast_to(codes, (reps, len(codes))).ravel()
-
-
 def _row_chunks(n: int):
     for start in range(0, n, _BLOCK_ROWS):
         yield slice(start, min(start + _BLOCK_ROWS, n))
@@ -270,15 +251,16 @@ class TwoWaySolver:
         with the unit effects partialled out. `solve` turns a score into the
         cluster's influence on the period effects. Residuals of shape (n, R)
         give (R, T, clusters).
+
+        Two conditions must hold: the residuals come from this solver's fit,
+        so their weighted sum in each unit is zero, and every cluster holds
+        whole units. The unit shares then sum to zero in each cluster, so
+        only the period indicators are summed.
         """
         n_clusters, n_periods = int(cluster_codes.max()) + 1, len(self._free)
-        we, rows = _per_cluster(self._weight * residuals.T, cluster_codes, n_clusters)
-        reps = len(we) // len(self._weight)
-        cells = rows * n_periods + _each_outcome(self._period_codes, reps)
-        scores = np.bincount(cells, we, reps * n_clusters * n_periods).reshape(-1, n_periods)
-        by_unit = sparse.csr_matrix((we, (rows, _each_outcome(self._unit_codes, reps))),
-                                    (reps * n_clusters, len(self._inv_unit)))
-        scores -= by_unit @ self._scaled
+        cells = cluster_codes * n_periods + self._period_codes
+        we = self._weight * residuals.reshape(len(cells), -1).T
+        scores = np.stack([np.bincount(cells, one, n_clusters * n_periods) for one in we])
         return np.swapaxes(scores.reshape(*residuals.shape[1:], n_clusters, n_periods), -1, -2)
 
     def residuals(self, m: np.ndarray) -> np.ndarray:
@@ -355,11 +337,9 @@ def cluster_vcov(
     outcome, stacked as (R, k, k). Raises if X'WX is singular.
     """
     n, k = x_demeaned.shape
-    codes = np.asarray(cluster_codes)
-    n_clusters = int(codes.max()) + 1 if len(codes) else 0
-    g = len(np.unique(codes))
-    if g < 2:
-        raise ValueError(f"cluster-robust covariance needs at least 2 clusters, got {g}")
+    cluster_codes = np.asarray(cluster_codes)
+    g = inference_clusters(cluster_codes)
+    n_clusters = int(cluster_codes.max()) + 1
     if r is None:
         r = _weighted_r(np.sqrt(weight), x_demeaned)
     try:
@@ -368,13 +348,12 @@ def cluster_vcov(
         raise ValueError(
             "X'WX is singular; drop collinear columns before computing the covariance"
         ) from None
-    we, rows = _per_cluster(weight * residuals.T, codes, n_clusters)
-    to_cluster = sparse.csr_matrix(
-        (we, (rows, _each_outcome(np.arange(n), len(we) // n))),
-        shape=(len(we) // n * n_clusters, n),
-    )
+    rows = np.arange(n)
     # scores @ (X'WX)^-1, one row per cluster
-    scores = (to_cluster @ x_demeaned).reshape(*residuals.shape[1:], n_clusters, k)
+    scores = np.stack([
+        sparse.csr_matrix((we, (cluster_codes, rows)), (n_clusters, n)) @ x_demeaned
+        for we in weight * residuals.reshape(n, -1).T
+    ]).reshape(*residuals.shape[1:], n_clusters, k)
     half = scores @ r_inv @ r_inv.T
     v = cr1_factor(g, n, k) * np.swapaxes(half, -1, -2) @ half
     return (v + np.swapaxes(v, -1, -2)) / 2.0

@@ -305,21 +305,7 @@ def _single_outcomes(data: PanelDataset) -> list[PanelDataset]:
     return [data] if y.ndim == 1 else [data.with_outcome(column) for column in y.T]
 
 
-def _one_at_a_time_with_draws(run: Callable) -> Callable:
-    """An adapter for `run(data, design, draws, seed)`: with bootstrap draws, it
-    calls `run` once per stacked outcome, on that replication's own seed."""
-
-    def adapter(data, design, draws, seeds) -> Estimate:
-        if draws == 0:  # no resampling, so no seed
-            return run(data, design, 0, None)
-        values = [run(one, design, draws, seed)
-                  for one, seed in zip(_single_outcomes(data), seeds)]
-        return Estimate(np.array([v.estimate for v in values]), np.array([v.se for v in values]))
-
-    return adapter
-
-
-def _run_twfe(data, design, draws, seeds) -> Estimate:
+def _run_twfe(data, design, draws, seed) -> Estimate:
     spec = DidSpec(kind=DesignKind.STAGGERED_TWFE)
     return wls_fit(build_staggered_twfe(data, design, spec)).estimate("post_adoption")
 
@@ -335,15 +321,14 @@ def _run_cs(rule: str):
         )
         return cs_aggregate(result, "overall").values["overall"]
 
-    return _one_at_a_time_with_draws(run)
+    return run
 
 
-def _run_sa(data, design, draws, seeds) -> Estimate:
+def _run_sa(data, design, draws, seed) -> Estimate:
     result = sa_event_study(data, design.cohort_map())
     return Estimate(*result.overall(), result.fit.df_inference)
 
 
-@_one_at_a_time_with_draws
 def _run_impute(data, design, draws, seed) -> Estimate:
     result = impute_att(
         data, design.cohort_map(), bootstrap_draws=draws, seed=seed
@@ -356,9 +341,10 @@ def _run_impute(data, design, draws, seed) -> Estimate:
 _CHUNK = 32
 
 # Estimator slots feed the per-replication stream split, so results do not
-# depend on which other estimators run alongside. Each adapter takes a panel
-# of one or more stacked outcomes, the design, the bootstrap draws and one
-# child seed per outcome, and returns one `Estimate` for all of them.
+# depend on which other estimators run alongside. An adapter is
+# `run(data, design, draws, seed)` and returns one `Estimate` for all of the
+# panel's outcomes. A panel of stacked outcomes comes with seed None; one
+# replication's panel comes with that replication's child seed.
 ESTIMATORS: dict[str, tuple[int, Callable]] = {
     "twfe": (1, _run_twfe),
     "cs_never": (2, _run_cs("never_treated")),
@@ -366,6 +352,10 @@ ESTIMATORS: dict[str, tuple[int, Callable]] = {
     "sa": (4, _run_sa),
     "imputation": (5, _run_impute),
 }
+
+# Estimators that resample: with bootstrap draws each replication needs its
+# own seed, so they run one replication at a time.
+_RESAMPLING = frozenset({"cs_never", "cs_notyet", "imputation"})
 
 
 def _fields(value: Estimate) -> np.ndarray:
@@ -479,11 +469,11 @@ def estimator_race(
     Replications are taken in chunks of a fixed size (`_CHUNK`), and worker
     threads map over the chunks. Each chunk builds its panel layout once,
     stacks its replications' outcomes on it, and calls every estimator once.
-    With bootstrap draws, the group-time and imputation estimators still run
-    one replication at a time. A chunk's call that raises `ValueError` or
-    `LinAlgError` is retried one replication at a time, so failures are
-    caught per estimator and replication, excluded from the summary
-    statistics, and counted; any other exception propagates.
+    With bootstrap draws, the group-time and imputation estimators run one
+    replication at a time instead, each on its own child seed. A chunk's
+    call that raises `ValueError` or `LinAlgError` is retried the same way,
+    so failures are caught per estimator and replication, excluded from the
+    summary statistics, and counted; any other exception propagates.
 
     Results are independent of the estimator order and the thread count:
     each (replication, estimator) pair draws from its own pre-assigned
@@ -514,10 +504,10 @@ def estimator_race(
     ordered = tuple(sorted(estimators, key=lambda n: ESTIMATORS[n][0]))
     truth = _truth(config)
 
-    def attempt(run: Callable, data: PanelDataset, design, seeds) -> np.ndarray | None:
+    def attempt(run: Callable, data: PanelDataset, design, seed) -> np.ndarray | None:
         """`_fields` of one adapter call; None if the estimator failed."""
         try:
-            return _fields(run(data, design, bootstrap_draws, seeds))
+            return _fields(run(data, design, bootstrap_draws, seed))
         except (ValueError, np.linalg.LinAlgError):
             return None
 
@@ -527,13 +517,13 @@ def estimator_race(
         out = np.full((len(reps), len(ordered), 4), math.nan)
         for i, name in enumerate(ordered):
             slot, run = ESTIMATORS[name]
-            seeds = [_child_seed(config.seed, rep, slot) for rep in reps]
-            batch = attempt(run, data, design, seeds)
+            alone = bootstrap_draws > 0 and name in _RESAMPLING
+            batch = None if alone else attempt(run, data, design, None)
             if batch is not None:
                 out[:, i] = batch
-            elif len(reps) > 1:  # alone, so that only the failing replications count
+            elif alone or len(reps) > 1:  # so each has its own seed and failure
                 for j, one in enumerate(_single_outcomes(data)):
-                    single = attempt(run, one, design, seeds[j:j + 1])
+                    single = attempt(run, one, design, _child_seed(config.seed, reps[j], slot))
                     if single is not None:
                         out[j, i] = single
         return out

@@ -112,7 +112,7 @@ class TestWageGap:
                 counts[region] = counts.get(region, 0) + 1
         exact = {r: (gap.gap.hex(), gap.worker_count) for r, gap in got.gaps.items()}
         assert exact == {r: ((totals[r] / counts[r]).hex(), counts[r]) for r in totals}
-        records = [WageRecord(row[0].strip(), row[1]) for row in rows if isinstance(row, tuple)]
+        records = [WageRecord(row[0], row[1]) for row in rows if isinstance(row, tuple)]
         assert wage_gap(WageMicrodata(records, mw, 2014)).gaps == got.gaps
 
     @pytest.mark.parametrize("line, message", [
@@ -141,6 +141,7 @@ class TestWageGap:
         (WageRecord("b", -2.5), r"^hourly wage must be positive, got -2\.5$"),
         (WageRecord("b", float("nan")), r"^hourly wage must be positive, got nan$"),
         (WageRecord("b", float("inf")), r"^hourly wage must be positive, got inf$"),
+        (WageRecord(" \t", 9.0), r"^region id must be a non-empty string$"),
     ])
     def test_records_checked_as_columns(self, record, message):
         with pytest.raises(ValueError, match=message):
@@ -154,6 +155,8 @@ class TestWageGap:
         assert data.wages.tolist() == [8.0, 7.5, 9.0]
         assert data.records == (WageRecord("b", 8.0), WageRecord("a", 7.5), WageRecord("b", 9.0))
         assert WageMicrodata(data.records, 8.50, 2014) == data
+        padded = [WageRecord(" b", 8.0), WageRecord("a", 7.5), WageRecord("b ", 9.0)]
+        assert WageMicrodata(padded, 8.50, 2014) == data
         with pytest.raises(ValueError, match="read-only"):
             data.wages[0] = 1.0
         with pytest.raises(AttributeError):

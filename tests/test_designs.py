@@ -90,7 +90,7 @@ class TestSpecFile:
         assert spec.covariates == ()
 
     def test_round_trip(self):
-        spec = DidSpec(
+        full = DidSpec(
             kind=DesignKind.GROWTH_INTERACTION,
             cutoff=P(2015, 1),
             baseline=P(2014, 4),
@@ -101,7 +101,9 @@ class TestSpecFile:
                 CovariateTerm("popshare", by_time=True, by_flag="east"),
             ),
         )
-        assert load_spec(io.StringIO(dump_spec(spec))) == spec
+        no_increases = DidSpec(kind=DesignKind.INCREASES, increase_years=())
+        for spec in (full, no_increases):
+            assert load_spec(io.StringIO(dump_spec(spec))) == spec
 
     def test_comments_and_blanks_skipped(self):
         text = "# a recipe\n\nkind = event_study\nbaseline = 2014Q2\n"

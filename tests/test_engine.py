@@ -294,18 +294,19 @@ class TestWlsFit:
 
 class TestTwoWaySolver:
     def test_cluster_scores_partial_out_unit_effects(self):
-        # Any vector, and clusters that split units: each cluster's sum of w * e
-        # times the period dummies less their weighted projection on the units.
+        # The solver's own residuals, and clusters that hold whole units: each
+        # cluster's sum of w * e times the period dummies less their weighted
+        # projection on the units.
         rng = np.random.default_rng(5)
         d = random_design(rng, n_units=7, n_periods=5, unbalanced=True)
-        clusters = rng.integers(0, 3, size=d.n)
-        e = rng.normal(size=d.n)
+        clusters = rng.permutation(np.arange(7) % 3)[d.unit_codes]
+        solver = TwoWaySolver(d.weight, d.unit_codes, d.period_codes, 7, 5)
+        e = solver.residuals(rng.normal(size=d.n))
         units, periods = np.eye(7)[d.unit_codes], np.eye(5)[d.period_codes]
         wu = d.weight[:, None] * units
         z = periods - units @ np.linalg.solve(wu.T @ units, wu.T @ periods)
         want = np.stack([(d.weight * e * (clusters == c)) @ z for c in range(3)], axis=1)
-        got = TwoWaySolver(d.weight, d.unit_codes, d.period_codes, 7, 5).cluster_scores(
-            e, clusters)
+        got = solver.cluster_scores(e, clusters)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 

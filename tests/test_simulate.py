@@ -472,14 +472,14 @@ class TestBatchedRace:
         reps = 4
         clean = estimator_race(config, list(ESTIMATORS), reps, bootstrap_draws=0)
         slot, run = ESTIMATORS["cs_never"]
-        failing = [child_seed(config, 1, "cs_never")]
+        failing = child_seed(config, 1, "cs_never")
 
-        def flaky(data, design, draws, seeds):
+        def flaky(data, design, draws, seed):
             if data.arrays.outcome.ndim > 1:
                 raise ValueError("the batched call fails")
-            if seeds == failing:
+            if seed == failing:
                 raise ValueError("replication 1 fails alone too")
-            return run(data, design, draws, seeds)
+            return run(data, design, draws, seed)
 
         monkeypatch.setitem(ESTIMATORS, "cs_never", (slot, flaky))
         race = estimator_race(config, list(ESTIMATORS), reps, bootstrap_draws=0)
@@ -494,6 +494,26 @@ class TestBatchedRace:
                     assert math.isnan(got[1])
                     got, want = got[others], want[others]
                 assert np.array_equal(got, want, equal_nan=True), (name, field)
+
+    def test_resampling_replications_run_once_each(self, monkeypatch):
+        # With bootstrap draws, each replication runs alone on its own seed,
+        # and one failing replication does not make the others run again.
+        config = small_config(seed=55)
+        reps = 4
+        seeds = [child_seed(config, rep, "cs_never") for rep in range(reps)]
+        seen = []
+
+        def recording(*args, seed=None, **kwargs):
+            seen.append(seed)
+            if seed == seeds[1]:
+                raise ValueError("replication 1 fails")
+            return cs_att(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(simulate, "cs_att", recording)
+        race = estimator_race(config, ["cs_never"], reps, bootstrap_draws=9)
+        assert race.rows()[0].n_failed == 1
+        assert [seen.count(seed) for seed in seeds] == [1, 1, 1, 1]
+        assert np.isfinite(np.delete(race.ses["cs_never"], 1)).all()
 
 
 class TestPresets:
