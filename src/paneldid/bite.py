@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -240,7 +241,8 @@ def weighted_median(values: Mapping[str, float], weights: Mapping[str, float]) -
     """Smallest value whose cumulative weight reaches half the total.
 
     Ties share their full weight: the cumulative weight at value g counts
-    every key with value <= g.
+    every key with value <= g. Weights are summed as exact fractions, so the
+    median does not depend on the order or the labels of the keys.
     """
     if set(values) != set(weights):
         _raise_region_mismatch(set(values), set(weights), "gap table", "weights")
@@ -249,19 +251,18 @@ def weighted_median(values: Mapping[str, float], weights: Mapping[str, float]) -
     for key, w in weights.items():
         if not (math.isfinite(w) and w > 0):
             raise ValueError(f"weight for {key!r} must be positive, got {w!r}")
-    v = np.array([values[k] for k in sorted(values)])
-    w = np.array([weights[k] for k in sorted(values)])
-    order = np.argsort(v, kind="stable")
-    v, w = v[order], w[order]
-    cum = np.cumsum(w)
-    half = cum[-1] / 2.0
-    # Value-level cumulative weight: for ties, use the last index of the block.
-    for i in range(len(v)):
-        if i + 1 < len(v) and v[i + 1] == v[i]:
-            continue
-        if cum[i] >= half:
-            return float(v[i])
-    return float(v[-1])
+    keys = list(values)
+    order = np.argsort(np.array([values[k] for k in keys], dtype=float), kind="stable")
+    v = [float(values[keys[j]]) for j in order]
+    w = [Fraction(float(weights[keys[j]])) for j in order]
+    total = sum(w)
+    cum = Fraction(0)
+    for i in range(len(v) - 1):
+        cum += w[i]
+        # Value-level cumulative weight: a tie block is tested at its last key.
+        if v[i + 1] != v[i] and 2 * cum >= total:
+            return v[i]
+    return v[-1]  # the last block's cumulative weight is the total
 
 
 def weighted_median_split(

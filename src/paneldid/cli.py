@@ -30,10 +30,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import platform
 import sys
 import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .bacon import bacon_decompose, reconstruct, write_components_csv
@@ -84,6 +88,9 @@ def _write_manifest(
 
     `inputs` are the input file paths, recorded with their SHA-256 digests;
     `outputs` are the names written to `out`, to which the manifest adds itself.
+    `environment` holds the Python, numpy and scipy versions: bootstrap SEs
+    are bit-identical only on the same numerical libraries. No thread count
+    is recorded, so a run's manifest does not depend on `--threads`.
     """
     _write_json(out / "manifest.json", {
         "command": command,
@@ -92,6 +99,8 @@ def _write_manifest(
         "parameters": parameters,
         "seed": seed,
         "version": __version__,
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__, "scipy": scipy.__version__},
         "outputs": [*outputs, "manifest.json"],
     })
 

@@ -55,8 +55,11 @@ NEVER = -1
 # before it) for the draw to be solved in the batch. At this margin the
 # normal equations lose at most about six of the sixteen digits.
 _MARGIN = 1e-6
-# About the bytes of the covariate blocks and systems of one batch of
-# imputation draws.
+# About the bytes of one batch of imputation draws. The divisor, 32 n^2
+# bytes a draw, is four (n, n) float arrays: more than a draw holds at once
+# (its system and one of the blocks np.block joins, its Cholesky factor or
+# the copy that is solved). It stays as it is because each chunk's products
+# round by chunk: another chunk size would move bootstrap SEs in their last bits.
 _CHUNK_BYTES = 1 << 21
 
 
@@ -758,25 +761,37 @@ def _boot_se(draws: np.ndarray) -> float:
     return float(np.std(finite, ddof=1)) if len(finite) > 1 else math.nan
 
 
+def _pivots(a: np.ndarray) -> np.ndarray:
+    """Squared Cholesky diagonal of each matrix in `a`, zero where LAPACK rejects it.
+
+    A batch holding a rejected matrix is split in halves until each rejected
+    matrix is alone, so k of them cost at most 1 + 2k ceil(log2(len(a))) calls.
+    """
+    try:
+        return np.square(np.diagonal(np.linalg.cholesky(a), axis1=1, axis2=2))
+    except np.linalg.LinAlgError:
+        if len(a) == 1:
+            return np.zeros(a.shape[:2])
+        half = len(a) // 2
+        return np.concatenate([_pivots(a[:half]), _pivots(a[half:])])
+
+
 def _certified_solve(
     a: np.ndarray, rhs: np.ndarray, raw: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve in one batch the draws' systems a x = rhs that their pivots certify.
 
-    A draw is certified when each pivot of an LDL' elimination in column
-    order (a column's squared norm once the columns before it are projected
-    out) exceeds _MARGIN times its raw squared norm `raw`. Returns the
-    solutions, zero for the other draws, and the certified mask.
+    The pivots of an LDL' elimination in column order (a column's squared
+    norm once the columns before it are projected out) are the squared
+    diagonal of the Cholesky factor, which LAPACK computes for the whole
+    batch in one call. A batch that LAPACK rejects (some draw has a pivot at
+    most zero) is split in halves until each rejected draw is alone, and
+    that draw gets zero pivots. A draw is certified when each pivot exceeds
+    _MARGIN times its raw squared norm `raw`; a nan pivot certifies nothing.
+    Certified draws are solved by `np.linalg.solve`. Returns the solutions,
+    zero for the other draws, and the certified mask.
     """
-    work = a.copy()
-    ok = np.ones(len(a), dtype=bool)
-    for j in range(a.shape[1]):
-        pivot = work[:, j, j]
-        clear = pivot > _MARGIN * raw[:, j]
-        ok &= clear
-        scale = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=clear)
-        col = work[:, j + 1:, j]
-        work[:, j + 1:, j + 1:] -= col[:, :, None] * (col * scale[:, None])[:, None, :]
+    ok = (_pivots(a) > _MARGIN * raw).all(axis=1)
     x = np.zeros(rhs.shape)
     x[ok] = np.linalg.solve(a[ok], rhs[ok][:, :, None])[:, :, 0]
     return x, ok

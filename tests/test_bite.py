@@ -211,6 +211,31 @@ class TestWeightedMedianSplit:
         treated = sum(weights[r] for r, flag in split.items() if flag)
         assert treated >= sum(weights.values()) / 2.0
 
+    def test_ties_summed_exactly_whatever_the_labels(self):
+        # 2 * (.1 + .1 + .7) equals the total exactly, so the median is 1.0;
+        # a float running sum in key order reached it only under some labels.
+        gaps = {"a": 2.0, "b": 1.0, "c": 1.0, "d": 1.0, "e": 2.0}
+        weights = {"a": 0.3, "b": 0.1, "c": 0.1, "d": 0.7, "e": 0.6}
+        reverse = dict(zip("abcde", "edcba"))
+        assert weighted_median(gaps, weights) == 1.0
+        assert weighted_median({reverse[r]: g for r, g in gaps.items()},
+                               {reverse[r]: w for r, w in weights.items()}) == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 9).map(lambda k: k / 10)),
+                    min_size=1, max_size=8),
+           st.data())
+    def test_split_invariant_to_relabelling_and_order(self, rows, data):
+        names = [f"r{i}" for i in range(len(rows))]
+        gaps = {r: float(g) for r, (g, _) in zip(names, rows)}
+        weights = {r: w for r, (_, w) in zip(names, rows)}
+        relabel = dict(zip(names, data.draw(st.permutations(names))))
+        order = data.draw(st.permutations(names))
+        moved = weighted_median_split({relabel[r]: gaps[r] for r in order},
+                                      {relabel[r]: weights[r] for r in reversed(order)})
+        base = weighted_median_split(gaps, weights)
+        assert moved == {relabel[r]: flag for r, flag in base.items()}
+
     def test_equal_weights_match_unweighted_median(self):
         # odd count, distinct gaps: same as an unweighted median split
         gaps = {"a": 0.1, "b": 0.5, "c": 0.3, "d": 0.9, "e": 0.7}

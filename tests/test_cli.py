@@ -1,10 +1,12 @@
 import hashlib
 import json
 import math
+import platform
 import re
 
 import numpy as np
 import pytest
+import scipy
 
 from conftest import P, panel_of
 from paneldid.bite import (
@@ -34,6 +36,11 @@ def run(argv, capsys=None):
         return code, "", ""
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Every manifest records the library versions, and no thread count.
+ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
+               "scipy": scipy.__version__}
 
 
 def stderr_payload(err):
@@ -90,6 +97,7 @@ class TestBite:
         assert len(manifest["inputs"]) == 3
         assert all(len(d) == 64 for d in manifest["inputs"].values())
         assert "design.csv" in manifest["outputs"]
+        assert manifest["environment"] == ENVIRONMENT
 
     def test_seeded_outputs_pinned(self, tmp_path, capsys):
         # The bytes the per-record reader and gap loop wrote; the columnar
@@ -239,6 +247,7 @@ class TestEstimate:
         assert term == "treated_post"
         assert float(estimate) == fit.coefficients["treated_post"]
         assert "treated_post" in stdout and "n_obs 24" in stdout
+        assert json.loads((out / "manifest.json").read_text())["environment"] == ENVIRONMENT
 
     def test_constant_outcome_writes_fit(self, tmp_path, capsys, estimate_inputs):
         # every standard error is 0: t and p are written as nan, not a crash
@@ -413,6 +422,7 @@ class TestStaggeredAndDecompose:
         total = sum(c["weight"] for c in payload["components"])
         assert total == pytest.approx(1.0, abs=1e-10)
         assert "reconstructed coefficient" in stdout
+        assert json.loads((out / "manifest.json").read_text())["environment"] == ENVIRONMENT
 
 
 SMALL_CONFIG = """\
@@ -445,6 +455,7 @@ class TestSimulate:
             json.dumps(truth.to_json_dict())
         )
         assert "--no-log" in stdout
+        assert json.loads((out / "manifest.json").read_text())["environment"] == ENVIRONMENT
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         outs = []
@@ -502,6 +513,7 @@ class TestRace:
         manifest = json.loads((outs[0] / "manifest.json").read_text())
         assert manifest["command"] == "race"
         assert "threads" not in manifest["parameters"]
+        assert manifest["environment"] == ENVIRONMENT
         assert manifest["parameters"]["estimators"] == ["twfe", "imputation"]
         assert "seed = 5" in manifest["parameters"]["config_effective"]
         header = (outs[0] / "race.csv").read_text().splitlines()[0]

@@ -994,3 +994,114 @@ class TestCrossEstimator:
         cs = cs_aggregate(cs_att(data, cohorts, "never_treated", weights, bootstrap_draws=0))
         scale = np.abs(data.arrays.outcome).max()
         assert abs(sa - cs.values["overall"].estimate) <= 1e-10 * scale
+
+
+def eliminate_in_column_order(a, rhs, raw):
+    """Oracle: the certification as a column-order LDL' elimination in NumPy.
+
+    Each pass updates the whole batch by one column's rank-1 term; a column
+    whose pivot is not certified is not eliminated. Returns the solutions,
+    the certified mask and the pivots.
+    """
+    work = a.copy()
+    ok = np.ones(len(a), dtype=bool)
+    pivots = np.zeros(a.shape[:2])
+    for j in range(a.shape[1]):
+        pivot = pivots[:, j] = work[:, j, j]
+        clear = pivot > staggered._MARGIN * raw[:, j]
+        ok &= clear
+        scale = np.divide(1.0, pivot, out=np.zeros_like(pivot), where=clear)
+        col = work[:, j + 1:, j]
+        work[:, j + 1:, j + 1:] -= col[:, :, None] * (col * scale[:, None])[:, None, :]
+    x = np.zeros(rhs.shape)
+    x[ok] = np.linalg.solve(a[ok], rhs[ok][:, :, None])[:, :, 0]
+    return x, ok, pivots
+
+
+def normal_equations(rng, draws, n=6, rows=30, tilt=None):
+    """Weighted normal equations of random columns on their own scales, with
+    their raw squared norms. With `tilt` (one per draw), the last column is
+    the first plus tilt times noise of the same norm, so its pivot is about
+    tilt**2 of its squared norm."""
+    x = rng.normal(size=(draws, rows, n)) * rng.uniform(0.1, 10.0, size=(draws, 1, n))
+    if tilt is not None:
+        noise = rng.normal(size=(draws, rows))
+        noise *= np.linalg.norm(x[:, :, 0], axis=1, keepdims=True) / np.linalg.norm(
+            noise, axis=1, keepdims=True)
+        x[:, :, -1] = x[:, :, 0] + tilt[:, None] * noise
+    xw = x * rng.uniform(0.5, 3.0, size=(draws, rows, 1))
+    a = np.einsum("drk,drl->dkl", xw, x)
+    return a, np.einsum("drk,drk->dk", xw, x)
+
+
+def certification_batch(kind, seed):
+    """A batch of systems, right-hand sides and raw norms of one `kind`, and
+    the mask of the draws made singular, indefinite or nan."""
+    rng = np.random.default_rng(seed)
+    if kind == "mixed":  # every other kind, shuffled together
+        parts = zip(*(certification_batch(k, seed) for k in
+                      ("well", "tilted", "singular", "indefinite", "nan")))
+        a, rhs, raw, broken = (np.concatenate(part) for part in parts)
+        order = rng.permutation(len(a))
+        return a[order], rhs[order], raw[order], broken[order]
+    if kind == "tilted":
+        a, raw = normal_equations(rng, 40, tilt=np.sqrt(np.logspace(-5, -7, 40)))
+    elif kind == "empty":
+        a, raw = normal_equations(rng, 0)
+    else:
+        a, raw = normal_equations(rng, 1 if kind.startswith("one") else 24)
+    broken = np.zeros(len(a), dtype=bool)
+    if kind == "singular":
+        a[::3, 2, :] = a[::3, :, 2] = 0.0       # an empty column: pivot exactly 0
+        a[1::3, 3] = a[1::3, 1]                 # a repeated column
+        a[1::3, :, 3] = a[1::3, :, 1]
+        broken[::3] = broken[1::3] = True
+    if kind in ("indefinite", "one_indefinite"):
+        a[2::3, 4, 4] *= -1.0
+        least = np.abs(np.linalg.eigvalsh(a[::5])[:, :1, None])
+        a[::5] -= 2.0 * np.eye(a.shape[1]) * least
+        broken[2::3] = broken[::5] = True
+    if kind == "nan":
+        a[::4, 1, 3] = a[::4, 3, 1] = np.nan
+        a[1::4, 2, 2] = np.nan
+        broken[::4] = broken[1::4] = True
+    return a, rng.normal(size=raw.shape) * raw, raw, broken
+
+
+class TestCertifiedSolve:
+    @pytest.mark.parametrize("kind", ["well", "tilted", "singular", "indefinite", "nan",
+                                      "mixed", "one", "one_indefinite", "empty"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_column_order_elimination(self, kind, seed):
+        a, rhs, raw, broken = certification_batch(kind, seed)
+        x, ok = staggered._certified_solve(a, rhs, raw)
+        want_x, want_ok, pivots = eliminate_in_column_order(a, rhs, raw)
+        bound = staggered._MARGIN * raw
+        near = (np.abs(pivots - bound) <= 1e-9 * bound).any(axis=1)
+        np.testing.assert_array_equal(ok[~near], want_ok[~near])
+        both = ok & want_ok
+        assert x[both].tobytes() == want_x[both].tobytes()
+        assert not x[~ok].any()
+        if kind == "tilted":  # the margin falls inside the batch
+            assert want_ok.any() and not want_ok.all()
+        assert not ok[broken].any()
+        if kind in ("well", "one"):
+            assert ok.all()
+
+    def test_bisection_isolates_rejected_draws(self, monkeypatch):
+        a, _ = normal_equations(np.random.default_rng(7), 64)
+        bad = [0, 17, 63]
+        a[bad, 3, 3] = -a[bad, 3, 3]
+        cholesky = np.linalg.cholesky
+        alone = [np.square(np.diagonal(cholesky(m))) for m in np.delete(a, bad, axis=0)]
+        calls = []
+
+        def counted(m):
+            calls.append(len(m))
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        pivots = staggered._pivots(a)
+        assert not pivots[bad].any()
+        assert np.delete(pivots, bad, axis=0).tobytes() == np.array(alone).tobytes()
+        assert len(calls) <= 1 + 2 * len(bad) * int(np.ceil(np.log2(len(a))))
