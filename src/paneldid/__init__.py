@@ -34,6 +34,7 @@ from .designs import (
     load_spec,
 )
 from .engine import (
+    AbsorbedError,
     DesignMatrix,
     Estimate,
     RegressionFit,
@@ -76,6 +77,7 @@ from .staggered import (
 )
 
 __all__ = [
+    "AbsorbedError",
     "Aggregation",
     "BaconComponent",
     "BalanceReport",

@@ -16,7 +16,9 @@ Every run writes a manifest.json next to its outputs recording the command,
 SHA-256 digests of the input files, the effective parameters, the seed (null
 for the commands without one), and the package version. Worker-thread counts
 are deliberately left out of the manifest: thread count never changes
-results, so reruns compare bit for bit.
+results, so reruns compare bit for bit. Every command runs with the bundled
+OpenBLAS on one thread (`_blas.single_thread`), so the BLAS thread count
+does not change results either.
 
 stdout carries human-readable tables; machine outputs go to --out only, which
 a command creates once its inputs have been read and checked. Failures print
@@ -40,6 +42,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._blas import single_thread
 from .bacon import bacon_decompose, reconstruct, write_components_csv
 from .bite import (
     WageMicrodata,
@@ -534,7 +537,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with single_thread():
+            return args.func(args)
     except Exception as error:  # noqa: BLE001 - single reporting point
         json.dump({"error": type(error).__name__, "message": str(error)}, sys.stderr)
         print(file=sys.stderr)

@@ -92,6 +92,9 @@ class DesignMatrix:
     Rows follow the dataset's (unit, period) ordering. `x` has one column per
     name in `columns`; group labels are integer codes into the label tuples.
     `y` is (n,), or (n, R) for R outcomes fitted on the same regressors.
+    The second fixed effect need not be the period: `period_codes` may index
+    any levels, with one label per level in `periods` (the Sun-Abraham fit
+    passes cohort x period levels, each labelled with its calendar period).
     """
 
     columns: tuple[str, ...]
@@ -339,7 +342,6 @@ def cluster_vcov(
     n, k = x_demeaned.shape
     cluster_codes = np.asarray(cluster_codes)
     g = inference_clusters(cluster_codes)
-    n_clusters = int(cluster_codes.max()) + 1
     if r is None:
         r = _weighted_r(np.sqrt(weight), x_demeaned)
     try:
@@ -348,15 +350,22 @@ def cluster_vcov(
         raise ValueError(
             "X'WX is singular; drop collinear columns before computing the covariance"
         ) from None
-    rows = np.arange(n)
     # scores @ (X'WX)^-1, one row per cluster
-    scores = np.stack([
-        sparse.csr_matrix((we, (cluster_codes, rows)), (n_clusters, n)) @ x_demeaned
-        for we in weight * residuals.reshape(n, -1).T
-    ]).reshape(*residuals.shape[1:], n_clusters, k)
-    half = scores @ r_inv @ r_inv.T
+    half = cluster_sums(x_demeaned, weight, residuals, cluster_codes) @ r_inv @ r_inv.T
     v = cr1_factor(g, n, k) * np.swapaxes(half, -1, -2) @ half
     return (v + np.swapaxes(v, -1, -2)) / 2.0
+
+
+def cluster_sums(
+    x: np.ndarray, weight: np.ndarray, residuals: np.ndarray, cluster_codes: np.ndarray
+) -> np.ndarray:
+    """Each cluster's sum of w * e * x over its rows: (clusters, k), or (R, clusters, k)."""
+    n = len(x)
+    rows, n_clusters = np.arange(n), int(cluster_codes.max()) + 1
+    return np.stack([
+        sparse.csr_matrix((we, (cluster_codes, rows)), (n_clusters, n)) @ x
+        for we in weight * residuals.reshape(n, -1).T
+    ]).reshape(*residuals.shape[1:], n_clusters, x.shape[1])
 
 
 def cr1_factor(n_clusters: int, n: int, k: int) -> float:
@@ -456,10 +465,14 @@ class RegressionFit:
         }
 
 
+class AbsorbedError(ValueError):
+    """Every regressor column is collinear with the fixed effects."""
+
+
 def check_support(n: int, k: int) -> None:
     """Raise unless some of the slopes are kept and n rows exceed the k kept by two."""
     if not k:
-        raise ValueError(
+        raise AbsorbedError(
             "every regressor column is collinear with the fixed effects; nothing to estimate"
         )
     if n < k + 2:
@@ -526,7 +539,8 @@ def wls_fit(design: DesignMatrix) -> RegressionFit:
     Residuals are reported on the demeaned scale, which matches the residuals
     of the equivalent dummy-variable regression. Dropped columns are recorded
     by name and excluded from the covariance. An (n, R) `design.y` is fitted
-    as R outcomes on the shared regressors.
+    as R outcomes on the shared regressors. Raises `AbsorbedError` when the
+    fixed effects absorb every column.
     """
     if design.x.shape[1] == 0:
         raise ValueError("design matrix has no regressor columns")

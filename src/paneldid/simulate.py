@@ -22,6 +22,7 @@ from typing import IO, Callable, Mapping, Sequence
 import numpy as np
 
 from . import textio
+from ._blas import single_thread
 from .bite import RegionTreatment, SwitcherGroup, TreatmentDesign
 from .designs import DesignKind, DidSpec, build_staggered_twfe
 from .engine import Estimate, wls_fit
@@ -478,7 +479,9 @@ def estimator_race(
     Results are independent of the estimator order and the thread count:
     each (replication, estimator) pair draws from its own pre-assigned
     stream, the chunks do not depend on `threads`, and replications are
-    reduced in index order. The last bits of a replication's estimate may
+    reduced in index order. The replications run with the bundled OpenBLAS
+    on one thread (`_blas.single_thread`), so results do not depend on the
+    BLAS thread count either. The last bits of a replication's estimate may
     depend on the chunk it falls in, since a batched fit rounds otherwise
     than a single one. Coverage counts the 95% intervals of each estimator's
     `engine.Estimate`.
@@ -529,11 +532,12 @@ def estimator_race(
         return out
 
     chunks = [range(lo, min(lo + _CHUNK, replications)) for lo in range(0, replications, _CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_chunk, chunks))
-    else:
-        results = [one_chunk(reps) for reps in chunks]
+    with single_thread():
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(one_chunk, chunks))
+        else:
+            results = [one_chunk(reps) for reps in chunks]
     table = np.concatenate(results)  # (replication, estimator, field)
     estimates, ses, conf_lows, conf_highs = (
         {name: table[:, i, k].copy() for i, name in enumerate(ordered)} for k in range(4)

@@ -19,9 +19,9 @@ within-unit mean unchanged, so every draw's normal equations, covariate
 columns included, are one matrix product of per-unit blocks and are solved in
 one batch. A draw whose pivots fail a fixed margin (an empty period, unlinked
 units and periods, a nearly collinear column) is re-fit alone by the routine
-the point estimate uses. The event study has an analytic CR1 covariance:
-without covariates from one two-way solve over cohort x period levels, with
-them from the engine's dense fit. Every interval is an `engine.Estimate`'s: a
+the point estimate uses. The event study has an analytic CR1 covariance
+from one two-way solve over cohort x period levels, its covariate slopes
+partialled out by Frisch-Waugh. Every interval is an `engine.Estimate`'s: a
 normal critical value for the bootstrap errors and t(G-1) for the event
 study's.
 
@@ -36,15 +36,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .designs import CovariateTerm, by_period, expand_covariates
+from .designs import CovariateTerm, expand_covariates
 from .engine import (
-    DesignMatrix, Estimate, RegressionFit, TwoWaySolver, _absorbed_slopes, _fe_labels,
-    _scalar, check_support, cr1_factor, fe_components, inference_clusters, kept_fit, wls_fit,
+    AbsorbedError, DesignMatrix, Estimate, RegressionFit, TwoWaySolver, _absorbed_slopes,
+    _scalar, check_support, cluster_sums, cr1_factor, fe_components, inference_clusters,
+    kept_fit, wls_fit,
 )
 from .panel import PanelArrays, PanelDataset, cohort_start, cohorts_in, unit_values
 from .periods import Period
@@ -266,6 +267,9 @@ def cs_att(
             cn = m @ (uw * d0 * csel)
             cd = m @ (uw * csel)
             live = np.flatnonzero((td > 0) & (cd > 0))
+            boot[live, e] = tn[live] / td[live] - cn[live] / cd[live]
+            if k == 0:
+                continue
             cw = uw * csel
             sz = (m @ (cw[:, None] * z0))[live]
             zc = sz / cd[live, None]
@@ -277,9 +281,7 @@ def cs_att(
                 raw,
             )
             zt = (m @ ((uw * tsel)[:, None] * z0))[live] / td[live, None]
-            boot[live, e] = (
-                tn[live] / td[live] - cn[live] / cd[live] - ((zt - zc) * gamma).sum(axis=1)
-            )
+            boot[live, e] -= ((zt - zc) * gamma).sum(axis=1)
             for b in live[~ok]:
                 keep = m[b] > 0
                 boot[b, e] = cell_att(delta, tsel & keep, csel & keep, uw * m[b])
@@ -413,9 +415,9 @@ def sa_event_study(
     dropped (with a warning). Event-time estimates average cohort
     coefficients with weights proportional to each contributing cohort's
     total unit weight; covariance comes from the cluster-robust fit via the
-    same linear combination. Without covariates the fit is one two-way solve
-    over cohort x period levels (`_sa_level_fit`); with them it is the engine's
-    dense fit (`_sa_dense_fit`).
+    same linear combination. The fit is one two-way solve over cohort x
+    period levels (`_sa_fit`); covariates add their slopes to it, and
+    without them it is the same fit with no slopes.
     """
     start = cohort_start(data, cohorts)
     interacted = list(cohorts_in(start))
@@ -461,10 +463,7 @@ def sa_event_study(
     if not events_of:
         raise ValueError("no cohort x period cells to estimate")
     names = list(events_of)
-    if covariates:
-        fit = _sa_dense_fit(sample, start, interacted, names, row_weight, tuple(covariates))
-    else:
-        fit = _sa_level_fit(sample, start, interacted, names, row_weight)
+    fit = _sa_fit(sample, start, interacted, names, row_weight, covariates)
 
     cohort_weight = {
         g: float(unit_weight[start == g.index].sum()) for g in interacted
@@ -516,79 +515,75 @@ def _sa_levels(
     return levels, cell_level, cell_period, t_count * (len(interacted) + 1)
 
 
-def _sa_dense_fit(
+def _sa_fit(
     sample: PanelDataset,
     start: np.ndarray,
     interacted: Sequence[Period],
     names: list[str],
     row_weight: np.ndarray,
-    covariates: tuple[CovariateTerm, ...] = (),
+    covariates: Sequence[CovariateTerm],
 ) -> RegressionFit:
-    """The saturated fit as one dense design: a column per cohort x period cell.
-
-    `names` names the cells as `_sa_levels` orders them. A cell the level
-    graph does not identify gets no column; it is reported dropped with pivot
-    ratio 0, ahead of the engine's own pivot rule.
-    """
-    a = sample.arrays
-    levels, cell_level, cell_period, n_levels = _sa_levels(a, start, interacted)
-    labels = _fe_labels(row_weight, a.unit_codes, levels, len(a.units), n_levels)[len(a.units):]
-    linked = labels[cell_level] == labels[cell_period]
-    blocks = [
-        by_period(sample, (start == g.index)[a.unit_codes], g.prev())[1] for g in interacted
-    ]
-    cov_names, cov_matrix = expand_covariates(sample, covariates)
-    x = np.column_stack([*blocks, cov_matrix])
-    del blocks  # free the cells' blocks before the fit; x holds a copy
-    kept = [c for c, ok in zip(names, linked) if ok]
-    if len(kept) < len(names):
-        x = x[:, np.flatnonzero(np.append(linked, np.ones(len(cov_names), dtype=bool)))]
-    fit = wls_fit(DesignMatrix.from_panel(sample, kept + cov_names, x, weight=row_weight))
-    ratios = {c: 0.0 for c, ok in zip(names, linked) if not ok} | dict(fit.pivot_ratios)
-    ratios = {c: ratios[c] for c in names + cov_names if c in ratios}
-    return replace(fit, dropped_collinear=tuple(ratios), pivot_ratios=ratios)
-
-
-def _sa_level_fit(
-    sample: PanelDataset,
-    start: np.ndarray,
-    interacted: Sequence[Period],
-    names: list[str],
-    row_weight: np.ndarray,
-) -> RegressionFit:
-    """The saturated fit without covariates, as one two-way solve over levels.
+    """The saturated fit as one two-way solve over cohort x period levels.
 
     Unit and level effects (`_sa_levels`) fit the same model as unit and
-    period effects plus the cell columns: cell (g, t)'s coefficient is its
-    level's effect less period t's, and the residuals and each cluster's
-    scores on the levels come from the same solve, so the CR1 covariance
-    needs no column per cell. A cell is dropped, with pivot ratio 0, when its
-    level and period t's are not connected, which includes a cell with no
-    rows. `names` names the cells as for `_sa_dense_fit`. Stacked outcomes
-    share the solve and get a covariance each.
+    period effects plus a column per cell, named by `names` in `_sa_levels`
+    order: cell (g, t)'s coefficient is its level's effect less period t's.
+    A cell is dropped, with pivot ratio 0, when its level and period t's are
+    not connected, which includes a cell with no rows. The covariate slopes
+    gamma come from `wls_fit` with the levels as its second fixed effect (if
+    it absorbs every column, all are dropped with ratio 0), and the cells
+    from the levels of y - X gamma. A cluster's CR1 score on the cells is its
+    score on the levels less the cells' loading on gamma times its score on
+    gamma. Stacked outcomes share the solves and get a covariance each.
     """
     a = sample.arrays
     u_count, t_count = len(a.units), len(a.periods)
     levels, cell_level, cell_period, n_levels = _sa_levels(a, start, interacted)
     n_clusters = inference_clusters(a.cluster_codes)
+    cov_names, x = expand_covariates(sample, covariates)
+    slopes = None
+    if cov_names:
+        try:
+            slopes = wls_fit(DesignMatrix(
+                tuple(cov_names), x, a.outcome, row_weight, a.unit_codes, levels,
+                a.cluster_codes, a.units, a.periods * (len(interacted) + 1), a.clusters,
+            ))
+        except AbsorbedError:
+            pass
+    x_keep = np.isin(cov_names, [] if slopes is None else slopes.columns)
     solver = TwoWaySolver(row_weight, a.unit_codes, levels, u_count, n_levels)
     keep = solver.period_labels[cell_level] == solver.period_labels[cell_period]
-    n, k = len(levels), int(keep.sum())
+    n, k = len(levels), int(keep.sum()) + int(x_keep.sum())
     check_support(n, k)
     cell_level, cell_period = cell_level[keep], cell_period[keep]
 
     def contrast(m: np.ndarray) -> np.ndarray:
         return m[cell_level] - m[cell_period]
 
-    unit, level = solver.effects(a.outcome)
+    y = a.outcome if slopes is None else a.outcome - x[:, x_keep] @ slopes.coef_vector()
+    unit, level = solver.effects(y)
     beta = contrast(level)
-    residuals = a.outcome - unit[a.unit_codes] - level[levels]
+    residuals = y - unit[a.unit_codes] - level[levels]
     solved = solver.solve(contrast(np.eye(len(level))).T)  # F^-1 A', A the contrasts
     bread = contrast(solved)  # (X'WX)^-1 of the cell columns
-    half = solved.T @ solver.cluster_scores(residuals, a.cluster_codes)  # (k, clusters)
+    half = solved.T @ solver.cluster_scores(residuals, a.cluster_codes)  # (cells, clusters)
+    if slopes is not None:  # x_dd: the kept covariates net of unit and level effects
+        x = x[:, x_keep]
+        unit_x, level_x = solver.effects(x)
+        x_dd = x - unit_x[a.unit_codes] - level_x[levels]
+        h_inv = np.linalg.inv(x_dd.T @ (x_dd * row_weight[:, None]))
+        loading = contrast(level_x)  # of the cells on gamma
+        scores = cluster_sums(x_dd, row_weight, residuals, a.cluster_codes)
+        half_x = h_inv @ np.swapaxes(scores, -1, -2)  # (covariates, clusters)
+        half = np.concatenate([half - loading @ half_x, half_x], axis=-2)
+        cross = -loading @ h_inv
+        bread = np.block([[bread - cross @ loading.T, cross], [cross.T, h_inv]])
+        beta = np.concatenate([beta, slopes.coef_vector()])
     vcov = cr1_factor(n_clusters, n, k) * half @ np.swapaxes(half, -1, -2)
+    pivots = {} if slopes is None else slopes.pivot_ratios
     return kept_fit(
-        names, keep, beta, np.zeros(len(names)),
+        names + cov_names, np.append(keep, x_keep), beta,
+        [pivots.get(c, 0.0) for c in names + cov_names],
         vcov=(vcov + np.swapaxes(vcov, -1, -2)) / 2.0,
         residuals=residuals,
         n_clusters=n_clusters,
@@ -651,7 +646,8 @@ def _untreated_gaps(
     One two-way solve on the sample gives the slopes on the columns of x and
     then the unit and period effects of the outcome net of those slopes.
     Every row gets a gap; rows of units without sample weight get nan. Also
-    returns the mask of columns of x kept by the slope fit. Raises unless
+    returns the mask of columns of x kept by the slope fit; when the effects
+    absorb them all, none is kept and the fit has no slopes. Raises unless
     the sample rows tie every period and weighted unit together.
     """
     a = data.arrays
@@ -667,8 +663,11 @@ def _untreated_gaps(
     y, keep = a.outcome, np.ones(x.shape[1], dtype=bool)
     if x.shape[1]:
         xs, ys = x[sample], y[sample]
-        keep, beta, *_ = _absorbed_slopes(ws, xs, solver.residuals(xs), solver.residuals(ys))
-        y = y - x[:, keep] @ beta
+        try:
+            keep, beta, *_ = _absorbed_slopes(ws, xs, solver.residuals(xs), solver.residuals(ys))
+            y = y - x[:, keep] @ beta
+        except AbsorbedError:  # the effects absorb every column: fit without slopes
+            keep = np.zeros(x.shape[1], dtype=bool)
     alpha, lam = solver.effects(y[sample])
     return y - alpha[a.unit_codes] - lam[a.period_codes], keep
 

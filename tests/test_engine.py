@@ -9,6 +9,7 @@ from scipy import stats
 
 from conftest import P, direct_cr1, dummy_wls_coefficients, grid_panel, make_panel
 from paneldid.engine import (
+    AbsorbedError,
     DesignMatrix,
     Estimate,
     TwoWaySolver,
@@ -177,7 +178,7 @@ class TestWlsFit:
             period_codes=d.period_codes, cluster_codes=d.cluster_codes,
             units=d.units, periods=d.periods, clusters=d.clusters,
         )
-        with pytest.raises(ValueError, match="collinear"):
+        with pytest.raises(AbsorbedError, match="collinear"):
             wls_fit(design)
 
     def test_single_cluster_rejected(self):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,8 +8,10 @@ from scipy import stats
 from conftest import P, panel_of
 from paneldid import staggered
 from paneldid.bite import RegionTreatment, SwitcherGroup, TreatmentDesign
-from paneldid.designs import CovariateTerm, DesignKind, DidSpec, build_event_study
-from paneldid.engine import wls_fit
+from paneldid.designs import (
+    CovariateTerm, DesignKind, DidSpec, build_event_study, by_period, expand_covariates,
+)
+from paneldid.engine import PIVOT_RTOL, DesignMatrix, _fe_labels, wls_fit
 from paneldid.panel import Observation
 from paneldid.periods import Period, period_range
 from paneldid.simulate import generate, heterogeneous_config, null_config
@@ -101,7 +104,9 @@ def random_staggered_panel(seed, never=True):
     that one control unit (never treated, or of the last cohort when `never`
     is false) keeps every row, so every period has a control row. The
     2013Q3 cohort loses its 2013Q1 rows and its 2015Q2 rows, so those cells
-    have no rows. Half the seeds also return a unit-weight mapping.
+    have no rows. Half the seeds also return a unit-weight mapping. Every
+    unit carries two constants drawn from a stream of their own, a 0/1
+    `east` and a `share` in (0, 1), so the outcomes do not depend on them.
     """
     rng = np.random.default_rng(seed)
     periods = [P(2013, 1).shift(j) for j in range(10)]
@@ -114,6 +119,9 @@ def random_staggered_panel(seed, never=True):
         else:
             cohorts[f"u{i:02d}"] = starts[i % 3 if i < 6 else int(rng.integers(3))]
     anchor = "u00" if never else "u05"
+    constants = np.random.default_rng([seed, 1])
+    east = {u: float(constants.integers(2)) for u in cohorts}
+    share = {u: float(constants.uniform()) for u in cohorts}
     obs = []
     for u, g in cohorts.items():
         alpha = float(rng.normal())
@@ -125,11 +133,37 @@ def random_staggered_panel(seed, never=True):
             y = alpha + 0.1 * j + float(rng.normal(0.0, 0.3))
             if g is not None and p >= g:
                 y += 0.5 + 0.1 * (p.index - g.index)
-            obs.append(Observation(u, p, y, float(rng.uniform(0.5, 3.0))))
+            obs.append(Observation(u, p, y, float(rng.uniform(0.5, 3.0)), (east[u], share[u])))
     cluster = {u: f"c{i // 3}" for i, u in enumerate(cohorts)}
-    data = panel_of(tuple(obs), cluster=cluster)
+    data = panel_of(tuple(obs), covariate_names=("east", "share"), cluster=cluster)
     weights = None if seed % 2 else {u: float(rng.uniform(0.5, 3.0)) for u in cohorts}
     return data, cohorts, weights
+
+
+def sa_dense_fit(sample, start, interacted, names, row_weight, covariates=()):
+    """Oracle: the saturated fit as one dense design, a column per cohort x period cell.
+
+    Takes `staggered._sa_fit`'s arguments; `names` names the cells as
+    `staggered._sa_levels` orders them. A cell the level graph does not
+    identify gets no column; it is reported dropped with pivot ratio 0, ahead
+    of the engine's own pivot rule over the cell and covariate columns.
+    """
+    a = sample.arrays
+    levels, cell_level, cell_period, n_levels = staggered._sa_levels(a, start, interacted)
+    labels = _fe_labels(row_weight, a.unit_codes, levels, len(a.units), n_levels)[len(a.units):]
+    linked = labels[cell_level] == labels[cell_period]
+    blocks = [
+        by_period(sample, (start == g.index)[a.unit_codes], g.prev())[1] for g in interacted
+    ]
+    cov_names, cov_matrix = expand_covariates(sample, covariates)
+    x = np.column_stack([*blocks, cov_matrix])
+    kept = [c for c, ok in zip(names, linked) if ok]
+    if len(kept) < len(names):
+        x = x[:, np.flatnonzero(np.append(linked, np.ones(len(cov_names), dtype=bool)))]
+    fit = wls_fit(DesignMatrix.from_panel(sample, kept + cov_names, x, weight=row_weight))
+    ratios = {c: 0.0 for c, ok in zip(names, linked) if not ok} | dict(fit.pivot_ratios)
+    ratios = {c: ratios[c] for c in names + cov_names if c in ratios}
+    return replace(fit, dropped_collinear=tuple(ratios), pivot_ratios=ratios)
 
 
 def assert_close(got, want, rel):
@@ -572,21 +606,22 @@ class TestSaEventStudy:
         assert first["conf_high"] == pytest.approx(first["estimate"] + crit * first["se"],
                                                    rel=1e-12)
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_level_fit_matches_dense_fit(self, seed, monkeypatch):
-        # Without covariates the fit is one solve over cohort x period levels;
-        # the dense fit, kept for covariates, is its oracle.
-        data, cohorts, weights = random_staggered_panel(seed, never=seed % 3 > 0)
+    @staticmethod
+    def level_and_dense(data, cohorts, weights, covariates, monkeypatch):
+        """The event study as fitted, and as fitted by the dense oracle."""
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            level = sa_event_study(data, cohorts, weights=weights)
-            monkeypatch.setattr(staggered, "_sa_level_fit", staggered._sa_dense_fit)
-            dense = sa_event_study(data, cohorts, weights=weights)
+            level = sa_event_study(data, cohorts, covariates, weights)
+            monkeypatch.setattr(staggered, "_sa_fit", sa_dense_fit)
+            dense = sa_event_study(data, cohorts, covariates, weights)
+        return level, dense
+
+    @staticmethod
+    def assert_matches_dense(level, dense):
         a, b = level.fit, dense.fit
         assert a.columns == b.columns
         assert a.dropped_collinear == b.dropped_collinear
-        assert "e-2@2013Q3" in a.dropped_collinear  # a cell with no rows
-        assert a.n_obs == b.n_obs and a.n_clusters == b.n_clusters < len(data.units)
+        assert a.n_obs == b.n_obs and a.n_clusters == b.n_clusters
         assert a.fe_components == b.fe_components
         assert_close(a.coef_vector(), b.coef_vector(), 1e-9)
         for name in a.columns:
@@ -600,6 +635,64 @@ class TestSaEventStudy:
                      [v.estimate for v in dense.entries.values()], 1e-9)
         for e, v in level.entries.items():
             assert v.se == pytest.approx(dense.entries[e].se, rel=1e-9)
+        assert level.overall() == pytest.approx(dense.overall(), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_level_fit_matches_dense_fit(self, seed, monkeypatch):
+        # The fit is one solve over cohort x period levels; the dense fit,
+        # a column per cell, is its oracle.
+        data, cohorts, weights = random_staggered_panel(seed, never=seed % 3 > 0)
+        level, dense = self.level_and_dense(data, cohorts, weights, (), monkeypatch)
+        self.assert_matches_dense(level, dense)
+        assert "e-2@2013Q3" in level.fit.dropped_collinear  # a cell with no rows
+        assert level.fit.n_clusters < len(data.units)
+
+    @pytest.mark.parametrize("seed, plan", [
+        *((seed, "share*time") for seed in range(12)),
+        (4, "east + share"),  # unit-constant columns: the unit effects absorb both
+        (5, "east*time + share"),
+    ])
+    def test_covariate_fit_matches_dense_fit(self, seed, plan, monkeypatch):
+        # Covariates enter the level solve by Frisch-Waugh; the dense fit puts
+        # them beside the cell columns in one QR.
+        data, cohorts, weights = random_staggered_panel(seed, never=seed % 3 > 0)
+        covariates = tuple(CovariateTerm.parse(t) for t in plan.split(" + "))
+        level, dense = self.level_and_dense(data, cohorts, weights, covariates, monkeypatch)
+        self.assert_matches_dense(level, dense)
+        cov_columns = expand_covariates(data, covariates)[0]
+        dropped = [c for c in level.fit.dropped_collinear if c in cov_columns]
+        assert all(level.fit.pivot_ratios[c] <= PIVOT_RTOL for c in dropped)
+        absorbed = {"share*time": [], "east + share": ["east", "share"],
+                    "east*time + share": ["share"]}[plan]
+        assert dropped == absorbed
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_covariate_fit_invariance(self, seed):
+        # With a time-interacted covariate, rescaled weights leave every
+        # estimate and SE as it is, and y -> a + b*y scales estimates by b
+        # and SEs by |b|.
+        data, cohorts, weights = random_staggered_panel(seed, never=seed % 3 > 0)
+
+        def summary(data, weights):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = sa_event_study(data, cohorts, (CovariateTerm("share"),), weights)
+            pairs = [(v.estimate, v.se) for v in res.entries.values()] + [res.overall()]
+            return np.array(pairs).T
+
+        (est, se) = summary(data, weights)
+        for factor in (3.0, 2.0**-7):
+            rows = tuple(replace(o, weight=factor * o.weight) for o in data.observations)
+            scaled = panel_of(rows, data.covariate_names, data.cluster)
+            unit = None if weights is None else {u: factor * w for u, w in weights.items()}
+            got_est, got_se = summary(scaled, unit)
+            assert_close(got_est, est, 1e-9)
+            assert_close(got_se, se, 1e-9)
+        for shift, scale in ((3.0, 2.5), (-40.0, -0.01), (1e4, 1e3)):
+            got_est, got_se = summary(data.with_outcome(shift + scale * data.arrays.outcome),
+                                      weights)
+            assert_close(got_est, scale * est, 1e-9)
+            assert_close(got_se, abs(scale) * se, 1e-9)
 
     def test_level_fit_drops_cells_of_a_period_without_controls(self):
         # Every 2014Q1 row is a treated cell's: the period's effect, and so every
@@ -857,6 +950,21 @@ class TestImpute:
         finite = reps[np.isfinite(reps)]
         assert len(finite) > draws // 2
         assert res.se == pytest.approx(float(np.std(finite, ddof=1)), rel=1e-9)
+
+    def test_absorbed_covariates_fit_without_slopes(self):
+        # The unit effects absorb a unit-constant column: the fit has no
+        # slopes and is the fit without covariates, bootstrap included.
+        cohorts = {"a": P(2013, 4), "b": P(2014, 2), "n1": None, "n2": None, "n3": None}
+        constants = {"east": {"a": 1.0, "b": 0.0, "n1": 1.0, "n2": 0.0, "n3": 1.0}}
+        data = build(cohorts, effect=lambda g, e: 0.3, noise=0.2, seed=8, constants=constants)
+        absorbed = (CovariateTerm("east", by_time=False),)
+        for draws in (0, 49):
+            plain = impute_att(data, cohorts, bootstrap_draws=draws, seed=3)
+            res = impute_att(data, cohorts, absorbed, bootstrap_draws=draws, seed=3)
+            assert res.dropped_collinear == ("east",)
+            assert np.array_equal([res.aggregate, res.se], [plain.aggregate, plain.se],
+                                  equal_nan=True)
+        assert np.isfinite(res.se)
 
     def test_covariates_on_single_cluster_panel(self):
         # clusters play no part in the imputation estimator or its bootstrap
