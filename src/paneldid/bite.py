@@ -120,61 +120,64 @@ class WageMicrodata:
         """
         with textio.read_csv(source, "microdata") as table:
             columns = table.columns(("region", "hourly_wage"))
-            width = len(table.header)
+            region_at, wage_at = columns["region"], columns["hourly_wage"]
             raw_ids: dict[str, int] = {}
             codes, wages = [np.empty(0, np.intp)], [np.empty(0)]
-            # Batches bound the rows held at once; a batch that fails the
-            # array checks is checked row by row to name its first bad row.
-            for first_row, rows in table.batches():
-                try:
-                    batch = _parse_batch(rows, columns, width, raw_ids)
-                except ValueError:
-                    checked = _checked_rows(table.checked(rows, first_row), columns)
-                    batch = _parse_batch(checked, columns, width, raw_ids)
-                codes.append(batch[0])
-                wages.append(batch[1])
+            # Batches bound the rows held at once; a batch that numpy's reader
+            # or the array checks reject is read row by row to name its first
+            # bad row.
+            for batch in table.batches():
+                cells = batch.columns(numeric=(wage_at,))
+                parsed = None if cells is None else _coded(
+                    cells[region_at].tolist(), cells[wage_at], raw_ids)
+                if parsed is None:
+                    rows = table.checked(batch.rows(), batch.first_row)
+                    parsed = _coded(*_checked_columns(rows, columns), raw_ids)
+                codes.append(parsed[0])
+                wages.append(parsed[1])
         return cls._from_columns(
             tuple(raw_ids), np.concatenate(codes), np.concatenate(wages),
             minimum_wage, survey_year,
         )
 
 
-def _parse_batch(
-    rows: list[list[str]], columns: Mapping[str, int], width: int, raw_ids: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Raw-id codes and wages of `rows`, adding their new raw ids to `raw_ids`.
+def _coded(
+    region: list[str], wages: np.ndarray, raw_ids: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Raw-id codes and wages of a batch, adding its new raw ids to `raw_ids`.
 
-    Raises `ValueError`, leaving `raw_ids` as it was, if a row does not have
-    `width` fields (a blank row among them), has an empty id or a wage that
-    is not a positive number in ASCII without `_`.
+    None, leaving `raw_ids` as it was, if a new id is blank or a wage is not
+    a finite positive number.
     """
-    if not set(map(len, rows)) <= {width}:
-        raise ValueError("a row has the wrong number of fields")
-    region_col, wage_col = columns["region"], columns["hourly_wage"]
-    region = [row[region_col] for row in rows]
-    cells = [row[wage_col] for row in rows]
-    wages = np.fromiter(map(float, cells), float, len(rows))
+    if not np.all(np.isfinite(wages) & (wages > 0)):
+        return None
+    try:  # most batches hold no new id
+        return np.fromiter(map(raw_ids.__getitem__, region), np.intp, len(region)), wages
+    except KeyError:
+        pass
     new = [r for r in dict.fromkeys(region) if r not in raw_ids]
-    joined = "".join(cells)
-    if not (all(r.strip() for r in new) and np.all(np.isfinite(wages) & (wages > 0))
-            and joined.isascii() and "_" not in joined):
-        raise ValueError("a row failed the microdata checks")
+    if not all(r.strip() for r in new):
+        return None
     for r in new:
         raw_ids[r] = len(raw_ids)
-    return np.fromiter(map(raw_ids.__getitem__, region), np.intp, len(rows)), wages
+    return np.fromiter(map(raw_ids.__getitem__, region), np.intp, len(region)), wages
 
 
-def _checked_rows(
+def _checked_columns(
     rows: Iterable[tuple[int, list[str]]], columns: Mapping[str, int]
-) -> list[list[str]]:
-    """The numbered `rows` of `CsvTable.checked`; raises `IngestError` at the first bad row."""
-    kept = []
+) -> tuple[list[str], np.ndarray]:
+    """Ids and wages of the numbered `rows` of `CsvTable.checked`.
+
+    Raises `IngestError` at the first bad row.
+    """
+    region, wages = [], []
     for row_number, row in rows:
-        parse_number(row[columns["hourly_wage"]], row_number, "hourly_wage", positive=True)
+        wages.append(parse_number(row[columns["hourly_wage"]], row_number, "hourly_wage",
+                                  positive=True))
         if not row[columns["region"]].strip():
             raise IngestError(f"row {row_number}: column 'region': {_EMPTY_REGION}")
-        kept.append(row)
-    return kept
+        region.append(row[columns["region"]])
+    return region, np.asarray(wages, dtype=float)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Hashable, Mapping, Sequence
+from typing import IO, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .periods import Period
-from .textio import IngestError, parse_number, read_csv, write_csv
+from .textio import CsvBatch, IngestError, parse_number, read_csv, write_csv
 
 # Canonical field names. Any further mapped column is carried as a covariate.
 REQUIRED_FIELDS = ("unit", "year", "quarter", "outcome", "weight")
@@ -90,6 +90,14 @@ def _factorize(values: Sequence[Hashable]) -> tuple[tuple, np.ndarray]:
     return tuple(labels), np.argsort([first[v] for v in labels])[codes]
 
 
+def _stripped(labels: tuple, what: str) -> tuple[str, ...]:
+    """`labels` stripped of surrounding whitespace; `ValueError` if one is blank or no str."""
+    stripped = tuple(label.strip() if isinstance(label, str) else "" for label in labels)
+    if not all(stripped):
+        raise ValueError(f"{what} must be a non-empty string")
+    return stripped
+
+
 def _first(mask: np.ndarray) -> int | None:
     hits = np.flatnonzero(mask)
     return int(hits[0]) if hits.size else None
@@ -116,7 +124,9 @@ class PanelDataset:
         """A panel from one unit label, `Period`, outcome and weight per row, in any order.
 
         `covariates` maps each name to one value per row; units missing from
-        `cluster` are their own cluster. A column of the wrong length is named.
+        `cluster` are their own cluster. Unit ids, and the keys and labels of
+        `cluster`, are stripped as `ingest_panel` strips them and must not be
+        blank. A column of the wrong length is named.
         """
         covariates = dict(covariates or {})
         for name, column in (("unit", unit), ("period", period), ("weight", weight),
@@ -124,13 +134,24 @@ class PanelDataset:
             if len(column) != len(outcome):
                 raise ValueError(f"column {name!r} has {len(column)} values for "
                                  f"{len(outcome)} outcome rows")
-        if not all(isinstance(u, str) and u for u in set(unit)):
+        if not all(isinstance(u, str) for u in set(unit)):
             raise ValueError("unit id must be a non-empty string")
         if not all(isinstance(p, Period) for p in set(period)):
             raise ValueError("period labels must be Period values")
+        units, unit_codes = _factorize(unit)
+        stripped = _stripped(units, "unit id")
+        if stripped != units:  # ids that merge once stripped share one code
+            units, merged = _factorize(stripped)
+            unit_codes = merged[unit_codes]
+        labels: dict[str, str] = {}
+        for u, label in zip(_stripped(tuple(cluster or ()), "unit id"),
+                            _stripped(tuple((cluster or {}).values()), "cluster label")):
+            if labels.setdefault(u, label) != label:
+                raise ValueError(f"unit {u!r} has conflicting cluster labels "
+                                 f"{labels[u]!r} and {label!r}")
         return cls._from_columns(
-            *_factorize(unit), *_factorize(period), outcome, weight,
-            np.array(list(covariates.values()), dtype=float).T, tuple(covariates), cluster,
+            units, unit_codes, *_factorize(period), outcome, weight,
+            np.array(list(covariates.values()), dtype=float).T, tuple(covariates), labels,
         )
 
     @classmethod
@@ -322,11 +343,14 @@ def ingest_panel(
         Pass False for panels whose outcome is already on a transformed scale.
 
     The header follows the rules of `textio.read_csv`; a header problem
-    raises ValueError. Covariates are attached in header order. Any malformed
-    cell raises IngestError naming the offending row and column.
+    raises ValueError, as does, without a `schema`, a column with no name.
+    Covariates are attached in header order. Any malformed cell raises
+    IngestError naming the offending row and column.
     """
     with read_csv(source, "panel") as table:
         if schema is None:
+            if "" in table.header:
+                raise ValueError(f"panel column {table.header.index('') + 1} has no name")
             mapping = {name: name for name in (*REQUIRED_FIELDS, *table.header)}
         else:
             mapping = dict(schema)
@@ -334,75 +358,189 @@ def ingest_panel(
                 if f not in mapping:
                     raise IngestError(f"schema is missing required field {f!r}")
         at = table.columns(mapping.values())
-        col = {canonical: at[column] for canonical, column in mapping.items()}
+        reader = _PanelReader(mapping, {canonical: at[column] for canonical, column
+                                        in mapping.items()}, require_positive_outcome)
+        # A batch that numpy's reader or the array checks reject is read row
+        # by row, which names its first bad row.
+        for batch in table.batches():
+            if not reader.add_columns(batch):
+                reader.add_rows(table.checked(batch.rows(), batch.first_row))
+    return reader.panel()
 
+
+class _PanelReader:
+    """`ingest_panel`'s columns so far, and the state its two paths share.
+
+    `add_columns` takes a batch from numpy's reader when the array checks
+    pass it; `add_rows` checks rows one by one and raises at the first bad
+    one. Both code stripped unit ids and (year, quarter) texts the same way,
+    and share the (unit, period) keys and cluster labels seen so far.
+    """
+
+    def __init__(self, mapping: Mapping[str, str], col: Mapping[str, int],
+                 positive: bool) -> None:
+        self.mapping, self.col, self.positive = mapping, col, positive
         # Covariates keep the order their columns appear in the header.
-        covariate_fields = sorted(
+        self.covariate_fields = sorted(
             (col[canonical], canonical, column) for canonical, column in mapping.items()
             if canonical not in REQUIRED_FIELDS and canonical != CLUSTER_FIELD
         )
+        self.numeric = {col["outcome"], col["weight"], *(at for at, _, _ in self.covariate_fields)}
+        self.text = {col[f] for f in ("unit", "year", "quarter", CLUSTER_FIELD) if f in col}
+        self.unit_code: dict[str, int] = {}  # stripped id -> code
+        self.raw_unit: dict[str, int] = {}  # unstripped id cell -> code
+        self.period_code: dict[tuple[str, str], int] = {}  # (year, quarter) text -> code
+        self.code_of: dict[Period, int] = {}
+        self.seen: dict[int, int] = {}  # unit code << 32 | period code -> row number
+        self.cluster: dict[int, str] = {}  # unit code -> label
+        # Per batch: unit codes, period codes, outcome, weight and covariates.
+        self.parts: list[tuple[np.ndarray, ...]] = []
 
-        # Rows are parsed straight into columns. Each distinct (year, quarter)
-        # text pair is parsed once; pairs naming one period share its code.
+    def _period(self, stamp: tuple[str, str], row_number: int) -> int:
+        """The code of a (year, quarter) text pair; each distinct pair is parsed once."""
+        code = self.period_code.get(stamp)
+        if code is None:
+            year = parse_number(stamp[0], row_number, self.mapping["year"], kind=int)
+            quarter = parse_number(stamp[1], row_number, self.mapping["quarter"], kind=int)
+            try:
+                period = Period(year, quarter)
+            except ValueError as exc:
+                raise IngestError(f"row {row_number}: {exc}") from None
+            code = self.period_code[stamp] = self.code_of.setdefault(period, len(self.code_of))
+        return code
+
+    def add_rows(self, rows: Iterable[tuple[int, list[str]]]) -> None:
+        """Add the numbered rows of `CsvTable.checked`; `IngestError` at the first bad one."""
+        col = self.col
         units, period_codes, outcome, weight = [], [], [], []
-        covariates: list[list[float]] = [[] for _ in covariate_fields]
-        period_code: dict[tuple[str, str], int] = {}
-        code_of: dict[Period, int] = {}
-        seen: dict[tuple[str, int], int] = {}
-        cluster: dict[str, str] = {}
-        for row_number, row in table.rows():
+        covariates: list[list[float]] = [[] for _ in self.covariate_fields]
+        for row_number, row in rows:
             unit = row[col["unit"]].strip()
             if not unit:
                 raise IngestError(f"row {row_number}: empty unit id")
-            stamp = (row[col["year"]], row[col["quarter"]])
-            code = period_code.get(stamp)
-            if code is None:
-                year = parse_number(stamp[0], row_number, mapping["year"], kind=int)
-                quarter = parse_number(stamp[1], row_number, mapping["quarter"], kind=int)
-                try:
-                    period = Period(year, quarter)
-                except ValueError as exc:
-                    raise IngestError(f"row {row_number}: {exc}") from None
-                code = period_code[stamp] = code_of.setdefault(period, len(code_of))
-            y = parse_number(row[col["outcome"]], row_number, mapping["outcome"],
-                             positive=require_positive_outcome)
-            w = parse_number(row[col["weight"]], row_number, mapping["weight"], positive=True)
-            for values, (at, _, column) in zip(covariates, covariate_fields):
+            code = self._period((row[col["year"]], row[col["quarter"]]), row_number)
+            y = parse_number(row[col["outcome"]], row_number, self.mapping["outcome"],
+                             positive=self.positive)
+            w = parse_number(row[col["weight"]], row_number, self.mapping["weight"],
+                             positive=True)
+            for values, (at, _, column) in zip(covariates, self.covariate_fields):
                 cell = row[at].strip()
                 if not cell:
                     raise IngestError(
                         f"row {row_number}: column {column!r}: missing covariate value"
                     )
                 values.append(parse_number(cell, row_number, column))
-            key = (unit, code)
-            if key in seen:
+            u = self.unit_code.setdefault(unit, len(self.unit_code))
+            key = u << 32 | code
+            if key in self.seen:
                 raise IngestError(
                     f"row {row_number}: duplicate observation for unit {unit!r} "
-                    f"period {list(code_of)[code]} (first seen at row {seen[key]})"
+                    f"period {list(self.code_of)[code]} (first seen at row {self.seen[key]})"
                 )
-            seen[key] = row_number
+            self.seen[key] = row_number
             if CLUSTER_FIELD in col:
                 label = row[col[CLUSTER_FIELD]].strip()
                 if not label:
                     raise IngestError(f"row {row_number}: empty cluster label")
-                prev = cluster.setdefault(unit, label)
+                prev = self.cluster.setdefault(u, label)
                 if prev != label:
                     raise IngestError(
                         f"row {row_number}: unit {unit!r} has conflicting cluster "
                         f"labels {prev!r} and {label!r}"
                     )
-            units.append(unit)
+            units.append(u)
             period_codes.append(code)
             outcome.append(y)
             weight.append(w)
-    if not units:
-        raise IngestError("no data rows after the header")
-    periods, rank = _factorize(list(code_of))
-    return PanelDataset._from_columns(
-        *_factorize(units), periods, rank[period_codes], outcome, weight,
-        np.array(covariates).T,
-        tuple(canonical for _, canonical, _ in covariate_fields), cluster,
-    )
+        self.parts.append((
+            np.array(units, dtype=np.intp), np.array(period_codes, dtype=np.intp),
+            np.array(outcome, dtype=float), np.array(weight, dtype=float),
+            np.array(covariates, dtype=float).reshape(len(covariates), len(units)).T,
+        ))
+
+    def add_columns(self, batch: CsvBatch) -> bool:
+        """Add `batch` if numpy's reader and the checks of `add_rows` pass it.
+
+        False, adding no row, otherwise. Unit and period codes given on the
+        way are kept: `add_rows` would give the same ones.
+        """
+        cells = None if self.numeric & self.text else batch.columns(self.numeric)
+        if cells is None:
+            return False
+        col = self.col
+        y, w = cells[col["outcome"]], cells[col["weight"]]
+        covariates = np.array([cells[at] for at, _, _ in self.covariate_fields],
+                              dtype=float).reshape(len(self.covariate_fields), len(y)).T
+        ok = (np.isfinite(y) & np.isfinite(w) & (w > 0)
+              & np.isfinite(covariates).all(axis=1))
+        if not (ok & (y > 0) if self.positive else ok).all():
+            return False
+        units = self._unit_codes(cells[col["unit"]].tolist())
+        periods = None if units is None else self._period_codes(
+            cells[col["year"]].tolist(), cells[col["quarter"]].tolist(), batch.first_row)
+        if periods is None:
+            return False
+        keys = (units.astype(np.int64) << 32 | periods).tolist()
+        if len(set(keys)) != len(keys) or not self.seen.keys().isdisjoint(keys):
+            return False
+        if CLUSTER_FIELD in col:
+            labels = self._unit_labels(units.tolist(), cells[col[CLUSTER_FIELD]].tolist())
+            if labels is None:
+                return False
+            self.cluster.update(labels)
+        self.seen.update(zip(keys, range(batch.first_row, batch.first_row + len(keys))))
+        self.parts.append((units, periods, y, w, covariates))
+        return True
+
+    def _unit_codes(self, cells: list[str]) -> np.ndarray | None:
+        """The unit code of each id cell; None if a new one is blank once stripped."""
+        try:  # most batches hold no new id
+            return np.fromiter(map(self.raw_unit.__getitem__, cells), np.intp, len(cells))
+        except KeyError:
+            pass
+        new = [raw for raw in dict.fromkeys(cells) if raw not in self.raw_unit]
+        if not all(raw.strip() for raw in new):
+            return None
+        for raw in new:
+            self.raw_unit[raw] = self.unit_code.setdefault(raw.strip(), len(self.unit_code))
+        return np.fromiter(map(self.raw_unit.__getitem__, cells), np.intp, len(cells))
+
+    def _period_codes(self, years: list[str], quarters: list[str],
+                      first_row: int) -> np.ndarray | None:
+        """The period code of each (year, quarter) cell pair; None if a new one is bad."""
+        stamps = list(zip(years, quarters))
+        try:
+            for stamp in dict.fromkeys(stamps):
+                self._period(stamp, first_row)
+        except IngestError:
+            return None
+        return np.fromiter(map(self.period_code.__getitem__, stamps), np.intp, len(stamps))
+
+    def _unit_labels(self, units: list[int], cells: list[str]) -> dict[int, str] | None:
+        """Each unit's stripped cluster label; None if one is blank or a unit has two."""
+        stripped = {raw: raw.strip() for raw in dict.fromkeys(cells)}
+        if not all(stripped.values()):
+            return None
+        pairs = {(u, stripped[raw]) for u, raw in set(zip(units, cells))}
+        labels = dict(pairs)
+        if len(labels) != len(pairs) or any(
+                self.cluster.get(u, label) != label for u, label in labels.items()):
+            return None
+        return labels
+
+    def panel(self) -> PanelDataset:
+        if not self.seen:
+            raise IngestError("no data rows after the header")
+        unit_codes, period_codes, outcome, weight, covariates = map(
+            np.concatenate, zip(*self.parts))
+        names = list(self.unit_code)
+        units, unit_rank = _factorize(names)
+        periods, period_rank = _factorize(list(self.code_of))
+        return PanelDataset._from_columns(
+            units, unit_rank[unit_codes], periods, period_rank[period_codes], outcome, weight,
+            covariates, tuple(canonical for _, canonical, _ in self.covariate_fields),
+            {names[u]: label for u, label in self.cluster.items()},
+        )
 
 
 def serialize_panel(

@@ -16,6 +16,17 @@ counted, and every other row must have as many fields as the header. A
 header problem (no header, a repeated or a missing column) raises
 `ValueError`; a bad data row raises `IngestError` naming its row and column.
 `write_csv` writes every CSV output, UTF-8 with `\n` line ends.
+
+The large readers take a `CsvTable`'s rows in batches of `BATCH_ROWS`. A
+batch's `columns` splits it with numpy's C reader (`np.loadtxt`) only when
+it can certify that the csv module would split it the same way: its text
+is ASCII with no `"`, carriage return, NUL or `\x1c`-`\x1f` (characters
+that `float` and numpy strip differently), every line has the header's
+width, and every numeric cell parses. Any other batch, and all input from
+the first `"` on (a quoted field may span lines), is read row by row by the
+csv module, the path that names every error. `write_csv` likewise joins a
+chunk of rows itself only when no cell needs quoting. Values, errors and
+bytes do not depend on which path a batch takes.
 """
 
 from __future__ import annotations
@@ -23,11 +34,17 @@ from __future__ import annotations
 import csv
 import math
 from contextlib import contextmanager
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-BATCH_ROWS = 4096  # rows handed out together by `CsvTable.batches`
+import numpy as np
+
+BATCH_ROWS = 4096  # rows read, or written, together
+# Characters that keep a batch off numpy's reader, besides the '"' that
+# ends it: the csv module reads '\r' and (before Python 3.11) NUL its own
+# way, and numpy strips \x1c-\x1f around a number where `float` does not.
+_ROW_PATH_ONLY = ("\r", "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 class IngestError(ValueError):
@@ -133,12 +150,13 @@ class CsvTable:
     """The cleaned header of a CSV stream and its rows from row 2 on.
 
     `rows` streams the checked rows one by one and `batches` the raw rows in
-    lists; both number them in file order.
+    `CsvBatch`es; both number them in file order.
     """
 
     def __init__(self, stream: IO[str], what: str) -> None:
         self._what = what
-        self._reader = csv.reader(stream)
+        self._lines = iter(stream)
+        self._reader = csv.reader(self._lines)
         header = next(self._reader, None)
         if header is None:
             raise ValueError(f"{what} is empty: expected a header row")
@@ -179,15 +197,69 @@ class CsvTable:
                     )
                 yield row_number, row
 
-    def batches(self) -> Iterator[tuple[int, list[list[str]]]]:
-        """Lists of `BATCH_ROWS` raw rows, blank ones kept, with their first row number.
+    def batches(self) -> Iterator[CsvBatch]:
+        """The rows in batches of `BATCH_ROWS`, blank ones kept, in file order.
 
-        Their cells are not checked: pass a failing batch to `checked`.
+        A batch holds raw lines until the first `"`; from the batch that
+        holds it on, the csv module reads the rest, as a quoted field may
+        span lines, and a batch's rows are read as they are used, so a csv
+        error comes at its row. Use up each batch's rows, or its columns,
+        before asking for the next batch.
         """
-        first_row = 2
-        while rows := list(islice(self._reader, BATCH_ROWS)):
-            yield first_row, rows
-            first_row += len(rows)
+        first_row, width = 2, len(self.header)
+        while lines := list(islice(self._lines, BATCH_ROWS)):
+            text = "".join(lines)
+            if '"' in text:
+                rows = csv.reader(chain(lines, self._lines))
+                while (row := next(rows, None)) is not None:
+                    yield CsvBatch(first_row, width,
+                                   rows=chain([row], islice(rows, BATCH_ROWS - 1)))
+                    first_row += BATCH_ROWS
+                return
+            yield CsvBatch(first_row, width, lines=lines, text=text)
+            first_row += len(lines)
+
+
+class CsvBatch:
+    """Consecutive rows of a `CsvTable`, the first of them numbered `first_row`.
+
+    Held as raw lines, or, once the input has held a `"`, as the csv
+    module's rows. Their cells are not checked: `columns` certifies a batch
+    for numpy's reader, and `CsvTable.checked` checks its `rows`.
+    """
+
+    def __init__(self, first_row: int, width: int, *, lines: list[str] | None = None,
+                 text: str = "", rows: Iterable[list[str]] | None = None) -> None:
+        self.first_row, self._width = first_row, width
+        self._lines, self._text, self._rows = lines, text, rows
+
+    def rows(self) -> Iterable[list[str]]:
+        """The batch's rows as the csv module reads them, blank ones kept."""
+        return csv.reader(self._lines) if self._rows is None else self._rows
+
+    def columns(self, numeric: Collection[int]) -> list[np.ndarray] | None:
+        """One array per column, or None if the batch is not certified (see the module).
+
+        Columns at `numeric` positions are float64 and the others hold the
+        cells as `str` objects, unstripped.
+        """
+        lines, text, width = self._lines, self._text, self._width
+        if (lines is None or width < 2 or not text.isascii()
+                or any(c in text for c in _ROW_PATH_ONLY)
+                or text.count(",") != len(lines) * (width - 1)
+                or (len(text) > csv.field_size_limit()  # a line may be too long for csv
+                    and max(map(len, lines)) > csv.field_size_limit())):
+            return None
+        # The comma count keeps out a row of the wrong width, and with it
+        # every empty line, which numpy would skip (or warn about).
+        dtype = [(str(i), float if i in numeric else object) for i in range(width)]
+        try:
+            table = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar=None,
+                               ndmin=1)
+        except ValueError:  # a row of the wrong width, or a cell that is not a number
+            return None
+        # Copies, so no column keeps the batch's other cells alive.
+        return [table[name].copy() for name in table.dtype.names]
 
 
 @contextmanager
@@ -200,8 +272,37 @@ def read_csv(source: IO[str] | str | Path, what: str) -> Iterator[CsvTable]:
 def write_csv(
     sink: IO[str] | str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]
 ) -> None:
-    """Write `header` and then `rows` to `sink`."""
+    """Write `header` and then `rows` to `sink`, as `csv.writer` would.
+
+    Rows go out in chunks of `BATCH_ROWS`: joined by `_joined` when no cell
+    of the chunk needs quoting, and by `csv.writer` otherwise.
+    """
     with open_text(sink, "w") as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        rows = iter(rows)
+        while chunk := list(islice(rows, BATCH_ROWS)):
+            text = _joined(chunk, len(header))
+            if text is None:
+                writer.writerows(chunk)
+            else:
+                stream.write(text)
+
+
+def _joined(rows: list[Sequence[str]], width: int) -> str | None:
+    """`rows` as `csv.writer` writes them, or None where a cell may need quoting.
+
+    Certified when there are at least two columns, every row has `width`
+    `str` cells, and the joined text holds a comma and a newline only
+    between cells and rows, and no `"`, carriage return or NUL.
+    """
+    try:
+        if width < 2 or set(map(len, rows)) != {width}:
+            return None
+        text = "\n".join(map(",".join, rows))
+    except TypeError:  # a row that is not a sequence of str
+        return None
+    if (text.count(",") != len(rows) * (width - 1) or text.count("\n") != len(rows) - 1
+            or any(c in text for c in '"\r\x00')):
+        return None
+    return text + "\n"

@@ -364,6 +364,50 @@ def test_serialize_ingest_serialize_is_byte_identical(data):
 
 
 @settings(max_examples=50, deadline=None)
+@given(panels(), st.data())
+def test_padded_ids_round_trip_through_serialize_and_ingest(data, draw):
+    # from_columns strips ids and cluster labels as ingest does.
+    a = data.arrays
+    pad = {label: draw.draw(st.sampled_from(["", " ", "\t", "  "])) + label
+           + draw.draw(st.sampled_from(["", " ", "\t "]))
+           for label in {*a.units, *data.cluster.values()}}
+    padded = PanelDataset.from_columns(
+        [pad[a.units[c]] for c in a.unit_codes], [a.periods[c] for c in a.period_codes],
+        a.outcome, a.weight,
+        {name: a.covariates[:, k] for k, name in enumerate(data.covariate_names)},
+        {pad[u]: pad[label] for u, label in data.cluster.items()},
+    )
+    assert padded == data
+    sink = io.StringIO()
+    serialize_panel(padded, sink)
+    assert ingest_panel(io.StringIO(sink.getvalue())) == padded
+
+
+def test_from_columns_strips_ids_and_cluster_labels():
+    data = PanelDataset.from_columns([" a", "a", "b "], [P(2014, 1), P(2014, 2), P(2014, 1)],
+                                     [1.0, 2.0, 3.0], [1.0] * 3, cluster={"b\t": " c "})
+    assert data.units == ("a", "b")
+    assert data.cluster == {"a": "a", "b": "c"}
+    with pytest.raises(ValueError, match=r"duplicate observation for unit 'a' period 2014Q1"):
+        PanelDataset.from_columns([" a", "a "], [P(2014, 1)] * 2, [1.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^unit 'a' has conflicting cluster labels"):
+        PanelDataset.from_columns(["a"], [P(2014, 1)], [1.0], [1.0], cluster={"a": "c", " a": "d"})
+    for units, cluster in ((["  "], None), (["a"], {" ": "c"}), (["a"], {"a": "\t"})):
+        with pytest.raises(ValueError,
+                           match=r"^(unit id|cluster label) must be a non-empty string$"):
+            PanelDataset.from_columns(units, [P(2014, 1)], [1.0], [1.0], cluster=cluster)
+
+
+def test_unnamed_column_rejected_without_a_schema():
+    text = "unit,year,quarter,outcome,weight,\na,2014,1,1.0,1.0,3\nb,2014,1,2.0,1.0,4\n"
+    with pytest.raises(ValueError, match=r"^panel column 6 has no name$") as exc:
+        ingest_panel(io.StringIO(text))
+    assert exc.type is ValueError
+    schema = {f: f for f in ("unit", "year", "quarter", "outcome", "weight")}
+    assert ingest_panel(io.StringIO(text), schema).covariate_names == ()
+
+
+@settings(max_examples=50, deadline=None)
 @given(panels(), st.randoms(use_true_random=False), st.data())
 def test_outcome_swaps_equal_panels_built_from_columns(data, random, extra):
     # The swaps re-wrap the sorted layout; from_columns sorts shuffled rows.

@@ -1,17 +1,23 @@
 """The input rules that every reader shares through `textio`."""
 
+import csv
 import io
 import re
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from paneldid import textio
 
 from paneldid.bite import TreatmentDesign, WageMicrodata
 from paneldid.cli import _read_region_values
 from paneldid.designs import DesignKind, load_spec
 from paneldid.panel import ingest_panel
 from paneldid.simulate import load_dgp_config
-from paneldid.textio import IngestError, to_number, to_numbers
+from paneldid.textio import IngestError, to_number, to_numbers, write_csv
 
 # Each reader with a small valid file for it; the files hold no quoted cells.
 READERS = {
@@ -149,3 +155,62 @@ def test_number_beyond_float_range_names_row_and_column(tmp_path, reader):
     problem = "integer out of range" if column == "year" else "non-finite value"
     with pytest.raises(IngestError, match=rf"row 2: column '{column}': {problem} '{big}'$"):
         read(tmp_path, reader, text)
+
+
+WRITE_CELLS = st.one_of(
+    st.sampled_from(["", " ", "a", "x#y", "1.5", "ä", ",", '"', "\n", "\r", "\x00", "a,b"]),
+    st.text(max_size=3), st.integers(),
+)
+
+
+def written(write):
+    """What `write` puts in a stream, or the message of the `csv.Error` it raises."""
+    sink = io.StringIO()
+    try:
+        write(sink)
+    except csv.Error as exc:
+        return str(exc)
+    return sink.getvalue()
+
+
+def by_csv_module(header, rows):
+    def write(sink):
+        writer = csv.writer(sink, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return written(write)
+
+
+@pytest.mark.parametrize("batch", [1, 4096])
+@pytest.mark.parametrize("header, rows", [
+    (["h1", "h2"], [("a", "b"), ["c", ""]]),  # joined
+    (["h"], [["a"], [""]]),  # one column: csv quotes a lone empty cell
+    (["h1", "h2"], [["a", "b", "c"], [""]]),  # widths that offset each other
+    (["h1", "h2"], [["a,b", "c"]]),
+    (["h1", "h2"], [["a\nb", "c"], ["d", "e"]]),
+    (["h1", "h2"], [['a"b', "c"]]),
+    (["h1", "h2"], [["a\rb", "c"]]),
+    (["h1", "h2"], [["a\x00b", "c"]]),
+    (["h1", "h2"], [[1, 2.5]]),
+])
+def test_write_csv_rows_that_need_the_csv_module(header, rows, batch):
+    with mock.patch.object(textio, "BATCH_ROWS", batch):
+        assert written(lambda sink: write_csv(sink, header, rows)) == by_csv_module(header, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(min_value=1, max_value=4),
+       batch=st.sampled_from([1, 2, 3, 4096]))
+def test_write_csv_writes_the_csv_modules_bytes(data, width, batch):
+    # Mostly rows of plain cells at the header's width, so most chunks are joined.
+    plain = st.sampled_from(["a", " b", "1.5", "x#y", ""])
+    header = data.draw(st.lists(plain, min_size=width, max_size=width))
+    rows = data.draw(st.lists(st.one_of(
+        st.lists(plain, min_size=width, max_size=width),
+        st.lists(st.one_of(plain, WRITE_CELLS), min_size=width, max_size=width),
+        st.lists(WRITE_CELLS, max_size=5).map(tuple),
+    ), max_size=12))
+
+    with mock.patch.object(textio, "BATCH_ROWS", batch):
+        assert written(lambda sink: write_csv(sink, header, iter(rows))) == by_csv_module(
+            header, rows)
