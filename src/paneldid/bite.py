@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping
 
 import numpy as np
 from scipy import stats
@@ -121,63 +121,29 @@ class WageMicrodata:
         with textio.read_csv(source, "microdata") as table:
             columns = table.columns(("region", "hourly_wage"))
             region_at, wage_at = columns["region"], columns["hourly_wage"]
-            raw_ids: dict[str, int] = {}
+            regions = textio.Codes(textio.stripped(f"column 'region': {_EMPTY_REGION}"))
             codes, wages = [np.empty(0, np.intp)], [np.empty(0)]
             # Batches bound the rows held at once; a batch that numpy's reader
             # or the array checks reject is read row by row to name its first
             # bad row.
             for batch in table.batches():
                 cells = batch.columns(numeric=(wage_at,))
-                parsed = None if cells is None else _coded(
-                    cells[region_at].tolist(), cells[wage_at], raw_ids)
-                if parsed is None:
-                    rows = table.checked(batch.rows(), batch.first_row)
-                    parsed = _coded(*_checked_columns(rows, columns), raw_ids)
-                codes.append(parsed[0])
-                wages.append(parsed[1])
+                wage = coded = None
+                if cells is not None and np.all(np.isfinite(cells[wage_at])
+                                                & (cells[wage_at] > 0)):
+                    wage = cells[wage_at]
+                    coded = regions.codes(cells[region_at].tolist(), batch.first_row)
+                if coded is None:  # each row's wage is checked, then its region
+                    coded, wage = [], []
+                    for n, row in table.checked(batch.rows(), batch.first_row):
+                        wage.append(parse_number(row[wage_at], n, "hourly_wage", positive=True))
+                        coded.append(regions.code(row[region_at], n))
+                codes.append(np.asarray(coded, dtype=np.intp))
+                wages.append(np.asarray(wage, dtype=float))
         return cls._from_columns(
-            tuple(raw_ids), np.concatenate(codes), np.concatenate(wages),
+            tuple(regions.keys), np.concatenate(codes), np.concatenate(wages),
             minimum_wage, survey_year,
         )
-
-
-def _coded(
-    region: list[str], wages: np.ndarray, raw_ids: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Raw-id codes and wages of a batch, adding its new raw ids to `raw_ids`.
-
-    None, leaving `raw_ids` as it was, if a new id is blank or a wage is not
-    a finite positive number.
-    """
-    if not np.all(np.isfinite(wages) & (wages > 0)):
-        return None
-    try:  # most batches hold no new id
-        return np.fromiter(map(raw_ids.__getitem__, region), np.intp, len(region)), wages
-    except KeyError:
-        pass
-    new = [r for r in dict.fromkeys(region) if r not in raw_ids]
-    if not all(r.strip() for r in new):
-        return None
-    for r in new:
-        raw_ids[r] = len(raw_ids)
-    return np.fromiter(map(raw_ids.__getitem__, region), np.intp, len(region)), wages
-
-
-def _checked_columns(
-    rows: Iterable[tuple[int, list[str]]], columns: Mapping[str, int]
-) -> tuple[list[str], np.ndarray]:
-    """Ids and wages of the numbered `rows` of `CsvTable.checked`.
-
-    Raises `IngestError` at the first bad row.
-    """
-    region, wages = [], []
-    for row_number, row in rows:
-        wages.append(parse_number(row[columns["hourly_wage"]], row_number, "hourly_wage",
-                                  positive=True))
-        if not row[columns["region"]].strip():
-            raise IngestError(f"row {row_number}: column 'region': {_EMPTY_REGION}")
-        region.append(row[columns["region"]])
-    return region, np.asarray(wages, dtype=float)
 
 
 @dataclass(frozen=True)

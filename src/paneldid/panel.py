@@ -25,7 +25,8 @@ from typing import IO, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .periods import Period
-from .textio import CsvBatch, IngestError, parse_number, read_csv, write_csv
+from .textio import (Codes, CsvBatch, IngestError, parse_number, read_csv, stripped,
+                     write_csv)
 
 # Canonical field names. Any further mapped column is carried as a covariate.
 REQUIRED_FIELDS = ("unit", "year", "quarter", "outcome", "weight")
@@ -373,8 +374,9 @@ class _PanelReader:
 
     `add_columns` takes a batch from numpy's reader when the array checks
     pass it; `add_rows` checks rows one by one and raises at the first bad
-    one. Both code stripped unit ids and (year, quarter) texts the same way,
-    and share the (unit, period) keys and cluster labels seen so far.
+    one. Both code unit ids, (year, quarter) stamps and cluster labels with
+    the same `Codes`, and share the (unit, period) keys and each unit's
+    cluster label seen so far.
     """
 
     def __init__(self, mapping: Mapping[str, str], col: Mapping[str, int],
@@ -387,27 +389,13 @@ class _PanelReader:
         )
         self.numeric = {col["outcome"], col["weight"], *(at for at, _, _ in self.covariate_fields)}
         self.text = {col[f] for f in ("unit", "year", "quarter", CLUSTER_FIELD) if f in col}
-        self.unit_code: dict[str, int] = {}  # stripped id -> code
-        self.raw_unit: dict[str, int] = {}  # unstripped id cell -> code
-        self.period_code: dict[tuple[str, str], int] = {}  # (year, quarter) text -> code
-        self.code_of: dict[Period, int] = {}
+        self.units = Codes(stripped("empty unit id"))
+        self.periods = Codes(_period_key(mapping["year"], mapping["quarter"]))
+        self.labels = Codes(stripped("empty cluster label"))
         self.seen: dict[int, int] = {}  # unit code << 32 | period code -> row number
-        self.cluster: dict[int, str] = {}  # unit code -> label
+        self.cluster: dict[int, int] = {}  # unit code -> label code
         # Per batch: unit codes, period codes, outcome, weight and covariates.
         self.parts: list[tuple[np.ndarray, ...]] = []
-
-    def _period(self, stamp: tuple[str, str], row_number: int) -> int:
-        """The code of a (year, quarter) text pair; each distinct pair is parsed once."""
-        code = self.period_code.get(stamp)
-        if code is None:
-            year = parse_number(stamp[0], row_number, self.mapping["year"], kind=int)
-            quarter = parse_number(stamp[1], row_number, self.mapping["quarter"], kind=int)
-            try:
-                period = Period(year, quarter)
-            except ValueError as exc:
-                raise IngestError(f"row {row_number}: {exc}") from None
-            code = self.period_code[stamp] = self.code_of.setdefault(period, len(self.code_of))
-        return code
 
     def add_rows(self, rows: Iterable[tuple[int, list[str]]]) -> None:
         """Add the numbered rows of `CsvTable.checked`; `IngestError` at the first bad one."""
@@ -415,10 +403,8 @@ class _PanelReader:
         units, period_codes, outcome, weight = [], [], [], []
         covariates: list[list[float]] = [[] for _ in self.covariate_fields]
         for row_number, row in rows:
-            unit = row[col["unit"]].strip()
-            if not unit:
-                raise IngestError(f"row {row_number}: empty unit id")
-            code = self._period((row[col["year"]], row[col["quarter"]]), row_number)
+            u = self.units.code(row[col["unit"]], row_number)
+            code = self.periods.code((row[col["year"]], row[col["quarter"]]), row_number)
             y = parse_number(row[col["outcome"]], row_number, self.mapping["outcome"],
                              positive=self.positive)
             w = parse_number(row[col["weight"]], row_number, self.mapping["weight"],
@@ -430,23 +416,22 @@ class _PanelReader:
                         f"row {row_number}: column {column!r}: missing covariate value"
                     )
                 values.append(parse_number(cell, row_number, column))
-            u = self.unit_code.setdefault(unit, len(self.unit_code))
             key = u << 32 | code
             if key in self.seen:
                 raise IngestError(
-                    f"row {row_number}: duplicate observation for unit {unit!r} "
-                    f"period {list(self.code_of)[code]} (first seen at row {self.seen[key]})"
+                    f"row {row_number}: duplicate observation for unit "
+                    f"{list(self.units.keys)[u]!r} period {list(self.periods.keys)[code]} "
+                    f"(first seen at row {self.seen[key]})"
                 )
             self.seen[key] = row_number
             if CLUSTER_FIELD in col:
-                label = row[col[CLUSTER_FIELD]].strip()
-                if not label:
-                    raise IngestError(f"row {row_number}: empty cluster label")
+                label = self.labels.code(row[col[CLUSTER_FIELD]], row_number)
                 prev = self.cluster.setdefault(u, label)
                 if prev != label:
+                    names = list(self.labels.keys)
                     raise IngestError(
-                        f"row {row_number}: unit {unit!r} has conflicting cluster "
-                        f"labels {prev!r} and {label!r}"
+                        f"row {row_number}: unit {list(self.units.keys)[u]!r} has conflicting "
+                        f"cluster labels {names[prev]!r} and {names[label]!r}"
                     )
             units.append(u)
             period_codes.append(code)
@@ -461,13 +446,13 @@ class _PanelReader:
     def add_columns(self, batch: CsvBatch) -> bool:
         """Add `batch` if numpy's reader and the checks of `add_rows` pass it.
 
-        False, adding no row, otherwise. Unit and period codes given on the
-        way are kept: `add_rows` would give the same ones.
+        False, adding no row, otherwise. Codes given on the way are kept:
+        `add_rows` would give the same ones.
         """
         cells = None if self.numeric & self.text else batch.columns(self.numeric)
         if cells is None:
             return False
-        col = self.col
+        col, first_row = self.col, batch.first_row
         y, w = cells[col["outcome"]], cells[col["weight"]]
         covariates = np.array([cells[at] for at, _, _ in self.covariate_fields],
                               dtype=float).reshape(len(self.covariate_fields), len(y)).T
@@ -475,72 +460,57 @@ class _PanelReader:
               & np.isfinite(covariates).all(axis=1))
         if not (ok & (y > 0) if self.positive else ok).all():
             return False
-        units = self._unit_codes(cells[col["unit"]].tolist())
-        periods = None if units is None else self._period_codes(
-            cells[col["year"]].tolist(), cells[col["quarter"]].tolist(), batch.first_row)
+        units = self.units.codes(cells[col["unit"]].tolist(), first_row)
+        periods = None if units is None else self.periods.codes(
+            list(zip(cells[col["year"]].tolist(), cells[col["quarter"]].tolist())), first_row)
         if periods is None:
             return False
         keys = (units.astype(np.int64) << 32 | periods).tolist()
         if len(set(keys)) != len(keys) or not self.seen.keys().isdisjoint(keys):
             return False
         if CLUSTER_FIELD in col:
-            labels = self._unit_labels(units.tolist(), cells[col[CLUSTER_FIELD]].tolist())
+            labels = self.labels.codes(cells[col[CLUSTER_FIELD]].tolist(), first_row)
             if labels is None:
                 return False
-            self.cluster.update(labels)
-        self.seen.update(zip(keys, range(batch.first_row, batch.first_row + len(keys))))
+            pairs = set(zip(units.tolist(), labels.tolist()))
+            unit_labels = dict(pairs)  # fewer entries than pairs if a unit has two labels
+            if len(unit_labels) != len(pairs) or any(
+                    self.cluster.get(u, label) != label for u, label in unit_labels.items()):
+                return False
+            self.cluster.update(unit_labels)
+        self.seen.update(zip(keys, range(first_row, first_row + len(keys))))
         self.parts.append((units, periods, y, w, covariates))
         return True
-
-    def _unit_codes(self, cells: list[str]) -> np.ndarray | None:
-        """The unit code of each id cell; None if a new one is blank once stripped."""
-        try:  # most batches hold no new id
-            return np.fromiter(map(self.raw_unit.__getitem__, cells), np.intp, len(cells))
-        except KeyError:
-            pass
-        new = [raw for raw in dict.fromkeys(cells) if raw not in self.raw_unit]
-        if not all(raw.strip() for raw in new):
-            return None
-        for raw in new:
-            self.raw_unit[raw] = self.unit_code.setdefault(raw.strip(), len(self.unit_code))
-        return np.fromiter(map(self.raw_unit.__getitem__, cells), np.intp, len(cells))
-
-    def _period_codes(self, years: list[str], quarters: list[str],
-                      first_row: int) -> np.ndarray | None:
-        """The period code of each (year, quarter) cell pair; None if a new one is bad."""
-        stamps = list(zip(years, quarters))
-        try:
-            for stamp in dict.fromkeys(stamps):
-                self._period(stamp, first_row)
-        except IngestError:
-            return None
-        return np.fromiter(map(self.period_code.__getitem__, stamps), np.intp, len(stamps))
-
-    def _unit_labels(self, units: list[int], cells: list[str]) -> dict[int, str] | None:
-        """Each unit's stripped cluster label; None if one is blank or a unit has two."""
-        stripped = {raw: raw.strip() for raw in dict.fromkeys(cells)}
-        if not all(stripped.values()):
-            return None
-        pairs = {(u, stripped[raw]) for u, raw in set(zip(units, cells))}
-        labels = dict(pairs)
-        if len(labels) != len(pairs) or any(
-                self.cluster.get(u, label) != label for u, label in labels.items()):
-            return None
-        return labels
 
     def panel(self) -> PanelDataset:
         if not self.seen:
             raise IngestError("no data rows after the header")
         unit_codes, period_codes, outcome, weight, covariates = map(
             np.concatenate, zip(*self.parts))
-        names = list(self.unit_code)
+        names, labels = list(self.units.keys), list(self.labels.keys)
         units, unit_rank = _factorize(names)
-        periods, period_rank = _factorize(list(self.code_of))
+        periods, period_rank = _factorize(list(self.periods.keys))
         return PanelDataset._from_columns(
             units, unit_rank[unit_codes], periods, period_rank[period_codes], outcome, weight,
             covariates, tuple(canonical for _, canonical, _ in self.covariate_fields),
-            {names[u]: label for u, label in self.cluster.items()},
+            {names[u]: labels[label] for u, label in self.cluster.items()},
         )
+
+
+def _period_key(year_column: str, quarter_column: str):
+    """A `Codes` key: the `Period` of a (year, quarter) cell pair.
+
+    A closure over the column names, not a reader method, so that no cycle
+    keeps a finished reader's columns alive.
+    """
+    def key(stamp: tuple[str, str], row_number: int) -> Period:
+        year = parse_number(stamp[0], row_number, year_column, kind=int)
+        quarter = parse_number(stamp[1], row_number, quarter_column, kind=int)
+        try:
+            return Period(year, quarter)
+        except ValueError as exc:
+            raise IngestError(f"row {row_number}: {exc}") from None
+    return key
 
 
 def serialize_panel(

@@ -13,17 +13,18 @@ Each reads the panel's units x periods layout, calendar time and cohorts
 from `panel`: `PanelArrays.grid`, `PanelArrays.period_index`,
 `cohort_start` and `cohorts_in`.
 
-Group-time and imputation standard errors come from a cluster bootstrap over
-units; duplicated units re-enter as multiplicity weights, which leaves every
-within-unit mean unchanged, so every draw's normal equations, covariate
-columns included, are one matrix product of per-unit blocks and are solved in
-one batch. A draw whose pivots fail a fixed margin (an empty period, unlinked
-units and periods, a nearly collinear column) is re-fit alone by the routine
-the point estimate uses. The event study has an analytic CR1 covariance
-from one two-way solve over cohort x period levels, its covariate slopes
-partialled out by Frisch-Waugh. Every interval is an `engine.Estimate`'s: a
-normal critical value for the bootstrap errors and t(G-1) for the event
-study's.
+Group-time and imputation standard errors come from a multinomial bootstrap
+over units that never reads the panel's clusters; the event study, like the
+TWFE engine, uses them for its CR1 covariance. Duplicated units re-enter as
+multiplicity weights, which leaves every within-unit mean unchanged, so every
+draw's normal equations, covariate columns included, are one matrix product
+of per-unit blocks and are solved in one batch. A draw whose pivots fail a
+fixed margin (an empty period, unlinked units and periods, a nearly collinear
+column) is re-fit alone by the routine the point estimate uses. The event
+study has an analytic CR1 covariance from one two-way solve over cohort x
+period levels, its covariate slopes partialled out by Frisch-Waugh. Every
+interval is an `engine.Estimate`'s: a normal critical value for the
+bootstrap errors and t(G-1) for the event study's.
 
 A panel may stack R outcomes on one layout (`PanelDataset.with_outcome`).
 Every estimator then returns its point estimates, and the event study its
@@ -166,7 +167,8 @@ def cs_att(
     Cohorts whose base period is not in the panel are skipped with a warning,
     as are cells with an empty treated or control set and cells whose
     weighted control design [1, covariates] has rank below its column count.
-    Standard errors come from a multinomial cluster bootstrap over units; a
+    Standard errors come from a multinomial bootstrap over units, not over
+    the panel's clusters, which TWFE and `sa_event_study` use for CR1; a
     draw whose control design is rank-deficient is not identified and is
     skipped. `seed` is required whenever `bootstrap_draws` is positive.
     """
@@ -174,10 +176,7 @@ def cs_att(
         raise ValueError(
             f"unknown control rule {control_rule!r}; valid rules: {CONTROL_RULES}"
         )
-    if bootstrap_draws < 0:
-        raise ValueError("bootstrap_draws must be non-negative")
-    if bootstrap_draws > 0 and seed is None:
-        raise ValueError("a seed is required when bootstrap draws are requested")
+    _check_bootstrap(bootstrap_draws, seed)
     a = data.arrays
     start = cohort_start(data, cohorts)
     unit_weight = _unit_weight(data, weights)
@@ -249,11 +248,8 @@ def cs_att(
 
     boot = None
     if bootstrap_draws > 0 and specs:
-        rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
         u_count, k = z.shape
-        m = rng.multinomial(
-            u_count, np.full(u_count, 1.0 / u_count), size=bootstrap_draws
-        ).astype(float)
+        m = _unit_draws(seed, u_count, bootstrap_draws)
         uw = unit_weight
         # Control regressions in Frisch-Waugh form on z centred once:
         # ATT = (tn/td - cn/cd) - (mean z treated - mean z control)' gamma.
@@ -687,12 +683,10 @@ def impute_att(
     columns on untreated observations only. Stage two predicts each treated
     cell's untreated outcome and records the difference; the aggregate is the
     treated-weight-weighted mean of those differences. Standard errors use a
-    multinomial cluster bootstrap over units.
+    multinomial bootstrap over units, not over the panel's clusters, which
+    TWFE and `sa_event_study` use for CR1.
     """
-    if bootstrap_draws < 0:
-        raise ValueError("bootstrap_draws must be non-negative")
-    if bootstrap_draws > 0 and seed is None:
-        raise ValueError("a seed is required when bootstrap draws are requested")
+    _check_bootstrap(bootstrap_draws, seed)
     a = data.arrays
     treated_rows = a.period_index[a.period_codes] >= cohort_start(data, cohorts)[a.unit_codes]
     if not treated_rows.any():
@@ -750,8 +744,18 @@ def impute_att(
     )
 
 
-def _philox_key(seed: int, stream: int) -> np.ndarray:
-    return np.array([np.uint64(seed), np.uint64(stream)], dtype=np.uint64)
+def _check_bootstrap(bootstrap_draws: int, seed: int | None) -> None:
+    if bootstrap_draws < 0:
+        raise ValueError("bootstrap_draws must be non-negative")
+    if bootstrap_draws > 0 and seed is None:
+        raise ValueError("a seed is required when bootstrap draws are requested")
+
+
+def _unit_draws(seed: int, u_count: int, draws: int) -> np.ndarray:
+    """(draws, U) multiplicities: each draw resamples the U units with replacement."""
+    key = np.array([np.uint64(seed), np.uint64(0)], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    return rng.multinomial(u_count, np.full(u_count, 1.0 / u_count), size=draws).astype(float)
 
 
 def _boot_se(draws: np.ndarray) -> float:
@@ -827,8 +831,7 @@ def _impute_bootstrap(
     active = wsum_u > 0
     ratio_u = np.where(active, wy_u / np.where(active, wsum_u, 1.0), 0.0)
     inv = np.where(active, 1.0 / np.where(active, wsum_u, 1.0), 0.0)
-    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, 0)))
-    m = rng.multinomial(u_count, np.full(u_count, 1.0 / u_count), size=draws).astype(float)
+    m = _unit_draws(seed, u_count, draws)
     # Each draw's period block: the period weights on the diagonal, less the
     # per-unit outer products of the period weights over the unit's weight.
     # It and the periods' right-hand side are one product over all draws, as

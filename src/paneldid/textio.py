@@ -24,9 +24,11 @@ is ASCII with no `"`, carriage return, NUL or `\x1c`-`\x1f` (characters
 that `float` and numpy strip differently), every line has the header's
 width, and every numeric cell parses. Any other batch, and all input from
 the first `"` on (a quoted field may span lines), is read row by row by the
-csv module, the path that names every error. `write_csv` likewise joins a
-chunk of rows itself only when no cell needs quoting. Values, errors and
-bytes do not depend on which path a batch takes.
+csv module, the path that names every error. On both paths a reader turns
+its categorical cells (ids, labels, date stamps) into `Codes`, which key
+each distinct cell once. `write_csv` likewise joins a chunk of rows itself
+only when no cell needs quoting. Values, errors and bytes do not depend on
+which path a batch takes.
 """
 
 from __future__ import annotations
@@ -260,6 +262,53 @@ class CsvBatch:
             return None
         # Copies, so no column keeps the batch's other cells alive.
         return [table[name].copy() for name in table.dtype.names]
+
+
+class Codes:
+    """Codes for raw cells, or tuples of cells, in order of first appearance.
+
+    `key(raw, row)` gives a raw cell's key, e.g. the stripped id, and raises
+    `IngestError` naming `row` if the cell is bad. Each distinct raw cell is
+    keyed once, and cells with equal keys share one code; `keys` maps each
+    key to its code, in code order.
+    """
+
+    def __init__(self, key: Callable[[Any, int], Any]) -> None:
+        self._key = key
+        self._code: dict[Any, int] = {}  # raw cell -> code
+        self.keys: dict[Any, int] = {}
+
+    def code(self, raw: Any, row: int) -> int:
+        """The code of the cell `raw` on row `row`; `IngestError` if it is bad."""
+        code = self._code.get(raw)
+        if code is None:
+            code = self._code[raw] = self.keys.setdefault(self._key(raw, row), len(self.keys))
+        return code
+
+    def codes(self, cells: Sequence, first_row: int) -> np.ndarray | None:
+        """The code of each of a batch's `cells`; None, coding none, if a new one is bad."""
+        try:  # most batches hold no new cell
+            return np.fromiter(map(self._code.__getitem__, cells), np.intp, len(cells))
+        except KeyError:
+            pass
+        new = [raw for raw in dict.fromkeys(cells) if raw not in self._code]
+        try:
+            keys = [self._key(raw, first_row) for raw in new]
+        except IngestError:
+            return None
+        for raw, key in zip(new, keys):
+            self._code[raw] = self.keys.setdefault(key, len(self.keys))
+        return np.fromiter(map(self._code.__getitem__, cells), np.intp, len(cells))
+
+
+def stripped(error: str) -> Callable[[str, int], str]:
+    """A `Codes` key: the stripped cell; `IngestError` "row N: `error`" if it is blank."""
+    def key(raw: str, row: int) -> str:
+        cell = raw.strip()
+        if not cell:
+            raise IngestError(f"row {row}: {error}")
+        return cell
+    return key
 
 
 @contextmanager

@@ -424,6 +424,50 @@ class TestStaggeredAndDecompose:
         assert "reconstructed coefficient" in stdout
         assert json.loads((out / "manifest.json").read_text())["environment"] == ENVIRONMENT
 
+    def test_decompose_csv_is_estimates_bacon_csv(self, tmp_path, capsys, staggered_inputs):
+        panel, design, spec = staggered_inputs
+        code, _, _ = run(["estimate", "--out", tmp_path / "est", "--panel", panel,
+                          "--design", design, "--spec", spec, "--no-log", "--bacon"], capsys)
+        assert code == 0
+        code, _, _ = run(["decompose", "--out", tmp_path / "dec", "--panel", panel,
+                          "--design", design, "--no-log"], capsys)
+        assert code == 0
+        assert not (tmp_path / "dec" / "bacon.json").exists()
+        assert ((tmp_path / "dec" / "bacon.csv").read_bytes()
+                == (tmp_path / "est" / "bacon.csv").read_bytes())
+
+    @staticmethod
+    def decompose(tmp_path, capsys, panel, design, name):
+        code, _, _ = run(["decompose", "--out", tmp_path / name, "--panel", panel,
+                          "--design", design, "--no-log"], capsys)
+        assert code == 0
+        return (tmp_path / name / "bacon.csv").read_bytes()
+
+    def test_decompose_ignores_covariate_columns(self, tmp_path, capsys, staggered_inputs):
+        panel, design, _ = staggered_inputs
+        data = ingest_panel(panel, require_positive_outcome=False)
+        with_east = tmp_path / "east.csv"
+        serialize_panel(panel_of(
+            [Observation(o.unit, o.period, o.outcome, o.weight, (float(o.unit[0] == "e"),))
+             for o in data.observations], ("east",)), with_east)
+        with pytest.warns(UserWarning, match="^covariate columns are ignored by the "
+                                             "decomposition$"):
+            components = self.decompose(tmp_path, capsys, with_east, design, "cov")
+        assert components == self.decompose(tmp_path, capsys, panel, design, "plain")
+
+    def test_decompose_warns_on_observation_weights(self, tmp_path, capsys,
+                                                    staggered_inputs):
+        panel, design, _ = staggered_inputs
+        data = ingest_panel(panel, require_positive_outcome=False)
+        weighted = tmp_path / "weighted.csv"
+        serialize_panel(panel_of(
+            [Observation(o.unit, o.period, o.outcome, 2.0 if o.unit == "e1" else 1.0)
+             for o in data.observations]), weighted)
+        with pytest.warns(UserWarning, match="^observation weights are ignored by the "
+                                             "decomposition$"):
+            components = self.decompose(tmp_path, capsys, weighted, design, "weighted")
+        assert components == self.decompose(tmp_path, capsys, panel, design, "plain")
+
 
 SMALL_CONFIG = """\
 n_early = 4

@@ -471,6 +471,17 @@ class TestCsAggregate:
         for e, v in agg.values.items():
             assert v.estimate == pytest.approx(e + 1.0, abs=1e-10)
 
+    def test_json_payload_keys_values_by_their_text(self):
+        data, cohorts = self.two_cohort_fixture()
+        agg = cs_aggregate(cs_att(data, cohorts, bootstrap_draws=30, seed=2), "by_cohort")
+        payload = agg.to_json_dict()
+        assert payload["kind"] == "by_cohort"
+        assert list(payload["values"]) == ["2013Q2", "2013Q4"]
+        for entry, value in zip(payload["values"].values(), agg.values.values()):
+            assert entry == value.to_json_dict()
+            assert set(entry) == {"estimate", "se", "conf_low", "conf_high"}
+        assert payload["values"]["2013Q4"]["estimate"] == pytest.approx(3.0, abs=1e-10)
+
     def test_unknown_kind_rejected(self):
         data, cohorts = self.two_cohort_fixture()
         res = cs_att(data, cohorts, bootstrap_draws=0)

@@ -1,6 +1,7 @@
 """The input rules that every reader shares through `textio`."""
 
 import csv
+import gc
 import io
 import re
 from pathlib import Path
@@ -214,3 +215,44 @@ def test_write_csv_writes_the_csv_modules_bytes(data, width, batch):
     with mock.patch.object(textio, "BATCH_ROWS", batch):
         assert written(lambda sink: write_csv(sink, header, iter(rows))) == by_csv_module(
             header, rows)
+
+
+def test_plain_batches_take_numpy_path(tmp_path):
+    # With the row path made to fail, a plain file reads only if every one of
+    # its batches stayed on numpy's reader; padded ids and labels are plain.
+    panel = tmp_path / "panel.csv"
+    units = [f"{' ' * (i % 3)}u{i}" for i in range(40)]
+    panel.write_text("unit,year,quarter,outcome,weight,cluster\n" + "".join(
+        f"{unit},2014,{q},{1.0 + i + q / 8!r},1.5,{' ' if i % 2 else ''}c{i // 4}\n"
+        for i, unit in enumerate(units) for q in (1, 2, 3, 4)))
+    wave = tmp_path / "wave.csv"
+    wave.write_text("region,hourly_wage\n" + "".join(
+        f"{' ' * (i % 2)}r{i % 7},{7.0 + i / 16!r}\n" for i in range(200)))
+    one_batch = ingest_panel(panel), WageMicrodata.read_csv(wave, 8.5, 2014)
+
+    def row_path(*args):
+        raise AssertionError("a plain batch took the row path")
+
+    with mock.patch.object(textio, "BATCH_ROWS", 16), \
+            mock.patch.object(textio.CsvTable, "checked", row_path):
+        batched = ingest_panel(panel), WageMicrodata.read_csv(wave, 8.5, 2014)
+    assert batched == one_batch
+    assert len(one_batch[0].units) == 40 and len(set(one_batch[0].cluster.values())) == 10
+    assert one_batch[1].regions == tuple(f"r{i}" for i in range(7))
+
+
+@pytest.mark.parametrize("quote", ["", '"'], ids=["numpy path", "row path"])
+def test_readers_leave_no_reference_cycle(quote):
+    # A cycle would keep a finished reader, and every column it read, alive
+    # until the collector next runs, raising the peak memory of what follows.
+    panel = "unit,year,quarter,outcome,weight,cluster\n" + "".join(
+        f"{quote}u{i}{quote},2014,{q},1.5,1.0,c{i // 2}\n" for i in range(6) for q in (1, 2))
+    wave = "region,hourly_wage\n" + "".join(f"{quote}r{i % 3}{quote},8.0\n" for i in range(6))
+    gc.collect()
+    gc.disable()
+    try:
+        ingest_panel(io.StringIO(panel))
+        WageMicrodata.read_csv(io.StringIO(wave), 8.5, 2014)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
