@@ -28,7 +28,7 @@ import numpy as np
 
 from .panel import PanelDataset, balance_report, cohort_start, cohorts_in
 from .periods import Period
-from .textio import format_float, write_csv
+from .textio import field_names, field_values, write_records
 
 
 class ComparisonKind(enum.Enum):
@@ -156,17 +156,12 @@ def reconstruct(components: tuple[BaconComponent, ...]) -> float:
     return float(sum(c.weight * c.estimate for c in components))
 
 
+# bacon.csv's and bacon.json's columns: the fields, `kind` headed `comparison`.
+COMPONENT_COLUMNS = tuple({"kind": "comparison"}.get(n, n) for n in field_names(BaconComponent))
+
+
 def write_components_csv(
     components: tuple[BaconComponent, ...],
     sink: IO[str] | str | Path,
 ) -> None:
-    write_csv(sink, ["comparison", "treated_cohort", "control_cohort", "estimate", "weight"], (
-        [
-            c.kind.value,
-            str(c.treated_cohort),
-            "" if c.control_cohort is None else str(c.control_cohort),
-            format_float(c.estimate),
-            format_float(c.weight),
-        ]
-        for c in components
-    ))
+    write_records(sink, COMPONENT_COLUMNS, map(field_values, components))

@@ -22,15 +22,11 @@ from scipy import stats
 
 from . import textio
 from .periods import Period
-from .textio import IngestError, format_float, parse_number
+from .textio import IngestError, field_names, field_values, parse_number, write_records
 
 DEFAULT_EARLY_COHORT = Period(2014, 3)
 DEFAULT_LATE_COHORT = Period(2019, 1)
 _EMPTY_REGION = "region id must be a non-empty string"
-DESIGN_COLUMNS = (
-    "region", "gap_first", "gap_second", "high_first",
-    "high_second", "group", "cohort", "population_weight",
-)
 
 
 @dataclass(frozen=True)
@@ -168,10 +164,8 @@ class WageGapTable:
         return {r: self.gaps[r].gap for r in self.regions}
 
     def write_csv(self, sink: IO[str] | str | Path) -> None:
-        textio.write_csv(sink, ["region", "gap", "worker_count"], (
-            [region, format_float(self.gaps[region].gap), str(self.gaps[region].worker_count)]
-            for region in self.regions
-        ))
+        write_records(sink, ("region", *field_names(RegionGap)),
+                      ((region, *field_values(self.gaps[region])) for region in self.regions))
 
 
 def wage_gap(
@@ -343,6 +337,10 @@ class RegionTreatment:
     population_weight: float
 
 
+# A design file's columns: the region id, then `RegionTreatment`'s fields.
+DESIGN_COLUMNS = ("region", *field_names(RegionTreatment))
+
+
 @dataclass(frozen=True)
 class TreatmentDesign:
     """Region-level treatment assignment shared by all estimation designs.
@@ -393,19 +391,8 @@ class TreatmentDesign:
         return counts
 
     def write_csv(self, sink: IO[str] | str | Path) -> None:
-        textio.write_csv(sink, DESIGN_COLUMNS, (
-            [
-                region,
-                format_float(rt.gap_first),
-                format_float(rt.gap_second),
-                "1" if rt.high_first else "0",
-                "1" if rt.high_second else "0",
-                rt.group.value,
-                "" if rt.cohort is None else str(rt.cohort),
-                format_float(rt.population_weight),
-            ]
-            for region, rt in sorted(self.regions.items())
-        ))
+        write_records(sink, DESIGN_COLUMNS, ((region, *field_values(rt))
+                                             for region, rt in sorted(self.regions.items())))
 
     @classmethod
     def read_csv(cls, source: IO[str] | str | Path) -> TreatmentDesign:
@@ -451,7 +438,7 @@ class TreatmentDesign:
                     group=group,
                     cohort=cohort,
                     population_weight=parse_number(
-                        row["population_weight"], row_number, "population_weight"
+                        row["population_weight"], row_number, "population_weight", positive=True
                     ),
                 )
         if not regions:

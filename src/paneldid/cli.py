@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import hashlib
 import json
 import math
@@ -43,7 +44,7 @@ import scipy
 
 from . import __version__
 from ._blas import single_thread
-from .bacon import bacon_decompose, reconstruct, write_components_csv
+from .bacon import COMPONENT_COLUMNS, bacon_decompose, reconstruct, write_components_csv
 from .bite import (
     WageMicrodata,
     build_treatment_design,
@@ -52,9 +53,10 @@ from .bite import (
     wage_gap,
     TreatmentDesign,
 )
-from .designs import DesignKind, build_design, load_spec
+from .designs import CovariateTerm, DesignKind, DidSpec, build_design, load_spec
 from .engine import wls_fit
 from .panel import ingest_panel, log_outcome, serialize_panel
+from .periods import Period
 from .simulate import (
     ESTIMATORS,
     DgpConfig,
@@ -66,7 +68,8 @@ from .simulate import (
     load_dgp_config,
     null_config,
 )
-from .textio import IngestError, parse_number, read_csv, to_number, write_csv
+from .textio import (IngestError, field_names, field_values, format_cell, parse_number, read_csv,
+                     to_number, write_records)
 
 _PRESETS = {
     "homogeneous": homogeneous_config,
@@ -76,7 +79,14 @@ _PRESETS = {
 
 
 def _write_json(path: Path, payload: object) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_field) + "\n")
+
+
+def _json_field(value: object) -> str:
+    """A record field that JSON has no type for: an enum, a period or a covariate term."""
+    if isinstance(value, (enum.Enum, Period, CovariateTerm)):
+        return format_cell(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write_manifest(
@@ -293,17 +303,14 @@ def cmd_estimate(args) -> int:
     coefficients, rows = [], []
     for name in fit.columns:
         low, high = fit.conf_int(name)
-        coefficients.append([
-            name, repr(fit.coefficients[name]), repr(fit.se(name)),
-            repr(fit.tstat(name)), repr(fit.pvalue(name)),
-            repr(low), repr(high), fit.stars(name),
-        ])
+        coefficients.append([name, fit.coefficients[name], fit.se(name), fit.tstat(name),
+                             fit.pvalue(name), low, high, fit.stars(name)])
         rows.append([
             name, _num(fit.coefficients[name]) + fit.stars(name),
             _num(fit.se(name)), _num(fit.tstat(name), 3), _num(fit.pvalue(name), 4),
             f"[{_num(low)}, {_num(high)}]",
         ])
-    write_csv(
+    write_records(
         out / "coefficients.csv",
         ["term", "estimate", "se", "t", "p", "conf_low", "conf_high", "stars"],
         coefficients,
@@ -323,16 +330,8 @@ def cmd_estimate(args) -> int:
     _write_manifest(
         out, "estimate",
         [args.panel, args.design, args.spec, *([] if args.growth is None else [args.growth])],
-        {
-            "kind": spec.kind.value,
-            "cutoff": str(spec.cutoff),
-            "baseline": str(spec.baseline),
-            "increase_years": list(spec.increase_years),
-            "placebo": spec.placebo,
-            "covariates": [str(term) for term in spec.covariates],
-            "log_outcome": not args.no_log,
-            "bacon": args.bacon,
-        },
+        {**dict(zip(field_names(DidSpec), field_values(spec))),
+         "log_outcome": not args.no_log, "bacon": args.bacon},
         outputs,
     )
     return 0
@@ -356,16 +355,7 @@ def cmd_decompose(args) -> int:
         write_components_csv(components, out / "bacon.csv")
     else:
         _write_json(out / "bacon.json", {
-            "components": [
-                {
-                    "comparison": c.kind.value,
-                    "treated_cohort": str(c.treated_cohort),
-                    "control_cohort": None if c.control_cohort is None else str(c.control_cohort),
-                    "estimate": c.estimate,
-                    "weight": c.weight,
-                }
-                for c in components
-            ],
+            "components": [dict(zip(COMPONENT_COLUMNS, field_values(c))) for c in components],
             "reconstruction": reconstruct(components),
         })
 

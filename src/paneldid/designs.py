@@ -18,7 +18,7 @@ from .bite import SwitcherGroup, TreatmentDesign
 from .engine import DesignMatrix
 from .panel import PanelDataset, cohort_start, unit_values
 from .periods import Period
-from .textio import read_key_values, to_numbers
+from .textio import dump_key_values, read_key_values, to_numbers
 
 DEFAULT_CUTOFF = Period(2014, 2)
 FULL_INCREASE_YEARS = (2016, 2018, 2019, 2020, 2021)
@@ -105,14 +105,17 @@ def _true_or_false(text: str) -> bool:
     return text.lower() == "true"
 
 
-_SPEC_PARSERS = {
-    "kind": _design_kind,
-    "cutoff": Period.parse,
-    "baseline": Period.parse,
-    "increase_years": lambda text: to_numbers(text, int),
-    "placebo": _true_or_false,
-    "covariates": lambda text: tuple(
-        CovariateTerm.parse(tok) for tok in text.split(",") if tok.strip()
+# Field order; empty covariates are left out.
+_SPEC_FIELDS = {
+    "kind": (_design_kind, lambda kind: kind.value),
+    "cutoff": (Period.parse, str),
+    "baseline": (Period.parse, str),
+    "increase_years": (lambda text: to_numbers(text, int),
+                       lambda years: ", ".join(map(str, years))),
+    "placebo": (_true_or_false, lambda flag: "true" if flag else "false"),
+    "covariates": (
+        lambda text: tuple(CovariateTerm.parse(tok) for tok in text.split(",") if tok.strip()),
+        lambda terms: ", ".join(map(str, terms)) or None,
     ),
 }
 
@@ -124,21 +127,15 @@ def load_spec(source: IO[str] | str | Path) -> DidSpec:
     covariates. '#' starts a comment. `covariates` is a comma-separated list
     of terms like `east*time` or `popshare*time*east`.
     """
-    values = read_key_values(source, _SPEC_PARSERS)
+    values = read_key_values(source, _SPEC_FIELDS)
     if "kind" not in values:
         raise ValueError("spec file must set 'kind'")
     return DidSpec(**values)
 
 
 def dump_spec(spec: DidSpec) -> str:
-    lines = [f"kind = {spec.kind.value}"]
-    lines.append(f"cutoff = {spec.cutoff}")
-    lines.append(f"baseline = {spec.baseline}")
-    lines.append("increase_years = " + ", ".join(str(y) for y in spec.increase_years))
-    lines.append(f"placebo = {'true' if spec.placebo else 'false'}")
-    if spec.covariates:
-        lines.append("covariates = " + ", ".join(str(t) for t in spec.covariates))
-    return "\n".join(lines) + "\n"
+    """`spec` as the `key = value` text that `load_spec` reads back."""
+    return dump_key_values(spec, _SPEC_FIELDS)
 
 
 def by_period(

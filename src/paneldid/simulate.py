@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import textio
 from ._blas import single_thread
 from .bite import RegionTreatment, SwitcherGroup, TreatmentDesign
 from .designs import DesignKind, DidSpec, build_staggered_twfe
@@ -29,7 +28,8 @@ from .engine import Estimate, wls_fit
 from .panel import PanelDataset
 from .periods import Period
 from .staggered import cs_aggregate, cs_att, impute_att, sa_event_study
-from .textio import format_float, read_key_values, to_number, to_numbers
+from .textio import (dump_key_values, field_names, field_values, format_float, read_key_values,
+                     to_number, to_numbers, write_records)
 
 
 def _rng(seed: int, *path: int) -> np.random.Generator:
@@ -120,39 +120,27 @@ def _integer(text: str) -> int:
     return to_number(text, int)
 
 
-_CONFIG_PARSERS = {
-    "n_early": _integer, "n_late": _integer, "n_never": _integer, "start": Period.parse,
-    "n_periods": _integer, "early_cohort": Period.parse, "late_cohort": Period.parse,
-    "unit_fe_mean": to_number, "unit_fe_sd": to_number, "trend": to_number,
-    "effect_early": EffectSchedule.parse, "effect_late": EffectSchedule.parse,
-    "noise_sd": to_number, "seed": _integer,
+# Field order; an unset seed is left out.
+_CONFIG_FIELDS = {
+    "n_early": (_integer, str), "n_late": (_integer, str), "n_never": (_integer, str),
+    "start": (Period.parse, str), "n_periods": (_integer, str),
+    "early_cohort": (Period.parse, str), "late_cohort": (Period.parse, str),
+    "unit_fe_mean": (to_number, format_float), "unit_fe_sd": (to_number, format_float),
+    "trend": (to_number, format_float),
+    "effect_early": (EffectSchedule.parse, str), "effect_late": (EffectSchedule.parse, str),
+    "noise_sd": (to_number, format_float),
+    "seed": (_integer, lambda seed: None if seed is None else str(seed)),
 }
 
 
 def load_dgp_config(source: IO[str] | str | Path) -> DgpConfig:
     """Parse a flat `key = value` generator config file; '#' starts a comment."""
-    return DgpConfig(**read_key_values(source, _CONFIG_PARSERS))
+    return DgpConfig(**read_key_values(source, _CONFIG_FIELDS))
 
 
 def dump_dgp_config(config: DgpConfig) -> str:
-    lines = [
-        f"n_early = {config.n_early}",
-        f"n_late = {config.n_late}",
-        f"n_never = {config.n_never}",
-        f"start = {config.start}",
-        f"n_periods = {config.n_periods}",
-        f"early_cohort = {config.early_cohort}",
-        f"late_cohort = {config.late_cohort}",
-        f"unit_fe_mean = {format_float(config.unit_fe_mean)}",
-        f"unit_fe_sd = {format_float(config.unit_fe_sd)}",
-        f"trend = {format_float(config.trend)}",
-        f"effect_early = {config.effect_early}",
-        f"effect_late = {config.effect_late}",
-        f"noise_sd = {format_float(config.noise_sd)}",
-    ]
-    if config.seed is not None:
-        lines.append(f"seed = {config.seed}")
-    return "\n".join(lines) + "\n"
+    """`config` as the `key = value` text that `load_dgp_config` reads back."""
+    return dump_key_values(config, _CONFIG_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -423,19 +411,8 @@ class RaceResult:
         return out
 
     def write_csv(self, sink: IO[str] | str | Path) -> None:
-        textio.write_csv(
-            sink,
-            ["estimator", "n_reps", "n_failed", "mean_estimate", "bias", "sd",
-             "coverage", "truth"],
-            (
-                [
-                    row.estimator, str(row.n_reps), str(row.n_failed),
-                    format_float(row.mean_estimate), format_float(row.bias), format_float(row.sd),
-                    format_float(row.coverage), format_float(self.truth.overall),
-                ]
-                for row in self.rows()
-            ),
-        )
+        write_records(sink, (*field_names(RaceRow), "truth"),
+                      ((*field_values(row), self.truth.overall) for row in self.rows()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -444,14 +421,7 @@ class RaceResult:
             "bootstrap_draws": self.bootstrap_draws,
             "truth": self.truth.to_json_dict(),
             "estimators": {
-                row.estimator: {
-                    "n_reps": row.n_reps,
-                    "n_failed": row.n_failed,
-                    "mean_estimate": row.mean_estimate,
-                    "bias": row.bias,
-                    "sd": row.sd,
-                    "coverage": row.coverage,
-                }
+                row.estimator: {k: v for k, v in asdict(row).items() if k != "estimator"}
                 for row in self.rows()
             },
         }

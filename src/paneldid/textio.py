@@ -1,21 +1,27 @@
 """Text sources, sinks and cells shared by every reader and writer.
 
 `open_text` lets each reader and writer take either an open stream or a
-path; `read_key_values` is the one parser for the flat `key = value` files
-(design specs and generator configs); `to_number` reads every number of
-those files and, through `parse_number`, every numeric CSV cell, which
-`format_float` writes. A number is ASCII and holds no `_`, so digit
-grouping and non-ASCII digits, which Python's `int` and `float` accept, are
-rejected, and it must be finite.
+path. A flat `key = value` file (design specs and generator configs) is
+described by one table of `key -> (parse, write)` pairs in its record's
+field order: `read_key_values` reads it and `dump_key_values` writes it.
+`to_number` reads every number of those files and, through `parse_number`,
+every numeric CSV cell, which `format_float` writes. A number is ASCII and
+holds no `_`, so digit grouping and non-ASCII digits, which Python's `int`
+and `float` accept, are rejected, and it must be finite.
 
 This is the one module that speaks CSV. `read_csv` reads every CSV input
 under one set of rules: header names are stripped, a leading byte-order mark
 is dropped, and a column named twice is rejected; columns are looked up by
 name, in any order; a row whose cells are all blank is skipped but still
 counted, and every other row must have as many fields as the header. A
-header problem (no header, a repeated or a missing column) raises
-`ValueError`; a bad data row raises `IngestError` naming its row and column.
-`write_csv` writes every CSV output, UTF-8 with `\n` line ends.
+header problem (no header, a repeated or a missing column, a header the csv
+module cannot read) raises `ValueError`; a bad data row raises `IngestError`
+naming its row and column, or only its row if the csv module cannot read it
+(a field over its size limit; before Python 3.11, a NUL). `write_csv` writes
+every CSV output, UTF-8 with `\n` line ends. A record CSV's header and cells
+are its dataclass's `field_names` and `field_values`, and `write_records`
+writes every cell by the one cell rule, `format_cell`, as the readers key
+every categorical cell through `Codes`.
 
 The large readers take a `CsvTable`'s rows in batches of `BATCH_ROWS`. A
 batch's `columns` splits it with numpy's C reader (`np.loadtxt`) only when
@@ -34,8 +40,11 @@ which path a batch takes.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import enum
 import math
 from contextlib import contextmanager
+from functools import lru_cache
 from itertools import chain, islice
 from pathlib import Path
 from typing import IO, Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
@@ -100,6 +109,33 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
+def format_cell(value: Any) -> str:
+    """A written CSV cell: None blank, a flag 1 or 0, a float `format_float`, an enum its value."""
+    return _cell_writer(type(value))(value)
+
+
+@lru_cache(maxsize=None)
+def _cell_writer(kind: type) -> Callable[[Any], str]:
+    if kind is type(None):
+        return lambda value: ""
+    if issubclass(kind, enum.Enum):
+        return lambda value: str(value.value)
+    if issubclass(kind, (bool, np.bool_)):
+        return lambda value: "1" if value else "0"
+    return format_float if issubclass(kind, (float, np.floating)) else str
+
+
+@lru_cache(maxsize=None)
+def field_names(record_type: type) -> tuple[str, ...]:
+    """The field names of a dataclass, in field order."""
+    return tuple(field.name for field in dataclasses.fields(record_type))
+
+
+def field_values(record: Any) -> tuple:
+    """The values of a dataclass instance's fields, in field order."""
+    return tuple(map(record.__getattribute__, field_names(type(record))))
+
+
 @contextmanager
 def open_text(source: IO[str] | str | Path, mode: str = "r") -> Iterator[IO[str]]:
     """Yield `source` if it is a stream; otherwise open the file it names.
@@ -114,15 +150,14 @@ def open_text(source: IO[str] | str | Path, mode: str = "r") -> Iterator[IO[str]
         yield source
 
 
-def read_key_values(
-    source: IO[str] | str | Path, parsers: Mapping[str, Callable[[str], Any]]
-) -> dict[str, Any]:
+def read_key_values(source: IO[str] | str | Path, fields: Mapping[str, tuple]) -> dict[str, Any]:
     """Parse `key = value` lines into each key's parsed value.
 
-    '#' starts a comment anywhere on a line, and blank lines are skipped.
-    Every key must be one of `parsers` and may appear once; its stripped value
-    is passed to its parser. Errors name the offending line, and a value that
-    its parser rejects with `ValueError` also names the key.
+    `fields` maps each key to its (parse, write) pair. '#' starts a comment
+    anywhere on a line, and blank lines are skipped. Every key must be one of
+    `fields` and may appear once; its stripped value is passed to its parser.
+    Errors name the offending line, and a value that its parser rejects with
+    `ValueError` also names the key.
     """
     values: dict[str, Any] = {}
     with open_text(source) as stream:
@@ -134,18 +169,34 @@ def read_key_values(
                 raise ValueError(f"line {line_number}: expected 'key = value', got {text!r}")
             key, _, value = text.partition("=")
             key = key.strip()
-            if key not in parsers:
+            if key not in fields:
                 raise ValueError(
                     f"line {line_number}: unknown key {key!r}; "
-                    f"valid keys: {', '.join(parsers)}"
+                    f"valid keys: {', '.join(fields)}"
                 )
             if key in values:
                 raise ValueError(f"line {line_number}: duplicate key {key!r}")
             try:
-                values[key] = parsers[key](value.strip())
+                values[key] = fields[key][0](value.strip())
             except ValueError as exc:
                 raise ValueError(f"line {line_number}: {key}: {exc}") from None
     return values
+
+
+def dump_key_values(record: Any, fields: Mapping[str, tuple]) -> str:
+    """`record` as `key = value` lines in `fields` order; a writer's None leaves its key out."""
+    lines = ((key, write(getattr(record, key))) for key, (_, write) in fields.items())
+    return "".join(f"{key} = {text}\n" for key, text in lines if text is not None)
+
+
+def _csv_rows(lines: Iterable[str], first_row: int) -> Iterator[list[str]]:
+    """csv rows of `lines` from row `first_row`; a row csv cannot read raises `IngestError`."""
+    row_number = first_row - 1
+    try:
+        for row_number, row in enumerate(csv.reader(lines), start=first_row):
+            yield row
+    except csv.Error as exc:
+        raise IngestError(f"row {row_number + 1}: {exc}") from None
 
 
 class CsvTable:
@@ -158,8 +209,11 @@ class CsvTable:
     def __init__(self, stream: IO[str], what: str) -> None:
         self._what = what
         self._lines = iter(stream)
-        self._reader = csv.reader(self._lines)
-        header = next(self._reader, None)
+        try:  # csv.reader reads no further than the record it returns
+            header = next(csv.reader(self._lines), None)
+        except csv.Error as exc:
+            raise ValueError(f"{what} header: {exc}") from None
+        self._reader = _csv_rows(self._lines, 2)
         if header is None:
             raise ValueError(f"{what} is empty: expected a header row")
         if header:
@@ -212,7 +266,7 @@ class CsvTable:
         while lines := list(islice(self._lines, BATCH_ROWS)):
             text = "".join(lines)
             if '"' in text:
-                rows = csv.reader(chain(lines, self._lines))
+                rows = _csv_rows(chain(lines, self._lines), first_row)
                 while (row := next(rows, None)) is not None:
                     yield CsvBatch(first_row, width,
                                    rows=chain([row], islice(rows, BATCH_ROWS - 1)))
@@ -237,7 +291,7 @@ class CsvBatch:
 
     def rows(self) -> Iterable[list[str]]:
         """The batch's rows as the csv module reads them, blank ones kept."""
-        return csv.reader(self._lines) if self._rows is None else self._rows
+        return _csv_rows(self._lines, self.first_row) if self._rows is None else self._rows
 
     def columns(self, numeric: Collection[int]) -> list[np.ndarray] | None:
         """One array per column, or None if the batch is not certified (see the module).
@@ -336,6 +390,11 @@ def write_csv(
                 writer.writerows(chunk)
             else:
                 stream.write(text)
+
+
+def write_records(sink: IO[str] | str | Path, header: Sequence[str], rows: Iterable) -> None:
+    """`write_csv` of rows of values, each cell written by `format_cell`."""
+    write_csv(sink, header, ([format_cell(value) for value in row] for row in rows))
 
 
 def _joined(rows: list[Sequence[str]], width: int) -> str | None:

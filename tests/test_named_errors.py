@@ -129,6 +129,14 @@ def test_treatment_design_file_needs_a_region():
            TreatmentDesign.read_csv, io.StringIO(",".join(DESIGN_COLUMNS) + "\n"))
 
 
+@pytest.mark.parametrize("weight", ["-1", "0", "-0.0"])
+def test_design_file_population_weight_must_be_positive(weight):
+    text = (",".join(DESIGN_COLUMNS) + "\n" + "a,0.9,0.8,1,1,high/high,2014Q3,1.0\n"
+            + f"b,0.1,0.1,0,0,low/low,,{weight}\n")
+    raises(IngestError, f"row 3: column 'population_weight' must be positive, "
+           f"got {float(weight)!r}", TreatmentDesign.read_csv, io.StringIO(text))
+
+
 def test_event_study_needs_a_treated_cohort():
     data = panel_of([Observation(u, P(2013, q), float(q), 1.0)
                      for u in ("a", "b") for q in (1, 2, 3)])

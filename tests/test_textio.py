@@ -3,6 +3,7 @@
 import csv
 import gc
 import io
+import json
 import re
 from pathlib import Path
 from unittest import mock
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from paneldid import textio
 
 from paneldid.bite import TreatmentDesign, WageMicrodata
-from paneldid.cli import _read_region_values
+from paneldid.cli import _read_region_values, main
 from paneldid.designs import DesignKind, load_spec
 from paneldid.panel import ingest_panel
 from paneldid.simulate import load_dgp_config
@@ -104,6 +105,44 @@ def test_columns_found_by_name_in_any_order(tmp_path, reader):
     order = [*range(1, len(plain.splitlines()[0].split(","))), 0]
     text = edit_lines(plain, lambda i, line: ",".join(line.split(",")[j] for j in order))
     assert read(tmp_path, reader, text) == read(tmp_path, reader, plain)
+
+
+LONG = "x" * (csv.field_size_limit() + 1)  # one character past the csv module's limit
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("line, cell, row", [
+    (2, LONG, 3),  # on the row path: the batch is refused for its long line
+    (2, f'"{LONG}"', 3),  # quoted: read by the csv module from row 2 on
+    (1, f'"{LONG}"', 2),  # the first row the csv module reads after a quote
+    (0, LONG, None),  # the header
+], ids=["row 3", "quoted row 3", "quoted row 2", "header"])
+def test_csv_module_faults_are_named(tmp_path, reader, line, cell, row):
+    # The first cell of each file here is an id, or the header's first name.
+    text = edit_lines(READERS[reader][1], lambda i, text: cell + text[text.index(","):]
+                      if i == line else text)
+    where = "header" if row is None else f"row {row}"
+    kind = ValueError if row is None else IngestError
+    message = rf"{where}: field larger than field limit \({csv.field_size_limit()}\)$"
+    with pytest.raises(kind, match=message) as exc:
+        read(tmp_path, reader, text)
+    assert exc.type is kind
+    if reader == "region values":  # this reader names its file
+        assert str(exc.value).startswith(f"{tmp_path / 'input.csv'}{'' if row is None else ':'} ")
+
+
+def test_cli_names_a_csv_module_fault(tmp_path, capsys):
+    design = READERS["design"][1].replace("\nb,", f"\n{LONG},")
+    (tmp_path / "design.csv").write_text(design)
+    (tmp_path / "panel.csv").write_text(READERS["panel"][1])
+    (tmp_path / "spec.txt").write_text("kind = staggered_twfe\n")
+    assert main(["estimate", "--panel", str(tmp_path / "panel.csv"), "--design",
+                 str(tmp_path / "design.csv"), "--spec", str(tmp_path / "spec.txt"),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err.strip().splitlines()[-1]) == {
+        "error": "IngestError",
+        "message": f"row 3: field larger than field limit ({csv.field_size_limit()})",
+    }
 
 
 def readme_block(first_key):
