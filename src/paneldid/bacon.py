@@ -53,6 +53,14 @@ def _mean(y: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> float:
     return float(block.mean())
 
 
+def _did(y: np.ndarray, treated: np.ndarray, control: np.ndarray,
+         after: np.ndarray, before: np.ndarray) -> float:
+    """A 2x2 estimate: the `treated` rows' change in mean outcome from the
+    `before` to the `after` periods, less the `control` rows' change."""
+    return ((_mean(y, treated, after) - _mean(y, treated, before))
+            - (_mean(y, control, after) - _mean(y, control, before)))
+
+
 def bacon_decompose(
     data: PanelDataset,
     cohorts: Mapping[str, Period | None],
@@ -112,11 +120,7 @@ def bacon_decompose(
     if never_rows.size:
         for k in timing:
             post = period_index >= k.index
-            est = (
-                _mean(y, rows[k], post) - _mean(y, rows[k], ~post)
-            ) - (
-                _mean(y, never_rows, post) - _mean(y, never_rows, ~post)
-            )
+            est = _did(y, rows[k], never_rows, post, ~post)
             weight = share[k] * share_never * dbar[k] * (1.0 - dbar[k])
             raw.append((ComparisonKind.TREATED_VS_NEVER, k, None, est, weight))
 
@@ -126,19 +130,11 @@ def bacon_decompose(
             mid = (period_index >= k.index) & (period_index < l.index)
             post = period_index >= l.index
             # Early cohort as treatment, late cohort as control, before l adopts.
-            est_early = (
-                _mean(y, rows[k], mid) - _mean(y, rows[k], pre)
-            ) - (
-                _mean(y, rows[l], mid) - _mean(y, rows[l], pre)
-            )
+            est_early = _did(y, rows[k], rows[l], mid, pre)
             w_early = share[k] * share[l] * (dbar[k] - dbar[l]) * (1.0 - dbar[k])
             raw.append((ComparisonKind.EARLY_VS_LATE, k, l, est_early, w_early))
             # Late cohort as treatment, early cohort as control, after k adopts.
-            est_late = (
-                _mean(y, rows[l], post) - _mean(y, rows[l], mid)
-            ) - (
-                _mean(y, rows[k], post) - _mean(y, rows[k], mid)
-            )
+            est_late = _did(y, rows[l], rows[k], post, mid)
             w_late = share[k] * share[l] * dbar[l] * (dbar[k] - dbar[l])
             raw.append((ComparisonKind.LATE_VS_EARLY, l, k, est_late, w_late))
 

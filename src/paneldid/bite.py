@@ -324,6 +324,24 @@ def low_growth_flag(growth: Mapping[str, float]) -> dict[str, bool]:
     return {region: growth[region] <= boundary for region in growth}
 
 
+def assigned_cohort(
+    high_first: bool, high_second: bool, early: Period, late: Period
+) -> Period | None:
+    """The cohort two waves' flags assign: `early` if high first, `late` if high only second."""
+    return early if high_first else late if high_second else None
+
+
+def cohort_pair(early: Period | None, late: Period | None) -> tuple[Period, Period]:
+    """A design's (early, late) cohorts from those in use, either of which may be None:
+    a missing one is its default if that keeps the order, else next to the other."""
+    if late is None:
+        late = (DEFAULT_LATE_COHORT if early is None or DEFAULT_LATE_COHORT > early
+                else early.shift(1))
+    if early is None:
+        early = DEFAULT_EARLY_COHORT if DEFAULT_EARLY_COHORT < late else late.shift(-1)
+    return early, late
+
+
 @dataclass(frozen=True)
 class RegionTreatment:
     """One region's exposure measurements and derived treatment assignment."""
@@ -345,8 +363,7 @@ DESIGN_COLUMNS = ("region", *field_names(RegionTreatment))
 class TreatmentDesign:
     """Region-level treatment assignment shared by all estimation designs.
 
-    A region joins the early cohort if its first-wave gap is high, the late
-    cohort if only its second-wave gap is high, and no cohort otherwise.
+    Every region's cohort is the one `assigned_cohort` gives its flags.
     """
 
     regions: Mapping[str, RegionTreatment]
@@ -359,11 +376,8 @@ class TreatmentDesign:
                 f"late cohort {self.late_cohort} must follow early cohort {self.early_cohort}"
             )
         for region, rt in self.regions.items():
-            expected = (
-                self.early_cohort
-                if rt.high_first
-                else self.late_cohort if rt.high_second else None
-            )
+            expected = assigned_cohort(rt.high_first, rt.high_second,
+                                       self.early_cohort, self.late_cohort)
             if rt.cohort != expected:
                 raise ValueError(
                     f"region {region!r}: cohort {rt.cohort} does not match its "
@@ -401,7 +415,6 @@ class TreatmentDesign:
             at = table.columns(DESIGN_COLUMNS)
             regions: dict[str, RegionTreatment] = {}
             first_row: dict[str, int] = {}
-            cohorts: set[Period] = set()
             for row_number, cells in table.rows():
                 row = {column: cells[i].strip() for column, i in at.items()}
                 region = row["region"]
@@ -428,8 +441,6 @@ class TreatmentDesign:
                     cohort = Period.parse(row["cohort"]) if row["cohort"] else None
                 except ValueError as exc:
                     raise IngestError(f"row {row_number}: column 'cohort': {exc}") from None
-                if cohort is not None:
-                    cohorts.add(cohort)
                 regions[region] = RegionTreatment(
                     gap_first=parse_number(row["gap_first"], row_number, "gap_first"),
                     gap_second=parse_number(row["gap_second"], row_number, "gap_second"),
@@ -443,16 +454,12 @@ class TreatmentDesign:
                 )
         if not regions:
             raise ValueError("treatment design file has no regions")
-        early = min(cohorts) if cohorts else DEFAULT_EARLY_COHORT
-        late = max(cohorts) if cohorts else DEFAULT_LATE_COHORT
-        if early == late:
-            # Only one cohort present; keep the default spacing for the other.
+        cohorts = {rt.cohort for rt in regions.values()} - {None}
+        early, late = min(cohorts, default=None), max(cohorts, default=None)
+        if early == late:  # one cohort or none: the flags tell which it is
             early_seen = any(rt.high_first for rt in regions.values())
-            if early_seen:
-                late = DEFAULT_LATE_COHORT if DEFAULT_LATE_COHORT > early else early.shift(1)
-            else:
-                early = DEFAULT_EARLY_COHORT if DEFAULT_EARLY_COHORT < late else late.shift(-1)
-        return cls(regions, early_cohort=early, late_cohort=late)
+            early, late = (early, None) if early_seen else (None, late)
+        return cls(regions, *cohort_pair(early, late))
 
 
 def build_treatment_design(
@@ -478,18 +485,14 @@ def build_treatment_design(
     groups = classify_switchers(high_first, high_second)
     regions = {}
     for region in first:
-        cohort = (
-            early_cohort
-            if high_first[region]
-            else late_cohort if high_second[region] else None
-        )
         regions[region] = RegionTreatment(
             gap_first=first[region],
             gap_second=second[region],
             high_first=high_first[region],
             high_second=high_second[region],
             group=groups[region],
-            cohort=cohort,
+            cohort=assigned_cohort(high_first[region], high_second[region],
+                                   early_cohort, late_cohort),
             population_weight=float(population_weights[region]),
         )
     return TreatmentDesign(regions, early_cohort=early_cohort, late_cohort=late_cohort)

@@ -297,22 +297,16 @@ def build_multi_group(
     a = data.arrays
     post = (t > spec.cutoff.index).astype(float)
     pre = (t < spec.cutoff.index).astype(float)
-    tracked = (
-        ("low_high", SwitcherGroup.LOW_HIGH),
-        ("high_low", SwitcherGroup.HIGH_LOW),
-        ("high_high", SwitcherGroup.HIGH_HIGH),
-    )
-    per_unit = {
-        label: np.asarray([float(g is member) for g in groups]) for label, member in tracked
+    # Each exposed group's indicator by row, named after the group, in enum order.
+    tracked = {
+        member.name.lower(): np.asarray([float(g is member) for g in groups])[a.unit_codes]
+        for member in SwitcherGroup if member is not SwitcherGroup.LOW_LOW
     }
-    names, cols = [], []
-    for label, _ in tracked:
-        names.append(f"{label}_post")
-        cols.append(per_unit[label][a.unit_codes] * post)
+    names = [f"{label}_post" for label in tracked]
+    cols = [member * post for member in tracked.values()]
     if spec.placebo:
-        for label, _ in tracked:
-            names.append(f"{label}_pre")
-            cols.append(per_unit[label][a.unit_codes] * pre)
+        names += [f"{label}_pre" for label in tracked]
+        cols += [member * pre for member in tracked.values()]
     return _assemble(data, names, cols, spec)
 
 

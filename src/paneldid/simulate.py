@@ -1,10 +1,12 @@
 """Synthetic staggered-adoption panels and an estimator comparison harness.
 
-Outcomes follow unit effects plus a common trend plus cohort-specific effect
-schedules switched on at adoption, with normal noise on top. All randomness
-flows through the Philox counter-based generator; independent streams come
-from SeedSequence spawn keys, so replication r and estimator slot s always
-see the same draws no matter how many worker threads run the race.
+Regions fall into the groups of one table (`_groups`); a group's cohort, if
+any, is the one `bite.assigned_cohort` gives its two waves' flags. Outcomes
+follow unit effects plus a common trend plus the group's effect schedule
+switched on at adoption, with normal noise on top. All randomness flows
+through the Philox counter-based generator; independent streams come from
+SeedSequence spawn keys, so replication r and estimator slot s always see
+the same draws no matter how many worker threads run the race.
 
 Every replication of a config has the same layout; only the outcome changes.
 So the race takes its replications in chunks of a fixed size, stacks each
@@ -17,12 +19,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ._blas import single_thread
-from .bite import RegionTreatment, SwitcherGroup, TreatmentDesign
+from .bite import (RegionTreatment, SwitcherGroup, TreatmentDesign, assigned_cohort,
+                   cohort_pair)
 from .designs import DesignKind, DidSpec, build_staggered_twfe
 from .engine import Estimate, wls_fit
 from .panel import PanelDataset
@@ -71,7 +74,7 @@ class EffectSchedule:
 
 @dataclass(frozen=True)
 class DgpConfig:
-    """Data-generating recipe for a three-group staggered panel."""
+    """Data-generating recipe for the groups of `_groups`; an empty group's cohort is unchecked."""
 
     n_early: int = 60
     n_late: int = 45
@@ -98,16 +101,10 @@ class DgpConfig:
         if self.noise_sd < 0 or self.unit_fe_sd < 0:
             raise ValueError("standard deviations must be non-negative")
         last = self.start.shift(self.n_periods - 1)
-        if self.n_early > 0 and not (self.start < self.early_cohort <= last):
-            raise ValueError(
-                f"early cohort {self.early_cohort} must fall inside "
-                f"({self.start}, {last}]"
-            )
-        if self.n_late > 0 and not (self.start < self.late_cohort <= last):
-            raise ValueError(
-                f"late cohort {self.late_cohort} must fall inside "
-                f"({self.start}, {last}]"
-            )
+        for group in _groups(self):
+            if group.size and group.cohort and not (self.start < group.cohort <= last):
+                raise ValueError(f"{group.name} cohort {group.cohort} must fall inside "
+                                 f"({self.start}, {last}]")
         if self.n_early > 0 and self.n_late > 0 and self.late_cohort <= self.early_cohort:
             raise ValueError("late cohort must start after the early cohort")
 
@@ -164,78 +161,86 @@ class GroundTruth:
         }
 
 
+class _Group(NamedTuple):
+    """One simulated group: its regions' id prefix and count, their two
+    waves' high flags, the cohort those assign, and its effect schedule."""
+
+    name: str
+    prefix: str
+    size: int
+    high_first: bool
+    high_second: bool
+    cohort: Period | None
+    effect: EffectSchedule | None
+
+
+def _groups(config: DgpConfig) -> tuple[_Group, ...]:
+    """The simulated groups, in region-id order: early, late and never-treated."""
+    def group(name, prefix, size, high_first, high_second, effect):
+        cohort = assigned_cohort(high_first, high_second, config.early_cohort, config.late_cohort)
+        return _Group(name, prefix, size, high_first, high_second, cohort, effect)
+
+    return (group("early", "E", config.n_early, True, True, config.effect_early),
+            group("late", "L", config.n_late, False, True, config.effect_late),
+            group("never", "N", config.n_never, False, False, None))
+
+
 def _truth(config: DgpConfig) -> GroundTruth:
     last_index = config.start.shift(config.n_periods - 1).index
-    groups = (
-        (config.early_cohort, config.effect_early, config.n_early),
-        (config.late_cohort, config.effect_late, config.n_late),
-    )
     by_cell: dict[tuple[Period, int], float] = {}
     event_num: dict[int, float] = {}
     event_den: dict[int, float] = {}
     total, count = 0.0, 0.0
-    for cohort, schedule, n_units in groups:
-        if n_units == 0:
+    for group in _groups(config):
+        if group.size == 0 or group.cohort is None:
             continue
-        for event in range(last_index - cohort.index + 1):
-            value = schedule.at(event)
-            by_cell[(cohort, event)] = value
-            event_num[event] = event_num.get(event, 0.0) + n_units * value
-            event_den[event] = event_den.get(event, 0.0) + n_units
-            total += n_units * value
-            count += n_units
+        for event in range(last_index - group.cohort.index + 1):
+            value = group.effect.at(event)
+            by_cell[(group.cohort, event)] = value
+            event_num[event] = event_num.get(event, 0.0) + group.size * value
+            event_den[event] = event_den.get(event, 0.0) + group.size
+            total += group.size * value
+            count += group.size
     overall = total / count if count else 0.0
     by_event = {e: event_num[e] / event_den[e] for e in event_num}
     return GroundTruth(overall=overall, by_cohort_event=by_cell, by_event_time=by_event)
 
 
 def _make_design(config: DgpConfig) -> TreatmentDesign:
+    """Every group's regions; the design's cohort pair is that of the non-empty groups."""
     regions: dict[str, RegionTreatment] = {}
-
-    def add(prefix: str, count: int, high_first: bool, high_second: bool) -> None:
-        cohort = (
-            config.early_cohort
-            if high_first
-            else config.late_cohort if high_second else None
+    for group in _groups(config):
+        treatment = RegionTreatment(
+            gap_first=0.3 if group.high_first else 0.1,
+            gap_second=0.3 if group.high_second else 0.1,
+            high_first=group.high_first,
+            high_second=group.high_second,
+            group=SwitcherGroup.from_flags(group.high_first, group.high_second),
+            cohort=group.cohort,
+            population_weight=1.0,
         )
-        for i in range(count):
-            regions[f"{prefix}{i + 1:03d}"] = RegionTreatment(
-                gap_first=0.3 if high_first else 0.1,
-                gap_second=0.3 if high_second else 0.1,
-                high_first=high_first,
-                high_second=high_second,
-                group=SwitcherGroup.from_flags(high_first, high_second),
-                cohort=cohort,
-                population_weight=1.0,
-            )
-
-    add("E", config.n_early, True, True)
-    add("L", config.n_late, False, True)
-    add("N", config.n_never, False, False)
-    return TreatmentDesign(
-        regions, early_cohort=config.early_cohort, late_cohort=config.late_cohort
-    )
+        regions.update((f"{group.prefix}{i + 1:03d}", treatment) for i in range(group.size))
+    early, late = (config.early_cohort if config.n_early else None,
+                   config.late_cohort if config.n_late else None)
+    return TreatmentDesign(regions, *cohort_pair(early, late))
 
 
 def _effects(config: DgpConfig, design: TreatmentDesign) -> np.ndarray:
     """The (units, periods) treatment effect, units in sorted order."""
-    periods = config.periods
-    cohort_of = design.cohort_map()
-    period_index = np.asarray([p.index for p in periods])
+    period_index = np.asarray([p.index for p in config.periods])
 
-    def effects(cohort: Period | None) -> np.ndarray:
-        """Effect in every period for a unit adopting at `cohort`."""
-        if cohort is None:
-            return np.zeros(len(periods))
-        schedule = (
-            config.effect_early if cohort == config.early_cohort else config.effect_late
-        )
-        event = period_index - cohort.index
-        values = np.asarray(schedule.values, dtype=float)
+    def effects(group: _Group) -> np.ndarray:
+        """Effect in every period for a unit of `group`."""
+        if group.cohort is None:
+            return np.zeros(len(period_index))
+        event = period_index - group.cohort.index
+        values = np.asarray(group.effect.values, dtype=float)
         return np.where(event >= 0, values[np.clip(event, 0, len(values) - 1)], 0.0)
 
-    by_cohort = {cohort: effects(cohort) for cohort in set(cohort_of.values())}
-    return np.stack([by_cohort[cohort_of[unit]] for unit in sorted(design.regions)])
+    by_group = {SwitcherGroup.from_flags(group.high_first, group.high_second): effects(group)
+                for group in _groups(config)}
+    group_of = design.group_map()
+    return np.stack([by_group[group_of[unit]] for unit in sorted(design.regions)])
 
 
 def _outcome(config: DgpConfig, stream: int, effect: np.ndarray) -> np.ndarray:

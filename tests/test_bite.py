@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from paneldid import textio
 from paneldid.bite import (
+    DESIGN_COLUMNS,
     RegionTreatment,
     SwitcherGroup,
     TreatmentDesign,
     WageGapTable,
     WageMicrodata,
     WageRecord,
+    assigned_cohort,
     build_treatment_design,
     classify_switchers,
+    cohort_pair,
     gap_correlations,
     low_growth_flag,
     wage_gap,
@@ -429,3 +432,45 @@ class TestTreatmentDesign:
                 {"a": entry},
                 early_cohort=Period(2014, 3), late_cohort=Period(2019, 1),
             )
+
+
+class TestCohortRule:
+    """The one rule from two flags to a cohort, and the one rule for a design's pair."""
+
+    @pytest.mark.parametrize("high_first, high_second, cohort", [
+        (True, True, "early"), (True, False, "early"), (False, True, "late"), (False, False, None),
+    ])
+    def test_assigned_cohort(self, high_first, high_second, cohort):
+        early, late = Period(2015, 2), Period(2017, 4)
+        expected = {"early": early, "late": late, None: None}[cohort]
+        assert assigned_cohort(high_first, high_second, early, late) == expected
+
+    @pytest.mark.parametrize("early, late, pair", [
+        (None, None, ("2014Q3", "2019Q1")),
+        ("2016Q1", "2017Q2", ("2016Q1", "2017Q2")),
+        ("2016Q1", None, ("2016Q1", "2019Q1")),
+        ("2019Q1", None, ("2019Q1", "2019Q2")),
+        ("2030Q4", None, ("2030Q4", "2031Q1")),
+        (None, "2016Q1", ("2014Q3", "2016Q1")),
+        (None, "2014Q3", ("2014Q2", "2014Q3")),
+        (None, "2010Q1", ("2009Q4", "2010Q1")),
+    ])
+    def test_cohort_pair_keeps_the_default_spacing(self, early, late, pair):
+        parse = lambda text: None if text is None else Period.parse(text)
+        assert cohort_pair(parse(early), parse(late)) == tuple(map(Period.parse, pair))
+
+    @pytest.mark.parametrize("flags, cohort, pair", [
+        ((1, 0), "2016Q1", ("2016Q1", "2019Q1")),
+        ((1, 1), "2020Q2", ("2020Q2", "2020Q3")),
+        ((0, 1), "2013Q2", ("2013Q1", "2013Q2")),
+        ((0, 1), "2019Q1", ("2014Q3", "2019Q1")),
+        ((0, 0), "", ("2014Q3", "2019Q1")),
+    ])
+    def test_design_file_with_one_cohort_or_none(self, flags, cohort, pair):
+        high_first, high_second = flags
+        group = SwitcherGroup.from_flags(high_first, high_second).value
+        text = (",".join(DESIGN_COLUMNS) + "\n"
+                f"a,0.3,0.3,{high_first},{high_second},{group},{cohort},1.0\n"
+                "b,0.1,0.1,0,0,low/low,,1.0\n")
+        design = TreatmentDesign.read_csv(io.StringIO(text))
+        assert (design.early_cohort, design.late_cohort) == tuple(map(Period.parse, pair))

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import math
 
 import numpy as np
@@ -165,6 +166,47 @@ class TestGenerate:
                      "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "panel.csv").read_bytes()).hexdigest()
         assert digest == "b2beeb41df182d6b2770ad08e7fbdc05fe352e8cc0c69411bbbfc9d29448708f"
+
+    # Configs DgpConfig accepts with an empty group whose cohort is out of order or
+    # out of the window: the design's cohort pair comes from the non-empty groups.
+    @pytest.mark.parametrize("overrides, cohorts, overall", [
+        (dict(n_early=0, early_cohort=P(2030, 1), effect_late=EffectSchedule((-0.01, -0.02))),
+         {"L": P(2014, 2), "N": None}, (-0.01 - 0.02 - 0.02) / 3),
+        (dict(n_late=0, start=P(2020, 1), early_cohort=P(2021, 1),
+              effect_early=EffectSchedule((-0.1, -0.2))),
+         {"E": P(2021, 1), "N": None}, (-0.1 - 0.2 - 0.2 - 0.2) / 4),
+    ], ids=["no_early", "no_late"])
+    def test_generates_every_accepted_config(self, tmp_path, capsys, overrides, cohorts,
+                                             overall):
+        config = small_config(**overrides)
+        data, design, truth = generate(config)
+        assert {unit[0] for unit in data.units} == set(cohorts)
+        assert design.cohort_map() == {unit: cohorts[unit[0]] for unit in data.units}
+        assert truth.overall == pytest.approx(overall, rel=1e-15)
+        (tmp_path / "config.txt").write_text(dump_dgp_config(config))
+        assert main(["simulate", "--config", str(tmp_path / "config.txt"), "--seed", "11",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert json.loads((tmp_path / "out" / "truth.json").read_text())["overall"] == (
+            truth.overall)
+        assert (tmp_path / "out" / "panel.csv").read_text().count("\n") == data.n_obs + 1
+
+    # Digests taken before the generator's groups were read from one table.
+    @pytest.mark.parametrize("overrides, panel, truth", [
+        (dict(n_late=0), "6fa28956bd510a8ea7e2328cf6c209aaee846ce451fb0db1f306dd34d1907269",
+         "e79e736d5d8c2995cb3d53eb3922b7f56b57a8fcf120d6c4b7ea1aeabb69ea0a"),
+        (dict(n_never=0), "622ac36d699f3561e0da3c6f23112d150b2c99c620d3bbc6efb184d61a2e8d7a",
+         "975c71630b1fdca00ee7b13472a9cb5107156c3a96e065012b33119aa352b546"),
+        (dict(n_early=0), "6591621279b53f0c706667923d105b15ce7eea60f0b8e6497a011bcbe9af425c",
+         "7858a6cd9b0705d4bf990c13f03022c39404a86e7ccc6ce20e48ebb6eff433eb"),
+    ], ids=["no_late", "no_never", "no_early"])
+    def test_empty_group_outputs_pinned(self, tmp_path, capsys, overrides, panel, truth):
+        config = small_config(effect_early=EffectSchedule((-0.01, -0.02, -0.03)), **overrides)
+        (tmp_path / "config.txt").write_text(dump_dgp_config(config))
+        assert main(["simulate", "--config", str(tmp_path / "config.txt"), "--seed", "11",
+                     "--out", str(tmp_path / "out")]) == 0
+        digest = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                  for name in ("panel.csv", "truth.json")}
+        assert digest == {"panel.csv": panel, "truth.json": truth}
 
     def test_panel_layout(self):
         config = small_config()
