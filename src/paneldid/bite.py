@@ -15,14 +15,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Mapping
+from typing import IO, Callable, Iterable, Mapping
 
 import numpy as np
 from scipy import stats
 
 from . import textio
 from .periods import Period
-from .textio import IngestError, field_names, field_values, parse_number, write_records
+from .textio import (Codes, IngestError, Number, cell_values, field_names, field_values,
+                     first_repeat, read_columns, stripped, write_records)
 
 DEFAULT_EARLY_COHORT = Period(2014, 3)
 DEFAULT_LATE_COHORT = Period(2019, 1)
@@ -111,35 +112,15 @@ class WageMicrodata:
 
         The header and row widths follow the rules of `textio.read_csv`. Ids
         are stripped of surrounding whitespace. A row of the wrong width, a
-        wage that is not a positive number or an empty id raises `IngestError`
-        naming the first such row in file order and its column.
+        wage that is not a positive number or an empty id (read in that order)
+        raises `IngestError` naming the first such row in file order and its
+        column.
         """
+        regions = Codes(stripped(f"column 'region': {_EMPTY_REGION}"))
         with textio.read_csv(source, "microdata") as table:
-            columns = table.columns(("region", "hourly_wage"))
-            region_at, wage_at = columns["region"], columns["hourly_wage"]
-            regions = textio.Codes(textio.stripped(f"column 'region': {_EMPTY_REGION}"))
-            codes, wages = [np.empty(0, np.intp)], [np.empty(0)]
-            # Batches bound the rows held at once; a batch that numpy's reader
-            # or the array checks reject is read row by row to name its first
-            # bad row.
-            for batch in table.batches():
-                cells = batch.columns(numeric=(wage_at,))
-                wage = coded = None
-                if cells is not None and np.all(np.isfinite(cells[wage_at])
-                                                & (cells[wage_at] > 0)):
-                    wage = cells[wage_at]
-                    coded = regions.codes(cells[region_at].tolist(), batch.first_row)
-                if coded is None:  # each row's wage is checked, then its region
-                    coded, wage = [], []
-                    for n, row in table.checked(batch.rows(), batch.first_row):
-                        wage.append(parse_number(row[wage_at], n, "hourly_wage", positive=True))
-                        coded.append(regions.code(row[region_at], n))
-                codes.append(np.asarray(coded, dtype=np.intp))
-                wages.append(np.asarray(wage, dtype=float))
-        return cls._from_columns(
-            tuple(regions.keys), np.concatenate(codes), np.concatenate(wages),
-            minimum_wage, survey_year,
-        )
+            wages, codes = read_columns(
+                table, [("hourly_wage", Number(positive=True)), ("region", regions)])
+        return cls._from_columns(tuple(regions.keys), codes, wages, minimum_wage, survey_year)
 
 
 @dataclass(frozen=True)
@@ -359,6 +340,55 @@ class RegionTreatment:
 DESIGN_COLUMNS = ("region", *field_names(RegionTreatment))
 
 
+def design_rules() -> dict[str, Codes | Number]:
+    """The cell rule of each design-file column, in `DESIGN_COLUMNS` order."""
+    return {
+        "region": Codes(stripped("column 'region': empty region id")),
+        "gap_first": Number(),
+        "gap_second": Number(),
+        "high_first": Codes(_stripped_cell("high_first", _flag)),
+        "high_second": Codes(_stripped_cell("high_second", _flag)),
+        "group": Codes(_stripped_cell("group", _group)),
+        "cohort": Codes(_stripped_cell("cohort", lambda c: Period.parse(c) if c else None)),
+        "population_weight": Number(positive=True),
+    }
+
+
+def _stripped_cell(column: str, parse: Callable[[str], object]) -> Callable[[str, int], object]:
+    """A `Codes` key: `parse` of the stripped cell; its `ValueError` names the row and column."""
+    def key(raw: str, row: int) -> object:
+        try:
+            return parse(raw.strip())
+        except ValueError as exc:
+            raise IngestError(f"row {row}: column {column!r}: {exc}") from None
+    return key
+
+
+def _flag(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {cell!r}")
+    return cell == "1"
+
+
+def _group(cell: str) -> SwitcherGroup:
+    names = [g.value for g in SwitcherGroup]
+    if cell not in names:
+        raise ValueError(f"unknown group {cell!r}; expected one of {names}")
+    return SwitcherGroup(cell)
+
+
+def one_row_per_region(regions: Codes, message: str) -> Callable:
+    """The rule across rows that a region, the first rule's, is on one row; `message`
+    is formatted with the repeated `region`, its `row` and its `first` row."""
+    def check(values: list[np.ndarray], rows: np.ndarray) -> tuple[int, str] | None:
+        repeat = first_repeat(values[0])
+        if repeat is None:
+            return None
+        (row, first), region = rows[list(repeat)].tolist(), list(regions.keys)[values[0][repeat[0]]]
+        return row, message.format(region=region, row=row, first=first)
+    return check
+
+
 @dataclass(frozen=True)
 class TreatmentDesign:
     """Region-level treatment assignment shared by all estimation designs.
@@ -410,48 +440,15 @@ class TreatmentDesign:
 
     @classmethod
     def read_csv(cls, source: IO[str] | str | Path) -> TreatmentDesign:
-        """Read a design file; a bad cell raises `IngestError` naming its row and column."""
+        """Read a design file by `design_rules`; `IngestError` names a bad cell's row and
+        column, or both rows of a region listed twice."""
+        rules = design_rules()
         with textio.read_csv(source, "treatment design file") as table:
-            at = table.columns(DESIGN_COLUMNS)
-            regions: dict[str, RegionTreatment] = {}
-            first_row: dict[str, int] = {}
-            for row_number, cells in table.rows():
-                row = {column: cells[i].strip() for column, i in at.items()}
-                region = row["region"]
-                if not region:
-                    raise IngestError(f"row {row_number}: column 'region': empty region id")
-                if region in first_row:
-                    raise IngestError(
-                        f"row {row_number}: column 'region': duplicate region {region!r}, "
-                        f"first listed at row {first_row[region]}"
-                    )
-                first_row[region] = row_number
-                for column in ("high_first", "high_second"):
-                    if row[column] not in ("0", "1"):
-                        raise IngestError(f"row {row_number}: column {column!r}: "
-                                          f"expected 0 or 1, got {row[column]!r}")
-                try:
-                    group = SwitcherGroup(row["group"])
-                except ValueError:
-                    raise IngestError(
-                        f"row {row_number}: column 'group': unknown group {row['group']!r}; "
-                        f"expected one of {[g.value for g in SwitcherGroup]}"
-                    ) from None
-                try:
-                    cohort = Period.parse(row["cohort"]) if row["cohort"] else None
-                except ValueError as exc:
-                    raise IngestError(f"row {row_number}: column 'cohort': {exc}") from None
-                regions[region] = RegionTreatment(
-                    gap_first=parse_number(row["gap_first"], row_number, "gap_first"),
-                    gap_second=parse_number(row["gap_second"], row_number, "gap_second"),
-                    high_first=row["high_first"] == "1",
-                    high_second=row["high_second"] == "1",
-                    group=group,
-                    cohort=cohort,
-                    population_weight=parse_number(
-                        row["population_weight"], row_number, "population_weight", positive=True
-                    ),
-                )
+            arrays = read_columns(table, rules.items(), one_row_per_region(
+                rules["region"], "row {row}: column 'region': duplicate region {region!r}, "
+                "first listed at row {first}"))
+        columns = map(cell_values, rules.values(), arrays)
+        regions = {region: RegionTreatment(*fields) for region, *fields in zip(*columns)}
         if not regions:
             raise ValueError("treatment design file has no regions")
         cohorts = {rt.cohort for rt in regions.values()} - {None}

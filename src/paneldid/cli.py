@@ -50,6 +50,7 @@ from .bite import (
     build_treatment_design,
     gap_correlations,
     low_growth_flag,
+    one_row_per_region,
     wage_gap,
     TreatmentDesign,
 )
@@ -68,8 +69,8 @@ from .simulate import (
     load_dgp_config,
     null_config,
 )
-from .textio import (IngestError, field_names, field_values, format_cell, parse_number, read_csv,
-                     to_number, write_records)
+from .textio import (Codes, IngestError, Number, cell_values, field_names, field_values,
+                     format_cell, read_columns, read_csv, stripped, to_number, write_records)
 
 _PRESETS = {
     "homogeneous": homogeneous_config,
@@ -192,20 +193,15 @@ def _read_region_values(path: str, column: str) -> dict[str, float]:
 
     The header follows the rules of `textio.read_csv`. Errors name the file and row.
     """
-    values: dict[str, float] = {}
+    regions = Codes(stripped("empty region id"))
+    rules = {"region": regions, column: Number()}
     with read_csv(path, str(path)) as table:
-        region_at, value_at = table.columns(("region", column)).values()
         try:
-            for row_number, row in table.rows():
-                region = row[region_at].strip()
-                if not region:
-                    raise IngestError(f"row {row_number}: empty region id")
-                if region in values:
-                    raise IngestError(f"duplicate region {region!r} at row {row_number}")
-                values[region] = parse_number(row[value_at], row_number, column)
+            arrays = read_columns(table, rules.items(), one_row_per_region(
+                regions, "duplicate region {region!r} at row {row}"))
         except IngestError as exc:
             raise IngestError(f"{path}: {exc}") from None
-    return values
+    return dict(zip(*map(cell_values, rules.values(), arrays)))
 
 
 def cmd_bite(args) -> int:

@@ -20,13 +20,13 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import IO, Hashable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
 from .periods import Period
-from .textio import (Codes, CsvBatch, IngestError, parse_number, read_csv, stripped,
-                     write_csv)
+from .textio import (Codes, IngestError, Number, first_repeat, parse_number, read_columns,
+                     read_csv, stripped, write_csv)
 
 # Canonical field names. Any further mapped column is carried as a covariate.
 REQUIRED_FIELDS = ("unit", "year", "quarter", "outcome", "weight")
@@ -345,8 +345,10 @@ def ingest_panel(
 
     The header follows the rules of `textio.read_csv`; a header problem
     raises ValueError, as does, without a `schema`, a column with no name.
-    Covariates are attached in header order. Any malformed cell raises
-    IngestError naming the offending row and column.
+    Covariates are attached in header order. Each row's unit, (year, quarter),
+    outcome, weight, covariates and cluster are read, then the rules across
+    rows: one row per (unit, period), one cluster label per unit. IngestError
+    names the first bad row in file order, and a bad cell's column.
     """
     with read_csv(source, "panel") as table:
         if schema is None:
@@ -359,150 +361,67 @@ def ingest_panel(
                 if f not in mapping:
                     raise IngestError(f"schema is missing required field {f!r}")
         at = table.columns(mapping.values())
-        reader = _PanelReader(mapping, {canonical: at[column] for canonical, column
-                                        in mapping.items()}, require_positive_outcome)
-        # A batch that numpy's reader or the array checks reject is read row
-        # by row, which names its first bad row.
-        for batch in table.batches():
-            if not reader.add_columns(batch):
-                reader.add_rows(table.checked(batch.rows(), batch.first_row))
-    return reader.panel()
+        covariates = sorted((c for c in mapping if c not in (*REQUIRED_FIELDS, CLUSTER_FIELD)),
+                            key=lambda c: (at[mapping[c]], c))  # in header order
+        units = Codes(stripped("empty unit id"))
+        periods = Codes(_period_key(mapping["year"], mapping["quarter"]))
+        rules = [(mapping["unit"], units), ((mapping["year"], mapping["quarter"]), periods),
+                 (mapping["outcome"], Number(positive=require_positive_outcome)),
+                 (mapping["weight"], Number(positive=True)),
+                 *((mapping[canonical], Number()) for canonical in covariates)]
+        checks = [_one_row_per_unit_period(units, periods)]
+        if CLUSTER_FIELD in mapping:
+            labels = Codes(stripped("empty cluster label"))
+            rules.append((mapping[CLUSTER_FIELD], labels))
+            checks.append(_one_label_per_unit(units, labels))
+        unit_codes, period_codes, outcome, weight, *columns = read_columns(table, rules, *checks)
+    if not len(outcome):
+        raise IngestError("no data rows after the header")
+    names = list(units.keys)
+    cluster = {}
+    if CLUSTER_FIELD in mapping:  # each unit has one label, so any of its rows gives it
+        cluster = dict(zip(_gather(names, unit_codes), _gather(list(labels.keys), columns.pop())))
+    unit_labels, unit_rank = _factorize(names)
+    period_labels, period_rank = _factorize(list(periods.keys))
+    return PanelDataset._from_columns(
+        unit_labels, unit_rank[unit_codes], period_labels, period_rank[period_codes], outcome,
+        weight, np.array(columns, dtype=float).reshape(len(columns), len(outcome)).T,
+        covariates, cluster,
+    )
 
 
-class _PanelReader:
-    """`ingest_panel`'s columns so far, and the state its two paths share.
+def _one_row_per_unit_period(units: Codes, periods: Codes) -> Callable:
+    """The rule across panel rows that no (unit, period) is on two rows."""
+    def check(values: list[np.ndarray], rows: np.ndarray) -> tuple[int, str] | None:
+        unit, period = values[0], values[1]
+        repeat = first_repeat(unit * len(periods.keys) + period)
+        if repeat is None:
+            return None
+        (row, first), at = rows[list(repeat)].tolist(), repeat[0]
+        return row, (f"row {row}: duplicate observation for unit {list(units.keys)[unit[at]]!r} "
+                     f"period {list(periods.keys)[period[at]]} (first seen at row {first})")
+    return check
 
-    `add_columns` takes a batch from numpy's reader when the array checks
-    pass it; `add_rows` checks rows one by one and raises at the first bad
-    one. Both code unit ids, (year, quarter) stamps and cluster labels with
-    the same `Codes`, and share the (unit, period) keys and each unit's
-    cluster label seen so far.
-    """
 
-    def __init__(self, mapping: Mapping[str, str], col: Mapping[str, int],
-                 positive: bool) -> None:
-        self.mapping, self.col, self.positive = mapping, col, positive
-        # Covariates keep the order their columns appear in the header.
-        self.covariate_fields = sorted(
-            (col[canonical], canonical, column) for canonical, column in mapping.items()
-            if canonical not in REQUIRED_FIELDS and canonical != CLUSTER_FIELD
-        )
-        self.numeric = {col["outcome"], col["weight"], *(at for at, _, _ in self.covariate_fields)}
-        self.text = {col[f] for f in ("unit", "year", "quarter", CLUSTER_FIELD) if f in col}
-        self.units = Codes(stripped("empty unit id"))
-        self.periods = Codes(_period_key(mapping["year"], mapping["quarter"]))
-        self.labels = Codes(stripped("empty cluster label"))
-        self.seen: dict[int, int] = {}  # unit code << 32 | period code -> row number
-        self.cluster: dict[int, int] = {}  # unit code -> label code
-        # Per batch: unit codes, period codes, outcome, weight and covariates.
-        self.parts: list[tuple[np.ndarray, ...]] = []
-
-    def add_rows(self, rows: Iterable[tuple[int, list[str]]]) -> None:
-        """Add the numbered rows of `CsvTable.checked`; `IngestError` at the first bad one."""
-        col = self.col
-        units, period_codes, outcome, weight = [], [], [], []
-        covariates: list[list[float]] = [[] for _ in self.covariate_fields]
-        for row_number, row in rows:
-            u = self.units.code(row[col["unit"]], row_number)
-            code = self.periods.code((row[col["year"]], row[col["quarter"]]), row_number)
-            y = parse_number(row[col["outcome"]], row_number, self.mapping["outcome"],
-                             positive=self.positive)
-            w = parse_number(row[col["weight"]], row_number, self.mapping["weight"],
-                             positive=True)
-            for values, (at, _, column) in zip(covariates, self.covariate_fields):
-                cell = row[at].strip()
-                if not cell:
-                    raise IngestError(
-                        f"row {row_number}: column {column!r}: missing covariate value"
-                    )
-                values.append(parse_number(cell, row_number, column))
-            key = u << 32 | code
-            if key in self.seen:
-                raise IngestError(
-                    f"row {row_number}: duplicate observation for unit "
-                    f"{list(self.units.keys)[u]!r} period {list(self.periods.keys)[code]} "
-                    f"(first seen at row {self.seen[key]})"
-                )
-            self.seen[key] = row_number
-            if CLUSTER_FIELD in col:
-                label = self.labels.code(row[col[CLUSTER_FIELD]], row_number)
-                prev = self.cluster.setdefault(u, label)
-                if prev != label:
-                    names = list(self.labels.keys)
-                    raise IngestError(
-                        f"row {row_number}: unit {list(self.units.keys)[u]!r} has conflicting "
-                        f"cluster labels {names[prev]!r} and {names[label]!r}"
-                    )
-            units.append(u)
-            period_codes.append(code)
-            outcome.append(y)
-            weight.append(w)
-        self.parts.append((
-            np.array(units, dtype=np.intp), np.array(period_codes, dtype=np.intp),
-            np.array(outcome, dtype=float), np.array(weight, dtype=float),
-            np.array(covariates, dtype=float).reshape(len(covariates), len(units)).T,
-        ))
-
-    def add_columns(self, batch: CsvBatch) -> bool:
-        """Add `batch` if numpy's reader and the checks of `add_rows` pass it.
-
-        False, adding no row, otherwise. Codes given on the way are kept:
-        `add_rows` would give the same ones.
-        """
-        cells = None if self.numeric & self.text else batch.columns(self.numeric)
-        if cells is None:
-            return False
-        col, first_row = self.col, batch.first_row
-        y, w = cells[col["outcome"]], cells[col["weight"]]
-        covariates = np.array([cells[at] for at, _, _ in self.covariate_fields],
-                              dtype=float).reshape(len(self.covariate_fields), len(y)).T
-        ok = (np.isfinite(y) & np.isfinite(w) & (w > 0)
-              & np.isfinite(covariates).all(axis=1))
-        if not (ok & (y > 0) if self.positive else ok).all():
-            return False
-        units = self.units.codes(cells[col["unit"]].tolist(), first_row)
-        periods = None if units is None else self.periods.codes(
-            list(zip(cells[col["year"]].tolist(), cells[col["quarter"]].tolist())), first_row)
-        if periods is None:
-            return False
-        keys = (units.astype(np.int64) << 32 | periods).tolist()
-        if len(set(keys)) != len(keys) or not self.seen.keys().isdisjoint(keys):
-            return False
-        if CLUSTER_FIELD in col:
-            labels = self.labels.codes(cells[col[CLUSTER_FIELD]].tolist(), first_row)
-            if labels is None:
-                return False
-            pairs = set(zip(units.tolist(), labels.tolist()))
-            unit_labels = dict(pairs)  # fewer entries than pairs if a unit has two labels
-            if len(unit_labels) != len(pairs) or any(
-                    self.cluster.get(u, label) != label for u, label in unit_labels.items()):
-                return False
-            self.cluster.update(unit_labels)
-        self.seen.update(zip(keys, range(first_row, first_row + len(keys))))
-        self.parts.append((units, periods, y, w, covariates))
-        return True
-
-    def panel(self) -> PanelDataset:
-        if not self.seen:
-            raise IngestError("no data rows after the header")
-        unit_codes, period_codes, outcome, weight, covariates = map(
-            np.concatenate, zip(*self.parts))
-        names, labels = list(self.units.keys), list(self.labels.keys)
-        units, unit_rank = _factorize(names)
-        periods, period_rank = _factorize(list(self.periods.keys))
-        return PanelDataset._from_columns(
-            units, unit_rank[unit_codes], periods, period_rank[period_codes], outcome, weight,
-            covariates, tuple(canonical for _, canonical, _ in self.covariate_fields),
-            {names[u]: labels[label] for u, label in self.cluster.items()},
-        )
+def _one_label_per_unit(units: Codes, labels: Codes) -> Callable:
+    """The rule across panel rows that a unit has one cluster label, the last rule's."""
+    def check(values: list[np.ndarray], rows: np.ndarray) -> tuple[int, str] | None:
+        unit, label = values[0], values[-1]
+        # Each (unit, label) pair's first row, in file order: among them a unit
+        # repeats at the first row that gives it a second label.
+        pairs = np.sort(np.unique(unit * len(labels.keys) + label, return_index=True)[1])
+        repeat = first_repeat(unit[pairs])
+        if repeat is None:
+            return None
+        at, first = pairs[list(repeat)].tolist()
+        row, names = int(rows[at]), list(labels.keys)
+        return row, (f"row {row}: unit {list(units.keys)[unit[at]]!r} has conflicting cluster "
+                     f"labels {names[label[first]]!r} and {names[label[at]]!r}")
+    return check
 
 
 def _period_key(year_column: str, quarter_column: str):
-    """A `Codes` key: the `Period` of a (year, quarter) cell pair.
-
-    A closure over the column names, not a reader method, so that no cycle
-    keeps a finished reader's columns alive.
-    """
+    """A `Codes` key: the `Period` of a (year, quarter) cell pair."""
     def key(stamp: tuple[str, str], row_number: int) -> Period:
         year = parse_number(stamp[0], row_number, year_column, kind=int)
         quarter = parse_number(stamp[1], row_number, quarter_column, kind=int)
@@ -513,19 +432,11 @@ def _period_key(year_column: str, quarter_column: str):
     return key
 
 
-def serialize_panel(
-    data: PanelDataset,
-    sink: IO[str] | str | Path,
-    schema: Mapping[str, str] | None = None,
-) -> None:
-    """Write the panel back as CSV with the same schema ingest accepts."""
-    mapping = dict(schema) if schema is not None else {}
-    def name(canonical: str) -> str:
-        return mapping.get(canonical, canonical)
-
+def serialize_panel(data: PanelDataset, sink: IO[str] | str | Path) -> None:
+    """Write the panel as CSV under its canonical column names, as `ingest_panel` reads it."""
     a = data.arrays
     cluster = data.cluster
-    header = [name(f) for f in REQUIRED_FIELDS]
+    header = list(REQUIRED_FIELDS)
     columns = [
         _gather(a.units, a.unit_codes),
         _gather([str(p.year) for p in a.periods], a.period_codes),
@@ -534,9 +445,9 @@ def serialize_panel(
         list(map(repr, a.weight.tolist())),
     ]
     if any(label != u for u, label in cluster.items()):
-        header.append(name(CLUSTER_FIELD))
+        header.append(CLUSTER_FIELD)
         columns.append(_gather([cluster[u] for u in a.units], a.unit_codes))
-    header.extend(name(c) for c in data.covariate_names)
+    header.extend(data.covariate_names)
     columns.extend(list(map(repr, column.tolist())) for column in a.covariates.T)
 
     write_csv(sink, header, zip(*columns))

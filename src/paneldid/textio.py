@@ -23,18 +23,19 @@ are its dataclass's `field_names` and `field_values`, and `write_records`
 writes every cell by the one cell rule, `format_cell`, as the readers key
 every categorical cell through `Codes`.
 
-The large readers take a `CsvTable`'s rows in batches of `BATCH_ROWS`. A
-batch's `columns` splits it with numpy's C reader (`np.loadtxt`) only when
-it can certify that the csv module would split it the same way: its text
-is ASCII with no `"`, carriage return, NUL or `\x1c`-`\x1f` (characters
-that `float` and numpy strip differently), every line has the header's
-width, and every numeric cell parses. Any other batch, and all input from
-the first `"` on (a quoted field may span lines), is read row by row by the
-csv module, the path that names every error. On both paths a reader turns
-its categorical cells (ids, labels, date stamps) into `Codes`, which key
-each distinct cell once. `write_csv` likewise joins a chunk of rows itself
-only when no cell needs quoting. Values, errors and bytes do not depend on
-which path a batch takes.
+Every reader is a list of cell rules, a `Codes` or a `Number` per wanted
+column, read by `read_columns` in batches of `BATCH_ROWS`. A batch's
+`columns` splits it with numpy's C reader (`np.loadtxt`) only when it can
+certify that the csv module would split it the same way: its text is ASCII
+with no `"`, carriage return, NUL or `\x1c`-`\x1f` (characters that
+`float` and numpy strip differently), every line has the header's width,
+and every numeric cell parses. Any other batch, one whose cells a rule
+rejects, and all input from the first `"` on (a quoted field may span
+lines), is read row by row by the csv module, the path that names every
+error. A reader's rules across rows run once, vectorised, after its cells,
+so the first bad row in file order is named. `write_csv` likewise joins a
+chunk of rows itself only when no cell needs quoting. Values, errors and
+bytes do not depend on which path a batch takes.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import math
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import chain, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Any, Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -202,8 +204,8 @@ def _csv_rows(lines: Iterable[str], first_row: int) -> Iterator[list[str]]:
 class CsvTable:
     """The cleaned header of a CSV stream and its rows from row 2 on.
 
-    `rows` streams the checked rows one by one and `batches` the raw rows in
-    `CsvBatch`es; both number them in file order.
+    `batches` gives the raw rows in `CsvBatch`es and `checked` checks a
+    batch's rows; both number them in file order.
     """
 
     def __init__(self, stream: IO[str], what: str) -> None:
@@ -213,7 +215,6 @@ class CsvTable:
             header = next(csv.reader(self._lines), None)
         except csv.Error as exc:
             raise ValueError(f"{what} header: {exc}") from None
-        self._reader = _csv_rows(self._lines, 2)
         if header is None:
             raise ValueError(f"{what} is empty: expected a header row")
         if header:
@@ -231,10 +232,6 @@ class CsvTable:
         if missing:
             raise ValueError(f"{self._what} lacks column(s) {missing}")
         return {n: self._position[n] for n in names}
-
-    def rows(self) -> Iterator[tuple[int, list[str]]]:
-        """Each row that is not blank, with its row number in the file; see `checked`."""
-        return self.checked(self._reader, 2)
 
     def checked(
         self, rows: Iterable[list[str]], first_row: int
@@ -363,6 +360,104 @@ def stripped(error: str) -> Callable[[str, int], str]:
             raise IngestError(f"row {row}: {error}")
         return cell
     return key
+
+
+@dataclasses.dataclass(frozen=True)
+class Number:
+    """A cell rule: a number read by `parse_number`, finite, and positive if `positive`."""
+
+    positive: bool = False
+
+
+def read_columns(table: CsvTable, rules: Iterable[tuple[str | tuple[str, ...], Codes | Number]],
+                 *checks: Callable) -> list[np.ndarray]:
+    """`table`'s rows read by `rules`: one array per rule, of codes or numbers, in file order.
+
+    A rule pairs a column, or for a `Codes` a tuple of columns keyed together,
+    with its cell rule. A certified batch is taken as arrays if every rule
+    accepts them; other rows go through `CsvTable.checked`, each row's cells
+    in rule order, and the first bad cell raises `IngestError`. Each of
+    `checks`, a rule across rows, maps the arrays and row numbers of the rows
+    read (all of them, or those before a bad cell, to raise first) to the row
+    number and message of its first fault, or None; the earliest raises.
+    """
+    rules = [((spec,) if isinstance(spec, str) else tuple(spec), rule) for spec, rule in rules]
+    at = table.columns(name for names, _ in rules for name in names)
+    readers = [_cell_reader(itemgetter(*map(at.get, names)), names[0], rule)
+               for names, rule in rules]
+    rules = [([at[name] for name in names], rule) for names, rule in rules]
+    numeric = {columns[0] for columns, rule in rules if isinstance(rule, Number)}
+    text = {i for columns, rule in rules if isinstance(rule, Codes) for i in columns}
+    kinds = [np.intp, *(float if isinstance(rule, Number) else np.intp for _, rule in rules)]
+    parts = [[np.empty(0, kind) for kind in kinds]]  # per batch: row numbers, each rule's array
+    for batch in table.batches():
+        cells = None if numeric & text else batch.columns(numeric)
+        arrays = None if cells is None else _batch_arrays(cells, rules, batch.first_row)
+        if arrays is not None:
+            parts.append([np.arange(batch.first_row, batch.first_row + len(arrays[0])), *arrays])
+            continue
+        rows = []  # each row's number and value per rule
+        try:
+            for n, row in table.checked(batch.rows(), batch.first_row):
+                rows.append([n] + [reader(row, n) for reader in readers])
+        except IngestError:  # a fault across the rows before this one comes first
+            _checked([*parts, _columns(rows, kinds)], checks)
+            raise
+        parts.append(_columns(rows, kinds))
+    return _checked(parts, checks)
+
+
+def _cell_reader(get: Callable, column: str, rule: Codes | Number) -> Callable:
+    """The row path's reader of one rule's cells, `get` from a row, on row `n`."""
+    if isinstance(rule, Number):
+        return lambda row, n: parse_number(get(row), n, column, positive=rule.positive)
+    return lambda row, n: rule.code(get(row), n)
+
+
+def _batch_arrays(cells: list[np.ndarray], rules: list, first_row: int) -> list | None:
+    """A certified batch's array per rule, or None if a rule rejects its cells."""
+    arrays = []
+    for columns, rule in rules:
+        values = [cells[i] for i in columns]
+        if isinstance(rule, Number):
+            ok = np.isfinite(values[0]) & (values[0] > 0 if rule.positive else True)
+            arrays.append(values[0] if ok.all() else None)
+        else:
+            keys = values[0].tolist() if len(values) == 1 else list(zip(*values))
+            arrays.append(rule.codes(keys, first_row))
+        if arrays[-1] is None:
+            return None
+    return arrays
+
+
+def _columns(rows: list[list], kinds: list) -> list[np.ndarray]:
+    """The columns of `rows` as arrays of `kinds`."""
+    columns = list(zip(*rows)) or [()] * len(kinds)
+    return [np.array(column, kind) for column, kind in zip(columns, kinds)]
+
+
+def _checked(parts: list[list[np.ndarray]], checks: Sequence[Callable]) -> list[np.ndarray]:
+    """The rule arrays of `parts` joined; `IngestError` at the earliest fault `checks` find."""
+    rows, *values = map(np.concatenate, zip(*parts))
+    faults = [fault for check in checks if (fault := check(values, rows)) is not None]
+    if faults:
+        raise IngestError(min(faults, key=itemgetter(0))[1]) from None
+    return values
+
+
+def first_repeat(keys: np.ndarray) -> tuple[int, int] | None:
+    """The positions of the first key equal to an earlier one, and of that one; or None."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    earlier = first[inverse]  # each key's first position
+    repeats = np.flatnonzero(earlier != np.arange(len(keys)))
+    return (int(repeats[0]), int(earlier[repeats[0]])) if repeats.size else None
+
+
+def cell_values(rule: Codes | Number, array: np.ndarray) -> list:
+    """A `read_columns` array as cell values: numbers, or the keys of codes."""
+    if isinstance(rule, Number):
+        return array.tolist()
+    return list(map(list(rule.keys).__getitem__, array.tolist()))
 
 
 @contextmanager

@@ -18,6 +18,7 @@ from paneldid.bite import (
     build_treatment_design,
     classify_switchers,
     cohort_pair,
+    design_rules,
     gap_correlations,
     low_growth_flag,
     wage_gap,
@@ -369,6 +370,11 @@ class TestTreatmentDesign:
         again = TreatmentDesign.read_csv(io.StringIO(sink.getvalue()))
         assert again == design
 
+    def test_reader_has_one_rule_per_written_column(self):
+        # A field added to RegionTreatment is written at once, so it needs a
+        # rule before any design file can be read back.
+        assert tuple(design_rules()) == DESIGN_COLUMNS
+
     def test_missing_columns_named(self):
         sink = io.StringIO()
         self.build().write_csv(sink)
@@ -394,6 +400,10 @@ class TestTreatmentDesign:
          r"row 3: column 'high_first': expected 0 or 1, got 'yes'"),
         ("b,0.1,0.6,0,2,low/high,2019Q1,1.0",
          r"row 3: column 'high_second': expected 0 or 1, got '2'"),
+        # a row's cells in column order, then the rule across rows
+        ("b,x,0.6,yes,1,low/high,2019Q1,1.0", r"row 3: column 'gap_first': could not parse 'x'"),
+        (" a ,0.1,0.6,yes,1,low/high,2019Q1,1.0",
+         r"row 3: column 'high_first': expected 0 or 1, got 'yes'"),
     ])
     def test_bad_cell_named(self, row, message):
         sink = io.StringIO()

@@ -1,14 +1,15 @@
-"""Panel and microdata reads on both paths: numpy's tokeniser and the csv rows.
+"""Every CSV reader on both paths: numpy's tokeniser and the csv rows.
 
 Inputs that need the csv module's rules (CRLF line ends, quoted cells, one
 holding a line break, non-ASCII and '#' ids, blank rows) must read as the
-same rows written plainly, whatever the batch size. Any file, with any
-fault, must read or fail the same way with the row path forced for every
-batch.
+same rows written plainly, whatever the batch size. Any panel, microdata,
+design or region-value file, with any fault, must read or fail the same way
+with the row path forced for every batch.
 """
 
 import csv
 import io
+import re
 import warnings
 
 import pytest
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paneldid import textio
-from paneldid.bite import WageMicrodata, WageRecord
+from paneldid.bite import DESIGN_COLUMNS, SwitcherGroup, TreatmentDesign, WageMicrodata, WageRecord
+from paneldid.cli import _read_region_values
 from paneldid.panel import PanelDataset, ingest_panel
 from paneldid.periods import Period
 from paneldid.textio import IngestError
@@ -141,11 +143,15 @@ STAMPS = [("2014", "1"), ("2014", "2"), (" 2015", "3 "), ("2015", "4")]
 ODD_NUMBERS = ["1_0", "١٢", "1.5\xa0", "1.5\x1c", "nan", "-inf", "1e400", "", " ",
                "0", "-2.5", "x", '"3.5"']
 ODD_IDS = ["", "  ", "ä", '"a"', '"c,d"', '"e\nf"', "g\x1ch", "i\x00"]
+ODD_FLAGS = ["", "2", " 1", "1.0", "yes", '"0"']
 ODD_CELLS = {
     "unit": ODD_IDS, "region": ODD_IDS, "note": ODD_IDS, "cluster": [*ODD_IDS, "k3"],
     "year": ["x", "2014.0", "1_0", "10000", ""], "quarter": ["5", "", "1.0"],
     "outcome": ODD_NUMBERS, "weight": ODD_NUMBERS, "z": ODD_NUMBERS,
-    "hourly_wage": ODD_NUMBERS,
+    "hourly_wage": ODD_NUMBERS, "gap_first": ODD_NUMBERS, "gap_second": ODD_NUMBERS,
+    "population_weight": ODD_NUMBERS, "high_first": ODD_FLAGS, "high_second": ODD_FLAGS,
+    "group": ["", "mid", " low/low", '"high/high"', "low/high"],
+    "cohort": ["", " 2014Q3", "2019Q5", "2019Q1", "x", '"2014Q3"'],
 }
 EXTRA_ROWS = {  # a row put before a hit row, from its cells and the lines so far
     "blank row": lambda cells, lines: "",
@@ -159,6 +165,10 @@ EXTRA_ROWS = {  # a row put before a hit row, from its cells and the lines so fa
 ROW_FAULTS = [*EXTRA_ROWS, "carriage returns"]
 PANEL_HEADER = ["unit", "year", "quarter", "outcome", "weight", "z", "cluster"]
 MICRO_HEADER = ["hourly_wage", "region", "note"]
+DESIGN_HEADER = list(DESIGN_COLUMNS)
+VALUES_HEADER = ["weight", "region"]
+HEADERS = {"panel": PANEL_HEADER, "microdata": MICRO_HEADER, "design": DESIGN_HEADER,
+           "region values": VALUES_HEADER}
 
 
 def faulty_text(header, rows, fault, hits):
@@ -198,11 +208,20 @@ def csv_files(draw, reader):
                  "outcome": draw(numbers), "weight": draw(numbers), "z": draw(numbers),
                  "cluster": padded(label[base])}
                 for base, (year, quarter) in keys]
-    else:
+    elif reader == "microdata":
         header = draw(st.sampled_from([MICRO_HEADER, MICRO_HEADER[1::-1]]))
         rows = [{"region": padded(draw(st.sampled_from(BASE_IDS))),
                  "hourly_wage": draw(numbers), "note": padded("n")}
                 for _ in range(draw(st.integers(min_value=0, max_value=14)))]
+    elif reader == "design":
+        header = draw(st.sampled_from([DESIGN_HEADER, DESIGN_HEADER[::-1]]))
+        rows = [design_row(padded(base), draw(st.booleans()), draw(st.booleans()),
+                           draw(numbers), draw(numbers), draw(numbers))
+                for base in draw(st.lists(st.sampled_from(BASE_IDS), unique=True))]
+    else:
+        header = draw(st.sampled_from([VALUES_HEADER, VALUES_HEADER[::-1]]))
+        rows = [{"region": padded(draw(st.sampled_from(BASE_IDS))), "weight": draw(numbers)}
+                for _ in range(draw(st.integers(min_value=0, max_value=6)))]
     fault = draw(st.one_of(
         st.none(), st.sampled_from(ROW_FAULTS),
         st.sampled_from(header).flatmap(
@@ -233,8 +252,38 @@ def panel_reader(positive=True):
     return lambda source: ingest_panel(source, require_positive_outcome=positive)
 
 
+class NamedText(io.StringIO):
+    """A text stream with the same name on every read, as errors name it."""
+
+    def __str__(self):
+        return "values.csv"
+
+
+def values_reader(source):
+    return _read_region_values(NamedText(source.read(), newline=""), "weight")
+
+
+FAULT_READERS = {"microdata": micro_reader, "design": TreatmentDesign.read_csv,
+                 "region values": values_reader}
+
+
+def design_row(region, high_first, high_second, gap_first, gap_second, weight):
+    """A design-file row whose group and cohort follow its flags."""
+    return {"region": region, "gap_first": gap_first, "gap_second": gap_second,
+            "high_first": str(int(high_first)), "high_second": str(int(high_second)),
+            "group": SwitcherGroup.from_flags(high_first, high_second).value,
+            "cohort": "2014Q3" if high_first else "2019Q1" if high_second else "",
+            "population_weight": weight}
+
+
 def fixed_rows(reader):
     """Six valid rows. In a panel, the fourth is the first of a unit seen again later."""
+    regions = ["a", "x#y", " b", "c ", "d", "e"]
+    if reader == "design":
+        return [design_row(region, i % 2 == 0, i % 3 == 0, repr(0.25 * i), repr(0.5 - i / 8),
+                           repr(1.0 + i)) for i, region in enumerate(regions)]
+    if reader == "region values":
+        return [{"region": region, "weight": repr(1.5 + i)} for i, region in enumerate(regions)]
     if reader == "panel":
         keys = [("a", "k1", 0), ("a", "k1", 1), (" b", "k2", 0), ("x#y", "k1", 0),
                 (" b", "k2", 1), ("x#y", "k1", 1)]
@@ -248,24 +297,49 @@ def fixed_rows(reader):
 
 @pytest.mark.parametrize("batch", BATCHES)
 @pytest.mark.parametrize("reader, fault", [
-    *(("panel", fault) for fault in faults(PANEL_HEADER)),
-    *(("microdata", fault) for fault in faults(MICRO_HEADER)),
+    (reader, fault) for reader, header in HEADERS.items() for fault in faults(header)
 ])
 def test_each_fault_reads_as_the_row_path(reader, fault, batch):
-    header = PANEL_HEADER if reader == "panel" else MICRO_HEADER
+    header = HEADERS[reader]
     text = faulty_text(header, fixed_rows(reader), fault, {3})
-    read = panel_reader() if reader == "panel" else micro_reader
+    read = panel_reader() if reader == "panel" else FAULT_READERS[reader]
     limit = csv.field_size_limit()
     assert read_text(read, text, batch, False, limit) == read_text(read, text, batch, True, limit)
 
 
-@pytest.mark.parametrize("reader", ["panel", "microdata"])
+@pytest.mark.parametrize("reader", HEADERS)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_random_files_read_as_the_row_path(reader, data):
     text = data.draw(csv_files(reader))
     batch = data.draw(st.sampled_from(BATCHES))
     field_limit = data.draw(st.sampled_from([csv.field_size_limit(), 16]))
-    read = panel_reader(data.draw(st.booleans())) if reader == "panel" else micro_reader
+    read = panel_reader(data.draw(st.booleans())) if reader == "panel" else FAULT_READERS[reader]
     fast = read_text(read, text, batch, False, field_limit)
     assert fast == read_text(read, text, batch, True, field_limit)
+
+
+# A fault across rows, made at row index `at` of `fixed_rows`, and its message.
+CROSS_ROW_FAULTS = {
+    "duplicate observation": ("panel", "repeated row", 3, r"^row 5: duplicate observation "
+                              r"for unit 'b' period 2014Q1 \(first seen at row 4\)$"),
+    "conflicting cluster label": ("panel", ("cluster", "k3"), 4, r"^row 6: unit 'b' has "
+                                  r"conflicting cluster labels 'k2' and 'k3'$"),
+    "duplicate design region": ("design", "repeated row", 3, r"^row 5: column 'region': "
+                                r"duplicate region 'b', first listed at row 4$"),
+    "duplicate region value": ("region values", "repeated row", 3,
+                               r"^values\.csv: duplicate region 'b' at row 5$"),
+}
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("row_path", [False, True], ids=["numpy path", "row path"])
+@pytest.mark.parametrize("case", CROSS_ROW_FAULTS)
+def test_a_fault_across_rows_wins_over_a_later_cell_fault(case, row_path, batch):
+    reader, fault, at, message = CROSS_ROW_FAULTS[case]
+    rows = fixed_rows(reader)
+    rows[-1]["weight" if reader != "design" else "population_weight"] = "x"  # a later row
+    read = panel_reader() if reader == "panel" else FAULT_READERS[reader]
+    text = faulty_text(HEADERS[reader], rows, fault, {at})
+    kind, got = read_text(read, text, batch, row_path, csv.field_size_limit())
+    assert kind is IngestError and re.search(message, got)

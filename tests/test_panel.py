@@ -452,6 +452,14 @@ def test_duplicate_names_both_rows():
         ingest_panel(io.StringIO(text))
 
 
+def test_cell_fault_comes_before_a_rule_across_rows():
+    # Row 4 repeats row 2's (unit, period) and has a blank cluster label.
+    text = ("unit,year,quarter,outcome,weight,cluster\n"
+            "a,2014,1,1.0,1.0,k\nb,2014,1,1.0,1.0,k\na,2014,1,2.0,1.0, \n")
+    with pytest.raises(IngestError, match=r"^row 4: empty cluster label$"):
+        ingest_panel(io.StringIO(text))
+
+
 def test_equivalent_period_text_is_one_period():
     text = "unit,year,quarter,outcome,weight\na,2014,1,1.0,1.0\na, 2014,1,2.0,1.0\n"
     with pytest.raises(IngestError, match="row 3: duplicate.*2014Q1.*row 2"):

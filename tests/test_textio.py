@@ -267,17 +267,30 @@ def test_plain_batches_take_numpy_path(tmp_path):
     wave = tmp_path / "wave.csv"
     wave.write_text("region,hourly_wage\n" + "".join(
         f"{' ' * (i % 2)}r{i % 7},{7.0 + i / 16!r}\n" for i in range(200)))
-    one_batch = ingest_panel(panel), WageMicrodata.read_csv(wave, 8.5, 2014)
+    design = tmp_path / "design.csv"
+    design.write_text(READERS["design"][1] + "".join(
+        f"{' ' * (i % 2)}r{i},{i / 8!r},0.25, {i % 2},0,{'high/low' if i % 2 else 'low/low'},"
+        f"{'2014Q3' if i % 2 else ''},{1.0 + i!r}\n" for i in range(40)))
+    values = tmp_path / "values.csv"
+    values.write_text("region,weight\n" + "".join(f"r{i} ,{i / 4!r}\n" for i in range(40)))
+
+    def read_all():
+        return (ingest_panel(panel), WageMicrodata.read_csv(wave, 8.5, 2014),
+                TreatmentDesign.read_csv(design), _read_region_values(values, "weight"))
+
+    one_batch = read_all()
 
     def row_path(*args):
         raise AssertionError("a plain batch took the row path")
 
     with mock.patch.object(textio, "BATCH_ROWS", 16), \
             mock.patch.object(textio.CsvTable, "checked", row_path):
-        batched = ingest_panel(panel), WageMicrodata.read_csv(wave, 8.5, 2014)
+        batched = read_all()
     assert batched == one_batch
     assert len(one_batch[0].units) == 40 and len(set(one_batch[0].cluster.values())) == 10
     assert one_batch[1].regions == tuple(f"r{i}" for i in range(7))
+    assert len(one_batch[2].regions) == 43 and one_batch[2].regions["r39"].high_first
+    assert one_batch[3] == {f"r{i}": i / 4 for i in range(40)}
 
 
 @pytest.mark.parametrize("quote", ["", '"'], ids=["numpy path", "row path"])
@@ -287,11 +300,36 @@ def test_readers_leave_no_reference_cycle(quote):
     panel = "unit,year,quarter,outcome,weight,cluster\n" + "".join(
         f"{quote}u{i}{quote},2014,{q},1.5,1.0,c{i // 2}\n" for i in range(6) for q in (1, 2))
     wave = "region,hourly_wage\n" + "".join(f"{quote}r{i % 3}{quote},8.0\n" for i in range(6))
+    design = READERS["design"][1].replace("\nb,", f"\n{quote}b{quote},")
+    values = "region,weight\n" + "".join(f"{quote}r{i}{quote},2.5\n" for i in range(6))
     gc.collect()
     gc.disable()
     try:
         ingest_panel(io.StringIO(panel))
         WageMicrodata.read_csv(io.StringIO(wave), 8.5, 2014)
+        TreatmentDesign.read_csv(io.StringIO(design))
+        _read_region_values(io.StringIO(values), "weight")
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("reader, column", [
+    ("panel", "outcome"), ("panel", "weight"), ("panel", "z"), ("microdata", "hourly_wage"),
+    ("design", "gap_first"), ("design", "gap_second"), ("design", "population_weight"),
+    ("region values", "weight"),
+])
+@pytest.mark.parametrize("cell", ["1.5\xa0", "\xa01.5", ""], ids=["nbsp after", "nbsp before",
+                                                               "blank"])
+def test_every_numeric_cell_keeps_the_number_rule(tmp_path, reader, column, cell):
+    # Whitespace that is not ASCII, such as a no-break space, breaks the
+    # number rule in every numeric column; a blank cell cannot be parsed.
+    plain = READERS[reader][1]
+    if reader == "panel":  # with a covariate column
+        plain = edit_lines(plain, lambda i, line: line + (",z" if i == 0 else ",0.5"))
+    at = plain.splitlines()[0].split(",").index(column)
+    text = edit_lines(plain, lambda i, line: ",".join(
+        cell if i == 1 and j == at else value for j, value in enumerate(line.split(","))))
+    message = rf"row 2: column '{column}': could not parse {re.escape(repr(cell))} as a number$"
+    with pytest.raises(IngestError, match=message):
+        read(tmp_path, reader, text)
