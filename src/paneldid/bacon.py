@@ -112,23 +112,21 @@ def bacon_decompose(
     n_total = len(data.units)
     share = {c: len(rows[c]) / n_total for c in timing}
     share_never = len(never_rows) / n_total
-    # Fraction of the window each cohort spends treated.
-    dbar = {c: float(np.mean(period_index >= c.index)) for c in timing}
+    # Each cohort's treated periods, and the fraction of the window it spends treated.
+    treated = {c: period_index >= c.index for c in timing}
+    dbar = {c: float(np.mean(treated[c])) for c in timing}
 
     raw: list[tuple[ComparisonKind, Period, Period | None, float, float]] = []
 
     if never_rows.size:
         for k in timing:
-            post = period_index >= k.index
-            est = _did(y, rows[k], never_rows, post, ~post)
+            est = _did(y, rows[k], never_rows, treated[k], ~treated[k])
             weight = share[k] * share_never * dbar[k] * (1.0 - dbar[k])
             raw.append((ComparisonKind.TREATED_VS_NEVER, k, None, est, weight))
 
     for i, k in enumerate(timing):
         for l in timing[i + 1:]:
-            pre = period_index < k.index
-            mid = (period_index >= k.index) & (period_index < l.index)
-            post = period_index >= l.index
+            pre, mid, post = ~treated[k], treated[k] & ~treated[l], treated[l]
             # Early cohort as treatment, late cohort as control, before l adopts.
             est_early = _did(y, rows[k], rows[l], mid, pre)
             w_early = share[k] * share[l] * (dbar[k] - dbar[l]) * (1.0 - dbar[k])

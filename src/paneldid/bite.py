@@ -25,6 +25,7 @@ from .periods import Period
 from .textio import (Codes, IngestError, Number, cell_values, field_names, field_values,
                      first_repeat, read_columns, stripped, write_records)
 
+# The one source of the adoption dates; the designs' cutoff is the quarter before the early one.
 DEFAULT_EARLY_COHORT = Period(2014, 3)
 DEFAULT_LATE_COHORT = Period(2019, 1)
 _EMPTY_REGION = "region id must be a non-empty string"

@@ -3,6 +3,10 @@
 Every builder turns a panel plus a treatment design into a DesignMatrix for
 the engine: indicator treatment columns first, then any planned covariate
 columns. Fixed effects are never built here; the engine absorbs them.
+
+Every block is one rule, `_block`: a value per row times its period's flags
+in each window of `_windows` (post and pre cutoff) or, in `by_period`, in each
+period. The default cutoff is the quarter before `bite`'s early cohort.
 """
 
 from __future__ import annotations
@@ -14,15 +18,16 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .bite import SwitcherGroup, TreatmentDesign
+from .bite import DEFAULT_EARLY_COHORT, SwitcherGroup, TreatmentDesign
 from .engine import DesignMatrix
 from .panel import PanelDataset, cohort_start, unit_values
 from .periods import Period
 from .textio import dump_key_values, read_key_values, to_numbers
 
-DEFAULT_CUTOFF = Period(2014, 2)
+DEFAULT_CUTOFF = DEFAULT_EARLY_COHORT.prev()
 FULL_INCREASE_YEARS = (2016, 2018, 2019, 2020, 2021)
 SHORT_INCREASE_YEARS = (2016, 2018)
+_WINDOW_NAMES = ("post", "pre")  # the cutoff windows of `_windows`, in column order
 
 
 class DesignKind(enum.Enum):
@@ -138,19 +143,40 @@ def dump_spec(spec: DidSpec) -> str:
     return dump_key_values(spec, _SPEC_FIELDS)
 
 
+def _windows(data: PanelDataset, spec: DidSpec, placebo: bool = False,
+             later: Sequence[Period] = ()) -> np.ndarray:
+    """(T, W) flags: each period after `spec.cutoff`, then after each `later` cutoff,
+    then, for a kind that takes a `placebo` and with `spec.placebo` set, before
+    `spec.cutoff`. The cutoff period itself is in no window."""
+    t = data.arrays.period_index[:, None]
+    flags = t > [spec.cutoff.index, *(c.index for c in later)]
+    if placebo and spec.placebo:
+        flags = np.column_stack([flags, t[:, 0] < spec.cutoff.index])
+    return flags
+
+
+def _block(data: PanelDataset, values, flags: np.ndarray) -> np.ndarray:
+    """Each row's `values`, (n,) or (n, G), times its period's (T, W) `flags`: (n, W*G)
+    columns, window by window; an off-window cell keeps the sign of its value."""
+    values = np.asarray(values, dtype=float)
+    on = flags[data.arrays.period_codes]
+    return (values.reshape(len(values), 1, -1) * on[:, :, None]).reshape(len(on), -1)
+
+
+def _by_row(data: PanelDataset, values: Mapping[str, object], what: str) -> np.ndarray:
+    """Each unit's `values` (a number or a row of them) on each of its rows."""
+    return np.asarray(unit_values(data, values, what), dtype=float)[data.arrays.unit_codes]
+
+
 def by_period(
     data: PanelDataset, values: np.ndarray, omit: Period | None
 ) -> tuple[list[Period], np.ndarray]:
-    """The periods of `data` other than `omit`, and `values` interacted with each.
-
-    Column j of the block is `values` (one per row) times the indicator of the
-    j-th kept period; off-period cells keep the sign of `values`, so a
-    negative value gives -0.0.
-    """
-    a = data.arrays
-    kept = [j for j, period in enumerate(a.periods) if period != omit]
-    block = np.asarray(values, dtype=float)[:, None] * (a.period_codes[:, None] == kept)
-    return [a.periods[j] for j in kept], block
+    """The periods of `data` other than `omit`, and `values` (one per row) times the
+    indicator of each; off-period cells keep the sign of `values`, so -0.0 where negative."""
+    periods = data.arrays.periods
+    kept = [j for j, period in enumerate(periods) if period != omit]
+    flags = np.arange(len(periods))[:, None] == kept
+    return [periods[j] for j in kept], _block(data, values, flags)
 
 
 def expand_covariates(
@@ -192,15 +218,8 @@ def _assemble(
     return DesignMatrix.from_panel(data, [*names, *cov_names], x)
 
 
-def _high_first_by_row(data: PanelDataset, design: TreatmentDesign) -> np.ndarray:
-    flags = design.high_first_map()
-    per_unit = np.asarray(unit_values(data, flags, "first-wave exposure flag"), dtype=float)
-    return per_unit[data.arrays.unit_codes]
-
-
-def _period_index_by_row(data: PanelDataset) -> np.ndarray:
-    a = data.arrays
-    return a.period_index[a.period_codes]
+def _high_first(data: PanelDataset, design: TreatmentDesign) -> np.ndarray:
+    return _by_row(data, design.high_first_map(), "first-wave exposure flag")
 
 
 def build_baseline(
@@ -213,15 +232,9 @@ def build_baseline(
     The cutoff period itself loads on neither column, so anticipation around
     the adoption quarter stays out of both estimates.
     """
-    high = _high_first_by_row(data, design)
-    t = _period_index_by_row(data)
-    cut = spec.cutoff.index
-    names = ["treated_post"]
-    cols = [high * (t > cut)]
-    if spec.placebo:
-        names.append("treated_pre")
-        cols.append(high * (t < cut))
-    return _assemble(data, names, cols, spec)
+    flags = _windows(data, spec, placebo=True)
+    names = [f"treated_{window}" for window in _WINDOW_NAMES[:flags.shape[1]]]
+    return _assemble(data, names, [_block(data, _high_first(data, design), flags)], spec)
 
 
 def build_event_study(
@@ -230,7 +243,9 @@ def build_event_study(
     spec: DidSpec,
 ) -> DesignMatrix:
     """One high-exposure x period indicator per period except the baseline."""
-    periods, block = by_period(data, _high_first_by_row(data, design), spec.baseline)
+    if spec.baseline not in data.arrays.periods:
+        raise ValueError(f"event study baseline {spec.baseline} is not a period of the panel")
+    periods, block = by_period(data, _high_first(data, design), spec.baseline)
     if not periods:
         raise ValueError("event study needs at least one non-baseline period")
     return _assemble(data, [f"treated@{period}" for period in periods], [block], spec)
@@ -248,14 +263,12 @@ def build_growth_interaction(
     time-interacted covariate block so the level response of slack regions is
     controlled for separately from the exposure response.
     """
-    high = _high_first_by_row(data, design)
-    t = _period_index_by_row(data)
-    low = np.asarray(unit_values(data, growth_flags, "low-growth flag"), dtype=float)
-    low_row = low[data.arrays.unit_codes]
-    post = (t > spec.cutoff.index).astype(float)
-    periods, block = by_period(data, low_row, data.arrays.periods[0])
+    high = _high_first(data, design)
+    low = _by_row(data, growth_flags, "low-growth flag")
+    periods, block = by_period(data, low, data.arrays.periods[0])
     names = ["treated_post", "treated_post_lowgrowth", *(f"low_growth@{p}" for p in periods)]
-    return _assemble(data, names, [high * post, high * post * low_row, block], spec)
+    post = _block(data, np.column_stack([high, high * low]), _windows(data, spec))
+    return _assemble(data, names, [post, block], spec)
 
 
 def build_increases(
@@ -271,15 +284,9 @@ def build_increases(
     """
     if not spec.increase_years:
         raise ValueError("increases design needs at least one raise year")
-    high = _high_first_by_row(data, design)
-    t = _period_index_by_row(data)
-    names = ["treated_post"]
-    cols = [high * (t > spec.cutoff.index)]
-    for tau in spec.increase_years:
-        threshold = Period(tau, 4).index
-        names.append(f"raise_{tau + 1}")
-        cols.append(high * (t > threshold))
-    return _assemble(data, names, cols, spec)
+    flags = _windows(data, spec, later=[Period(tau, 4) for tau in spec.increase_years])
+    names = ["treated_post", *(f"raise_{tau + 1}" for tau in spec.increase_years)]
+    return _assemble(data, names, [_block(data, _high_first(data, design), flags)], spec)
 
 
 def build_multi_group(
@@ -292,22 +299,12 @@ def build_multi_group(
     The never-high group is the omitted category. With `placebo`, matching
     pre-cutoff columns are added for all three groups.
     """
-    groups = unit_values(data, design.group_map(), "switcher group")
-    t = _period_index_by_row(data)
-    a = data.arrays
-    post = (t > spec.cutoff.index).astype(float)
-    pre = (t < spec.cutoff.index).astype(float)
-    # Each exposed group's indicator by row, named after the group, in enum order.
-    tracked = {
-        member.name.lower(): np.asarray([float(g is member) for g in groups])[a.unit_codes]
-        for member in SwitcherGroup if member is not SwitcherGroup.LOW_LOW
-    }
-    names = [f"{label}_post" for label in tracked]
-    cols = [member * post for member in tracked.values()]
-    if spec.placebo:
-        names += [f"{label}_pre" for label in tracked]
-        cols += [member * pre for member in tracked.values()]
-    return _assemble(data, names, cols, spec)
+    tracked = [group for group in SwitcherGroup if group is not SwitcherGroup.LOW_LOW]
+    member = {unit: [group is g for g in tracked] for unit, group in design.group_map().items()}
+    flags = _windows(data, spec, placebo=True)
+    names = [f"{g.name.lower()}_{w}" for w in _WINDOW_NAMES[:flags.shape[1]] for g in tracked]
+    block = _block(data, _by_row(data, member, "switcher group"), flags)
+    return _assemble(data, names, [block], spec)
 
 
 def build_staggered_twfe(
@@ -316,10 +313,8 @@ def build_staggered_twfe(
     spec: DidSpec,
 ) -> DesignMatrix:
     """Single absorbing-treatment indicator, switched on from each cohort start."""
-    start = cohort_start(data, design.cohort_map())
-    t = _period_index_by_row(data)
-    treated = (t >= start[data.arrays.unit_codes]).astype(float)
-    return _assemble(data, ["post_adoption"], [treated], spec)
+    event = data.arrays.event_time(cohort_start(data, design.cohort_map()))
+    return _assemble(data, ["post_adoption"], [(event >= 0).astype(float)], spec)
 
 
 _BUILDERS = {

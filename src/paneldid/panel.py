@@ -6,8 +6,8 @@ codes. Rows are sorted by (unit, period), so every downstream computation is
 independent of input row order. Transformations return new instances.
 
 `PanelArrays` owns the units x periods layout: `grid` lays any row values out
-as a (units, periods, ...) array and `period_index` holds each period's
-quarter index, so no estimator rebuilds either.
+as a (units, periods, ...) array, and `period_index` and `event_time` give each
+period's quarter index and each row's quarters since its cohort start.
 
 A panel is built by `PanelDataset.from_columns` or read by `ingest_panel`.
 `with_outcome` may also stack R outcomes on one layout: the outcome column
@@ -80,6 +80,10 @@ class PanelArrays:
                       dtype=np.result_type(values, fill))
         out[self.unit_codes, self.period_codes] = values
         return out
+
+    def event_time(self, start: np.ndarray) -> np.ndarray:
+        """Each row's quarters since its unit's `cohort_start`: -inf for a unit never treated."""
+        return self.period_index[self.period_codes] - start[self.unit_codes]
 
 
 def _factorize(values: Sequence[Hashable]) -> tuple[tuple, np.ndarray]:

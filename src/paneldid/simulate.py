@@ -24,8 +24,8 @@ from typing import IO, Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ._blas import single_thread
-from .bite import (RegionTreatment, SwitcherGroup, TreatmentDesign, assigned_cohort,
-                   cohort_pair)
+from .bite import (DEFAULT_EARLY_COHORT, DEFAULT_LATE_COHORT, RegionTreatment, SwitcherGroup,
+                   TreatmentDesign, assigned_cohort, cohort_pair)
 from .designs import DesignKind, DidSpec, build_staggered_twfe
 from .engine import Estimate, wls_fit
 from .panel import PanelDataset
@@ -81,8 +81,8 @@ class DgpConfig:
     n_never: int = 50
     start: Period = Period(2013, 1)
     n_periods: int = 37
-    early_cohort: Period = Period(2014, 3)
-    late_cohort: Period = Period(2019, 1)
+    early_cohort: Period = DEFAULT_EARLY_COHORT
+    late_cohort: Period = DEFAULT_LATE_COHORT
     unit_fe_mean: float = 0.0
     unit_fe_sd: float = 0.5
     trend: float = 0.002
@@ -227,15 +227,10 @@ def _make_design(config: DgpConfig) -> TreatmentDesign:
 
 def _effects(config: DgpConfig, design: TreatmentDesign) -> np.ndarray:
     """The (units, periods) treatment effect, units in sorted order."""
-    period_index = np.asarray([p.index for p in config.periods])
-
     def effects(group: _Group) -> np.ndarray:
-        """Effect in every period for a unit of `group`."""
-        if group.cohort is None:
-            return np.zeros(len(period_index))
-        event = period_index - group.cohort.index
-        values = np.asarray(group.effect.values, dtype=float)
-        return np.where(event >= 0, values[np.clip(event, 0, len(values) - 1)], 0.0)
+        """Effect in every period for a unit of `group`; 0 without a cohort."""
+        return np.asarray([group.effect.at(p.index - group.cohort.index) if group.cohort else 0.0
+                           for p in config.periods], dtype=float)
 
     by_group = {SwitcherGroup.from_flags(group.high_first, group.high_second): effects(group)
                 for group in _groups(config)}

@@ -176,7 +176,7 @@ def cs_att(
         raise ValueError(
             f"unknown control rule {control_rule!r}; valid rules: {CONTROL_RULES}"
         )
-    _check_bootstrap(bootstrap_draws, seed)
+    _check_bootstrap(data, bootstrap_draws, seed)
     a = data.arrays
     start = cohort_start(data, cohorts)
     unit_weight = _unit_weight(data, weights)
@@ -419,7 +419,8 @@ def sa_event_study(
     interacted = list(cohorts_in(start))
     if not interacted:
         raise ValueError("no treated cohorts in the panel window")
-    sample = data
+    a = data.arrays
+    keep = True  # the rows kept: all, until some are dropped
     if np.isfinite(start).all():
         if len(interacted) < 2:
             raise ValueError(
@@ -430,23 +431,25 @@ def sa_event_study(
             f"no never-treated units: cohort {control_cohort} serves as the "
             f"control and periods from {control_cohort} on are dropped"
         )
-        a = data.arrays
-        sample = data._subset(a.period_index[a.period_codes] < control_cohort.index)
-        start = cohort_start(sample, cohorts)
+        kept = a.period_index < control_cohort.index
+        if not kept.any():
+            raise ValueError(f"no period of the panel precedes control cohort {control_cohort}")
+        keep = kept[a.period_codes]
+        # as `cohort_start` of the kept rows: never treated if it starts after them
+        start = np.where(start > a.period_index[kept][-1], np.inf, start)
 
-    a = sample.arrays
-    row_start = start[a.unit_codes]
-    based = set(row_start[a.period_index[a.period_codes] == row_start - 1].tolist())
+    based = set(start[a.unit_codes[a.event_time(start) == -1]].tolist())
     unbased = [g for g in interacted if g.index not in based]
+    for g in unbased:
+        warnings.warn(f"cohort {g}: no row at its base period {g.prev()}; its units are dropped")
     if unbased:
-        for g in unbased:
-            warnings.warn(
-                f"cohort {g}: no row at its base period {g.prev()}; its units are dropped"
-            )
         interacted = [g for g in interacted if g.index in based]
         if not interacted:
             raise ValueError("no treated cohort has a row at its base period")
-        sample = sample._subset(~np.isin(row_start, [g.index for g in unbased]))
+        keep = keep & ~np.isin(start, [g.index for g in unbased])[a.unit_codes]
+    sample = data
+    if keep is not True:
+        sample = data._subset(keep)
         start = cohort_start(sample, cohorts)
         a = sample.arrays
 
@@ -686,9 +689,9 @@ def impute_att(
     multinomial bootstrap over units, not over the panel's clusters, which
     TWFE and `sa_event_study` use for CR1.
     """
-    _check_bootstrap(bootstrap_draws, seed)
+    _check_bootstrap(data, bootstrap_draws, seed)
     a = data.arrays
-    treated_rows = a.period_index[a.period_codes] >= cohort_start(data, cohorts)[a.unit_codes]
+    treated_rows = a.event_time(cohort_start(data, cohorts)) >= 0
     if not treated_rows.any():
         raise ValueError("no treated observations; nothing to impute")
     if treated_rows.all():
@@ -744,11 +747,14 @@ def impute_att(
     )
 
 
-def _check_bootstrap(bootstrap_draws: int, seed: int | None) -> None:
+def _check_bootstrap(data: PanelDataset, bootstrap_draws: int, seed: int | None) -> None:
     if bootstrap_draws < 0:
         raise ValueError("bootstrap_draws must be non-negative")
     if bootstrap_draws > 0 and seed is None:
         raise ValueError("a seed is required when bootstrap draws are requested")
+    if bootstrap_draws > 0 and data.arrays.outcome.ndim > 1:
+        raise ValueError("bootstrap draws need a single outcome; the panel stacks "
+                         f"{data.arrays.outcome.shape[1]} outcomes")
 
 
 def _unit_draws(seed: int, u_count: int, draws: int) -> np.ndarray:

@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import json
 import math
 import platform
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from paneldid.bite import (
     build_treatment_design,
     wage_gap,
 )
+from paneldid import cli
 from paneldid.cli import build_parser, main
 from paneldid.designs import DesignKind, DidSpec, build_design, load_spec
 from paneldid.engine import wls_fit
@@ -284,6 +287,19 @@ class TestEstimate:
         payload = stderr_payload(err)
         assert payload["error"] == "ValueError"
         assert "['cohort']" in payload["message"]
+
+    def test_event_study_baseline_outside_the_panel_named(self, tmp_path, capsys,
+                                                          estimate_inputs):
+        panel, design, _ = estimate_inputs
+        spec = tmp_path / "late_baseline.txt"
+        spec.write_text("kind = event_study\nbaseline = 2030Q1\n")
+        code, _, err = run(["estimate", "--out", tmp_path / "es", "--panel", panel,
+                            "--design", design, "--spec", spec], capsys)
+        assert code == 1
+        assert stderr_payload(err) == {
+            "error": "ValueError",
+            "message": "event study baseline 2030Q1 is not a period of the panel",
+        }
 
     def test_growth_flag_pairing(self, tmp_path, capsys, estimate_inputs):
         panel, design, spec = estimate_inputs
@@ -702,3 +718,24 @@ class TestParser:
         assert info.value.code == 2
         err = capsys.readouterr().err
         assert re.search(rf"argument {flag}: (could not parse|non-finite value) '{text}'", err)
+
+
+def _parser_flags():
+    """Each subcommand's long flags, as `build_parser` defines them."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: {flag for action in command._actions for flag in action.option_strings
+                   if flag.startswith("--") and flag != "--help"}
+            for name, command in sub.choices.items()}
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {m[1]: set(m[2].split())
+             for m in re.finditer(r"^\| `(\w+)` \| `([^`]*)` \|$", readme, re.M)}
+    assert table == _parser_flags()
+
+
+def test_cli_docstring_flag_list_matches_the_parser():
+    listed = {m[1]: set(m[2].split())
+              for m in re.finditer(r"^\* (\w+): (.*(?:\n  .*)*)", cli.__doc__, re.M)}
+    assert listed == _parser_flags()

@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import numpy as np
@@ -404,3 +405,100 @@ def test_all_treatment_columns_are_indicators():
                       growth_flags={"high": True, "fade": False,
                                     "late": True, "low": False})
     assert set(np.unique(dm.x)) <= {0.0, 1.0}
+
+
+def _pin_panel():
+    """Eight regions, two per switcher group, on an unbalanced 2013Q1-2021Q4 panel.
+
+    Rows are missing at the cutoff quarter, at a cohort start and at the
+    start of the panel; `drift` is negative for some regions, so its
+    off-period cells are -0.0.
+    """
+    units = ("high1", "high2", "fade1", "fade2", "late1", "late2", "low1", "low2")
+    east = dict(zip(units, (1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 0.0)))
+    drift = dict(zip(units, (-0.4, 0.25, 1.5, -2.0, 0.75, -0.125, 3.0, 0.5)))
+    missing = {("fade2", p) for p in QUARTERS[:4]} | {
+        ("low1", P(2014, 2)), ("late2", P(2019, 1)), ("high2", P(2016, 1)),
+        ("high2", P(2016, 2)),
+    }
+    obs = [Observation(u, p, float(i + 0.1 * j), 1.0 + 0.5 * (i % 3), (east[u], drift[u]))
+           for i, u in enumerate(units) for j, p in enumerate(QUARTERS)
+           if (u, p) not in missing]
+    design = TreatmentDesign({u: FOUR_REGIONS[u[:-1]] for u in units})
+    growth = {u: u[-1] == "1" for u in units}
+    return panel_of(tuple(obs), covariate_names=("east", "drift")), design, growth
+
+
+_PIN_COVARIATES = (CovariateTerm("drift"), CovariateTerm("drift", by_flag="east"),
+                   CovariateTerm("drift", by_time=False))
+
+
+def _pin_spec(kind, placebo, shifted):
+    if not shifted:
+        return DidSpec(kind=kind, placebo=placebo)
+    return DidSpec(kind=kind, cutoff=P(2015, 1), baseline=P(2016, 2),
+                   increase_years=(2016, 2018), placebo=placebo, covariates=_PIN_COVARIATES)
+
+
+def _digests(dm):
+    columns = hashlib.sha256("\n".join(dm.columns).encode()).hexdigest()[:16]
+    x = np.ascontiguousarray(dm.x, dtype=float)
+    cells = hashlib.sha256(repr(x.shape).encode() + x.tobytes()).hexdigest()[:16]
+    return columns, cells
+
+
+# (columns, x) digests by (kind, placebo, shifted); `shifted` moves the cutoff
+# to 2015Q1, the baseline to 2016Q2 and the raises to 2016 and 2018, and adds
+# the three covariate forms.
+_PINNED_DESIGNS = {
+    (DesignKind.BASELINE, False, False): ('eca1197bf4fa6304', 'a6bdfa3961adbe81'),
+    (DesignKind.BASELINE, False, True): ('e6c0866e08f9de19', 'c599d4f4f0aa3764'),
+    (DesignKind.BASELINE, True, False): ('814ce29262e89feb', '94d33cfd8f943ee5'),
+    (DesignKind.BASELINE, True, True): ('b1b41d9c901ca70f', '44093e9b05721801'),
+    (DesignKind.EVENT_STUDY, False, False): ('23bc5eaf73ee4cb8', '6c4ace5bf250f68a'),
+    (DesignKind.EVENT_STUDY, False, True): ('4435b234461e649e', '4c54c8cad8551269'),
+    (DesignKind.EVENT_STUDY, True, False): ('23bc5eaf73ee4cb8', '6c4ace5bf250f68a'),
+    (DesignKind.EVENT_STUDY, True, True): ('4435b234461e649e', '4c54c8cad8551269'),
+    (DesignKind.GROWTH_INTERACTION, False, False): ('5dc841772e1ec55d', 'fc23dc7e223dd461'),
+    (DesignKind.GROWTH_INTERACTION, False, True): ('53b7d4fc71c55679', '333dd35af1df921d'),
+    (DesignKind.GROWTH_INTERACTION, True, False): ('5dc841772e1ec55d', 'fc23dc7e223dd461'),
+    (DesignKind.GROWTH_INTERACTION, True, True): ('53b7d4fc71c55679', '333dd35af1df921d'),
+    (DesignKind.INCREASES, False, False): ('86e5e47ee51363f9', '2b52e72102324fa5'),
+    (DesignKind.INCREASES, False, True): ('0ea083a6afffcc41', 'cff54efcf2cb9160'),
+    (DesignKind.INCREASES, True, False): ('86e5e47ee51363f9', '2b52e72102324fa5'),
+    (DesignKind.INCREASES, True, True): ('0ea083a6afffcc41', 'cff54efcf2cb9160'),
+    (DesignKind.MULTI_GROUP, False, False): ('838b09185bb1df9b', '25ad195080e7e320'),
+    (DesignKind.MULTI_GROUP, False, True): ('e5d7292060e7a4ff', '655ca2f29586047f'),
+    (DesignKind.MULTI_GROUP, True, False): ('eb5df789e359cc74', 'f0f18d4150468e5b'),
+    (DesignKind.MULTI_GROUP, True, True): ('d04bc57b43b43c78', 'e94445ecbd1cf374'),
+    (DesignKind.STAGGERED_TWFE, False, False): ('f19ee427580278fa', '2785544f73331d9f'),
+    (DesignKind.STAGGERED_TWFE, False, True): ('1cf51bf8309aa7cb', '3b4cdd003a0f9937'),
+    (DesignKind.STAGGERED_TWFE, True, False): ('f19ee427580278fa', '2785544f73331d9f'),
+    (DesignKind.STAGGERED_TWFE, True, True): ('1cf51bf8309aa7cb', '3b4cdd003a0f9937'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PINNED_DESIGNS, key=lambda k: (k[0].value, k[1:])),
+                         ids=lambda k: f"{k[0].value}-placebo{k[1]:d}-shifted{k[2]:d}")
+def test_design_matrices_pinned(key):
+    data, design, growth = _pin_panel()
+    dm = build_design(data, design, _pin_spec(*key), growth_flags=growth)
+    assert _digests(dm) == _PINNED_DESIGNS[key]
+
+
+def test_design_pins_cover_every_case():
+    assert set(_PINNED_DESIGNS) == {(kind, placebo, shifted) for kind in DesignKind
+                                    for placebo in (False, True) for shifted in (False, True)}
+
+
+def test_placebo_changes_only_baseline_and_multi_group():
+    data, design, growth = _pin_panel()
+    changed = set()
+    for kind in DesignKind:
+        off, on = (build_design(data, design, DidSpec(kind=kind, placebo=placebo),
+                                growth_flags=growth) for placebo in (False, True))
+        if off.columns != on.columns:
+            changed.add(kind)
+        else:
+            np.testing.assert_array_equal(off.x, on.x)
+    assert changed == {DesignKind.BASELINE, DesignKind.MULTI_GROUP}

@@ -28,8 +28,10 @@ from paneldid import (
     wls_fit,
 )
 from paneldid.bite import DESIGN_COLUMNS, WageRecord
-from paneldid.designs import CovariateTerm
-from paneldid.staggered import sa_event_study
+from paneldid.designs import CovariateTerm, DesignKind, DidSpec, build_event_study
+from paneldid.periods import period_range
+from paneldid.simulate import generate, homogeneous_config
+from paneldid.staggered import cs_att, impute_att, sa_event_study
 
 
 def raises(kind, message, call, *args, **kwargs):
@@ -142,3 +144,24 @@ def test_event_study_needs_a_treated_cohort():
                      for u in ("a", "b") for q in (1, 2, 3)])
     raises(ValueError, "no treated cohorts in the panel window",
            sa_event_study, data, {"a": None, "b": None})
+
+
+def test_event_study_baseline_must_be_a_period_of_the_panel():
+    data = panel_of([Observation(u, p, float(j), 1.0) for u in ("a", "b")
+                     for j, p in enumerate(period_range(P(2013, 1), P(2022, 1)))])
+    treatment = TreatmentDesign({
+        "a": RegionTreatment(0.8, 0.8, True, True, SwitcherGroup.HIGH_HIGH, P(2014, 3), 1.0),
+        "b": RegionTreatment(0.2, 0.2, False, False, SwitcherGroup.LOW_LOW, None, 1.0),
+    })
+    raises(ValueError, "event study baseline 2030Q1 is not a period of the panel",
+           build_event_study, data, treatment,
+           DidSpec(kind=DesignKind.EVENT_STUDY, baseline=P(2030, 1)))
+
+
+@pytest.mark.parametrize("estimator", [cs_att, impute_att], ids=["cs_att", "impute_att"])
+def test_bootstrap_draws_need_a_single_outcome(estimator):
+    data, design, _ = generate(homogeneous_config(1))
+    y = data.arrays.outcome
+    stacked = data.with_outcome(np.column_stack([y, y + 1.0, y + 2.0]))
+    raises(ValueError, "bootstrap draws need a single outcome; the panel stacks 3 outcomes",
+           estimator, stacked, design.cohort_map(), bootstrap_draws=5, seed=1)
