@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping
 
 import numpy as np
-from scipy import stats
 
 from . import textio
 from .periods import Period
@@ -269,6 +268,20 @@ def classify_switchers(
     }
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of `values`, tied values sharing the mean of their ranks; all nan
+    if any value is nan. Each rank is a half-integer, so it is exact."""
+    if np.isnan(values).any():
+        return np.full(len(values), math.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    bounds = np.r_[np.flatnonzero(starts), len(values)]  # each tie group's first position, then n
+    ranks = np.empty(len(values))
+    ranks[order] = (0.5 * (bounds[:-1] + bounds[1:] + 1))[np.cumsum(starts) - 1]
+    return ranks
+
+
 def gap_correlations(
     first: WageGapTable | Mapping[str, float],
     second: WageGapTable | Mapping[str, float],
@@ -289,7 +302,7 @@ def gap_correlations(
     if np.ptp(x) == 0 or np.ptp(y) == 0:
         raise ValueError("correlation is undefined for a constant gap series")
     pearson = float(np.corrcoef(x, y)[0, 1])
-    spearman = float(np.corrcoef(stats.rankdata(x), stats.rankdata(y))[0, 1])
+    spearman = float(np.corrcoef(_average_ranks(x), _average_ranks(y))[0, 1])
     return pearson, spearman
 
 

@@ -4,9 +4,10 @@ Every builder turns a panel plus a treatment design into a DesignMatrix for
 the engine: indicator treatment columns first, then any planned covariate
 columns. Fixed effects are never built here; the engine absorbs them.
 
-Every block is one rule, `_block`: a value per row times its period's flags
+Every block is one rule, `_fill`: a value per row times its period's flags
 in each window of `_windows` (post and pre cutoff) or, in `by_period`, in each
-period. The default cutoff is the quarter before `bite`'s early cohort.
+period, written straight into its columns of the design's one n x K array.
+The default cutoff is the quarter before `bite`'s early cohort.
 """
 
 from __future__ import annotations
@@ -155,12 +156,28 @@ def _windows(data: PanelDataset, spec: DidSpec, placebo: bool = False,
     return flags
 
 
-def _block(data: PanelDataset, values, flags: np.ndarray) -> np.ndarray:
-    """Each row's `values`, (n,) or (n, G), times its period's (T, W) `flags`: (n, W*G)
-    columns, window by window; an off-window cell keeps the sign of its value."""
-    values = np.asarray(values, dtype=float)
-    on = flags[data.arrays.period_codes]
-    return (values.reshape(len(values), 1, -1) * on[:, :, None]).reshape(len(on), -1)
+def _fill(data: PanelDataset, blocks, out: np.ndarray) -> np.ndarray:
+    """Write the blocks side by side into `out`'s columns and return `out`.
+
+    A block is (values, flags): each row's `values`, (n,) or (n, G), times its
+    period's (T, W) `flags`, so W*G columns, window by window; an off-window
+    cell keeps the sign of its value.
+    """
+    n, start = out.shape[0], 0
+    for values, flags in blocks:
+        values = np.asarray(values, dtype=float).reshape(n, 1, -1)
+        stop = start + flags.shape[1] * values.shape[2]
+        cells = out[:, start:stop].reshape(n, flags.shape[1], values.shape[2])  # a view
+        np.multiply(values, flags[data.arrays.period_codes][:, :, None], out=cells)
+        start = stop
+    if start != out.shape[1]:
+        raise ValueError(f"design blocks fill {start} of {out.shape[1]} columns")
+    return out
+
+
+def _always(data: PanelDataset) -> np.ndarray:
+    """(T, 1) flags: one window holding every period."""
+    return np.ones((len(data.arrays.periods), 1), dtype=bool)
 
 
 def _by_row(data: PanelDataset, values: Mapping[str, object], what: str) -> np.ndarray:
@@ -168,53 +185,68 @@ def _by_row(data: PanelDataset, values: Mapping[str, object], what: str) -> np.n
     return np.asarray(unit_values(data, values, what), dtype=float)[data.arrays.unit_codes]
 
 
+def _period_flags(data: PanelDataset, omit: Period | None) -> tuple[list[Period], np.ndarray]:
+    """The periods of `data` other than `omit`, and their (T, W) flags: one window each."""
+    periods = data.arrays.periods
+    kept = [j for j, period in enumerate(periods) if period != omit]
+    return [periods[j] for j in kept], np.arange(len(periods))[:, None] == kept
+
+
 def by_period(
     data: PanelDataset, values: np.ndarray, omit: Period | None
 ) -> tuple[list[Period], np.ndarray]:
     """The periods of `data` other than `omit`, and `values` (one per row) times the
     indicator of each; off-period cells keep the sign of `values`, so -0.0 where negative."""
-    periods = data.arrays.periods
-    kept = [j for j, period in enumerate(periods) if period != omit]
-    flags = np.arange(len(periods))[:, None] == kept
-    return [periods[j] for j in kept], _block(data, values, flags)
+    periods, flags = _period_flags(data, omit)
+    return periods, _fill(data, [(values, flags)], np.empty((data.n_obs, len(periods))))
+
+
+def _covariate_names(data: PanelDataset, plan: Sequence[CovariateTerm]) -> list[str]:
+    """The columns of `plan`, in `expand_covariates` order."""
+    later = data.arrays.periods[1:]
+    names: list[str] = []
+    for term in plan:
+        names.extend([f"{term}@{period}" for period in later] if term.by_time else [str(term)])
+    return names
 
 
 def expand_covariates(
     data: PanelDataset,
     plan: Sequence[CovariateTerm],
+    out: np.ndarray | None = None,
 ) -> tuple[list[str], np.ndarray]:
-    """Expand planned covariate blocks into design columns.
+    """Expand planned covariate blocks into design columns, written into `out` if given.
 
     Time-interacted blocks emit one column per period except the first, so a
     panel with T periods contributes T-1 columns per block. Characteristics
     and flags must be per-region constants already carried by the panel.
     """
     a = data.arrays
-    names: list[str] = []
-    cols: list[np.ndarray] = []  # columns and period blocks
+    names = _covariate_names(data, plan)
+    by_time = _period_flags(data, a.periods[0])[1]
+    blocks = []
     for term in plan:
         char = data.region_constant(term.characteristic)[a.unit_codes]
         if term.by_flag is not None:
             char = char * data.region_constant(term.by_flag)[a.unit_codes]
-        if not term.by_time:
-            names.append(str(term))
-            cols.append(char)
-            continue
-        periods, block = by_period(data, char, a.periods[0])
-        names.extend(f"{term}@{period}" for period in periods)
-        cols.append(block)
-    matrix = np.column_stack(cols) if cols else np.empty((data.n_obs, 0))
-    return names, matrix
+        blocks.append((char, by_time if term.by_time else _always(data)))
+    if out is None:
+        out = np.empty((data.n_obs, len(names)))
+    return names, _fill(data, blocks, out)
 
 
 def _assemble(
     data: PanelDataset,
     names: Sequence[str],
-    cols: Sequence[np.ndarray],
+    blocks: Sequence[tuple],
     spec: DidSpec,
 ) -> DesignMatrix:
-    cov_names, cov_matrix = expand_covariates(data, spec.covariates)
-    x = np.column_stack([*cols, cov_matrix])
+    """The design of the treatment `blocks` (see `_fill`), one column per name in
+    `names`, then the covariates of `spec`: one n x K array, written in place."""
+    cov_names = _covariate_names(data, spec.covariates)
+    x = np.empty((data.n_obs, len(names) + len(cov_names)))
+    _fill(data, blocks, x[:, :len(names)])
+    expand_covariates(data, spec.covariates, out=x[:, len(names):])
     return DesignMatrix.from_panel(data, [*names, *cov_names], x)
 
 
@@ -234,7 +266,7 @@ def build_baseline(
     """
     flags = _windows(data, spec, placebo=True)
     names = [f"treated_{window}" for window in _WINDOW_NAMES[:flags.shape[1]]]
-    return _assemble(data, names, [_block(data, _high_first(data, design), flags)], spec)
+    return _assemble(data, names, [(_high_first(data, design), flags)], spec)
 
 
 def build_event_study(
@@ -245,10 +277,11 @@ def build_event_study(
     """One high-exposure x period indicator per period except the baseline."""
     if spec.baseline not in data.arrays.periods:
         raise ValueError(f"event study baseline {spec.baseline} is not a period of the panel")
-    periods, block = by_period(data, _high_first(data, design), spec.baseline)
+    periods, flags = _period_flags(data, spec.baseline)
     if not periods:
         raise ValueError("event study needs at least one non-baseline period")
-    return _assemble(data, [f"treated@{period}" for period in periods], [block], spec)
+    names = [f"treated@{period}" for period in periods]
+    return _assemble(data, names, [(_high_first(data, design), flags)], spec)
 
 
 def build_growth_interaction(
@@ -265,10 +298,10 @@ def build_growth_interaction(
     """
     high = _high_first(data, design)
     low = _by_row(data, growth_flags, "low-growth flag")
-    periods, block = by_period(data, low, data.arrays.periods[0])
+    periods, by_time = _period_flags(data, data.arrays.periods[0])
     names = ["treated_post", "treated_post_lowgrowth", *(f"low_growth@{p}" for p in periods)]
-    post = _block(data, np.column_stack([high, high * low]), _windows(data, spec))
-    return _assemble(data, names, [post, block], spec)
+    post = (np.column_stack([high, high * low]), _windows(data, spec))
+    return _assemble(data, names, [post, (low, by_time)], spec)
 
 
 def build_increases(
@@ -286,7 +319,7 @@ def build_increases(
         raise ValueError("increases design needs at least one raise year")
     flags = _windows(data, spec, later=[Period(tau, 4) for tau in spec.increase_years])
     names = ["treated_post", *(f"raise_{tau + 1}" for tau in spec.increase_years)]
-    return _assemble(data, names, [_block(data, _high_first(data, design), flags)], spec)
+    return _assemble(data, names, [(_high_first(data, design), flags)], spec)
 
 
 def build_multi_group(
@@ -303,7 +336,7 @@ def build_multi_group(
     member = {unit: [group is g for g in tracked] for unit, group in design.group_map().items()}
     flags = _windows(data, spec, placebo=True)
     names = [f"{g.name.lower()}_{w}" for w in _WINDOW_NAMES[:flags.shape[1]] for g in tracked]
-    block = _block(data, _by_row(data, member, "switcher group"), flags)
+    block = (_by_row(data, member, "switcher group"), flags)
     return _assemble(data, names, [block], spec)
 
 
@@ -314,7 +347,7 @@ def build_staggered_twfe(
 ) -> DesignMatrix:
     """Single absorbing-treatment indicator, switched on from each cohort start."""
     event = data.arrays.event_time(cohort_start(data, design.cohort_map()))
-    return _assemble(data, ["post_adoption"], [(event >= 0).astype(float)], spec)
+    return _assemble(data, ["post_adoption"], [(event >= 0, _always(data))], spec)
 
 
 _BUILDERS = {

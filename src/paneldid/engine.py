@@ -24,7 +24,10 @@ inference:
 
 with X the demeaned retained regressors, G the number of clusters and K the
 number of retained slope parameters. Test statistics use a t reference
-distribution with G-1 degrees of freedom.
+distribution with G-1 degrees of freedom. Its p-values and 95% critical
+values, and the normal critical value, come from `scipy.special`'s `stdtr`,
+`stdtrit` and `ndtri`: the kernels that `scipy.stats.t` and `scipy.stats.norm`
+call, so they equal those bit for bit without loading `scipy.stats`.
 
 `Estimate` holds one estimate and its standard error and is the one home of
 the toolkit's 95% interval: a t(df) critical value for these CR1 errors
@@ -43,7 +46,7 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import linalg, sparse, stats
+from scipy import linalg, sparse, special
 from scipy.sparse.csgraph import connected_components
 
 from .panel import PanelDataset
@@ -51,12 +54,12 @@ from .periods import Period
 
 PIVOT_RTOL = 1e-9
 _BLOCK_ROWS = 1024  # rows per chunk: residuals and QR blocks stay in cache
-_Z95 = float(stats.norm.ppf(0.975))
+_Z95 = float(special.ndtri(0.975))
 
 
 @lru_cache(maxsize=None)
 def _t95(df: int) -> float:
-    return float(stats.t.ppf(0.975, df))
+    return float(special.stdtrit(df, 0.975))
 
 
 def _scalar(value):
@@ -422,7 +425,9 @@ class RegressionFit:
 
     def pvalue(self, name: str) -> float:
         t = self.tstat(name)
-        return float(2.0 * stats.t.sf(abs(t), self.df_inference)) if math.isfinite(t) else math.nan
+        if not math.isfinite(t):
+            return math.nan
+        return float(2.0 * special.stdtr(self.df_inference, -abs(t)))
 
     def estimate(self, name: str) -> Estimate:
         return Estimate(self.coefficients[name], self.se(name), self.df_inference)

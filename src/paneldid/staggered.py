@@ -406,9 +406,11 @@ def sa_event_study(
     Each cohort gets its own indicator for every relative period except -1;
     never-treated units carry no interactions and act as the comparison. When
     no never-treated units exist, the last cohort serves as the control and
-    periods from its start onward are dropped (with a warning). A cohort with
-    no row at its base period g-1 cannot be compared with it; its units are
-    dropped (with a warning). Event-time estimates average cohort
+    periods from its start onward are dropped (with a warning); a cohort that
+    starts after the last period kept is then never treated in the sample,
+    and its units serve as controls (with a warning). A cohort with no row at
+    its base period g-1 cannot be compared with it; its units are dropped
+    (with a warning). Event-time estimates average cohort
     coefficients with weights proportional to each contributing cohort's
     total unit weight; covariance comes from the cluster-robust fit via the
     same linear combination. The fit is one two-way solve over cohort x
@@ -436,16 +438,22 @@ def sa_event_study(
             raise ValueError(f"no period of the panel precedes control cohort {control_cohort}")
         keep = kept[a.period_codes]
         # as `cohort_start` of the kept rows: never treated if it starts after them
-        start = np.where(start > a.period_index[kept][-1], np.inf, start)
+        last = a.periods[np.flatnonzero(kept)[-1]]
+        for g in interacted:
+            if g > last:
+                warnings.warn(f"cohort {g} starts after the last kept period {last}; "
+                              f"its units serve as controls")
+        interacted = [g for g in interacted if g <= last]
+        start = np.where(start > last.index, np.inf, start)
 
     based = set(start[a.unit_codes[a.event_time(start) == -1]].tolist())
     unbased = [g for g in interacted if g.index not in based]
     for g in unbased:
         warnings.warn(f"cohort {g}: no row at its base period {g.prev()}; its units are dropped")
+    interacted = [g for g in interacted if g.index in based]
+    if not interacted:
+        raise ValueError("no treated cohort has a row at its base period")
     if unbased:
-        interacted = [g for g in interacted if g.index in based]
-        if not interacted:
-            raise ValueError("no treated cohort has a row at its base period")
         keep = keep & ~np.isin(start, [g.index for g in unbased])[a.unit_codes]
     sample = data
     if keep is not True:

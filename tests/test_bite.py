@@ -1,9 +1,12 @@
 import io
+import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from paneldid import textio
 from paneldid.bite import (
@@ -14,6 +17,7 @@ from paneldid.bite import (
     WageGapTable,
     WageMicrodata,
     WageRecord,
+    _average_ranks,
     assigned_cohort,
     build_treatment_design,
     classify_switchers,
@@ -317,6 +321,17 @@ class TestCorrelations:
         b = _table({"a": 1.0, "b": 2.0}, 8.50, 2018)
         with pytest.raises(ValueError, match="constant"):
             gap_correlations(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 3.0])
+                    | st.floats(allow_nan=False), min_size=1, max_size=200))
+    def test_average_ranks_equal_rankdata(self, values):
+        # ties (-0.0 with 0.0 among them) share their mean rank, a half-integer
+        values = np.array(values)
+        assert _average_ranks(values).tobytes() == stats.rankdata(values).tobytes()
+
+    def test_average_ranks_propagate_nan(self):
+        assert np.isnan(_average_ranks(np.array([1.0, math.nan, 0.0]))).all()
 
 
 class TestLowGrowth:

@@ -2,8 +2,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,19 @@ def run(argv, capsys=None):
 # Every manifest records the library versions, and no thread count.
 ENVIRONMENT = {"python": platform.python_version(), "numpy": np.__version__,
                "scipy": scipy.__version__}
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats adds about 35 MiB and 0.4 s to every process that loads it. A
+    # fresh interpreter: this one has loaded it for the tests.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, paneldid, paneldid.cli; "
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 def stderr_payload(err):

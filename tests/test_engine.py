@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import P, direct_cr1, dummy_wls_coefficients, grid_panel, make_panel
+from paneldid import engine
 from paneldid.engine import (
     AbsorbedError,
     DesignMatrix,
     Estimate,
+    RegressionFit,
     TwoWaySolver,
     cluster_vcov,
     demean_two_way,
@@ -374,6 +376,26 @@ class TestInference:
         crit = stats.t.ppf(0.975, fit.n_clusters - 1)
         assert low == pytest.approx(fit.coefficients[name] - crit * fit.se(name), rel=1e-10)
         assert high == pytest.approx(fit.coefficients[name] + crit * fit.se(name), rel=1e-10)
+
+    def test_critical_values_equal_scipy_stats_bit_for_bit(self):
+        # the engine calls the scipy.special kernels behind norm.ppf and t.ppf
+        assert engine._Z95 == float(stats.norm.ppf(0.975))
+        for df in range(1, 1001):
+            assert engine._t95(df) == float(stats.t.ppf(0.975, df)), df
+
+    @pytest.mark.parametrize("df", [1, 2, 7, 30, 499, 10_000])
+    def test_pvalue_equals_scipy_stats_bit_for_bit(self, df):
+        grid = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 0.3, -1.96, 2.5, -12.7, 40.0]
+        names = tuple(f"b{i}" for i in range(len(grid)))
+        # unit standard errors, so each t statistic is its coefficient
+        fit = RegressionFit(
+            columns=names, coefficients=dict(zip(names, grid)), vcov=np.eye(len(grid)),
+            residuals=np.zeros(1), n_obs=1, n_clusters=df + 1, dropped_collinear=(),
+            pivot_ratios={}, condition=1.0, fe_components=1,
+        )
+        for name, t in zip(names, grid):
+            assert fit.tstat(name) == t
+            assert fit.pvalue(name) == float(2.0 * stats.t.sf(abs(t), df)), t
 
     def test_estimate_interval_rule(self):
         # normal without df (bootstrap SEs), t(df) with it (CR1 SEs)

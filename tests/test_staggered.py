@@ -14,7 +14,7 @@ from paneldid.designs import (
 from paneldid.engine import PIVOT_RTOL, DesignMatrix, _fe_labels, wls_fit
 from paneldid.panel import Observation
 from paneldid.periods import Period, period_range
-from paneldid.simulate import generate, heterogeneous_config, null_config
+from paneldid.simulate import DgpConfig, generate, heterogeneous_config, null_config
 from paneldid.staggered import (
     CONTROL_RULES,
     cs_aggregate,
@@ -756,6 +756,29 @@ class TestSaEventStudy:
         assert res.fit.n_obs == data.n_obs - 7
         for e, v in res.entries.items():
             assert v.estimate == pytest.approx(0.2 if e >= 0 else 0.0, abs=1e-8)
+
+    def test_cohort_after_last_kept_period_serves_as_controls(self):
+        # no never-treated unit; the 2017Q1 cohort starts in the gap the panel has
+        # from 2017Q1 up to the control cohort's start
+        data, design, _ = generate(DgpConfig(n_never=0, n_early=5, n_late=5, seed=7))
+        cohorts = design.cohort_map()
+        moved = sorted(u for u, g in cohorts.items() if g == P(2019, 1))[:3]
+        a = data.arrays
+        gap = (a.period_index >= P(2017, 1).index) & (a.period_index <= P(2018, 4).index)
+        data = data._subset(~gap[a.period_codes])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = sa_event_study(data, {**cohorts, **{u: P(2017, 1) for u in moved}})
+        assert [str(w.message) for w in caught] == [
+            "no never-treated units: cohort 2019Q1 serves as the control and periods "
+            "from 2019Q1 on are dropped",
+            "cohort 2017Q1 starts after the last kept period 2016Q4; its units serve as controls",
+        ]
+        assert res.fit.n_obs == int((data.arrays.period_index < P(2017, 1).index).sum()) * 10
+        with pytest.warns(UserWarning, match="2019Q1.*control"):
+            control = sa_event_study(data, cohorts)
+        assert res.fit.coef_vector().tobytes() == control.fit.coef_vector().tobytes()
+        assert res.fit.vcov.tobytes() == control.fit.vcov.tobytes()
 
     def test_no_cohort_with_base_row_rejected(self):
         cohorts = {"a": P(2013, 1), "n": None}
