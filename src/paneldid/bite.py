@@ -4,7 +4,8 @@ The treatment intensity behind every design here is the average shortfall of
 hourly wages below a statutory minimum, computed per region from worker-level
 microdata. Regions are split at the population-weighted median gap into high
 and low exposure halves, once per survey wave, and the two splits combine
-into switcher groups and staggered adoption cohorts.
+into switcher groups and staggered adoption cohorts, which start at the two
+adoption dates `DEFAULT_EARLY_COHORT` and `DEFAULT_LATE_COHORT`.
 """
 
 from __future__ import annotations
@@ -478,14 +479,13 @@ def build_treatment_design(
     gaps_second: WageGapTable,
     population_weights: Mapping[str, float],
     *,
-    early_cohort: Period = DEFAULT_EARLY_COHORT,
-    late_cohort: Period = DEFAULT_LATE_COHORT,
     strict: bool = False,
 ) -> TreatmentDesign:
     """Split both waves at the weighted median and classify every region.
 
     The same population weights (one base year, shared across waves) drive
     both median splits, so the two waves are classified on a common scale.
+    Cohorts are the adoption dates `DEFAULT_EARLY_COHORT` and `DEFAULT_LATE_COHORT`.
     """
     first = gaps_first.gap_values()
     second = gaps_second.gap_values()
@@ -503,7 +503,7 @@ def build_treatment_design(
             high_second=high_second[region],
             group=groups[region],
             cohort=assigned_cohort(high_first[region], high_second[region],
-                                   early_cohort, late_cohort),
+                                   DEFAULT_EARLY_COHORT, DEFAULT_LATE_COHORT),
             population_weight=float(population_weights[region]),
         )
-    return TreatmentDesign(regions, early_cohort=early_cohort, late_cohort=late_cohort)
+    return TreatmentDesign(regions)

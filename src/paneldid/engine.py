@@ -23,7 +23,9 @@ inference:
     c = G/(G-1) * (N-1)/(N-K),
 
 with X the demeaned retained regressors, G the number of clusters and K the
-number of retained slope parameters. Test statistics use a t reference
+number of retained slope parameters. `cr1_vcov` is the one home of c * H H'
+for a (k, G) influence matrix H, here H = (X'WX)^(-1) [s_1 ... s_G]; the
+Sun-Abraham fit passes its own H to it. Test statistics use a t reference
 distribution with G-1 degrees of freedom. Its p-values and 95% critical
 values, and the normal critical value, come from `scipy.special`'s `stdtr`,
 `stdtrit` and `ndtri`: the kernels that `scipy.stats.t` and `scipy.stats.norm`
@@ -138,14 +140,9 @@ class DesignMatrix:
         return len(self.y)
 
     @classmethod
-    def from_panel(
-        cls,
-        data: PanelDataset,
-        columns: Sequence[str],
-        x: np.ndarray,
-        *,
-        weight: np.ndarray | None = None,
-    ) -> DesignMatrix:
+    def from_panel(cls, data: PanelDataset, columns: Sequence[str], x: np.ndarray) -> DesignMatrix:
+        """The panel's outcome, weights and codes with regressors `x`; other weights
+        go through `dataclasses.replace`, which `__post_init__` checks."""
         a = data.arrays
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
@@ -154,7 +151,7 @@ class DesignMatrix:
             columns=tuple(columns),
             x=x,
             y=a.outcome.copy(),
-            weight=a.weight.copy() if weight is None else np.asarray(weight, float),
+            weight=a.weight.copy(),
             unit_codes=a.unit_codes,
             period_codes=a.period_codes,
             cluster_codes=a.cluster_codes,
@@ -355,8 +352,7 @@ def cluster_vcov(
         ) from None
     # scores @ (X'WX)^-1, one row per cluster
     half = cluster_sums(x_demeaned, weight, residuals, cluster_codes) @ r_inv @ r_inv.T
-    v = cr1_factor(g, n, k) * np.swapaxes(half, -1, -2) @ half
-    return (v + np.swapaxes(v, -1, -2)) / 2.0
+    return cr1_vcov(np.swapaxes(half, -1, -2), g, n, k)
 
 
 def cluster_sums(
@@ -371,9 +367,11 @@ def cluster_sums(
     ]).reshape(*residuals.shape[1:], n_clusters, x.shape[1])
 
 
-def cr1_factor(n_clusters: int, n: int, k: int) -> float:
-    """The CR1 small-sample factor G/(G-1) * (N-1)/(N-K)."""
-    return (n_clusters / (n_clusters - 1)) * ((n - 1) / (n - k))
+def cr1_vcov(half: np.ndarray, n_clusters: int, n: int, k: int) -> np.ndarray:
+    """The CR1 covariance c * H H', symmetrised, of a (..., k, clusters) influence
+    matrix H, with the small-sample factor c = G/(G-1) * (N-1)/(N-K)."""
+    v = (n_clusters / (n_clusters - 1)) * ((n - 1) / (n - k)) * half @ np.swapaxes(half, -1, -2)
+    return (v + np.swapaxes(v, -1, -2)) / 2.0
 
 
 @dataclass(frozen=True)

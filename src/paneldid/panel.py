@@ -2,7 +2,9 @@
 
 A `PanelDataset` is a set of read-only columns: unit and period codes into the
 sorted `units` and `periods`, outcome, weight, a covariate matrix, and cluster
-codes. Rows are sorted by (unit, period), so every downstream computation is
+codes into the sorted `clusters`. Those codes are the one home of the cluster
+assignment: `PanelDataset.cluster` reads each unit's label off its first row.
+Rows are sorted by (unit, period), so every downstream computation is
 independent of input row order. Transformations return new instances.
 
 `PanelArrays` owns the units x periods layout: `grid` lays any row values out
@@ -120,7 +122,8 @@ def _gather(labels: Sequence, codes: np.ndarray) -> list:
 class PanelDataset:
     """Immutable long-format panel with at most one observation per (unit, period).
 
-    Built by `from_columns`. Equality compares the columns and labels.
+    Built by `from_columns`. Equality compares the columns (cluster codes and
+    labels among them) and the covariate names.
     """
 
     @classmethod
@@ -195,17 +198,16 @@ class PanelDataset:
             periods=tuple(periods), period_index=np.asarray([p.index for p in periods]),
             clusters=clusters,
         )
-        return cls._of(columns, cluster, covariate_names)
+        return cls._of(columns, covariate_names)
 
     @classmethod
-    def _of(cls, columns: PanelArrays, cluster: dict[str, str],
-            covariate_names: tuple[str, ...]) -> PanelDataset:
+    def _of(cls, columns: PanelArrays, covariate_names: tuple[str, ...]) -> PanelDataset:
         for column in vars(columns).values():
             if isinstance(column, np.ndarray):
                 column.flags.writeable = False
         self = cls.__new__(cls)
         self.__dict__.update(
-            _columns=columns, _cluster=cluster, covariate_names=covariate_names,
+            _columns=columns, covariate_names=covariate_names,
             units=columns.units, periods=columns.periods,
         )
         return self
@@ -217,10 +219,8 @@ class PanelDataset:
         if not isinstance(other, PanelDataset):
             return NotImplemented
         mine, theirs = vars(self._columns), vars(other._columns)
-        return (
-            (self.covariate_names, self._cluster) == (other.covariate_names, other._cluster)
-            and all(np.array_equal(mine[name], theirs[name]) for name in mine)
-        )
+        return (self.covariate_names == other.covariate_names
+                and all(np.array_equal(mine[name], theirs[name]) for name in mine))
 
     def __repr__(self) -> str:
         return (f"PanelDataset({self.n_obs} observations, {len(self.units)} units, "
@@ -232,8 +232,10 @@ class PanelDataset:
 
     @property
     def cluster(self) -> dict[str, str]:
-        """Cluster label of every unit."""
-        return dict(self._cluster)
+        """Cluster label of every unit, read off its first row."""
+        a = self._columns
+        first = np.flatnonzero(np.diff(a.unit_codes, prepend=-1))
+        return dict(zip(a.units, _gather(a.clusters, a.cluster_codes[first])))
 
     @cached_property
     def arrays(self) -> PanelArrays:
@@ -276,7 +278,7 @@ class PanelDataset:
             [a.units[u] for u in units.tolist()], unit_codes,
             [a.periods[t] for t in periods.tolist()], period_codes,
             a.outcome[rows], a.weight[rows], a.covariates[rows], self.covariate_names,
-            self._cluster,
+            self.cluster,
         )
 
     def with_outcome(self, outcome) -> PanelDataset:
@@ -291,11 +293,11 @@ class PanelDataset:
                              f"the panel has {self.n_obs} rows")
         _require(np.isfinite(outcome), "outcome must be finite", outcome)
         columns = replace(self._columns, outcome=outcome)
-        return self._of(columns, self._cluster, self.covariate_names)
+        return self._of(columns, self.covariate_names)
 
     def drop_covariates(self) -> PanelDataset:
         columns = replace(self._columns, covariates=np.empty((self.n_obs, 0)))
-        return self._of(columns, self._cluster, ())
+        return self._of(columns, ())
 
 
 def unit_values(data: PanelDataset, values: Mapping[str, object], what: str) -> list:

@@ -11,6 +11,10 @@ the same draws no matter how many worker threads run the race.
 Every replication of a config has the same layout; only the outcome changes.
 So the race takes its replications in chunks of a fixed size, stacks each
 chunk's outcomes on one panel and runs every estimator once per chunk.
+
+The three presets (`homogeneous_config`, `heterogeneous_config`,
+`null_config`) take only a seed and return plain `DgpConfig` values; any other
+setting is a `DgpConfig` field, a config file line or a `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -525,48 +529,24 @@ def estimator_race(
     )
 
 
-def homogeneous_config(seed: int, *, noise_sd: float = 0.02) -> DgpConfig:
-    """Constant effect of -0.05 for both cohorts at the default panel size."""
-    return DgpConfig(
-        effect_early=EffectSchedule.constant(-0.05),
-        effect_late=EffectSchedule.constant(-0.05),
-        noise_sd=noise_sd,
-        seed=seed,
-    )
+def homogeneous_config(seed: int) -> DgpConfig:
+    """Constant effect of -0.05 for both cohorts at the default panel size: the defaults."""
+    return DgpConfig(seed=seed)
 
 
-def heterogeneous_config(seed: int, *, noise_sd: float = 0.02) -> DgpConfig:
+def heterogeneous_config(seed: int) -> DgpConfig:
     """Early-cohort effects that keep growing; the pooled coefficient cannot
     track the treated-cell average here because late adopters get compared
     against the still-trending early cohort."""
-    growing = EffectSchedule(tuple(-0.004 * (e + 1) for e in range(40)))
-    return DgpConfig(
-        effect_early=growing,
-        effect_late=EffectSchedule.constant(-0.05),
-        noise_sd=noise_sd,
-        seed=seed,
-    )
+    return DgpConfig(effect_early=EffectSchedule(tuple(-0.004 * (e + 1) for e in range(40))),
+                     seed=seed)
 
 
-def null_config(
-    seed: int,
-    *,
-    n_early: int = 12,
-    n_late: int = 12,
-    n_never: int = 16,
-    n_periods: int = 12,
-    noise_sd: float = 0.02,
-) -> DgpConfig:
-    """Zero effects everywhere, sized for rejection-rate checks."""
+def null_config(seed: int) -> DgpConfig:
+    """Zero effects everywhere, sized for rejection-rate checks: 40 units over 12 quarters."""
     return DgpConfig(
-        n_early=n_early,
-        n_late=n_late,
-        n_never=n_never,
-        n_periods=n_periods,
-        early_cohort=Period(2013, 1).shift(max(2, n_periods // 4)),
-        late_cohort=Period(2013, 1).shift(max(3, (2 * n_periods) // 3)),
-        effect_early=EffectSchedule.constant(0.0),
-        effect_late=EffectSchedule.constant(0.0),
-        noise_sd=noise_sd,
+        n_early=12, n_late=12, n_never=16, n_periods=12,
+        early_cohort=Period(2013, 4), late_cohort=Period(2015, 1),
+        effect_early=EffectSchedule.constant(0.0), effect_late=EffectSchedule.constant(0.0),
         seed=seed,
     )

@@ -45,7 +45,7 @@ import numpy as np
 from .designs import CovariateTerm, expand_covariates
 from .engine import (
     AbsorbedError, DesignMatrix, Estimate, RegressionFit, TwoWaySolver, _absorbed_slopes,
-    _scalar, check_support, cluster_sums, cr1_factor, fe_components, inference_clusters,
+    _scalar, check_support, cluster_sums, cr1_vcov, fe_components, inference_clusters,
     kept_fit, wls_fit,
 )
 from .panel import PanelArrays, PanelDataset, cohort_start, cohorts_in, unit_values
@@ -586,12 +586,11 @@ def _sa_fit(
         cross = -loading @ h_inv
         bread = np.block([[bread - cross @ loading.T, cross], [cross.T, h_inv]])
         beta = np.concatenate([beta, slopes.coef_vector()])
-    vcov = cr1_factor(n_clusters, n, k) * half @ np.swapaxes(half, -1, -2)
     pivots = {} if slopes is None else slopes.pivot_ratios
     return kept_fit(
         names + cov_names, np.append(keep, x_keep), beta,
         [pivots.get(c, 0.0) for c in names + cov_names],
-        vcov=(vcov + np.swapaxes(vcov, -1, -2)) / 2.0,
+        vcov=cr1_vcov(half, n_clusters, n, k),
         residuals=residuals,
         n_clusters=n_clusters,
         condition=float(np.sqrt(np.linalg.cond(bread))),

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import paneldid
 from paneldid import _blas
+from paneldid.cli import main
 
 SRC = Path(paneldid.__file__).resolve().parent.parent
 
@@ -47,4 +48,25 @@ def test_race_output_does_not_depend_on_blas_threads(tmp_path):
             env=env, capture_output=True, check=True,
         )
         outputs.append((done.stdout, (out / "race.json").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_estimate_output_does_not_depend_on_blas_threads(tmp_path):
+    assert main(["simulate", "--preset", "heterogeneous", "--seed", "1",
+                 "--out", str(tmp_path / "sim")]) == 0
+    spec = tmp_path / "spec.txt"
+    spec.write_text("kind = event_study\n")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from paneldid.cli import main; sys.exit(main())",
+             "estimate", "--panel", str(tmp_path / "sim" / "panel.csv"),
+             "--design", str(tmp_path / "sim" / "design.csv"), "--spec", str(spec),
+             "--no-log", "--out", str(out)],
+            env=env, capture_output=True, check=True,
+        )
+        outputs.append((done.stdout, {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
     assert outputs[0] == outputs[1]

@@ -207,6 +207,37 @@ def test_from_columns_sorts_rows_and_keeps_covariate_order():
         PanelDataset.from_columns(["a", "a"], [P(2014, 1)] * 2, [1.0, 2.0], [1.0, 1.0])
 
 
+def clustered(cluster):
+    """Units a and b over two quarters, c over one, one covariate, with `cluster` labels."""
+    return PanelDataset.from_columns(
+        ["a", "a", "b", "b", "c"], [P(2014, 1), P(2014, 2)] * 2 + [P(2014, 1)],
+        [1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 2.0, 1.0, 2.0, 1.0], {"z": [0.5] * 5}, cluster,
+    )
+
+
+@pytest.mark.parametrize("other", [
+    {"a": "g2", "b": "g2"},  # the same codes under another label
+    {"a": "g1", "b": "b"},  # the same labels on other units
+])
+def test_panels_differing_in_one_cluster_label_compare_unequal(other):
+    data = clustered({"a": "g1", "b": "g1"})
+    assert data == clustered({"a": "g1", "b": "g1"})
+    assert data != clustered(other)
+
+
+def test_cluster_survives_every_transformation():
+    data = clustered({"a": "g1", "c": "g1"})
+    expected = {"a": "g1", "b": "b", "c": "g1"}
+    assert data.cluster == expected
+    assert data.with_outcome(np.arange(5.0)).cluster == expected
+    assert data.drop_covariates().cluster == expected
+    assert data._subset(np.array([0, 4])).cluster == {"a": "g1", "c": "g1"}
+    assert data._subset(np.array([2, 3])).cluster == {"b": "b"}
+    sink = io.StringIO()
+    serialize_panel(data, sink)
+    assert ingest_panel(io.StringIO(sink.getvalue())).cluster == expected
+
+
 def test_region_constant_validated():
     data = make_panel(
         {("a", P(2014, 1)): 1.0, ("a", P(2014, 2)): 1.0},

@@ -589,3 +589,38 @@ class TestPresets:
         assert truth.overall == 0.0
         assert config.early_cohort == P(2013, 1).shift(3)
         assert config.late_cohort == P(2013, 1).shift(8)
+
+    _COMMON = ("start = 2013Q1\nn_periods = 37\nearly_cohort = 2014Q3\nlate_cohort = 2019Q1\n"
+               "unit_fe_mean = 0.0\nunit_fe_sd = 0.5\ntrend = 0.002\n")
+
+    @pytest.mark.parametrize("preset, text", [
+        (homogeneous_config,
+         "n_early = 60\nn_late = 45\nn_never = 50\n" + _COMMON +
+         "effect_early = -0.05\neffect_late = -0.05\nnoise_sd = 0.02\nseed = 7\n"),
+        (heterogeneous_config,
+         "n_early = 60\nn_late = 45\nn_never = 50\n" + _COMMON +
+         "effect_early = -0.004, -0.008, -0.012, -0.016, -0.02, -0.024, -0.028, -0.032, "
+         "-0.036000000000000004, -0.04, -0.044, -0.048, -0.052000000000000005, -0.056, -0.06, "
+         "-0.064, -0.068, -0.07200000000000001, -0.076, -0.08, -0.084, -0.088, -0.092, -0.096, "
+         "-0.1, -0.10400000000000001, -0.108, -0.112, -0.116, -0.12, -0.124, -0.128, -0.132, "
+         "-0.136, -0.14, -0.14400000000000002, -0.148, -0.152, -0.156, -0.16\n"
+         "effect_late = -0.05\nnoise_sd = 0.02\nseed = 7\n"),
+        (null_config,
+         "n_early = 12\nn_late = 12\nn_never = 16\nstart = 2013Q1\nn_periods = 12\n"
+         "early_cohort = 2013Q4\nlate_cohort = 2015Q1\nunit_fe_mean = 0.0\nunit_fe_sd = 0.5\n"
+         "trend = 0.002\neffect_early = 0.0\neffect_late = 0.0\nnoise_sd = 0.02\nseed = 7\n"),
+    ])
+    def test_preset_text_is_pinned(self, preset, text):
+        # The manifests' config_effective holds this text, so it must not move.
+        assert dump_dgp_config(preset(7)) == text
+        assert load_dgp_config(io.StringIO(text)) == preset(7)
+
+    def test_presets_are_plain_configs(self):
+        assert homogeneous_config(7) == DgpConfig(seed=7)
+        assert heterogeneous_config(7) == DgpConfig(
+            effect_early=EffectSchedule(tuple(-0.004 * (e + 1) for e in range(40))), seed=7)
+        assert null_config(7) == DgpConfig(
+            n_early=12, n_late=12, n_never=16, n_periods=12,
+            early_cohort=P(2013, 4), late_cohort=P(2015, 1),
+            effect_early=EffectSchedule.constant(0.0), effect_late=EffectSchedule.constant(0.0),
+            seed=7)

@@ -160,7 +160,7 @@ def sa_dense_fit(sample, start, interacted, names, row_weight, covariates=()):
     kept = [c for c, ok in zip(names, linked) if ok]
     if len(kept) < len(names):
         x = x[:, np.flatnonzero(np.append(linked, np.ones(len(cov_names), dtype=bool)))]
-    fit = wls_fit(DesignMatrix.from_panel(sample, kept + cov_names, x, weight=row_weight))
+    fit = wls_fit(replace(DesignMatrix.from_panel(sample, kept + cov_names, x), weight=row_weight))
     ratios = {c: 0.0 for c, ok in zip(names, linked) if not ok} | dict(fit.pivot_ratios)
     ratios = {c: ratios[c] for c in names + cov_names if c in ratios}
     return replace(fit, dropped_collinear=tuple(ratios), pivot_ratios=ratios)
