@@ -9,7 +9,10 @@ period anchored at zero in each connected component of the unit-period graph
 slope coefficients coincide with the ones a full dummy-variable regression
 would produce.
 
-One Householder QR of the weighted demeaned [X | y] then does the rest.
+A large x is never demeaned as a whole: its effects are fitted once
+(`DemeanedRows`), and each read forms one block of demeaned rows anew, so a
+fit holds one n x K array, the caller's. One Householder QR of the weighted
+demeaned [X | y], taken over fixed 1,024-row blocks, then does the rest.
 Read left to right, |R_jj| is the norm of column j after projecting out the
 columns before it; a column whose pivot does not exceed PIVOT_RTOL times the
 largest pivot, or times its own weighted norm before absorption, is dropped
@@ -23,7 +26,11 @@ inference:
     c = G/(G-1) * (N-1)/(N-K),
 
 with X the demeaned retained regressors, G the number of clusters and K the
-number of retained slope parameters. `cr1_vcov` is the one home of c * H H'
+number of retained slope parameters. One more pass over the rows forms the
+residuals, over the same 1,024-row blocks, and the scores s_g from the same
+reads (`cluster_sums`): each cluster's running sum is carried from one group
+of rows to the next, so it adds its rows in row order, as one product over
+the whole panel would. `cr1_vcov` is the one home of c * H H'
 for a (k, G) influence matrix H, here H = (X'WX)^(-1) [s_1 ... s_G]; the
 Sun-Abraham fit passes its own H to it. Test statistics use a t reference
 distribution with G-1 degrees of freedom. Its p-values and 95% critical
@@ -43,7 +50,7 @@ and covariances gain a trailing (for the covariances a leading) axis of R.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
@@ -56,6 +63,11 @@ from .periods import Period
 
 PIVOT_RTOL = 1e-9
 _BLOCK_ROWS = 1024  # rows per chunk: residuals and QR blocks stay in cache
+# Regressor bytes per row group of `cluster_sums`: each group pays one sparse
+# product per outcome, so smaller groups cost more calls, and a group of
+# demeaned rows is held while it is summed. A demeaned x no larger than
+# this is held whole (`DemeanedRows`).
+_SCORE_BYTES = 1 << 21
 _Z95 = float(special.ndtri(0.975))
 
 
@@ -112,9 +124,8 @@ class DesignMatrix:
     units: tuple[str, ...]
     periods: tuple[Period, ...]
     clusters: tuple[str, ...]
-    # Connected components of the unit-period graph; set once the fixed
-    # effects have been absorbed by demean_two_way.
-    fe_components: int | None = None
+    # The solver that absorbed the fixed effects; set by demean_two_way.
+    solver: TwoWaySolver | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.y)
@@ -138,6 +149,11 @@ class DesignMatrix:
     @property
     def n(self) -> int:
         return len(self.y)
+
+    @property
+    def fe_components(self) -> int | None:
+        """Connected components of the unit-period graph, once absorbed."""
+        return None if self.solver is None else self.solver.components
 
     @classmethod
     def from_panel(cls, data: PanelDataset, columns: Sequence[str], x: np.ndarray) -> DesignMatrix:
@@ -266,15 +282,60 @@ class TwoWaySolver:
         scores = np.stack([np.bincount(cells, one, n_clusters * n_periods) for one in we])
         return np.swapaxes(scores.reshape(*residuals.shape[1:], n_clusters, n_periods), -1, -2)
 
+    def demeaned(
+        self, m: np.ndarray, effects: tuple[np.ndarray, np.ndarray], rows: slice
+    ) -> np.ndarray:
+        """Rows `rows` of m less its fitted (unit, period) `effects`."""
+        unit, period = effects
+        out = m[rows] - unit[self._unit_codes[rows]]
+        out -= period[self._period_codes[rows]]
+        return out
+
     def residuals(self, m: np.ndarray) -> np.ndarray:
         """m minus its fitted unit and period effects, formed in row chunks."""
         m = np.asarray(m, dtype=float)
-        unit, period = self.effects(m)
         out = np.empty_like(m)
-        for rows in _row_chunks(len(m)):
-            np.subtract(m[rows], unit[self._unit_codes[rows]], out=out[rows])
-            out[rows] -= period[self._period_codes[rows]]
+        if m.size:  # an (n, 0) m has nothing to demean
+            effects = self.effects(m)
+            for rows in _row_chunks(len(m)):
+                out[rows] = self.demeaned(m, effects, rows)
         return out
+
+
+@dataclass(frozen=True)
+class DemeanedRows:
+    """The columns `columns` (all when None) of `raw` less their fitted effects.
+
+    It reads like an (n, k) array of the demeaned columns, by rows only. A
+    fit reads its regressors through it, block by block, so it holds no
+    demeaned copy of a large x next to `raw`: `[rows]` forms those rows anew
+    through `TwoWaySolver.demeaned`. An x of at most `_SCORE_BYTES` is
+    demeaned once and `held`, as a fit reads it two or three times.
+    """
+
+    solver: TwoWaySolver
+    raw: np.ndarray
+    effects: tuple[np.ndarray, np.ndarray]
+    held: np.ndarray | None
+    columns: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, solver: TwoWaySolver, raw: np.ndarray) -> DemeanedRows:
+        effects = solver.effects(raw)
+        held = solver.demeaned(raw, effects, slice(None)) if raw.nbytes <= _SCORE_BYTES else None
+        return cls(solver, raw, effects, held)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        k = self.raw.shape[1] if self.columns is None else len(self.columns)
+        return len(self.raw), k
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        if self.held is None:
+            block = self.solver.demeaned(self.raw, self.effects, rows)
+        else:
+            block = self.held[rows]
+        return block if self.columns is None else block[:, self.columns]
 
 
 def demean_two_way(design: DesignMatrix) -> DesignMatrix:
@@ -289,31 +350,26 @@ def demean_two_way(design: DesignMatrix) -> DesignMatrix:
         len(design.units), len(design.periods),
     )
     return replace(
-        design,
-        y=solver.residuals(design.y),
-        x=solver.residuals(design.x),
-        fe_components=solver.components,
+        design, y=solver.residuals(design.y), x=solver.residuals(design.x), solver=solver
     )
 
 
 def _weighted_r(
-    root_w: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray | None = None,
-    keep: np.ndarray | None = None,
+    root_w: np.ndarray, x: np.ndarray | DemeanedRows, y: np.ndarray | None = None
 ) -> np.ndarray:
-    """Square R of the Householder QR of root_w * [x[:, keep] | y], y (n,) or (n, R).
+    """Square R of the Householder QR of root_w * [x | y], y (n,) or (n, R).
 
     A tall-skinny QR: each block of rows is reduced to its own R, and the
-    stacked block factors are reduced once more.
+    stacked block factors are reduced once more. The blocks are fixed, so R
+    does not depend on whether x is an array or read through `DemeanedRows`.
     """
-    k = x.shape[1] if keep is None else len(keep)
+    k = x.shape[1]
     y_cols = 0 if y is None else int(np.prod(y.shape[1:]))
     buffer = np.empty((_BLOCK_ROWS, k + y_cols))
     factors = []
     for rows in _row_chunks(len(root_w)):
         block = buffer[: rows.stop - rows.start]
-        block[:, :k] = x[rows] if keep is None else x[rows][:, keep]
+        block[:, :k] = x[rows]
         if y is not None:
             block[:, k:] = y[rows].reshape(len(block), y_cols)
         block *= root_w[rows, None]
@@ -339,32 +395,90 @@ def cluster_vcov(
     when not given. Residuals of shape (n, R) give one (k, k) covariance per
     outcome, stacked as (R, k, k). Raises if X'WX is singular.
     """
-    n, k = x_demeaned.shape
     cluster_codes = np.asarray(cluster_codes)
     g = inference_clusters(cluster_codes)
     if r is None:
         r = _weighted_r(np.sqrt(weight), x_demeaned)
+    sums = cluster_sums(x_demeaned, weight, residuals, cluster_codes)
+    return _sandwich(sums, r, g, len(weight))
+
+
+def _sandwich(sums: np.ndarray, r: np.ndarray, n_clusters: int, n: int) -> np.ndarray:
+    """CR1 covariance from the clusters' scores `sums` (..., clusters, k) and R of
+    X'WX = R'R. Raises if X'WX is singular."""
     try:
-        r_inv = linalg.solve_triangular(r, np.eye(k))
+        r_inv = linalg.solve_triangular(r, np.eye(len(r)))
     except np.linalg.LinAlgError:
         raise ValueError(
             "X'WX is singular; drop collinear columns before computing the covariance"
         ) from None
-    # scores @ (X'WX)^-1, one row per cluster
-    half = cluster_sums(x_demeaned, weight, residuals, cluster_codes) @ r_inv @ r_inv.T
-    return cr1_vcov(np.swapaxes(half, -1, -2), g, n, k)
+    half = sums @ r_inv @ r_inv.T  # scores @ (X'WX)^-1, one row per cluster
+    return cr1_vcov(np.swapaxes(half, -1, -2), n_clusters, n, len(r))
 
 
 def cluster_sums(
-    x: np.ndarray, weight: np.ndarray, residuals: np.ndarray, cluster_codes: np.ndarray
+    x: np.ndarray | DemeanedRows,
+    weight: np.ndarray,
+    residuals: np.ndarray,
+    cluster_codes: np.ndarray,
+    fit: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Each cluster's sum of w * e * x over its rows: (clusters, k), or (R, clusters, k)."""
-    n = len(x)
-    rows, n_clusters = np.arange(n), int(cluster_codes.max()) + 1
-    return np.stack([
-        sparse.csr_matrix((we, (cluster_codes, rows)), (n_clusters, n)) @ x
-        for we in weight * residuals.reshape(n, -1).T
-    ]).reshape(*residuals.shape[1:], n_clusters, x.shape[1])
+    """Each cluster's sum of w * e * x over its rows: (clusters, k), or (R, clusters, k).
+
+    x is read in row order, in groups of whole `_BLOCK_ROWS` chunks holding
+    about `_SCORE_BYTES` of it. Each group's sums are one sparse product per
+    outcome that adds every cluster's rows in row order, after its running
+    sum from the groups before (an extra row with coefficient 1), so each sum
+    equals, bit for bit, the one a single product over the whole panel
+    gives. With `fit` = (y, beta), `residuals` is filled first, chunk by
+    chunk, with y - x @ beta, so a fit reads its regressors once for both.
+    """
+    n, k = x.shape
+    sums = np.zeros((int(np.prod(residuals.shape[1:])), int(cluster_codes.max()) + 1, k))
+    seen = np.zeros(sums.shape[1], dtype=bool)
+    step = _BLOCK_ROWS * max(1, _SCORE_BYTES // (_BLOCK_ROWS * 8 * max(k, 1)))
+    stored = not isinstance(x, DemeanedRows) or x.held is not None  # rows exist to read
+    buffer = None
+    for start in range(0, n, step):
+        group = slice(start, min(start + step, n))
+        codes = cluster_codes[group]
+        order = np.argsort(codes, kind="stable")
+        ordered = codes[order]
+        runs = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
+        clusters = ordered[runs]
+        carried = seen[clusters]  # clusters that go on from a running sum
+        seen[clusters] = True
+        size, m = len(codes), int(carried.sum())
+        in_place = stored and not m
+        if in_place:
+            block = x[group]
+        else:  # the group's rows, then the running sums
+            if buffer is None:
+                buffer = np.empty((min(step, n) + min(step, n, sums.shape[1]), k))
+            block = buffer[: size + m]
+        for chunk in _row_chunks(size):
+            rows = slice(start + chunk.start, start + chunk.stop)
+            if in_place:
+                x_rows = block[chunk]
+            else:
+                block[chunk] = x_rows = x[rows]
+            if fit is not None:
+                residuals[rows] = fit[0][rows] - x_rows @ fit[1]
+        we = weight[group] * residuals[group].reshape(size, -1).T
+        at = runs[carried]
+        product = sparse.csr_matrix(
+            (
+                np.ones(size + m),
+                np.insert(order, at, size + np.arange(m)),
+                np.append(runs, size) + np.append(0, np.cumsum(carried)),
+            ),
+            (len(runs), size + m),
+        )
+        for one, total in zip(we, sums):
+            product.data = np.insert(one[order], at, 1.0)
+            block[size:] = total[clusters[carried]]
+            total[clusters] = product @ block
+    return sums.reshape(*residuals.shape[1:], *sums.shape[1:])
 
 
 def cr1_vcov(half: np.ndarray, n_clusters: int, n: int, k: int) -> np.ndarray:
@@ -512,16 +626,16 @@ def kept_fit(
 
 
 def _absorbed_slopes(
-    weight: np.ndarray, x_raw: np.ndarray, x: np.ndarray, y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Slopes of y on x once both have been demeaned, collinear columns dropped.
+    weight: np.ndarray, x: DemeanedRows, y: np.ndarray
+) -> tuple[DemeanedRows, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Slopes of the demeaned y on the demeaned x, collinear columns dropped.
 
-    `x_raw` is x before absorption, with at least one column; it scales the
-    pivot rule. Returns the mask of kept columns, their slopes ((k,), or
-    (k, R) for an (n, R) y), R of the kept columns (X'WX = R'R) and every
-    column's pivot relative to the largest.
+    x has at least one column; its columns before absorption scale the pivot
+    rule. Returns x narrowed to the kept columns, their mask, their slopes
+    ((k,), or (k, R) for an (n, R) y), R of the kept columns (X'WX = R'R)
+    and every column's pivot relative to the largest.
     """
-    raw_norm = np.sqrt(np.einsum("i,ij,ij->j", weight, x_raw, x_raw))
+    raw_norm = np.sqrt(np.einsum("i,ij,ij->j", weight, x.raw, x.raw))
     root_w = np.sqrt(weight)
     r = _weighted_r(root_w, x, y)
     pivots = np.abs(np.diag(r))[: x.shape[1]]
@@ -530,10 +644,11 @@ def _absorbed_slopes(
     kept = np.flatnonzero(keep)
     check_support(len(weight), len(kept))
     if not keep.all():
-        r = _weighted_r(root_w, x, y, kept)
+        x = replace(x, columns=kept)
+        r = _weighted_r(root_w, x, y)
     k = len(kept)
     beta = linalg.solve_triangular(r[:k, :k], r[:k, k:].reshape(k, *y.shape[1:]))
-    return keep, beta, r[:k, :k], pivots / largest
+    return x, keep, beta, r[:k, :k], pivots / largest
 
 
 def wls_fit(design: DesignMatrix) -> RegressionFit:
@@ -548,19 +663,18 @@ def wls_fit(design: DesignMatrix) -> RegressionFit:
     if design.x.shape[1] == 0:
         raise ValueError("design matrix has no regressor columns")
     g = inference_clusters(design.cluster_codes)
-    dm = demean_two_way(design)
-    x, y, components = dm.x, dm.y, dm.fe_components
-    del dm  # lets x go once the retained columns are copied out
-    keep, beta, r, ratios = _absorbed_slopes(design.weight, design.x, x, y)
-    if not keep.all():
-        x = x[:, keep]
-    residuals = y - x @ beta
-    vcov = cluster_vcov(x, design.weight, residuals, design.cluster_codes, r=r)
+    # Absorb through the outcome alone: `DemeanedRows` demeans the regressors
+    # as they are read.
+    dm = demean_two_way(replace(design, columns=(), x=design.x[:, :0]))
+    x = DemeanedRows.of(dm.solver, design.x)
+    x, keep, beta, r, ratios = _absorbed_slopes(design.weight, x, dm.y)
+    residuals = np.empty_like(dm.y)
+    sums = cluster_sums(x, design.weight, residuals, design.cluster_codes, (dm.y, beta))
     return kept_fit(
         design.columns, keep, beta, ratios,
-        vcov=vcov,
+        vcov=_sandwich(sums, r, g, design.n),
         residuals=residuals,
         n_clusters=g,
         condition=float(np.linalg.cond(r)),
-        fe_components=components,
+        fe_components=dm.fe_components,
     )

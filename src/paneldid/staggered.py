@@ -44,9 +44,9 @@ import numpy as np
 
 from .designs import CovariateTerm, expand_covariates
 from .engine import (
-    AbsorbedError, DesignMatrix, Estimate, RegressionFit, TwoWaySolver, _absorbed_slopes,
-    _scalar, check_support, cluster_sums, cr1_vcov, fe_components, inference_clusters,
-    kept_fit, wls_fit,
+    AbsorbedError, DemeanedRows, DesignMatrix, Estimate, RegressionFit, TwoWaySolver,
+    _absorbed_slopes, _scalar, check_support, cluster_sums, cr1_vcov, fe_components,
+    inference_clusters, kept_fit, wls_fit,
 )
 from .panel import PanelArrays, PanelDataset, cohort_start, cohorts_in, unit_values
 from .periods import Period
@@ -577,7 +577,7 @@ def _sa_fit(
     if slopes is not None:  # x_dd: the kept covariates net of unit and level effects
         x = x[:, x_keep]
         unit_x, level_x = solver.effects(x)
-        x_dd = x - unit_x[a.unit_codes] - level_x[levels]
+        x_dd = solver.demeaned(x, (unit_x, level_x), slice(None))
         h_inv = np.linalg.inv(x_dd.T @ (x_dd * row_weight[:, None]))
         loading = contrast(level_x)  # of the cells on gamma
         scores = cluster_sums(x_dd, row_weight, residuals, a.cluster_codes)
@@ -670,7 +670,9 @@ def _untreated_gaps(
     if x.shape[1]:
         xs, ys = x[sample], y[sample]
         try:
-            keep, beta, *_ = _absorbed_slopes(ws, xs, solver.residuals(xs), solver.residuals(ys))
+            _, keep, beta, *_ = _absorbed_slopes(
+                ws, DemeanedRows.of(solver, xs), solver.residuals(ys)
+            )
             y = y - x[:, keep] @ beta
         except AbsorbedError:  # the effects absorb every column: fit without slopes
             keep = np.zeros(x.shape[1], dtype=bool)

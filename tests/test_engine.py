@@ -1,14 +1,15 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import linalg, sparse, stats
 
 from conftest import P, direct_cr1, dummy_wls_coefficients, grid_panel, make_panel
-from paneldid import engine
+from paneldid import _blas, engine
 from paneldid.engine import (
     AbsorbedError,
     DesignMatrix,
@@ -359,6 +360,101 @@ class TestClusterVcov:
         fit = wls_fit(d)
         eigenvalues = np.linalg.eigvalsh(fit.vcov)
         assert eigenvalues.min() >= -1e-10
+
+
+class TestStreamedFit:
+    """`wls_fit` reads its regressors through `DemeanedRows`: held whole when
+    small, demeaned anew on every read of a row block otherwise. Its output
+    equals, bit for bit, the route that holds the whole demeaned x:
+    `demean_two_way`, a QR over arrays and one sparse cluster sum over the
+    whole panel."""
+
+    @staticmethod
+    def reference(d):
+        """(slopes, vcov, residuals, condition, pivot ratios) from whole arrays."""
+        demeaned = demean_two_way(d)
+        root_w, n = np.sqrt(d.weight), d.n
+        r = engine._weighted_r(root_w, demeaned.x, demeaned.y)
+        pivots = np.abs(np.diag(r))[: d.x.shape[1]]
+        raw_norm = np.sqrt(np.einsum("i,ij,ij->j", d.weight, d.x, d.x))
+        keep = (pivots > engine.PIVOT_RTOL * pivots.max()) & (
+            pivots > engine.PIVOT_RTOL * raw_norm)
+        x = demeaned.x
+        if not keep.all():
+            x = x[:, keep]
+            r = engine._weighted_r(root_w, x, demeaned.y)
+        k = x.shape[1]
+        r = r[:k]
+        beta = linalg.solve_triangular(r[:, :k], r[:, k:].reshape(k, *d.y.shape[1:]))
+        residuals = demeaned.y - x @ beta
+        clusters = int(d.cluster_codes.max()) + 1
+        sums = np.stack([
+            sparse.csr_matrix((we, (d.cluster_codes, np.arange(n))), (clusters, n)) @ x
+            for we in d.weight * residuals.reshape(n, -1).T
+        ]).reshape(*residuals.shape[1:], clusters, k)
+        r_inv = linalg.solve_triangular(r[:, :k], np.eye(k))
+        half = np.swapaxes(sums @ r_inv @ r_inv.T, -1, -2)
+        vcov = engine.cr1_vcov(half, len(np.unique(d.cluster_codes)), n, k)
+        ratios = (pivots / pivots.max())[~keep]
+        return beta, vcov, residuals, float(np.linalg.cond(r[:, :k])), ratios
+
+    @pytest.mark.parametrize("score_bytes", [engine._SCORE_BYTES, 1], ids=["default", "small"])
+    @pytest.mark.parametrize("outcomes", [None, 3])
+    @pytest.mark.parametrize("cluster_units", [None, 9], ids=["units", "coarse"])
+    @pytest.mark.parametrize("collinear", [False, True])
+    def test_matches_the_whole_array_route_bit_for_bit(
+        self, monkeypatch, score_bytes, outcomes, cluster_units, collinear
+    ):
+        # About 4,000 rows: four 1,024-row QR blocks. At the default group
+        # size x is small enough to be demeaned once and held; at one byte
+        # ("small") every read demeans its rows anew, and the scores run over
+        # one-chunk groups, with clusters that go on across groups in row
+        # order (units) or shuffled (coarse).
+        monkeypatch.setattr(engine, "_SCORE_BYTES", score_bytes)
+        rng = np.random.default_rng(100 + 2 * collinear + (outcomes or 0))
+        d = random_design(rng, n_units=150, n_periods=32, n_x=3, unbalanced=True,
+                          cluster_units=cluster_units)
+        assert d.n > 3 * engine._BLOCK_ROWS
+        if collinear:
+            x = d.x.copy()
+            x[:, 1] = 2.0 * x[:, 0] - x[:, 2]
+            d = replace(d, x=x)
+        if outcomes:
+            d = replace(d, y=rng.normal(size=(d.n, outcomes)))
+        with _blas.single_thread():
+            fit = wls_fit(d)
+            beta, vcov, residuals, condition, ratios = self.reference(d)
+        assert len(fit.dropped_collinear) == collinear
+        assert np.array_equal(fit.coef_vector(), beta)
+        assert np.array_equal(fit.vcov, vcov)
+        assert np.array_equal(fit.residuals, residuals)
+        assert fit.condition == condition
+        assert np.array_equal(list(fit.pivot_ratios.values()), ratios)
+
+    def test_holds_no_demeaned_copy_of_the_regressors(self):
+        # 50,000 x 24, too large to be held: a demeaned copy of x alone would
+        # add 1.0 x.nbytes to the fit's traced peak.
+        rng = np.random.default_rng(7)
+        n_units, n_periods, k = 1250, 40, 24
+        unit_codes = np.repeat(np.arange(n_units), n_periods)
+        period_codes = np.tile(np.arange(n_periods), n_units)
+        d = DesignMatrix(
+            columns=tuple(f"x{j}" for j in range(k)),
+            x=rng.normal(size=(len(unit_codes), k)), y=rng.normal(size=len(unit_codes)),
+            weight=rng.uniform(0.5, 3.0, size=len(unit_codes)),
+            unit_codes=unit_codes, period_codes=period_codes, cluster_codes=unit_codes,
+            units=tuple(f"u{i}" for i in range(n_units)),
+            periods=tuple(P(2013, 1).shift(j) for j in range(n_periods)),
+            clusters=tuple(f"u{i}" for i in range(n_units)),
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            wls_fit(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < 0.75 * d.x.nbytes
 
 
 class TestInference:
