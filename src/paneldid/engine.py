@@ -65,8 +65,7 @@ PIVOT_RTOL = 1e-9
 _BLOCK_ROWS = 1024  # rows per chunk: residuals and QR blocks stay in cache
 # Regressor bytes per row group of `cluster_sums`: each group pays one sparse
 # product per outcome, so smaller groups cost more calls, and a group of
-# demeaned rows is held while it is summed. A demeaned x no larger than
-# this is held whole (`DemeanedRows`).
+# demeaned rows is held while it is summed.
 _SCORE_BYTES = 1 << 21
 _Z95 = float(special.ndtri(0.975))
 
@@ -294,11 +293,10 @@ class TwoWaySolver:
     def residuals(self, m: np.ndarray) -> np.ndarray:
         """m minus its fitted unit and period effects, formed in row chunks."""
         m = np.asarray(m, dtype=float)
+        effects = self.effects(m)
         out = np.empty_like(m)
-        if m.size:  # an (n, 0) m has nothing to demean
-            effects = self.effects(m)
-            for rows in _row_chunks(len(m)):
-                out[rows] = self.demeaned(m, effects, rows)
+        for rows in _row_chunks(len(m)):
+            out[rows] = self.demeaned(m, effects, rows)
         return out
 
 
@@ -308,22 +306,18 @@ class DemeanedRows:
 
     It reads like an (n, k) array of the demeaned columns, by rows only. A
     fit reads its regressors through it, block by block, so it holds no
-    demeaned copy of a large x next to `raw`: `[rows]` forms those rows anew
-    through `TwoWaySolver.demeaned`. An x of at most `_SCORE_BYTES` is
-    demeaned once and `held`, as a fit reads it two or three times.
+    demeaned copy of x next to `raw`: `[rows]` forms those rows anew through
+    `TwoWaySolver.demeaned`.
     """
 
     solver: TwoWaySolver
     raw: np.ndarray
     effects: tuple[np.ndarray, np.ndarray]
-    held: np.ndarray | None
     columns: np.ndarray | None = None
 
     @classmethod
     def of(cls, solver: TwoWaySolver, raw: np.ndarray) -> DemeanedRows:
-        effects = solver.effects(raw)
-        held = solver.demeaned(raw, effects, slice(None)) if raw.nbytes <= _SCORE_BYTES else None
-        return cls(solver, raw, effects, held)
+        return cls(solver, raw, solver.effects(raw))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -331,10 +325,7 @@ class DemeanedRows:
         return len(self.raw), k
 
     def __getitem__(self, rows: slice) -> np.ndarray:
-        if self.held is None:
-            block = self.solver.demeaned(self.raw, self.effects, rows)
-        else:
-            block = self.held[rows]
+        block = self.solver.demeaned(self.raw, self.effects, rows)
         return block if self.columns is None else block[:, self.columns]
 
 
@@ -421,24 +412,38 @@ def cluster_sums(
     weight: np.ndarray,
     residuals: np.ndarray,
     cluster_codes: np.ndarray,
-    fit: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Each cluster's sum of w * e * x over its rows: (clusters, k), or (R, clusters, k).
+    """Each cluster's sum of w * e * x over its rows: (clusters, k), or (R, clusters, k)."""
+    return _score_pass(x, weight, cluster_codes, residuals=residuals)[1]
 
-    x is read in row order, in groups of whole `_BLOCK_ROWS` chunks holding
-    about `_SCORE_BYTES` of it. Each group's sums are one sparse product per
-    outcome that adds every cluster's rows in row order, after its running
-    sum from the groups before (an extra row with coefficient 1), so each sum
-    equals, bit for bit, the one a single product over the whole panel
-    gives. With `fit` = (y, beta), `residuals` is filled first, chunk by
-    chunk, with y - x @ beta, so a fit reads its regressors once for both.
+
+def _score_pass(
+    x: np.ndarray | DemeanedRows,
+    weight: np.ndarray,
+    cluster_codes: np.ndarray,
+    *,
+    residuals: np.ndarray | None = None,
+    fit: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residuals and `cluster_sums`, from one read of x.
+
+    Give either the `residuals` or `fit` = (y, beta). With `fit`, the
+    residuals y - x @ beta are formed into a new array, chunk by chunk, from
+    the rows that the sums read, so a fit demeans its regressors once for
+    both. x is read in row order, in groups of whole `_BLOCK_ROWS` chunks
+    holding about `_SCORE_BYTES` of it. Each group's sums are one sparse
+    product per outcome that adds every cluster's rows in row order, after
+    its running sum from the groups before (an extra row with coefficient 1),
+    so each sum equals, bit for bit, the one a single product over the whole
+    panel gives.
     """
+    if residuals is None:
+        residuals = np.empty_like(fit[0])
     n, k = x.shape
     sums = np.zeros((int(np.prod(residuals.shape[1:])), int(cluster_codes.max()) + 1, k))
     seen = np.zeros(sums.shape[1], dtype=bool)
     step = _BLOCK_ROWS * max(1, _SCORE_BYTES // (_BLOCK_ROWS * 8 * max(k, 1)))
-    stored = not isinstance(x, DemeanedRows) or x.held is not None  # rows exist to read
-    buffer = None
+    buffer = np.empty((min(step, n) + min(step, n, sums.shape[1]), k))
     for start in range(0, n, step):
         group = slice(start, min(start + step, n))
         codes = cluster_codes[group]
@@ -449,19 +454,10 @@ def cluster_sums(
         carried = seen[clusters]  # clusters that go on from a running sum
         seen[clusters] = True
         size, m = len(codes), int(carried.sum())
-        in_place = stored and not m
-        if in_place:
-            block = x[group]
-        else:  # the group's rows, then the running sums
-            if buffer is None:
-                buffer = np.empty((min(step, n) + min(step, n, sums.shape[1]), k))
-            block = buffer[: size + m]
+        block = buffer[: size + m]  # the group's rows, then the running sums
         for chunk in _row_chunks(size):
             rows = slice(start + chunk.start, start + chunk.stop)
-            if in_place:
-                x_rows = block[chunk]
-            else:
-                block[chunk] = x_rows = x[rows]
+            block[chunk] = x_rows = x[rows]
             if fit is not None:
                 residuals[rows] = fit[0][rows] - x_rows @ fit[1]
         we = weight[group] * residuals[group].reshape(size, -1).T
@@ -478,7 +474,7 @@ def cluster_sums(
             product.data = np.insert(one[order], at, 1.0)
             block[size:] = total[clusters[carried]]
             total[clusters] = product @ block
-    return sums.reshape(*residuals.shape[1:], *sums.shape[1:])
+    return residuals, sums.reshape(*residuals.shape[1:], *sums.shape[1:])
 
 
 def cr1_vcov(half: np.ndarray, n_clusters: int, n: int, k: int) -> np.ndarray:
@@ -668,8 +664,7 @@ def wls_fit(design: DesignMatrix) -> RegressionFit:
     dm = demean_two_way(replace(design, columns=(), x=design.x[:, :0]))
     x = DemeanedRows.of(dm.solver, design.x)
     x, keep, beta, r, ratios = _absorbed_slopes(design.weight, x, dm.y)
-    residuals = np.empty_like(dm.y)
-    sums = cluster_sums(x, design.weight, residuals, design.cluster_codes, (dm.y, beta))
+    residuals, sums = _score_pass(x, design.weight, design.cluster_codes, fit=(dm.y, beta))
     return kept_fit(
         design.columns, keep, beta, ratios,
         vcov=_sandwich(sums, r, g, design.n),

@@ -16,6 +16,7 @@ from paneldid.engine import (
     Estimate,
     RegressionFit,
     TwoWaySolver,
+    cluster_sums,
     cluster_vcov,
     demean_two_way,
     wls_fit,
@@ -363,17 +364,32 @@ class TestClusterVcov:
 
 
 class TestStreamedFit:
-    """`wls_fit` reads its regressors through `DemeanedRows`: held whole when
-    small, demeaned anew on every read of a row block otherwise. Its output
-    equals, bit for bit, the route that holds the whole demeaned x:
-    `demean_two_way`, a QR over arrays and one sparse cluster sum over the
-    whole panel."""
+    """`wls_fit` reads its regressors through `DemeanedRows`, which demeans
+    them anew on every read of a row block. Its output equals, bit for bit,
+    the route that holds the whole demeaned x: `demean_two_way`, a QR over
+    arrays and one sparse cluster sum over the whole panel."""
 
     @staticmethod
-    def reference(d):
+    def whole_panel_sums(x, weight, residuals, cluster_codes):
+        """`cluster_sums` as one sparse product over all rows per outcome."""
+        n, clusters = len(x), int(cluster_codes.max()) + 1
+        return np.stack([
+            sparse.csr_matrix((we, (cluster_codes, np.arange(n))), (clusters, n)) @ x
+            for we in weight * residuals.reshape(n, -1).T
+        ]).reshape(*residuals.shape[1:], clusters, x.shape[1])
+
+    @staticmethod
+    def sandwich(sums, r, cluster_codes):
+        k = len(r)
+        r_inv = linalg.solve_triangular(r, np.eye(k))
+        half = np.swapaxes(sums @ r_inv @ r_inv.T, -1, -2)
+        return engine.cr1_vcov(half, len(np.unique(cluster_codes)), len(cluster_codes), k)
+
+    @classmethod
+    def reference(cls, d):
         """(slopes, vcov, residuals, condition, pivot ratios) from whole arrays."""
         demeaned = demean_two_way(d)
-        root_w, n = np.sqrt(d.weight), d.n
+        root_w = np.sqrt(d.weight)
         r = engine._weighted_r(root_w, demeaned.x, demeaned.y)
         pivots = np.abs(np.diag(r))[: d.x.shape[1]]
         raw_norm = np.sqrt(np.einsum("i,ij,ij->j", d.weight, d.x, d.x))
@@ -387,14 +403,8 @@ class TestStreamedFit:
         r = r[:k]
         beta = linalg.solve_triangular(r[:, :k], r[:, k:].reshape(k, *d.y.shape[1:]))
         residuals = demeaned.y - x @ beta
-        clusters = int(d.cluster_codes.max()) + 1
-        sums = np.stack([
-            sparse.csr_matrix((we, (d.cluster_codes, np.arange(n))), (clusters, n)) @ x
-            for we in d.weight * residuals.reshape(n, -1).T
-        ]).reshape(*residuals.shape[1:], clusters, k)
-        r_inv = linalg.solve_triangular(r[:, :k], np.eye(k))
-        half = np.swapaxes(sums @ r_inv @ r_inv.T, -1, -2)
-        vcov = engine.cr1_vcov(half, len(np.unique(d.cluster_codes)), n, k)
+        sums = cls.whole_panel_sums(x, d.weight, residuals, d.cluster_codes)
+        vcov = cls.sandwich(sums, r[:, :k], d.cluster_codes)
         ratios = (pivots / pivots.max())[~keep]
         return beta, vcov, residuals, float(np.linalg.cond(r[:, :k])), ratios
 
@@ -406,8 +416,7 @@ class TestStreamedFit:
         self, monkeypatch, score_bytes, outcomes, cluster_units, collinear
     ):
         # About 4,000 rows: four 1,024-row QR blocks. At the default group
-        # size x is small enough to be demeaned once and held; at one byte
-        # ("small") every read demeans its rows anew, and the scores run over
+        # size the scores are one group; at one byte ("small") they run over
         # one-chunk groups, with clusters that go on across groups in row
         # order (units) or shuffled (coarse).
         monkeypatch.setattr(engine, "_SCORE_BYTES", score_bytes)
@@ -431,8 +440,31 @@ class TestStreamedFit:
         assert fit.condition == condition
         assert np.array_equal(list(fit.pivot_ratios.values()), ratios)
 
+    @pytest.mark.parametrize("outcomes", [None, 3])
+    @pytest.mark.parametrize("cluster_units", [None, 9], ids=["units", "coarse"])
+    def test_cluster_vcov_of_an_array_matches_the_whole_panel_sum(
+        self, monkeypatch, outcomes, cluster_units
+    ):
+        # An array x in one-chunk groups: each group's rows are copied, and
+        # clusters go on across groups, in row order (units) or shuffled
+        # (coarse).
+        monkeypatch.setattr(engine, "_SCORE_BYTES", 1)
+        rng = np.random.default_rng(200 + (outcomes or 0))
+        d = random_design(rng, n_units=150, n_periods=32, n_x=3, unbalanced=True,
+                          cluster_units=cluster_units)
+        assert d.n > 3 * engine._BLOCK_ROWS
+        x = demean_two_way(d).x
+        e = rng.normal(size=(d.n, outcomes) if outcomes else d.n)
+        with _blas.single_thread():
+            sums = cluster_sums(x, d.weight, e, d.cluster_codes)
+            vcov = cluster_vcov(x, d.weight, e, d.cluster_codes)
+            want = self.whole_panel_sums(x, d.weight, e, d.cluster_codes)
+            r = engine._weighted_r(np.sqrt(d.weight), x)
+        assert np.array_equal(sums, want)
+        assert np.array_equal(vcov, self.sandwich(want, r, d.cluster_codes))
+
     def test_holds_no_demeaned_copy_of_the_regressors(self):
-        # 50,000 x 24, too large to be held: a demeaned copy of x alone would
+        # 50,000 x 24: a demeaned copy of x alone would
         # add 1.0 x.nbytes to the fit's traced peak.
         rng = np.random.default_rng(7)
         n_units, n_periods, k = 1250, 40, 24
