@@ -9,7 +9,7 @@ period anchored at zero in each connected component of the unit-period graph
 slope coefficients coincide with the ones a full dummy-variable regression
 would produce.
 
-A large x is never demeaned as a whole: its effects are fitted once
+A fit never demeans x as a whole: its effects are fitted once
 (`DemeanedRows`), and each read forms one block of demeaned rows anew, so a
 fit holds one n x K array, the caller's. One Householder QR of the weighted
 demeaned [X | y], taken over fixed 1,024-row blocks, then does the rest.
