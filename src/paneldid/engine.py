@@ -185,8 +185,28 @@ def _fe_labels(
 ) -> np.ndarray:
     """Component label of each unit, then each period, of the unit-period graph."""
     nodes = n_units + n_periods
-    graph = sparse.csr_matrix((weight, (unit_codes, n_units + period_codes)), (nodes, nodes))
+    graph = _grouped(weight, unit_codes, (nodes, nodes), n_units + period_codes)
     return connected_components(graph, directed=False)[1]
+
+
+def _grouped(
+    weight: np.ndarray, codes: np.ndarray, shape: tuple[int, int],
+    columns: np.ndarray | None = None,
+) -> sparse.csr_matrix:
+    """The CSR of `shape` whose row c holds, in row order, each row with code
+    c at its weight, in the column `columns` gives that row (default: its
+    own index).
+
+    Built from a stable argsort of the codes and their cumulative counts, so
+    it holds what a COO build would, less the summing of repeated entries.
+    """
+    # numpy radix-sorts codes of 16 bits or fewer
+    order = np.argsort(codes.astype(np.min_scalar_type(max(shape[0] - 1, 0))), kind="stable")
+    index = np.int32 if max(len(codes), *shape) < np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(shape[0] + 1, dtype=index)
+    np.cumsum(np.bincount(codes, minlength=shape[0]), out=indptr[1:])
+    indices = order.astype(index) if columns is None else columns[order].astype(index)
+    return sparse.csr_matrix((weight[order], indices, indptr), shape)
 
 
 def fe_components(
@@ -225,11 +245,11 @@ class TwoWaySolver:
         n_units: int,
         n_periods: int,
     ) -> None:
-        n = len(weight)
-        rows = np.arange(n)
+        # the graph's labels first, so its transient does not stack on the CSRs
+        labels = _fe_labels(weight, unit_codes, period_codes, n_units, n_periods)
         self._unit_codes, self._period_codes = unit_codes, period_codes
-        self._to_unit = sparse.csr_matrix((weight, (unit_codes, rows)), (n_units, n))
-        self._to_period = sparse.csr_matrix((weight, (period_codes, rows)), (n_periods, n))
+        self._to_unit = _grouped(weight, unit_codes, (n_units, len(weight)))
+        self._to_period = _grouped(weight, period_codes, (n_periods, len(weight)))
         cells = np.ravel_multi_index((unit_codes, period_codes), (n_units, n_periods))
         self._cells = np.bincount(cells, weight, n_units * n_periods).reshape(n_units, -1)
         unit_weight = self._cells.sum(axis=1)
@@ -237,7 +257,6 @@ class TwoWaySolver:
         active = unit_weight > 0
         self._inv_unit = np.where(active, 1.0, np.nan) / np.where(active, unit_weight, 1.0)
         self._scaled = self._cells * np.nan_to_num(self._inv_unit)[:, None]
-        labels = _fe_labels(weight, unit_codes, period_codes, n_units, n_periods)
         self.components = len(np.unique(labels[:n_units][active]))
         # Each period's component label: period effects compare only within one.
         self.period_labels = labels[n_units:]

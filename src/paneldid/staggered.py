@@ -17,8 +17,14 @@ Group-time and imputation standard errors come from a multinomial bootstrap
 over units that never reads the panel's clusters; the event study, like the
 TWFE engine, uses them for its CR1 covariance. Duplicated units re-enter as
 multiplicity weights, which leaves every within-unit mean unchanged, so every
-draw's normal equations, covariate columns included, are one matrix product
-of per-unit blocks and are solved in one batch. A draw whose pivots fail a
+draw's normal equations, covariate columns included, are products of the
+(draws, U) multiplicities with per-unit columns. The group-time bootstrap
+stacks the columns of a chunk of cells into one product and solves the
+chunk's draws in one batch; the imputation bootstrap forms the upper
+triangle of its period block only, packed, in column blocks of one product
+each. Each draw's matrix is factorised alone, but the products round by
+chunk, so bootstrap SEs depend in their last bits on the BLAS build and on
+the chunk layout (`_CHUNK_BYTES`). A draw whose pivots fail a
 fixed margin (an empty period, unlinked units and periods, a nearly collinear
 column) is re-fit alone by the routine the point estimate uses. The event
 study has an analytic CR1 covariance from one two-way solve over cohort x
@@ -57,11 +63,12 @@ NEVER = -1
 # before it) for the draw to be solved in the batch. At this margin the
 # normal equations lose at most about six of the sixteen digits.
 _MARGIN = 1e-6
-# About the bytes of one batch of imputation draws. The divisor, 32 n^2
-# bytes a draw, is four (n, n) float arrays: more than a draw holds at once
-# (its system and one of the blocks np.block joins, its Cholesky factor or
-# the copy that is solved). It stays as it is because each chunk's products
-# round by chunk: another chunk size would move bootstrap SEs in their last bits.
+# About the bytes of one chunk of the bootstraps' work: the per-unit columns
+# and draw sums of a chunk of group-time cells, a column block of the
+# imputation period block's packed triangle, and a batch of imputation draws
+# (32 n^2 bytes a draw, four (n, n) arrays: its system, its Cholesky factor
+# or the copy that is solved, and their slack). A product rounds by chunk,
+# so another size moves bootstrap SEs in their last bits.
 _CHUNK_BYTES = 1 << 21
 
 
@@ -255,32 +262,40 @@ def cs_att(
         # ATT = (tn/td - cn/cd) - (mean z treated - mean z control)' gamma.
         z0 = z - np.average(z, axis=0, weights=uw)
         zz = (z0[:, :, None] * z0[:, None, :]).reshape(u_count, k * k)
+        # Each cell's per-unit columns: tn, td, cn, cd, then z0 summed over
+        # its controls, its treated and its controls' changes, and z0 z0'
+        # over its controls. A chunk of cells meets m in one product.
+        width = 4 + k * (3 + k)
+        step = max(1, _CHUNK_BYTES // (8 * width * (u_count + bootstrap_draws)))
         boot = np.full((bootstrap_draws, len(specs)), np.nan)
-        for e, (_, _, delta, tsel, csel) in enumerate(specs):
-            d0 = np.where(np.isnan(delta), 0.0, delta)
-            tn = m @ (uw * d0 * tsel)
-            td = m @ (uw * tsel)
-            cn = m @ (uw * d0 * csel)
-            cd = m @ (uw * csel)
-            live = np.flatnonzero((td > 0) & (cd > 0))
-            boot[live, e] = tn[live] / td[live] - cn[live] / cd[live]
+        for lo in range(0, len(specs), step):
+            chunk = specs[lo:lo + step]
+            block = np.empty((u_count, len(chunk), width))
+            for i, (_, _, delta, tsel, csel) in enumerate(chunk):
+                d0 = np.where(np.isnan(delta), 0.0, delta)
+                tw, cw = uw * tsel, uw * csel
+                block[:, i] = np.column_stack([
+                    uw * d0 * tsel, tw, uw * d0 * csel, cw, cw[:, None] * z0,
+                    tw[:, None] * z0, (cw * d0)[:, None] * z0, cw[:, None] * zz])
+            sums = (m @ block.reshape(u_count, -1)).reshape(bootstrap_draws, len(chunk), width)
+            del block
+            b_ix, c_ix = np.nonzero((sums[..., 1] > 0) & (sums[..., 3] > 0))  # live draws
+            live = sums[b_ix, c_ix]
+            tn, td, cn, cd = live[:, :4].T
+            boot[b_ix, lo + c_ix] = tn / td - cn / cd
             if k == 0:
                 continue
-            cw = uw * csel
-            sz = (m @ (cw[:, None] * z0))[live]
-            zc = sz / cd[live, None]
-            gram = (m @ (cw[:, None] * zz))[live].reshape(len(live), k, k)
-            raw = np.diagonal(gram, axis1=1, axis2=2)
-            gamma, ok = _certified_solve(
-                gram - sz[:, :, None] * zc[:, None, :],
-                (m @ ((cw * d0)[:, None] * z0))[live] - sz * (cn[live] / cd[live])[:, None],
-                raw,
-            )
-            zt = (m @ ((uw * tsel)[:, None] * z0))[live] / td[live, None]
-            boot[live, e] -= ((zt - zc) * gamma).sum(axis=1)
-            for b in live[~ok]:
+            sz, zt, szy, gram = np.split(live[:, 4:], np.cumsum([k, k, k]), axis=1)
+            zc = sz / cd[:, None]
+            gram = gram.reshape(len(live), k, k)
+            gamma, ok = _certified_solve(gram - sz[:, :, None] * zc[:, None, :],
+                                         szy - sz * (cn / cd)[:, None],
+                                         np.diagonal(gram, axis1=1, axis2=2))
+            boot[b_ix, lo + c_ix] -= ((zt / td[:, None] - zc) * gamma).sum(axis=1)
+            for b, c in zip(b_ix[~ok], c_ix[~ok]):
+                _, _, delta, tsel, csel = chunk[c]
                 keep = m[b] > 0
-                boot[b, e] = cell_att(delta, tsel & keep, csel & keep, uw * m[b])
+                boot[b, lo + c] = cell_att(delta, tsel & keep, csel & keep, uw * m[b])
 
     entries = []
     for e, (g, t, _, tsel, _) in enumerate(specs):
@@ -834,31 +849,21 @@ def _impute_bootstrap(
     """
     a = data.arrays
     u_count, t_count, k = len(a.units), len(a.periods), x.shape[1]
+    n, p = t_count - 1 + k, t_count - 1
 
-    uu, wu, yu = a.unit_codes[untr], w[untr], a.outcome[untr]
-    ut, wt = a.unit_codes[treated_rows], w[treated_rows]
-    wsum_u = np.bincount(uu, weights=wu, minlength=u_count)
-    wy_u = np.bincount(uu, weights=wu * yu, minlength=u_count)
-    ty_sum = np.bincount(ut, weights=wt * a.outcome[treated_rows], minlength=u_count)
-    tw_sum = np.bincount(ut, weights=wt, minlength=u_count)
-    a_grid, tw_grid = a.grid(w * untr), a.grid(w * treated_rows)
-    wy_grid = a.grid(w * untr * a.outcome)
+    # Row weights zeroed off each side: a zero adds nothing to a unit's sum.
+    wu, wt = w * untr, w * treated_rows
+    wy = wu * a.outcome
+    wsum_u = np.bincount(a.unit_codes, wu, u_count)
+    wy_u = np.bincount(a.unit_codes, wy, u_count)
+    ty_sum = np.bincount(a.unit_codes, wt * a.outcome, u_count)
+    tw_sum = np.bincount(a.unit_codes, wt, u_count)
+    a_grid, tw_grid, wy_grid = a.grid(wu), a.grid(wt), a.grid(wy)
+    del wu, wt, wy
     active = wsum_u > 0
     ratio_u = np.where(active, wy_u / np.where(active, wsum_u, 1.0), 0.0)
     inv = np.where(active, 1.0 / np.where(active, wsum_u, 1.0), 0.0)
     m = _unit_draws(seed, u_count, draws)
-    # Each draw's period block: the period weights on the diagonal, less the
-    # per-unit outer products of the period weights over the unit's weight.
-    # It and the periods' right-hand side are one product over all draws, as
-    # without covariates: a product split by rows differs in its last bits.
-    d_t = m @ a_grid                                  # (draws, T)
-    p_unit = a_grid[:, :, None] * a_grid[:, None, :]
-    p_unit *= inv[:, None, None]
-    b_all = m @ p_unit.reshape(u_count, t_count * t_count)
-    del p_unit
-    b_all = np.negative(b_all, out=b_all).reshape(draws, t_count, t_count)
-    b_all[:, np.arange(t_count), np.arange(t_count)] += d_t
-    c_all = m @ (wy_grid - a_grid * ratio_u[:, None])  # (draws, T)
     # Per-unit blocks of the slopes' columns: cross products of x centred on
     # its untreated unit mean, with itself, the outcome and the periods.
     x_grid = a.grid(x)
@@ -867,29 +872,58 @@ def _impute_bootstrap(
     xsq_u = np.einsum("ut,utk,utk->uk", a_grid, x_grid, x_grid)
     x_grid -= (sx_u * inv[:, None])[:, None, :]
     xy_u = np.einsum("ut,utk->uk", wy_grid, x_grid)
-    xx_u = np.einsum("ut,utk,utl->ukl", a_grid, x_grid, x_grid).reshape(u_count, k * k)
-    x_grid *= a_grid[:, :, None]
-    tx_grid = x_grid[:, 1:].reshape(u_count, (t_count - 1) * k)
-    n, p = t_count - 1 + k, t_count - 1
+    xw_grid = x_grid * a_grid[:, :, None]
+    xx_u = (np.swapaxes(xw_grid, 1, 2) @ x_grid).reshape(u_count, k * k)
+    tx_grid = xw_grid[:, 1:].reshape(u_count, p * k)
+    del x_grid, xw_grid
+    d_t = m @ a_grid                                   # (draws, T)
+    c_all = m @ (wy_grid - a_grid * ratio_u[:, None])  # (draws, T)
+    # A draw's treated gaps less its unit effects', alpha_u = (wy_u - a_u'lam
+    # - sx_u'gamma) / w_u (within-unit means are multiplicity-invariant), sum
+    # to the product of its multiplicities with these per-unit columns.
+    r = tw_sum * inv
+    gap_cols = np.column_stack([ty_sum - r * wy_u, tw_sum, (tw_grid - r[:, None] * a_grid)[:, 1:],
+                                tx_u - r[:, None] * sx_u])
+    at = np.ascontiguousarray(a_grid[:, 1:].T)         # (T-1, U)
+    del a_grid, tw_grid, wy_grid
+    # Each draw's block in the free periods (the first is anchored): the
+    # period weights on the diagonal, less the per-unit outer products of
+    # the period weights over the unit's weight. Only its upper triangle is
+    # formed, packed row by row, one product of m per block of whole rows of
+    # about _CHUNK_BYTES (at least one row).
+    upper = np.triu_indices(p)
+    start = np.append(0, np.cumsum(np.arange(p, 0, -1)))  # where each row starts
+    packed = np.empty((draws, start[-1]))
+    first = 0
+    while first < p:
+        last = np.searchsorted(start, start[first] + _CHUNK_BYTES // (8 * u_count), "right") - 1
+        last = max(first + 1, last)
+        outer = np.empty((start[last] - start[first], u_count))
+        for i in range(first, last):
+            np.multiply(at[i], at[i:], out=outer[start[i] - start[first]:][:p - i])
+        outer *= inv
+        packed[:, start[first]:start[last]] = m @ outer.T
+        del outer  # before the next block's is formed
+        first = last
+    np.negative(packed, out=packed)
+    packed[:, upper[0] == upper[1]] += d_t[:, 1:]
     theta = np.zeros((draws, n))
     ok = np.zeros(draws, dtype=bool)
     step = max(1, _CHUNK_BYTES // (32 * n * n))
     for lo in range(0, draws, step):
         rows = slice(lo, lo + step)
         mc = m[rows]
-        q = (mc @ tx_grid).reshape(len(mc), p, k)
-        system = np.block([[b_all[rows, 1:, 1:], q],
-                           [q.transpose(0, 2, 1), (mc @ xx_u).reshape(len(mc), k, k)]])
+        system = np.empty((len(mc), n, n))
+        system[:, upper[0], upper[1]] = system[:, upper[1], upper[0]] = packed[rows]
+        system[:, :p, p:] = (mc @ tx_grid).reshape(len(mc), p, k)
+        system[:, p:, :p] = system[:, :p, p:].transpose(0, 2, 1)
+        system[:, p:, p:] = (mc @ xx_u).reshape(len(mc), k, k)
         rhs = np.hstack([c_all[rows, 1:], mc @ xy_u])
         raw = np.hstack([d_t[rows, 1:], mc @ xsq_u])
         theta[rows], ok[rows] = _certified_solve(system, rhs, raw)
-    lam = np.hstack([np.zeros((draws, 1)), theta[:, :p]])  # first period anchored at 0
-    gamma = theta[:, p:]
-    # alpha per draw: within-unit means are multiplicity-invariant.
-    alpha = (wy_u[None, :] - lam @ a_grid.T - gamma @ sx_u.T) * inv[None, :]   # (draws, U)
-    contrib = ty_sum[None, :] - alpha * tw_sum[None, :] - lam @ tw_grid.T - gamma @ tx_u.T
-    num = (m * contrib).sum(axis=1)
-    den = (m * tw_sum[None, :]).sum(axis=1)
+    sums = m @ gap_cols
+    num = sums[:, 0] - (theta * sums[:, 2:]).sum(axis=1)  # theta: free periods, slopes
+    den = sums[:, 1]
     out = np.full(draws, np.nan)
     np.divide(num, den, out=out, where=ok & (den > 0))
     for i in np.flatnonzero(~ok & (den > 0)):

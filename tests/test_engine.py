@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import linalg, sparse, stats
+from scipy.sparse.csgraph import connected_components
 
 from conftest import P, direct_cr1, dummy_wls_coefficients, grid_panel, make_panel
 from paneldid import _blas, engine
@@ -313,6 +314,40 @@ class TestTwoWaySolver:
         want = np.stack([(d.weight * e * (clusters == c)) @ z for c in range(3)], axis=1)
         got = solver.cluster_scores(e, clusters)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @staticmethod
+    def assert_same_csr(got, want):
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype, part
+            assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+    @pytest.mark.parametrize("n_units, n_periods", [(40, 300), (300, 40), (3, 70_000)])
+    def test_csrs_equal_the_coo_build(self, n_units, n_periods):
+        # Random codes, repeated cells included; the last unit and the last
+        # period have no rows, and about a fifth of the rows weigh zero.
+        rng = np.random.default_rng(n_units)
+        n = 500
+        unit_codes = rng.integers(0, n_units - 1, n)
+        period_codes = rng.integers(0, n_periods - 1, n)
+        weight = rng.uniform(0.5, 3.0, n) * (rng.random(n) >= 0.2)
+        rows = np.arange(n)
+        for codes, groups in ((unit_codes, n_units), (period_codes, n_periods)):
+            self.assert_same_csr(engine._grouped(weight, codes, (groups, n)),
+                                 sparse.csr_matrix((weight, (codes, rows)), (groups, n)))
+        nodes = n_units + n_periods
+        graph = sparse.csr_matrix((weight, (unit_codes, n_units + period_codes)), (nodes, nodes))
+        labels = engine._fe_labels(weight, unit_codes, period_codes, n_units, n_periods)
+        assert np.array_equal(labels, connected_components(graph, directed=False)[1])
+
+    def test_solver_csrs_equal_the_coo_build(self):
+        rng = np.random.default_rng(6)
+        d = random_design(rng, n_units=9, n_periods=6, unbalanced=True)
+        solver = TwoWaySolver(d.weight, d.unit_codes, d.period_codes, 9, 6)
+        rows = np.arange(d.n)
+        self.assert_same_csr(solver._to_unit,
+                             sparse.csr_matrix((d.weight, (d.unit_codes, rows)), (9, d.n)))
+        self.assert_same_csr(solver._to_period,
+                             sparse.csr_matrix((d.weight, (d.period_codes, rows)), (6, d.n)))
 
 
 class TestClusterVcov:

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from paneldid.designs import (
     CovariateTerm, DesignKind, DidSpec, build_event_study, by_period, expand_covariates,
 )
 from paneldid.engine import PIVOT_RTOL, DesignMatrix, _fe_labels, wls_fit
-from paneldid.panel import Observation
+from paneldid.panel import Observation, PanelDataset
 from paneldid.periods import Period, period_range
 from paneldid.simulate import DgpConfig, generate, heterogeneous_config, null_config
 from paneldid.staggered import (
@@ -1136,6 +1137,228 @@ class TestCrossEstimator:
         cs = cs_aggregate(cs_att(data, cohorts, "never_treated", weights, bootstrap_draws=0))
         scale = np.abs(data.arrays.outcome).max()
         assert abs(sa - cs.values["overall"].estimate) <= 1e-10 * scale
+
+
+def wide_staggered_panel(seed):
+    """Unbalanced, weighted panel of 21 units x 24 quarters for the oracles.
+
+    Five units are never treated; the rest adopt in the 9th, 13th or 17th
+    quarter, which gives about 190 treated rows once each row of a unit
+    other than the first is dropped with probability 0.08. Rows carry
+    weights from U(0.5, 3); every unit carries a 0/1 `east` constant.
+    """
+    rng = np.random.default_rng(seed)
+    periods = [P(2010, 1).shift(j) for j in range(24)]
+    starts = [None, periods[8], periods[12], periods[16]]
+    cohorts = {f"u{i:02d}": starts[0 if i < 5 else 1 + i % 3] for i in range(21)}
+    obs = []
+    for i, (u, g) in enumerate(cohorts.items()):
+        alpha = float(rng.normal())
+        for j, p in enumerate(periods):
+            if i and rng.random() < 0.08:
+                continue
+            y = alpha + 0.05 * j + 0.02 * (i % 2) * j + float(rng.normal(0.0, 0.3))
+            if g is not None and p >= g:
+                y += 0.5 + 0.05 * (p.index - g.index)
+            obs.append(Observation(u, p, y, float(rng.uniform(0.5, 3.0)), (float(i % 2),)))
+    return panel_of(tuple(obs), covariate_names=("east",)), cohorts
+
+
+def two_period_slope(data, cohorts, unit_weight, g, t, rule):
+    """Oracle: ATT(g, t) as a `wls_fit` on periods {g - 1, t} alone.
+
+    The rows are those of cohort g and of the rule's controls observed in
+    both periods, each weighted by its unit's weight; one dummy marks cohort
+    g at t, with unit and period effects absorbed.
+    """
+    a = data.arrays
+    base, horizon = g.index - 1, max(t.index, g.index - 1)
+    start = np.array([np.inf if cohorts[u] is None else cohorts[u].index for u in a.units])
+    treated = start == g.index
+    control = (start > horizon if rule == "not_yet_treated" else np.isinf(start)) & ~treated
+    period = a.period_index[a.period_codes]
+    window = np.isin(period, [base, t.index]) & (treated | control)[a.unit_codes]
+    seen = np.bincount(a.unit_codes[window], minlength=len(a.units)) == 2
+    rows = window & seen[a.unit_codes]
+    sub = data._subset(rows)
+    d = (treated[a.unit_codes] & (period == t.index))[rows].astype(float)
+    design = DesignMatrix.from_panel(sub, ("d",), d)
+    w = np.array([unit_weight[a.units[u]] for u in a.unit_codes[rows]])
+    return wls_fit(replace(design, weight=w)).coefficients["d"]
+
+
+class TestRegressionOracles:
+    """`cs_att` and `impute_att` against `wls_fit` on unbalanced, weighted panels."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("rule", CONTROL_RULES)
+    def test_cs_cell_is_a_two_period_regression(self, seed, rule):
+        data, cohorts, weights = random_staggered_panel(seed)
+        if weights is None:
+            rng = np.random.default_rng([seed, 2])
+            weights = {u: float(rng.uniform(0.5, 3.0)) for u in cohorts}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # cells without rows are omitted
+            res = cs_att(data, cohorts, rule, weights, include_pre=True, bootstrap_draws=0)
+        scale = np.abs(data.arrays.outcome).max()
+        assert len(res.entries) >= 12
+        for cell in res.entries:
+            want = two_period_slope(data, cohorts, weights, cell.cohort, cell.period, rule)
+            assert abs(cell.att - want) <= 1e-12 * scale, cell
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("covariates", [(), (CovariateTerm("east", by_time=True),)])
+    def test_imputed_effects_are_treated_row_dummy_slopes(self, seed, weighted, covariates):
+        # Each treated row's own dummy fits it exactly, so the unit and period
+        # effects (and covariate slopes) come from the untreated rows alone,
+        # and each dummy's slope is that row's imputed effect.
+        data, cohorts = wide_staggered_panel(seed)
+        a = data.arrays
+        weights = None
+        if weighted:
+            rng = np.random.default_rng([seed, 3])
+            weights = {u: float(rng.uniform(0.5, 3.0)) for u in a.units}
+        res = impute_att(data, cohorts, covariates, weights, bootstrap_draws=0)
+        treated = np.flatnonzero([
+            cohorts[a.units[u]] is not None and a.period_index[t] >= cohorts[a.units[u]].index
+            for u, t in zip(a.unit_codes, a.period_codes)])
+        assert 150 <= len(treated) <= 250
+        dummies = np.zeros((len(a.outcome), len(treated)))
+        dummies[treated, np.arange(len(treated))] = 1.0
+        cov_names, cov_matrix = expand_covariates(data, covariates)
+        names = [f"d{i}" for i in range(len(treated))]
+        design = DesignMatrix.from_panel(data, names + cov_names,
+                                         np.column_stack([dummies, cov_matrix]))
+        if weighted:
+            design = replace(design, weight=np.array([weights[u] for u in a.units])[a.unit_codes])
+        fit = wls_fit(design)
+        assert not fit.dropped_collinear
+        slopes = np.array([fit.coefficients[c] for c in names])
+        scale = np.abs(a.outcome).max()
+        np.testing.assert_array_equal(res.unit_codes, a.unit_codes[treated])
+        assert np.abs(res.effect_values - slopes).max() <= 1e-12 * scale
+
+
+def certified_solve_spy(monkeypatch):
+    """Record (draws, uncertified draws) of each `_certified_solve` call."""
+    calls = []
+    solve = staggered._certified_solve
+
+    def recorded(a, rhs, raw):
+        x, ok = solve(a, rhs, raw)
+        calls.append((len(ok), int((~ok).sum())))
+        return x, ok
+
+    monkeypatch.setattr(staggered, "_certified_solve", recorded)
+    return calls
+
+
+def guard_panel(n_units, n_periods, seed=0):
+    """Balanced weighted panel with a third of the units in each of two
+    cohorts and the rest never treated, built straight from columns."""
+    rng = np.random.default_rng(seed)
+    units = [f"u{i:04d}" for i in range(n_units)]
+    periods = [P(2010, 1).shift(j) for j in range(n_periods)]
+    starts = [periods[n_periods // 3], periods[2 * n_periods // 3], None]
+    cohorts = {u: starts[i % 3] for i, u in enumerate(units)}
+    y = rng.normal(size=(n_units, 1)) + 0.1 * np.arange(n_periods) + rng.normal(
+        0.0, 0.3, size=(n_units, n_periods))
+    data = PanelDataset.from_columns(
+        np.repeat(units, n_periods).tolist(), periods * n_units, y.ravel().tolist(),
+        rng.uniform(0.5, 3.0, size=y.size).tolist())
+    return data, cohorts
+
+
+class TestBatchedBootstrap:
+    """Products split into chunks round like one product, to 1e-12."""
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("rule", CONTROL_RULES)
+    def test_cs_chunks_match_one_chunk(self, seed, rule, monkeypatch):
+        data, cohorts, weights = random_staggered_panel(seed)
+        draws, k = 99, 1
+
+        def run():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                return cs_att(data, cohorts, rule, weights, covariates=("share",),
+                              include_pre=True, bootstrap_draws=draws, seed=seed)
+
+        whole = run()
+        # room for two cells' columns and sums a chunk
+        cell_bytes = 8 * (4 + k * (3 + k)) * (len(data.units) + draws)
+        monkeypatch.setattr(staggered, "_CHUNK_BYTES", 2 * cell_bytes)
+        calls = certified_solve_spy(monkeypatch)
+        split = run()
+        assert len(split.entries) >= 12
+        assert len(calls) >= 3
+        assert [c.att for c in split.entries] == [c.att for c in whole.entries]
+        assert_close([c.se for c in split.entries], [c.se for c in whole.entries], 1e-12)
+        for kind in ("overall", "by_event_time"):
+            got, want = (cs_aggregate(r, kind).values for r in (split, whole))
+            assert_close([v.se for v in got.values()], [v.se for v in want.values()], 1e-12)
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("covariates", [(), (CovariateTerm("east", by_time=True),)])
+    def test_impute_blocks_match_one_block(self, seed, covariates, monkeypatch):
+        data, cohorts, weights = random_staggered_panel(seed)
+        p = len(data.periods) - 1
+
+        def run():
+            return impute_att(data, cohorts, covariates, weights, bootstrap_draws=99,
+                              seed=seed).se
+
+        whole = run()
+        # p columns a block: the triangle's first two rows, of p and p - 1
+        # entries, take a block each, so it spans at least three blocks
+        monkeypatch.setattr(staggered, "_CHUNK_BYTES", 8 * len(data.units) * p)
+        calls = certified_solve_spy(monkeypatch)
+        assert run() == pytest.approx(whole, rel=1e-12)
+        assert len(calls) >= 3
+
+    @pytest.mark.parametrize("rule, controls, tilt", [
+        *((r, 3, None) for r in CONTROL_RULES), ("never_treated", 6, 1e-3)])
+    def test_cs_chunk_with_uncertified_draws_matches_bruteforce(
+            self, rule, controls, tilt, monkeypatch):
+        # two cells a chunk, each chunk holding certified and refit draws
+        monkeypatch.setattr(staggered, "_CHUNK_BYTES", 2 * 8 * 14 * (3 + controls + 150))
+        calls = certified_solve_spy(monkeypatch)
+        TestCsAtt().test_covariate_bootstrap_matches_bruteforce(rule, controls, tilt)
+        assert len(calls) >= 3
+        assert any(0 < bad < draws for draws, bad in calls)
+
+    def test_impute_chunk_with_uncertified_draws_matches_bruteforce(self, monkeypatch):
+        # eight draws a chunk of the 3 x 3 period systems; 174 of the 400
+        # draws are refit alone and skipped
+        monkeypatch.setattr(staggered, "_CHUNK_BYTES", 8 * 32 * 3 * 3)
+        calls = certified_solve_spy(monkeypatch)
+        TestImpute().test_disconnected_draws_skipped()
+        assert len(calls) == 50
+        assert any(0 < bad < draws for draws, bad in calls)
+
+    def test_impute_covariate_chunk_with_uncertified_draws_matches_bruteforce(
+            self, monkeypatch):
+        monkeypatch.setattr(staggered, "_CHUNK_BYTES", 1)  # one draw, one row a block
+        calls = certified_solve_spy(monkeypatch)
+        TestImpute().test_covariate_bootstrap_matches_bruteforce()
+        TestImpute().test_covariate_adjustment_removes_characteristic_trend()
+        assert any(bad for _, bad in calls)
+
+    def test_impute_holds_no_unit_period_square(self):
+        # 2,000 units x 30 periods, 99 draws: the per-unit outer products of
+        # the period weights, (U, T, T), would alone take U T^2 8 bytes.
+        n_units, n_periods = 2000, 30
+        data, cohorts = guard_panel(n_units, n_periods)
+        data.arrays  # noqa: B018 - the lazy array view is the panel's, not the fit's
+        impute_att(data, cohorts, bootstrap_draws=3, seed=1)
+        tracemalloc.start()
+        try:
+            impute_att(data, cohorts, bootstrap_draws=99, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * n_units * n_periods**2 * 8
 
 
 def eliminate_in_column_order(a, rhs, raw):
