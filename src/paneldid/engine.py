@@ -28,15 +28,16 @@ inference:
 with X the demeaned retained regressors, G the number of clusters and K the
 number of retained slope parameters. One more pass over the rows forms the
 residuals, over the same 1,024-row blocks, and the scores s_g from the same
-reads (`cluster_sums`): each cluster's running sum is carried from one group
-of rows to the next, so it adds its rows in row order, as one product over
-the whole panel would. `cr1_vcov` is the one home of c * H H'
-for a (k, G) influence matrix H, here H = (X'WX)^(-1) [s_1 ... s_G]; the
-Sun-Abraham fit passes its own H to it. Test statistics use a t reference
-distribution with G-1 degrees of freedom. Its p-values and 95% critical
-values, and the normal critical value, come from `scipy.special`'s `stdtr`,
-`stdtrit` and `ndtri`: the kernels that `scipy.stats.t` and `scipy.stats.norm`
-call, so they equal those bit for bit without loading `scipy.stats`.
+reads (`cluster_sums`), one sparse product per group of rows and outcome.
+In it each cluster's sum starts from its running sum over the groups before
+and adds its rows in row order, as one product over the whole panel would.
+`cr1_vcov` is the one home of c * H H' for a (k, G) influence matrix H, here
+H = (X'WX)^(-1) [s_1 ... s_G]; the Sun-Abraham fit passes its own H to it.
+Test statistics use a t reference distribution with G-1 degrees of
+freedom. Its p-values and 95% critical values, and the normal critical
+value, come from `scipy.special`'s `stdtr`, `stdtrit` and `ndtri`: the
+kernels that `scipy.stats.t` and `scipy.stats.norm` call, so they equal those
+bit for bit without loading `scipy.stats`.
 
 `Estimate` holds one estimate and its standard error and is the one home of
 the toolkit's 95% interval: a t(df) critical value for these CR1 errors
@@ -63,9 +64,9 @@ from .periods import Period
 
 PIVOT_RTOL = 1e-9
 _BLOCK_ROWS = 1024  # rows per chunk: residuals and QR blocks stay in cache
-# Regressor bytes per row group of `cluster_sums`: each group pays one sparse
-# product per outcome, so smaller groups cost more calls, and a group of
-# demeaned rows is held while it is summed.
+# Regressor bytes per row group of `cluster_sums`: each group builds one sparse
+# pattern and pays one product per outcome, so smaller groups cost more
+# calls, and a group of demeaned rows is held while it is summed.
 _SCORE_BYTES = 1 << 21
 _Z95 = float(special.ndtri(0.975))
 
@@ -148,11 +149,6 @@ class DesignMatrix:
     @property
     def n(self) -> int:
         return len(self.y)
-
-    @property
-    def fe_components(self) -> int | None:
-        """Connected components of the unit-period graph, once absorbed."""
-        return None if self.solver is None else self.solver.components
 
     @classmethod
     def from_panel(cls, data: PanelDataset, columns: Sequence[str], x: np.ndarray) -> DesignMatrix:
@@ -395,20 +391,17 @@ def cluster_vcov(
     weight: np.ndarray,
     residuals: np.ndarray,
     cluster_codes: np.ndarray,
-    *,
-    r: np.ndarray | None = None,
 ) -> np.ndarray:
     """Cluster-robust sandwich covariance with the small-sample factor.
 
-    `x_demeaned` must contain only retained columns. `r` is the triangular
-    factor of sqrt(weight) * x_demeaned, so that X'WX = R'R; it is computed
-    when not given. Residuals of shape (n, R) give one (k, k) covariance per
-    outcome, stacked as (R, k, k). Raises if X'WX is singular.
+    `x_demeaned` must contain only retained columns; X'WX = R'R comes from
+    the QR of sqrt(weight) * x_demeaned. Residuals of shape (n, R) give one
+    (k, k) covariance per outcome, stacked as (R, k, k). Raises if X'WX is
+    singular.
     """
     cluster_codes = np.asarray(cluster_codes)
     g = inference_clusters(cluster_codes)
-    if r is None:
-        r = _weighted_r(np.sqrt(weight), x_demeaned)
+    r = _weighted_r(np.sqrt(weight), x_demeaned)
     sums = cluster_sums(x_demeaned, weight, residuals, cluster_codes)
     return _sandwich(sums, r, g, len(weight))
 
@@ -450,48 +443,39 @@ def _score_pass(
     residuals y - x @ beta are formed into a new array, chunk by chunk, from
     the rows that the sums read, so a fit demeans its regressors once for
     both. x is read in row order, in groups of whole `_BLOCK_ROWS` chunks
-    holding about `_SCORE_BYTES` of it. Each group's sums are one sparse
-    product per outcome that adds every cluster's rows in row order, after
-    its running sum from the groups before (an extra row with coefficient 1),
-    so each sum equals, bit for bit, the one a single product over the whole
-    panel gives.
+    holding about `_SCORE_BYTES` of it. Each group stacks, above its rows,
+    the running sums of the clusters it holds, and `_grouped` gives each such
+    cluster one row of a sparse product: its running sum at coefficient 1
+    (+0 before its first group), then its rows at w * e in row order. A CSR
+    row sum starts at +0, and 0 + 1 * s = s, so each sum equals, bit for
+    bit, the one a single product over the whole panel gives.
     """
     if residuals is None:
         residuals = np.empty_like(fit[0])
     n, k = x.shape
     sums = np.zeros((int(np.prod(residuals.shape[1:])), int(cluster_codes.max()) + 1, k))
-    seen = np.zeros(sums.shape[1], dtype=bool)
+    to_row = np.empty(sums.shape[1], dtype=np.intp)  # a cluster's row of its group's product
     step = _BLOCK_ROWS * max(1, _SCORE_BYTES // (_BLOCK_ROWS * 8 * max(k, 1)))
-    buffer = np.empty((min(step, n) + min(step, n, sums.shape[1]), k))
+    buffer = np.empty((min(step, n, sums.shape[1]) + min(step, n), k))
     for start in range(0, n, step):
         group = slice(start, min(start + step, n))
         codes = cluster_codes[group]
-        order = np.argsort(codes, kind="stable")
-        ordered = codes[order]
-        runs = np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1]))
-        clusters = ordered[runs]
-        carried = seen[clusters]  # clusters that go on from a running sum
-        seen[clusters] = True
-        size, m = len(codes), int(carried.sum())
-        block = buffer[: size + m]  # the group's rows, then the running sums
+        clusters = np.flatnonzero(np.bincount(codes, minlength=sums.shape[1]))
+        size, m = len(codes), len(clusters)
+        to_row[clusters] = np.arange(m)
+        # row j: cluster j's running sum at coefficient 1, then its rows in row order
+        local = np.append(np.arange(m), to_row[codes])
+        product = _grouped(np.ones(m + size), local, (m, m + size))
+        block = buffer[: m + size]  # the running sums, then the group's rows
         for chunk in _row_chunks(size):
             rows = slice(start + chunk.start, start + chunk.stop)
-            block[chunk] = x_rows = x[rows]
+            block[m:][chunk] = x_rows = x[rows]
             if fit is not None:
                 residuals[rows] = fit[0][rows] - x_rows @ fit[1]
         we = weight[group] * residuals[group].reshape(size, -1).T
-        at = runs[carried]
-        product = sparse.csr_matrix(
-            (
-                np.ones(size + m),
-                np.insert(order, at, size + np.arange(m)),
-                np.append(runs, size) + np.append(0, np.cumsum(carried)),
-            ),
-            (len(runs), size + m),
-        )
         for one, total in zip(we, sums):
-            product.data = np.insert(one[order], at, 1.0)
-            block[size:] = total[clusters[carried]]
+            product.data = np.append(np.ones(m), one)[product.indices]
+            block[:m] = total[clusters]
             total[clusters] = product @ block
     return residuals, sums.reshape(*residuals.shape[1:], *sums.shape[1:])
 
@@ -690,5 +674,5 @@ def wls_fit(design: DesignMatrix) -> RegressionFit:
         residuals=residuals,
         n_clusters=g,
         condition=float(np.linalg.cond(r)),
-        fe_components=dm.fe_components,
+        fe_components=dm.solver.components,
     )

@@ -14,10 +14,11 @@ from `panel`: `PanelArrays.grid`, `PanelArrays.period_index`,
 `cohort_start` and `cohorts_in`.
 
 Group-time and imputation standard errors come from a multinomial bootstrap
-over units that never reads the panel's clusters; the event study, like the
-TWFE engine, uses them for its CR1 covariance. Duplicated units re-enter as
-multiplicity weights, which leaves every within-unit mean unchanged, so every
-draw's normal equations, covariate columns included, are products of the
+over units, not over the panel's clusters (a warning says so when clusters
+hold several units); the event study, like the TWFE engine, uses the
+clusters for its CR1 covariance. Duplicated units re-enter as multiplicity
+weights, which leaves every within-unit mean unchanged, so every draw's
+normal equations, covariate columns included, are products of the
 (draws, U) multiplicities with per-unit columns. The group-time bootstrap
 stacks the columns of a chunk of cells into one product and solves the
 chunk's draws in one batch; the imputation bootstrap forms the upper
@@ -175,9 +176,10 @@ def cs_att(
     as are cells with an empty treated or control set and cells whose
     weighted control design [1, covariates] has rank below its column count.
     Standard errors come from a multinomial bootstrap over units, not over
-    the panel's clusters, which TWFE and `sa_event_study` use for CR1; a
-    draw whose control design is rank-deficient is not identified and is
-    skipped. `seed` is required whenever `bootstrap_draws` is positive.
+    the panel's clusters, which TWFE and `sa_event_study` use for CR1; with
+    draws on a panel whose clusters hold several units, a `UserWarning` says
+    so. A draw whose control design is rank-deficient is not identified and
+    is skipped. `seed` is required whenever `bootstrap_draws` is positive.
     """
     if control_rule not in CONTROL_RULES:
         raise ValueError(
@@ -711,7 +713,8 @@ def impute_att(
     cell's untreated outcome and records the difference; the aggregate is the
     treated-weight-weighted mean of those differences. Standard errors use a
     multinomial bootstrap over units, not over the panel's clusters, which
-    TWFE and `sa_event_study` use for CR1.
+    TWFE and `sa_event_study` use for CR1; with draws on a panel whose
+    clusters hold several units, a `UserWarning` says so.
     """
     _check_bootstrap(data, bootstrap_draws, seed)
     a = data.arrays
@@ -779,6 +782,13 @@ def _check_bootstrap(data: PanelDataset, bootstrap_draws: int, seed: int | None)
     if bootstrap_draws > 0 and data.arrays.outcome.ndim > 1:
         raise ValueError("bootstrap draws need a single outcome; the panel stacks "
                          f"{data.arrays.outcome.shape[1]} outcomes")
+    n_clusters = len(data.arrays.clusters)
+    if bootstrap_draws > 0 and n_clusters < len(data.units):
+        warnings.warn(
+            f"the bootstrap resamples units, not the panel's clusters ({len(data.units)} "
+            f"units in {n_clusters}); its standard errors ignore dependence within a cluster",
+            UserWarning,
+        )
 
 
 def _unit_draws(seed: int, u_count: int, draws: int) -> np.ndarray:

@@ -498,6 +498,33 @@ class TestStreamedFit:
         assert np.array_equal(sums, want)
         assert np.array_equal(vcov, self.sandwich(want, r, d.cluster_codes))
 
+    def test_cluster_sums_carry_over_a_group_without_the_cluster(self, monkeypatch):
+        # One-chunk groups of 1,024 rows. Cluster 0 has rows in groups 0 and 2
+        # but none in group 1, so its running sum skips a group; cluster 9
+        # first appears in group 2. Of the R = 3 outcomes, one is all zeros and
+        # one holds exact +0 and -0 entries, so comparing bytes checks the sign
+        # of every zero sum as well.
+        monkeypatch.setattr(engine, "_SCORE_BYTES", 1)
+        rng = np.random.default_rng(301)
+        n, block = 3500, engine._BLOCK_ROWS
+        cluster_codes = rng.integers(1, 9, size=n)
+        cluster_codes[rng.choice(block, 40, replace=False)] = 0
+        cluster_codes[2 * block + rng.choice(block, 40, replace=False)] = 0
+        cluster_codes[2 * block + rng.choice(block, 30, replace=False)] = 9
+        assert not np.isin([0, 9], cluster_codes[block:2 * block]).any()
+        x = rng.normal(size=(n, 3))
+        weight = rng.uniform(0.5, 3.0, size=n)
+        e = rng.normal(size=(n, 3))
+        e[:, 1] = 0.0
+        e[rng.random(n) < 0.3, 2] = 0.0
+        e[rng.random(n) < 0.3, 2] = -0.0
+        e[cluster_codes == 0, 2] = -0.0
+        with _blas.single_thread():
+            sums = cluster_sums(x, weight, e, cluster_codes)
+            want = self.whole_panel_sums(x, weight, e, cluster_codes)
+        assert sums.shape == (3, 10, 3)
+        assert sums.tobytes() == want.tobytes()
+
     def test_holds_no_demeaned_copy_of_the_regressors(self):
         # 50,000 x 24: a demeaned copy of x alone would
         # add 1.0 x.nbytes to the fit's traced peak.

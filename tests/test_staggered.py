@@ -1091,6 +1091,20 @@ class TestCrossEstimator:
         with pytest.raises(ValueError, match="bootstrap_draws must be non-negative"):
             estimator(build(cohorts), cohorts, bootstrap_draws=-3, seed=1)
 
+    @pytest.mark.parametrize("estimator", [cs_att, impute_att])
+    def test_bootstrap_warns_that_it_resamples_units_not_clusters(self, estimator):
+        cohorts = {"a": P(2013, 4), "b": P(2014, 2), "n1": None, "n2": None}
+        data = build(cohorts, noise=0.1)
+        coarse = panel_of(data.observations, cluster={u: u[0] for u in data.units})
+        coarse_warning = r"resamples units, not the panel's clusters \(4 units in 3\)"
+        with pytest.warns(UserWarning, match=coarse_warning):
+            estimator(coarse, cohorts, bootstrap_draws=9, seed=1)
+        # silent with one cluster per unit, and with no draws
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            estimator(data, cohorts, bootstrap_draws=9, seed=1)
+            estimator(coarse, cohorts, bootstrap_draws=0)
+
     @pytest.mark.parametrize("estimator, options", [
         (cs_att, {"bootstrap_draws": 0}), (impute_att, {"bootstrap_draws": 0}),
         (sa_event_study, {}),
